@@ -41,6 +41,13 @@
 #                   refutation, 500-provider detection bound, gossip
 #                   convergence), then a live loopback suspect/confirm
 #                   drill with a kill -9'd provider
+#   make bench-e2e  the repo's one wall-clock benchmark (benchmark/run.sh):
+#                   six workloads on real in-process daemons over loopback
+#                   TCP, four gated end-to-end metrics each, ~10 min
+#   make bench-e2e-smoke  the same in under a minute: BENCHMARK.json still
+#                   says what the binary emits, then one instance per
+#                   workload with probe-sized phases; any failed or
+#                   mis-verified op fails the target
 #   make docs       rustdoc for the whole workspace (warnings are errors)
 
 CARGO ?= cargo
@@ -49,7 +56,7 @@ CARGO ?= cargo
 # (the Arc that shares the pooled buffer across peer queues).
 BENCH_ALLOC_BOUND ?= 1.0
 
-.PHONY: check build test clippy check-net bench bench-smoke storm-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs
+.PHONY: check build test clippy check-net bench bench-smoke bench-e2e bench-e2e-smoke storm-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs
 
 check: build test clippy docs
 
@@ -108,6 +115,13 @@ bench-smoke:
 	  --validate results/BENCH_ns.json
 	$(CARGO) run --release -p sorrento-net --bin bench-net -- \
 	  --smoke --out target/BENCH_net.smoke.json --check-allocs $(BENCH_ALLOC_BOUND)
+
+bench-e2e:
+	bash benchmark/run.sh
+
+bench-e2e-smoke:
+	bash benchmark/run.sh --validate
+	bash benchmark/run.sh --smoke
 
 # Scaled-down C10K storm: the run itself asserts zero hung sessions and
 # zero dropped ops (the binary exits non-zero otherwise), and the

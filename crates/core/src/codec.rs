@@ -92,21 +92,44 @@ fn u128_field(j: &Json, name: &'static str) -> Result<u128, CodecError> {
     u128::from_str_radix(str_field(j, name)?, 16).map_err(|_| CodecError::InvalidField(name))
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of each hex digit (either case) by its byte; 0xff for
+/// every other byte.
+const UNHEX: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX[v] as usize] = v as u8;
+        table[HEX[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
     }
-    s
+    table
+};
+
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(HEX[usize::from(b >> 4)]);
+        out.push(HEX[usize::from(b & 0xf)]);
+    }
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(s.get(i * 2..i * 2 + 2)?, 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        let (hi, lo) = (UNHEX[usize::from(pair[0])], UNHEX[usize::from(pair[1])]);
+        if hi | lo > 0xf {
+            return None;
+        }
+        out.push(hi << 4 | lo);
+    }
+    Some(out)
 }
 
 fn organization_to_json(o: &Organization) -> Json {
@@ -399,10 +422,22 @@ mod tests {
 
     #[test]
     fn hex_helpers() {
+        // Golden vectors: the bytes on disk and on the wire may not change.
+        assert_eq!(hex_encode(&[]), "");
         assert_eq!(hex_encode(&[0x00, 0xff, 0x1a]), "00ff1a");
+        assert_eq!(hex_encode(&[0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef]), "0123456789abcdef");
+        let all: Vec<u8> = (0..=255).collect();
+        let want: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&all), want);
         assert_eq!(hex_decode("00ff1a"), Some(vec![0x00, 0xff, 0x1a]));
-        assert_eq!(hex_decode("0g"), None);
-        assert_eq!(hex_decode("abc"), None);
+        assert_eq!(hex_decode("00FF1A"), Some(vec![0x00, 0xff, 0x1a]));
+        for bad in ["0g", "abc", "+f", " 1", "é"] {
+            assert_eq!(hex_decode(bad), None, "{bad:?}");
+        }
+        for len in [0, 1, 60 << 10] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
+        }
     }
 
     #[test]
@@ -438,7 +473,9 @@ mod tests {
         let mut ix = IndexSegment::new(FileId(42), FileOptions::default());
         ix.attached = Some(vec![1, 2, 3]);
         ix.is_attached = true;
-        let j = index_to_json(&ix).with("attached", "abc");
-        assert_eq!(index_from_json(&j), Err(CodecError::InvalidField("attached")));
+        for bad in ["abc", "zz"] {
+            let j = index_to_json(&ix).with("attached", bad);
+            assert_eq!(index_from_json(&j), Err(CodecError::InvalidField("attached")));
+        }
     }
 }

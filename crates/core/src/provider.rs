@@ -29,20 +29,22 @@ use crate::types::{Error, PlacementPolicy, SegId, Version};
 /// Why a replica fetch was queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FetchReason {
-    /// Home-host-driven sync/repair; ack `SyncDone` to `(node, req)` when
-    /// req != 0.
+    /// Home-host-driven sync/repair.
     Sync,
     /// Migration pull; ack `MigrateDone` to the source.
     Migration,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct FetchJob {
     seg: SegId,
     source: NodeId,
     reason: FetchReason,
-    reply_to: NodeId,
-    reply_req: ReqId,
+    /// Everyone owed a `SyncDone` when this fetch ends: the requester,
+    /// if it asked for an ack (req != 0), and every requester of the
+    /// same `(seg, source)` that arrived while this job was queued or
+    /// in flight. One fetch answers them all.
+    waiters: Vec<(NodeId, ReqId)>,
     /// Expected transfer size (sizes the fetch timeout; 512 MB segments
     /// take ~40 s on Fast Ethernet and must not be declared dead at 12 s).
     bytes_hint: u64,
@@ -990,13 +992,16 @@ impl StorageProvider {
     }
 
     fn enqueue_fetch(&mut self, ctx: &mut impl Transport, job: FetchJob) {
-        // Drop duplicates already queued for the same segment/source.
-        let dup = self.fetch_queue.iter().any(|j| j.seg == job.seg && j.source == job.source)
-            || self
-                .fetch_inflight
-                .as_ref()
-                .is_some_and(|(_, j)| j.seg == job.seg && j.source == job.source);
-        if dup {
+        // A fetch of the same segment from the same source is already
+        // queued or in flight: ride along instead of fetching twice.
+        let same = self
+            .fetch_inflight
+            .iter_mut()
+            .map(|(_, j)| j)
+            .chain(self.fetch_queue.iter_mut())
+            .find(|j| j.seg == job.seg && j.source == job.source);
+        if let Some(running) = same {
+            running.waiters.extend(job.waiters);
             return;
         }
         self.fetch_queue.push_back(job);
@@ -1011,40 +1016,26 @@ impl StorageProvider {
             return;
         };
         let req = self.fresh_req();
-        self.fetch_inflight = Some((req, job));
         ctx.send(job.source, Msg::FetchSeg { req, seg: job.seg });
         let timeout = self.costs.rpc_timeout * 4 + Dur::for_bytes(job.bytes_hint, 2.5e5);
         ctx.set_timer(timeout, Msg::Tick(Tick::RpcTimeout(req)));
+        self.fetch_inflight = Some((req, job));
     }
 
     fn finish_fetch(&mut self, ctx: &mut impl Transport, job: FetchJob, installed: Option<Version>) {
-        match job.reason {
-            FetchReason::Sync => {
-                if job.reply_req != 0 {
-                    ctx.send(
-                        job.reply_to,
-                        Msg::SyncDone {
-                            req: job.reply_req,
-                            seg: job.seg,
-                            version: installed.unwrap_or(Version::INITIAL),
-                            result: if installed.is_some() {
-                                Ok(())
-                            } else {
-                                Err(Error::NoSuchSegment)
-                            },
-                        },
-                    );
-                }
-            }
-            FetchReason::Migration => {
-                ctx.send(
-                    job.reply_to,
-                    Msg::MigrateDone {
-                        seg: job.seg,
-                        ok: installed.is_some(),
-                    },
-                );
-            }
+        for (to, req) in job.waiters {
+            ctx.send(
+                to,
+                Msg::SyncDone {
+                    req,
+                    seg: job.seg,
+                    version: installed.unwrap_or(Version::INITIAL),
+                    result: installed.map(|_| ()).ok_or(Error::NoSuchSegment),
+                },
+            );
+        }
+        if job.reason == FetchReason::Migration {
+            ctx.send(job.source, Msg::MigrateDone { seg: job.seg, ok: installed.is_some() });
         }
         self.kick_fetch(ctx);
     }
@@ -1621,11 +1612,8 @@ impl StorageProvider {
                     }
             Msg::Tick(Tick::RpcTimeout(req)) => {
                 // Provider-side fetches and EC repair jobs set this timer.
-                if let Some((inflight, job)) = self.fetch_inflight {
-                    if inflight == req {
-                        self.fetch_inflight = None;
-                        self.finish_fetch(ctx, job, None);
-                    }
+                if let Some((_, job)) = self.fetch_inflight.take_if(|(inflight, _)| *inflight == req) {
+                    self.finish_fetch(ctx, job, None);
                 }
                 if self.ec_repair.as_ref().is_some_and(|j| j.guard_req == req) {
                     self.ec_repair = None;
@@ -1925,13 +1913,10 @@ impl StorageProvider {
                 ctx.send_at(done, from, Msg::FetchSegR { req, result });
             }
             Msg::FetchSegR { req, result } => {
-                let Some((inflight, job)) = self.fetch_inflight else {
+                let Some((_, job)) = self.fetch_inflight.take_if(|(inflight, _)| *inflight == req)
+                else {
                     return;
                 };
-                if inflight != req {
-                    return;
-                }
-                self.fetch_inflight = None;
                 let installed = match result {
                     Ok(img) => {
                         let version = img.version;
@@ -1966,8 +1951,9 @@ impl StorageProvider {
                         seg,
                         source,
                         reason: FetchReason::Sync,
-                        reply_to: from,
-                        reply_req: req,
+                        // req 0: a home host's repair, which needs no
+                        // ack (its LocUpsert bookkeeping does the job).
+                        waiters: if req != 0 { vec![(from, req)] } else { Vec::new() },
                         bytes_hint,
                     },
                 );
@@ -1979,8 +1965,7 @@ impl StorageProvider {
                         seg,
                         source,
                         reason: FetchReason::Migration,
-                        reply_to: source,
-                        reply_req: 0,
+                        waiters: Vec::new(),
                         bytes_hint,
                     },
                 );

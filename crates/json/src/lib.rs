@@ -341,19 +341,26 @@ fn write_f64(x: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Runs that need no escaping are copied whole. Only `"`, `\` and
+    // control bytes end a run — all ASCII, so never the inside of a
+    // multi-byte character.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -628,6 +635,10 @@ mod tests {
         let enc = j.encode();
         assert_eq!(enc, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(Json::parse(&enc).unwrap(), j);
+        // Escapes between multi-byte characters leave them whole.
+        let j = Json::Str("é\"😀\n\u{1f}ü".into());
+        assert_eq!(j.encode(), "\"é\\\"😀\\n\\u001fü\"");
+        assert_eq!(Json::parse(&j.encode()).unwrap(), j);
         // Unicode escape forms parse too (incl. surrogate pairs).
         assert_eq!(
             Json::parse(r#""é 😀""#).unwrap(),

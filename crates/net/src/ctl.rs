@@ -4,7 +4,8 @@
 //! [`ClientOp`] program through the *same* `SorrentoClient` state
 //! machine the simulator validates, and returns its [`ClientStats`].
 //! [`fetch_stats`] asks a live daemon for its metrics registry as JSON
-//! (answered by the daemon loop itself, not the state machine).
+//! (answered by the daemon loop itself, not the state machine). Both
+//! run on the loop the daemons run on ([`crate::runtime::Driver`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -14,17 +15,15 @@ use std::time::{Duration, Instant};
 
 use sorrento::client::{ClientOp, ClientStats, OpResult, SorrentoClient, Workload};
 use sorrento::cluster::ScriptedWorkload;
-use sorrento::proto::{self, Msg};
+use sorrento::proto::{Msg, Tick};
 use sorrento::swim::MembershipMode;
 use sorrento::types::Error;
 use sorrento::Transport;
-use sorrento_sim::{EventRecord, NodeId, SimTime, SpanId, TelemetryEvent};
+use sorrento_sim::{Dur, EventRecord, NodeId, SimTime, SpanId};
 
 use crate::config::CtlConfig;
-use crate::runtime::{Out, RealCtx};
+use crate::runtime::{Driver, Node, RealCtx};
 use crate::tcp::{Mesh, MeshConfig};
-
-const POLL: Duration = Duration::from_millis(5);
 
 /// Why a control operation failed.
 #[derive(Debug)]
@@ -128,7 +127,13 @@ impl Workload for RecordingWorkload {
     }
 }
 
-fn join_mesh(cfg: &CtlConfig) -> Result<(RealCtx, Mesh), CtlError> {
+/// The wall clock, as the per-session salt for ids and RNG streams.
+fn unix_nanos() -> u64 {
+    let since = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    since.map_or(1, |d| d.as_nanos() as u64)
+}
+
+fn join_mesh(cfg: &CtlConfig) -> Result<Driver, CtlError> {
     let me = cfg.ctl_id;
     let mut machines: HashMap<NodeId, u32> =
         cfg.peers.iter().map(|p| (p.id, p.machine)).collect();
@@ -139,11 +144,7 @@ fn join_mesh(cfg: &CtlConfig) -> Result<(RealCtx, Mesh), CtlError> {
     // mint *colliding* segment ids — a later session's create would then
     // fail 2PC with a spurious VersionConflict against the earlier
     // session's committed index segment.
-    let session_salt = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(1);
-    let ctx = RealCtx::new(me, cfg.seed ^ session_salt, 1 << 30, machines);
+    let ctx = RealCtx::new(me, cfg.seed ^ unix_nanos(), 1 << 30, machines);
     ctx.flight().set_role("ctl");
     let seed_peers: HashMap<NodeId, SocketAddr> = cfg
         .peers
@@ -155,32 +156,46 @@ fn join_mesh(cfg: &CtlConfig) -> Result<(RealCtx, Mesh), CtlError> {
     // Daemons learn our ephemeral listen address from these Hellos and
     // start including us in their heartbeat fan-out.
     mesh.hello_all();
-    Ok((ctx, mesh))
+    Ok(Driver::new(ctx, mesh))
 }
 
-/// Deliver queued sends: loopback messages re-enter the client state
-/// machine, everything else goes out over TCP.
-fn flush(ctx: &mut RealCtx, mesh: &mut Mesh, client: &mut SorrentoClient) {
-    let me = ctx.id();
-    loop {
-        let outs = ctx.drain_outbox();
-        if outs.is_empty() {
-            return;
-        }
-        for out in outs {
-            match out {
-                Out::Unicast(dst, msg) if dst == me => client.handle_message(me, msg, ctx),
-                Out::Unicast(dst, msg) => {
-                    ctx.record(TelemetryEvent::MsgSend {
-                        span: proto::span_of(&msg),
-                        kind: proto::dbg_kind(&msg),
-                        to: dst,
-                    });
-                    mesh.send(dst, &msg);
-                }
-                Out::Multicast(msg) => mesh.multicast(&msg),
+/// The schedule a script's ops start on: one per interval. A closed
+/// loop with nothing between its ops runs at whatever six thread
+/// wake-ups per round trip cost that second — on a 2-vCPU host a `stat`
+/// takes 75 or 215 µs depending on where the scheduler put the threads,
+/// and small-op rates swing 3× from run to run. On a schedule the rate
+/// is one op per interval whenever ops finish inside it, and repeats
+/// (DESIGN §9.4 has the numbers and what taking this out needs).
+const OP_INTERVAL: Dur = Dur::nanos(1_500_000);
+
+/// Slots a session that fell behind (a commit longer than an interval)
+/// may use back to back to get on schedule again.
+const OP_CATCH_UP: u64 = 4;
+
+/// A scripted client on the loop, its ops started on the
+/// [`OP_INTERVAL`] schedule.
+struct Session {
+    client: SorrentoClient,
+    /// Earliest start of the next op, in ns on the session's clock.
+    next_slot: u64,
+}
+
+impl Node for Session {
+    fn handle(&mut self, from: NodeId, msg: Msg, ctx: &mut RealCtx) {
+        self.client.handle_message(from, msg, ctx);
+    }
+
+    fn timer(&mut self, msg: Msg, ctx: &mut RealCtx, _mesh: &mut Mesh) {
+        if matches!(msg, Msg::Tick(Tick::NextOp)) {
+            let now = ctx.now().nanos();
+            if now < self.next_slot {
+                ctx.set_timer(Dur::nanos(self.next_slot - now), msg);
+                return;
             }
+            let oldest = now.saturating_sub(OP_CATCH_UP * OP_INTERVAL.as_nanos());
+            self.next_slot = self.next_slot.max(oldest) + OP_INTERVAL.as_nanos();
         }
+        self.handle(ctx.id(), msg, ctx);
     }
 }
 
@@ -196,14 +211,19 @@ pub fn run_script(
     min_providers: usize,
     deadline: Duration,
 ) -> Result<ScriptOutcome, CtlError> {
-    let (mut ctx, mut mesh) = join_mesh(cfg)?;
-    let me = ctx.id();
+    let mut driver = join_mesh(cfg)?;
     let records = Rc::new(RefCell::new(Vec::new()));
     let workload = RecordingWorkload {
         inner: ScriptedWorkload::new(ops),
         records: Rc::clone(&records),
     };
-    let mut client = SorrentoClient::new(cfg.namespace, cfg.costs, Box::new(workload));
+    // The cost model's per-op client CPU is for the simulator to charge;
+    // here that CPU has really been spent by the time an op completes,
+    // and a non-zero value would be slept. At zero the hop between ops
+    // (which keeps completion from recursing) is due at once, and
+    // `Session` holds it until the op's slot on the schedule.
+    let costs = sorrento::costs::CostModel { client_op_cpu: Dur::ZERO, ..cfg.costs };
+    let mut client = SorrentoClient::new(cfg.namespace, costs, Box::new(workload));
     client.default_options.replication = cfg.replication;
     if !cfg.ns_map.is_empty() {
         // Sharded metadata plane: route each path to its shard's
@@ -220,20 +240,18 @@ pub fn run_script(
     client.write_window = cfg.write_window;
     client.rpc_resends = cfg.rpc_resends;
     client.op_deadline =
-        cfg.op_deadline_ms.map(|ms| sorrento_sim::Dur::nanos(ms.saturating_mul(1_000_000)));
+        cfg.op_deadline_ms.map(|ms| Dur::nanos(ms.saturating_mul(1_000_000)));
     // Every control session joins as the same ctl node id, and the
     // servers' reply caches key on (node, request id) — so each session
     // takes a disjoint request-id range to never alias an earlier one.
-    let session_base = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(1);
+    let session_base = unix_nanos();
     client.req_base(session_base);
     // Spans need the same session-uniqueness as request ids, or `trace`
     // merges ops from different sessions into one chain. >>16 gives
     // ~65 µs granularity: the 32-bit sequence space wraps every ~78
     // hours instead of every 4 seconds.
     client.span_base(session_base >> 16);
+    let mut session = Session { client, next_slot: 0 };
 
     // Discovery warmup: absorb heartbeats before starting the workload.
     // A daemon that is still binding its listener refuses the first
@@ -247,14 +265,11 @@ pub fn run_script(
     let mut hello_backoff = HELLO_RETRY_MIN;
     let mut next_hello = Instant::now() + hello_backoff;
     let mut warm_req = 0u64;
-    while client.known_providers() < min_providers {
-        if let Some((from, msg)) = mesh.recv_timeout(POLL) {
-            client.handle_message(from, msg, &mut ctx);
-            flush(&mut ctx, &mut mesh, &mut client);
-        }
+    while session.client.known_providers() < min_providers {
+        driver.turn(&mut session, Some(next_hello.min(deadline_at)));
         let now = Instant::now();
         if now >= next_hello {
-            mesh.hello_all();
+            driver.mesh.hello_all();
             if cfg.membership == MembershipMode::Swim {
                 // No heartbeats to absorb under gossip: pull membership
                 // digests from every peer instead. Providers answer with
@@ -262,7 +277,7 @@ pub fn run_script(
                 // the pull, so the replies that land are authoritative.
                 warm_req += 1;
                 for p in &cfg.peers {
-                    mesh.send(p.id, &Msg::MembersPull { req: warm_req });
+                    driver.mesh.send(p.id, &Msg::MembersPull { req: warm_req });
                 }
             }
             hello_backoff = (hello_backoff * 2).min(HELLO_RETRY_MAX);
@@ -270,138 +285,111 @@ pub fn run_script(
         }
         if now > deadline_at {
             return Err(CtlError::Discovery {
-                seen: client.known_providers(),
+                seen: session.client.known_providers(),
                 needed: min_providers,
             });
         }
     }
 
-    client.handle_start(&mut ctx);
-    flush(&mut ctx, &mut mesh, &mut client);
-    loop {
-        for msg in ctx.due_timers() {
-            client.handle_message(me, msg, &mut ctx);
-        }
-        flush(&mut ctx, &mut mesh, &mut client);
-        if let Some((from, msg)) = mesh.recv_timeout(POLL) {
-            client.handle_message(from, msg, &mut ctx);
-            flush(&mut ctx, &mut mesh, &mut client);
-        }
-        if client.stats.finished_at.is_some() {
-            let flight = ctx.flight();
-            return Ok(ScriptOutcome {
-                stats: client.stats.clone(),
-                records: records.take(),
-                events: flight.snapshot(),
-                epoch_unix_ns: flight.epoch_unix_ns(),
-            });
-        }
+    session.client.handle_start(&mut driver.ctx);
+    while session.client.stats.finished_at.is_none() {
         if Instant::now() > deadline_at {
-            return Err(CtlError::Deadline(Box::new(client.stats.clone())));
+            return Err(CtlError::Deadline(Box::new(session.client.stats.clone())));
         }
+        driver.turn(&mut session, Some(deadline_at));
     }
+    let flight = driver.ctx.flight();
+    Ok(ScriptOutcome {
+        stats: session.client.stats.clone(),
+        records: records.take(),
+        events: flight.snapshot(),
+        epoch_unix_ns: flight.epoch_unix_ns(),
+    })
 }
 
-/// Fetch a daemon's metrics registry as a JSON string.
+/// Ask `target` something the daemon loop answers itself: send
+/// `make_request(req)` and wait for the reply `match_reply` accepts.
 ///
 /// The query is re-sent periodically until the reply arrives: the
 /// transport is deliberately lossy (a daemon's first reply can die on a
 /// connection cached from an earlier control session), so a one-shot
 /// request would hang on nothing more than a stale socket.
-pub fn fetch_stats(cfg: &CtlConfig, target: NodeId, timeout: Duration) -> Result<String, CtlError> {
+fn query<T>(
+    cfg: &CtlConfig,
+    target: NodeId,
+    timeout: Duration,
+    make_request: impl Fn(u64) -> Msg,
+    match_reply: impl Fn(Msg) -> Option<T>,
+) -> Result<T, CtlError> {
     const RESEND_EVERY: Duration = Duration::from_millis(300);
-    let (mut ctx, mut mesh) = join_mesh(cfg)?;
-    let _ = &mut ctx; // the stats path needs no client machine
+    let mut driver = join_mesh(cfg)?;
+    let mut reply = None;
     let deadline_at = Instant::now() + timeout;
     let mut req = 0u64;
     let mut next_send = Instant::now();
     while Instant::now() <= deadline_at {
         if Instant::now() >= next_send {
             req += 1;
-            mesh.hello_all(); // no-op when connected; redials a daemon that refused at boot
-            mesh.send(target, &Msg::StatsQuery { req });
+            driver.mesh.hello_all(); // no-op when connected; redials a daemon that refused at boot
+            driver.mesh.send(target, &make_request(req));
             next_send = Instant::now() + RESEND_EVERY;
         }
-        if let Some((from, Msg::StatsR { json, .. })) = mesh.recv_timeout(POLL) {
-            if from == target {
-                return Ok(json);
+        let mut on_msg = |from: NodeId, msg: Msg, _: &mut RealCtx| {
+            if from == target && reply.is_none() {
+                reply = match_reply(msg);
             }
+        };
+        driver.turn(&mut on_msg, Some(next_send.min(deadline_at)));
+        if let Some(reply) = reply.take() {
+            return Ok(reply);
         }
     }
     Err(CtlError::StatsTimeout)
 }
 
+/// Fetch a daemon's metrics registry as a JSON string.
+pub fn fetch_stats(cfg: &CtlConfig, target: NodeId, timeout: Duration) -> Result<String, CtlError> {
+    query(cfg, target, timeout, |req| Msg::StatsQuery { req }, |msg| match msg {
+        Msg::StatsR { json, .. } => Some(json),
+        _ => None,
+    })
+}
+
 /// Fetch a daemon's flight-recorder events for one span (0 = the whole
 /// ring) as a JSON string.
-///
-/// Same resend discipline as [`fetch_stats`]: the query is repeated
-/// until the reply lands, because the transport is lossy by design.
 pub fn fetch_trace(
     cfg: &CtlConfig,
     target: NodeId,
     span: SpanId,
     timeout: Duration,
 ) -> Result<String, CtlError> {
-    const RESEND_EVERY: Duration = Duration::from_millis(300);
-    let (_ctx, mut mesh) = join_mesh(cfg)?;
-    let deadline_at = Instant::now() + timeout;
-    let mut req = 0u64;
-    let mut next_send = Instant::now();
-    while Instant::now() <= deadline_at {
-        if Instant::now() >= next_send {
-            req += 1;
-            mesh.hello_all(); // no-op when connected; redials a daemon that refused at boot
-            mesh.send(target, &Msg::TraceQuery { req, span });
-            next_send = Instant::now() + RESEND_EVERY;
-        }
-        if let Some((from, Msg::TraceR { json, .. })) = mesh.recv_timeout(POLL) {
-            if from == target {
-                return Ok(json);
-            }
-        }
-    }
-    Err(CtlError::StatsTimeout)
+    query(cfg, target, timeout, |req| Msg::TraceQuery { req, span }, |msg| match msg {
+        Msg::TraceR { json, .. } => Some(json),
+        _ => None,
+    })
 }
 
 /// Fetch a provider's membership view as a JSON string — under gossip
 /// the SWIM table (state, incarnation, last payload per member), under
 /// heartbeats the classic liveness view.
 ///
-/// Same resend discipline as [`fetch_stats`]: the query is repeated
-/// until the reply lands, because the transport is lossy by design.
 /// Only providers answer; pointing this at a namespace node times out.
 pub fn fetch_members(
     cfg: &CtlConfig,
     target: NodeId,
     timeout: Duration,
 ) -> Result<String, CtlError> {
-    const RESEND_EVERY: Duration = Duration::from_millis(300);
-    let (_ctx, mut mesh) = join_mesh(cfg)?;
-    let deadline_at = Instant::now() + timeout;
-    let mut req = 0u64;
-    let mut next_send = Instant::now();
-    while Instant::now() <= deadline_at {
-        if Instant::now() >= next_send {
-            req += 1;
-            mesh.hello_all(); // no-op when connected; redials a daemon that refused at boot
-            mesh.send(target, &Msg::MembersQuery { req });
-            next_send = Instant::now() + RESEND_EVERY;
-        }
-        if let Some((from, Msg::MembersR { json, .. })) = mesh.recv_timeout(POLL) {
-            if from == target {
-                return Ok(json);
-            }
-        }
-    }
-    Err(CtlError::StatsTimeout)
+    query(cfg, target, timeout, |req| Msg::MembersQuery { req }, |msg| match msg {
+        Msg::MembersR { json, .. } => Some(json),
+        _ => None,
+    })
 }
 
 /// Install (or, with an all-zero config, clear) fault-injection rules on
 /// a live daemon's mesh.
 ///
 /// Like [`fetch_stats`], the request is answered by the daemon loop —
-/// never the state machine — and is re-sent until acknowledged, since
-/// the transport is lossy. Note the asymmetry: rules installed on
+/// never the state machine. Note the asymmetry: rules installed on
 /// `target` shape the frames *it sends*, not the frames it receives.
 pub fn set_chaos(
     cfg: &CtlConfig,
@@ -409,34 +397,14 @@ pub fn set_chaos(
     chaos: &crate::chaos::ChaosConfig,
     timeout: Duration,
 ) -> Result<(), CtlError> {
-    const RESEND_EVERY: Duration = Duration::from_millis(300);
-    let (_ctx, mut mesh) = join_mesh(cfg)?;
-    let deadline_at = Instant::now() + timeout;
-    let mut req = 0u64;
-    let mut next_send = Instant::now();
-    while Instant::now() <= deadline_at {
-        if Instant::now() >= next_send {
-            req += 1;
-            mesh.hello_all(); // no-op when connected; redials a daemon that refused at boot
-            mesh.send(
-                target,
-                &Msg::ChaosCtl {
-                    req,
-                    seed: chaos.seed,
-                    drop_permille: chaos.drop_permille,
-                    dup_permille: chaos.dup_permille,
-                    delay_permille: chaos.delay_permille,
-                    delay_us: chaos.delay.as_micros() as u64,
-                    partition: chaos.partition.clone(),
-                },
-            );
-            next_send = Instant::now() + RESEND_EVERY;
-        }
-        if let Some((from, Msg::ChaosCtlR { .. })) = mesh.recv_timeout(POLL) {
-            if from == target {
-                return Ok(());
-            }
-        }
-    }
-    Err(CtlError::StatsTimeout)
+    let request = |req| Msg::ChaosCtl {
+        req,
+        seed: chaos.seed,
+        drop_permille: chaos.drop_permille,
+        dup_permille: chaos.dup_permille,
+        delay_permille: chaos.delay_permille,
+        delay_us: chaos.delay.as_micros() as u64,
+        partition: chaos.partition.clone(),
+    };
+    query(cfg, target, timeout, request, |msg| matches!(msg, Msg::ChaosCtlR { .. }).then_some(()))
 }

@@ -1,10 +1,11 @@
 //! The Sorrento node daemon: one process per namespace server or
 //! storage provider.
 //!
-//! The daemon is a thin poll loop around the same state machines the
-//! simulator drives: fire due timers, feed inbound frames to
-//! `handle_message`, flush the context's outbox through the TCP mesh.
-//! Two things the simulator does not have:
+//! The daemon wraps the same state machines the simulator drives in
+//! the shared deadline-driven loop ([`crate::runtime::Driver`]): fire
+//! due timers, feed inbound frames to `handle_message`, flush the
+//! context's outbox through the TCP mesh. Two things the simulator
+//! does not have:
 //!
 //! * **Stats interception** — `Msg::StatsQuery` is answered by the loop
 //!   itself with the node's metrics registry as JSON; the state
@@ -39,11 +40,9 @@ use crate::chaos::ChaosConfig;
 use crate::config::{DaemonConfig, Role};
 use crate::flight;
 use crate::frame;
-use crate::runtime::{Out, RealCtx};
+use crate::runtime::{Driver, Node, RealCtx};
 use crate::tcp::{Mesh, MeshConfig};
 
-/// How long the loop blocks waiting for one inbound message.
-const POLL: Duration = Duration::from_millis(5);
 /// How often a provider persists dirty segments.
 const PERSIST_EVERY: Duration = Duration::from_millis(200);
 
@@ -59,22 +58,6 @@ const SLOW_OPS_KEPT: usize = 8;
 enum Machine {
     Ns(Box<NamespaceServer>),
     Prov(Box<StorageProvider>),
-}
-
-impl Machine {
-    fn handle_start(&mut self, ctx: &mut RealCtx) {
-        match self {
-            Machine::Ns(m) => m.handle_start(ctx),
-            Machine::Prov(m) => m.handle_start(ctx),
-        }
-    }
-
-    fn handle_message(&mut self, from: NodeId, msg: Msg, ctx: &mut RealCtx) {
-        match self {
-            Machine::Ns(m) => m.handle_message(from, msg, ctx),
-            Machine::Prov(m) => m.handle_message(from, msg, ctx),
-        }
-    }
 }
 
 /// One retained slow-op entry: how long this node spent handling one
@@ -122,35 +105,105 @@ impl SlowOps {
     }
 }
 
-/// The versioned stats snapshot: the metrics registry's export extended
-/// in place (existing consumers keep reading `counters`/`gauges` at the
-/// top level) with identity, uptime, flight-ring usage and the slow-op
-/// table.
-fn build_snapshot(
-    ctx: &mut RealCtx,
-    mesh: &Mesh,
+/// The daemon as the shared loop sees it: the role's state machine plus
+/// what the loop answers itself.
+struct Served {
+    machine: Machine,
     role: &'static str,
     shard: Option<u32>,
-    slow: &SlowOps,
-) -> Json {
-    mesh.export_metrics(ctx.metrics());
-    let uptime_ms = ctx.now().nanos() / 1_000_000;
-    let (flight_len, flight_dropped) = ctx.flight().usage();
-    let snap = ctx
-        .metrics_ref()
-        .to_json()
-        .with("v", STATS_SCHEMA_V)
-        .with("node", ctx.id().index() as u64)
-        .with("role", role)
-        .with("uptime_ms", uptime_ms)
-        .with(
-            "flight",
-            Json::obj().with("len", flight_len as u64).with("dropped", flight_dropped),
-        )
-        .with("slow_ops", slow.to_json());
-    match shard {
-        Some(k) => snap.with("shard", u64::from(k)),
-        None => snap,
+    slow: SlowOps,
+}
+
+impl Served {
+    /// The versioned stats snapshot: the metrics registry's export
+    /// extended in place (existing consumers keep reading
+    /// `counters`/`gauges` at the top level) with identity, uptime,
+    /// flight-ring usage and the slow-op table.
+    fn snapshot(&self, ctx: &mut RealCtx, mesh: &Mesh) -> Json {
+        mesh.export_metrics(ctx.metrics());
+        let uptime_ms = ctx.now().nanos() / 1_000_000;
+        let (flight_len, flight_dropped) = ctx.flight().usage();
+        let snap = ctx
+            .metrics_ref()
+            .to_json()
+            .with("v", STATS_SCHEMA_V)
+            .with("node", ctx.id().index() as u64)
+            .with("role", self.role)
+            .with("uptime_ms", uptime_ms)
+            .with(
+                "flight",
+                Json::obj().with("len", flight_len as u64).with("dropped", flight_dropped),
+            )
+            .with("slow_ops", self.slow.to_json());
+        match self.shard {
+            Some(k) => snap.with("shard", u64::from(k)),
+            None => snap,
+        }
+    }
+}
+
+impl Node for Served {
+    fn handle(&mut self, from: NodeId, msg: Msg, ctx: &mut RealCtx) {
+        match &mut self.machine {
+            Machine::Ns(m) => m.handle_message(from, msg, ctx),
+            Machine::Prov(m) => m.handle_message(from, msg, ctx),
+        }
+    }
+
+    fn timer(&mut self, msg: Msg, ctx: &mut RealCtx, mesh: &mut Mesh) {
+        // Satellite of the observability plane: refresh the mesh gauges
+        // on every heartbeat tick — or, under swim membership, on the
+        // gauge-export tick that replaces it — so a stats snapshot is
+        // never staler than one period.
+        if matches!(msg, Msg::Tick(Tick::Heartbeat | Tick::GaugeExport)) {
+            mesh.export_metrics(ctx.metrics());
+        }
+        self.handle(ctx.id(), msg, ctx);
+    }
+
+    fn inbound(&mut self, from: NodeId, msg: Msg, ctx: &mut RealCtx, mesh: &mut Mesh) {
+        match msg {
+            Msg::StatsQuery { req } => {
+                let json = self.snapshot(ctx, mesh).encode();
+                mesh.send(from, &Msg::StatsR { req, json });
+            }
+            // Span tracing: serve the local flight ring (filtered to one
+            // span, or whole-ring for span 0) straight from the loop;
+            // like StatsQuery, the state machines never see it.
+            Msg::TraceQuery { req, span } => {
+                let json = ctx.flight().to_json(span).encode();
+                mesh.send(from, &Msg::TraceR { req, json });
+            }
+            // Like StatsQuery, chaos control is answered by the loop
+            // itself: fault injection lives in the mesh, and the state
+            // machines never see (or depend on) it.
+            Msg::ChaosCtl {
+                req,
+                seed,
+                drop_permille,
+                dup_permille,
+                delay_permille,
+                delay_us,
+                partition,
+            } => {
+                mesh.set_chaos(Some(ChaosConfig {
+                    seed,
+                    drop_permille,
+                    dup_permille,
+                    delay_permille,
+                    delay: Duration::from_micros(delay_us),
+                    partition,
+                }));
+                mesh.send(from, &Msg::ChaosCtlR { req });
+            }
+            msg => {
+                let (span, kind) = (proto::span_of(&msg), proto::dbg_kind(&msg));
+                ctx.record(TelemetryEvent::MsgRecv { span, kind, from });
+                let t0 = Instant::now();
+                self.handle(from, msg, ctx);
+                self.slow.observe(t0.elapsed().as_nanos() as u64, span, kind, ctx.now().nanos());
+            }
+        }
     }
 }
 
@@ -169,11 +222,7 @@ impl DaemonHandle {
     /// Request shutdown and wait for the loop to exit cleanly
     /// (final segment persistence included).
     pub fn stop(mut self) -> io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        match self.join.take() {
-            Some(j) => j.join().unwrap_or(Ok(())),
-            None => Ok(()),
-        }
+        self.shut_down()
     }
 
     /// Kill the daemon as a crash stand-in: the loop exits without the
@@ -184,6 +233,12 @@ impl DaemonHandle {
     /// converges.
     pub fn kill(mut self) -> io::Result<()> {
         self.abrupt.store(true, Ordering::SeqCst);
+        self.shut_down()
+    }
+
+    /// Raise the flag and join the loop (it looks at the flag at least
+    /// every [`crate::runtime::IDLE_BACKSTOP`]).
+    fn shut_down(&mut self) -> io::Result<()> {
         self.shutdown.store(true, Ordering::SeqCst);
         match self.join.take() {
             Some(j) => j.join().unwrap_or(Ok(())),
@@ -194,10 +249,7 @@ impl DaemonHandle {
 
 impl Drop for DaemonHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        let _ = self.shut_down();
     }
 }
 
@@ -243,7 +295,7 @@ fn run_loop(
     let mut machines: HashMap<NodeId, u32> =
         cfg.peers.iter().map(|p| (p.id, p.machine)).collect();
     machines.insert(me, cfg.machine);
-    let mut ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
+    let ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
 
     let role_str = match cfg.role {
         Role::Namespace => "namespace",
@@ -325,93 +377,41 @@ fn run_loop(
         }
     }
 
-    machine.handle_start(&mut ctx);
-    flush(&mut ctx, &mut mesh, &mut machine);
+    let mut node = Served { machine, role: role_str, shard, slow: SlowOps::new() };
+    let mut driver = Driver::new(ctx, mesh);
+    match &mut node.machine {
+        Machine::Ns(m) => m.handle_start(&mut driver.ctx),
+        Machine::Prov(m) => m.handle_start(&mut driver.ctx),
+    }
 
     // Opt-in periodic snapshot writer: one compact JSON line per
     // interval, appended so a restart keeps extending the series.
-    let metrics_every = cfg.metrics_interval_ms.map(Duration::from_millis);
-    let mut metrics_file = match (&metrics_every, &cfg.data_dir) {
-        (Some(_), Some(dir)) => {
+    let mut metrics_log = match (cfg.metrics_interval_ms, &cfg.data_dir) {
+        (Some(ms), Some(dir)) => {
             std::fs::create_dir_all(dir)?;
-            Some(OpenOptions::new().create(true).append(true).open(dir.join("metrics.jsonl"))?)
+            let file = OpenOptions::new().create(true).append(true).open(dir.join("metrics.jsonl"))?;
+            let every = Duration::from_millis(ms);
+            Some((every, file, Instant::now() + every))
         }
         _ => None,
     };
-    let mut last_metrics = Instant::now();
-    let mut slow = SlowOps::new();
 
-    let mut last_persist = Instant::now();
+    // Housekeeping deadlines bound the loop's wait like timers do.
+    let mut next_persist = db.as_ref().map(|_| Instant::now() + PERSIST_EVERY);
     while !shutdown.load(Ordering::SeqCst) {
-        for msg in ctx.due_timers() {
-            // Satellite of the observability plane: refresh the mesh
-            // gauges on every heartbeat tick — or, under swim
-            // membership, on the gauge-export tick that replaces it —
-            // so a stats snapshot is never staler than one period.
-            if matches!(msg, Msg::Tick(Tick::Heartbeat | Tick::GaugeExport)) {
-                mesh.export_metrics(ctx.metrics());
-            }
-            machine.handle_message(me, msg, &mut ctx);
-        }
-        flush(&mut ctx, &mut mesh, &mut machine);
-
-        if let Some((from, msg)) = mesh.recv_timeout(POLL) {
-            match msg {
-                Msg::StatsQuery { req } => {
-                    let json = build_snapshot(&mut ctx, &mesh, role_str, shard, &slow).encode();
-                    mesh.send(from, &Msg::StatsR { req, json });
-                }
-                // Span tracing: serve the local flight ring (filtered to
-                // one span, or whole-ring for span 0) straight from the
-                // loop; like StatsQuery, the state machines never see it.
-                Msg::TraceQuery { req, span } => {
-                    let json = flight.to_json(span).encode();
-                    mesh.send(from, &Msg::TraceR { req, json });
-                }
-                // Like StatsQuery, chaos control is answered by the loop
-                // itself: fault injection lives in the mesh, and the
-                // state machines never see (or depend on) it.
-                Msg::ChaosCtl {
-                    req,
-                    seed,
-                    drop_permille,
-                    dup_permille,
-                    delay_permille,
-                    delay_us,
-                    partition,
-                } => {
-                    mesh.set_chaos(Some(ChaosConfig {
-                        seed,
-                        drop_permille,
-                        dup_permille,
-                        delay_permille,
-                        delay: Duration::from_micros(delay_us),
-                        partition,
-                    }));
-                    mesh.send(from, &Msg::ChaosCtlR { req });
-                }
-                msg => {
-                    let (span, kind) = (proto::span_of(&msg), proto::dbg_kind(&msg));
-                    ctx.record(TelemetryEvent::MsgRecv { span, kind, from });
-                    let t0 = Instant::now();
-                    machine.handle_message(from, msg, &mut ctx);
-                    slow.observe(t0.elapsed().as_nanos() as u64, span, kind, ctx.now().nanos());
-                }
-            }
-            flush(&mut ctx, &mut mesh, &mut machine);
-        }
-
-        if db.is_some() && last_persist.elapsed() >= PERSIST_EVERY {
-            last_persist = Instant::now();
-            if let (Some(db), Machine::Prov(prov)) = (&mut db, &machine) {
+        let next_metrics = metrics_log.as_ref().map(|(_, _, at)| *at);
+        driver.turn(&mut node, [next_persist, next_metrics].into_iter().flatten().min());
+        let now = Instant::now();
+        if let (Some(db), Some(at), Machine::Prov(prov)) = (&mut db, next_persist, &node.machine) {
+            if now >= at {
+                next_persist = Some(now + PERSIST_EVERY);
                 persist_dirty(db, prov, &mut persisted)?;
             }
         }
-
-        if let (Some(every), Some(file)) = (metrics_every, metrics_file.as_mut()) {
-            if last_metrics.elapsed() >= every {
-                last_metrics = Instant::now();
-                let snap = build_snapshot(&mut ctx, &mesh, role_str, shard, &slow);
+        if let Some((every, file, at)) = &mut metrics_log {
+            if now >= *at {
+                *at = now + *every;
+                let snap = node.snapshot(&mut driver.ctx, &driver.mesh);
                 let _ = writeln!(file, "{}", snap.encode());
             }
         }
@@ -420,7 +420,7 @@ fn run_loop(
     // An abrupt (crash-drill) exit skips the final sweep and checkpoint:
     // on-disk state stays at whatever the last periodic sweep captured.
     if !abrupt.load(Ordering::SeqCst) {
-        if let (Some(db), Machine::Prov(prov)) = (&mut db, &machine) {
+        if let (Some(db), Machine::Prov(prov)) = (&mut db, &node.machine) {
             persist_dirty(db, prov, &mut persisted)?;
             db.checkpoint()?;
         }
@@ -431,42 +431,8 @@ fn run_loop(
     if let Some(dir) = &cfg.data_dir {
         let _ = flight.dump_to(dir);
     }
-    mesh.shutdown();
+    driver.mesh.shutdown();
     Ok(())
-}
-
-/// Deliver everything the machine queued: loopback messages re-enter
-/// the machine (which may queue more), remote ones go out the mesh
-/// (each recorded as a `msg.send` flight event — multicasts once per
-/// peer, matching what actually hits the wire).
-fn flush(ctx: &mut RealCtx, mesh: &mut Mesh, machine: &mut Machine) {
-    let me = ctx.id();
-    loop {
-        let outs = ctx.drain_outbox();
-        if outs.is_empty() {
-            return;
-        }
-        for out in outs {
-            match out {
-                Out::Unicast(dst, msg) if dst == me => machine.handle_message(me, msg, ctx),
-                Out::Unicast(dst, msg) => {
-                    ctx.record(TelemetryEvent::MsgSend {
-                        span: proto::span_of(&msg),
-                        kind: proto::dbg_kind(&msg),
-                        to: dst,
-                    });
-                    mesh.send(dst, &msg);
-                }
-                Out::Multicast(msg) => {
-                    let (span, kind) = (proto::span_of(&msg), proto::dbg_kind(&msg));
-                    for peer in mesh.known_peers() {
-                        ctx.record(TelemetryEvent::MsgSend { span, kind, to: peer });
-                    }
-                    mesh.multicast(&msg);
-                }
-            }
-        }
-    }
 }
 
 /// Install the shard map, standby link and checkpoint knob a sharded

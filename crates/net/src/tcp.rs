@@ -316,6 +316,11 @@ impl Mesh {
         self.inbox.recv_timeout(timeout).ok()
     }
 
+    /// The next message already queued, without blocking.
+    pub fn try_recv(&self) -> Option<(NodeId, Msg)> {
+        self.inbox.try_recv().ok()
+    }
+
     /// Send to one peer: best-effort, one redial after backoff, then the
     /// message is dropped (the peer's death shows up as RPC timeouts,
     /// exactly as in the simulator). Never blocks the caller: the frame

@@ -164,6 +164,36 @@ fn loopback_cluster_survives_a_provider_failure() {
     }
 }
 
+/// The guard against a loop that polls: between two ops of a script the
+/// client waits for the next op's slot on ctl's 1.5 ms schedule and for
+/// nothing else. 200 small-file sessions (the paper's §4.1 path: ≤ 60 KB
+/// rides in the index segment) must leave no more than a slot (and a
+/// timer wake-up) per op unaccounted for by op latency — a
+/// `recv_timeout(5 ms)` between ops leaves five milliseconds — and must
+/// not run ahead of the schedule.
+#[test]
+fn small_file_sessions_leave_no_gap_between_ops() {
+    let (handles, cfg) = spawn_cluster(3, &[]);
+    let data = payload(12 * 1024);
+    let mut fs = FsScript::new();
+    for i in 0..200 {
+        let h = fs.create(format!("/f{i}")).unwrap();
+        fs.write(h, 0, data.clone()).unwrap();
+        fs.close(h).unwrap();
+    }
+    let stats = ctl::run_script(&cfg, fs.into_ops(), 3, DEADLINE).expect("script").stats;
+    assert_eq!((stats.completed_ops, stats.failed_ops), (600, 0), "{:?}", stats.last_error);
+    let wall = stats.finished_at.unwrap().since(stats.started_at.unwrap()).as_nanos();
+    let busy: u64 = stats.latencies.iter().map(|(_, d)| d.as_nanos()).sum();
+    let gap_us = wall.saturating_sub(busy) / stats.completed_ops / 1_000;
+    assert!(gap_us < 2_000, "{gap_us} us between ops ({wall} ns wall, {busy} ns in ops)");
+    // 600 slots, less the four a late session may make up back to back.
+    assert!(wall >= 595 * 1_500_000, "600 ops in {wall} ns: ahead of the schedule");
+    for h in handles {
+        h.stop().expect("clean shutdown");
+    }
+}
+
 /// Write `data` to `path` through a client configured from `cfg`, then
 /// read it back through a plain (unchunked) client and return the bytes.
 fn write_then_read(

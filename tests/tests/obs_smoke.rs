@@ -113,6 +113,17 @@ fn obs_smoke() {
         assert_eq!(snap.get("node").and_then(Json::as_u64), Some(i as u64));
     }
 
+    // The periodic writer appends every 100 ms, and everything above can
+    // be over in less (discovery is instant when the providers' boot
+    // heartbeats reach the session): let it write once before the kill,
+    // which — being a crash — writes nothing on the way out.
+    let metrics_path = dirs[1].join("metrics.jsonl");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while std::fs::read_to_string(&metrics_path).unwrap_or_default().is_empty() {
+        assert!(Instant::now() < deadline, "no metrics.jsonl snapshot appeared");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
     // Kill provider 2: the abrupt path must still leave the black box.
     handles.pop().unwrap().kill().expect("abrupt kill");
 
@@ -124,21 +135,10 @@ fn obs_smoke() {
     let text = std::fs::read_to_string(dump.path()).unwrap();
     check_flight_dump(&text).expect("killed provider's flight dump");
 
-    // The periodic writer must have appended at least one snapshot by
-    // now (100 ms interval, several seconds of uptime) — and every line
-    // must validate, not just the first.
-    let metrics_path = dirs[1].join("metrics.jsonl");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let lines = loop {
-        let text = std::fs::read_to_string(&metrics_path).unwrap_or_default();
-        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        if !lines.is_empty() {
-            break lines;
-        }
-        assert!(Instant::now() < deadline, "no metrics.jsonl snapshot appeared");
-        std::thread::sleep(Duration::from_millis(100));
-    };
-    for (n, line) in lines.iter().enumerate() {
+    // Every line the periodic writer appended must validate, not just
+    // the first.
+    let text = std::fs::read_to_string(&metrics_path).unwrap();
+    for (n, line) in text.lines().enumerate() {
         check_stats_snapshot(line)
             .unwrap_or_else(|e| panic!("metrics.jsonl line {}: {e}", n + 1));
     }

@@ -103,6 +103,38 @@ fn eager_commit_replicates_synchronously() {
     }
 }
 
+/// At r = 3 on three providers the client's eager pushes and the home
+/// host's own repair requests name the same (segment, site) pairs. The
+/// later request must ride on the fetch already queued — one fetch, every
+/// requester answered — not be dropped with its ack, which left `close`
+/// waiting out `rpc_timeout`.
+#[test]
+fn eager_commit_acks_survive_fetch_dedup() {
+    let mut c = cluster(3, 1, 25);
+    let options = FileOptions { replication: 3, eager_commit: true, ..FileOptions::default() };
+    let id = c.add_client(ScriptedWorkload::new(vec![
+        ClientOp::CreateWith { path: "/eager3".into(), options },
+        ClientOp::write_bytes(0, patterned(150_000, 5)),
+        ClientOp::Close,
+    ]));
+    // Long enough for the repair scans to have had their say as well.
+    c.run_for(Dur::secs(10));
+    let stats = c.client_stats(id).unwrap();
+    assert_eq!((stats.completed_ops, stats.failed_ops), (3, 0), "{:?}", stats.last_error);
+    let (_, close) = stats.latencies.iter().find(|(kind, _)| *kind == "close").unwrap();
+    assert!(*close < c.costs().rpc_timeout, "close took {close:?}");
+    assert_eq!(c.metrics().counter_labeled("client.timeout", "eager_sync"), 0);
+    let ownership = c.segment_ownership();
+    assert!(!ownership.is_empty());
+    for (seg, owners) in &ownership {
+        assert_eq!(owners.len(), 3, "{seg:?}: {owners:?}");
+    }
+    // Two extra sites per segment, each installed by exactly one fetch.
+    let installs: u64 =
+        c.providers().iter().map(|&p| c.provider_ref(p).unwrap().installs_done).sum();
+    assert_eq!(installs, 2 * ownership.len() as u64);
+}
+
 /// Losing a provider must re-create the lost replicas elsewhere (the
 /// Figure 13 recovery path) while reads keep succeeding.
 #[test]
