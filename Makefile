@@ -3,8 +3,11 @@
 #   make check      build (release) + full test suite + clippy with -D warnings
 #                   + rustdoc with -D warnings (public-API docs are load-bearing)
 #   make test       test suite only
-#   make check-net  real-process runtime: frame-codec property tests +
-#                   loopback TCP cluster drill (sockets, daemons, sorrentoctl)
+#   make check-net  real-process runtime: frame-codec property tests, the
+#                   allocation budget of a 32 MiB read (bulk_alloc prints
+#                   its counts), chunked reads == unchunked reads in the
+#                   simulator, and the loopback TCP cluster drill
+#                   (sockets, daemons, sorrentoctl)
 #   make bench      regenerate every figure/table into results/
 #   make bench-smoke  quick data-path bench run; fails if the committed
 #                   results/BENCH_net.json is malformed or if the pooled
@@ -71,7 +74,9 @@ clippy:
 
 check-net:
 	$(CARGO) test -p sorrento-net
+	$(CARGO) test -p sorrento-net --test bulk_alloc -- --nocapture
 	$(CARGO) test -p sorrento-tests --test frame_codec
+	$(CARGO) test -p sorrento-tests --test chunked_read
 	$(CARGO) test -p sorrento-tests --test loopback_cluster
 
 chaos-smoke:

@@ -188,8 +188,8 @@ impl Node<NfsMsg> for NfsServer {
                         let flen = buf.stored_bytes();
                         let end = (offset + len).min(flen);
                         let n = end.saturating_sub(offset);
-                        let mut out = vec![0u8; n as usize];
-                        buf.read_into(offset, &mut out);
+                        let mut out = Vec::with_capacity(n as usize);
+                        buf.append_to(offset, n, &mut out);
                         Ok((n, Some(out)))
                     }
                     Some(NfsFile::Synthetic { len: flen }) => {

@@ -379,8 +379,8 @@ impl Node<PvfsMsg> for PvfsIod {
             } => {
                 let result = match self.stripes.get(&fid) {
                     Some(StripeData::Real(buf)) => {
-                        let mut out = vec![0u8; len as usize];
-                        buf.read_into(offset, &mut out);
+                        let mut out = Vec::with_capacity(len as usize);
+                        buf.append_to(offset, len, &mut out);
                         Ok((len, Some(out)))
                     }
                     Some(StripeData::Synthetic { .. }) => Ok((len, None)),

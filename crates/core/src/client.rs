@@ -9,7 +9,7 @@
 //! operation completes, the workload supplies the next [`ClientOp`] and
 //! observes its [`OpResult`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -287,7 +287,9 @@ enum Pending {
     Ns,
     IndexRead { owner_known: bool },
     LocQuery { seg: SegId },
-    DataRead { extent: usize },
+    /// One `ReadSeg` of a data read: `len` bytes at `offset` within
+    /// extent `extent` (the whole extent unless the read is chunked).
+    DataRead { extent: usize, offset: u64, len: u64 },
     ShadowCreate { seg: SegId, provider: NodeId, target: Version },
     ShadowWrite { extent: usize },
     DirectWrite,
@@ -343,7 +345,10 @@ enum Phase {
     /// Read flow: resolving owners then fetching extents.
     Reading {
         extents: Vec<Extent>,
-        /// Buffer for real data (request-relative).
+        /// Per-extent request progress, parallel to `extents`.
+        progress: Vec<ExtentRead>,
+        /// Buffer for real data (request-relative): allocated once,
+        /// filled in place by each reply, moved out at completion.
         buf: Option<Vec<u8>>,
         /// Zero-copy completion: when one reply covers the whole request,
         /// its payload is handed through without an assembly copy.
@@ -353,6 +358,9 @@ enum Phase {
         unresolved: Vec<usize>,
         /// Outstanding data fetches.
         outstanding: usize,
+        /// Extents with a known owner and bytes left to request, held
+        /// back by [`READ_PIECES_MAX`]; first in, first out.
+        waiting: VecDeque<usize>,
         bytes: u64,
     },
     /// Write flow: ensure shadows exist, then issue the writes.
@@ -383,6 +391,32 @@ enum Phase {
     /// Think timer running.
     Thinking,
 }
+
+/// Progress of one extent of a read. Without bulk pipelining an extent
+/// is a single `ReadSeg`. With it ([`SorrentoClient::write_chunk`]) an
+/// extent longer than the chunk is requested chunk by chunk, at most
+/// [`SorrentoClient::write_window`] requests in flight — the mirror of
+/// [`ChunkWrite`] — so each reply is a small frame that is copied into
+/// the result and dropped at once, and neither side ever buffers a
+/// whole segment.
+#[derive(Debug, Clone, Default)]
+struct ExtentRead {
+    /// Offset within the extent of the first byte not yet requested.
+    next: u64,
+    /// Requests in flight.
+    inflight: usize,
+    /// `(offset, len)` of requests an owner failed: to be sent again.
+    redo: Vec<(u64, u64)>,
+    /// Whether the extent sits in `Phase::Reading::waiting`.
+    parked: bool,
+}
+
+/// Most `ReadSeg`s one pipelined read keeps in flight over all its
+/// extents. The per-extent window bounds bytes per segment; this bounds
+/// a read of many small extents (a striped file is 64 KiB stripe units,
+/// 2,048 of them in 128 MiB) to a quarter of the 256 frames a mesh
+/// queues per peer before it drops, wherever the segments live.
+const READ_PIECES_MAX: usize = 64;
 
 /// Progress of one extent's pipelined chunked shadow write: the full
 /// extent payload (a shared view, so chunk slices are O(1)) and the
@@ -451,15 +485,19 @@ pub struct SorrentoClient {
     /// Per-client span sequence (combined with the node id for
     /// cluster-wide uniqueness).
     span_seq: u64,
-    /// When set, real shadow-write payloads larger than this are split
-    /// into chunks of this size and pipelined to the segment owner
-    /// instead of travelling as one frame per extent. `None` (the
-    /// default) keeps the one-message-per-extent behavior — seeded
-    /// simulation runs stay byte-for-byte deterministic.
+    /// Bulk pipelining, both directions (the name is historical: writes
+    /// had it first). When set, a real shadow-write payload larger than
+    /// this is split into chunks of this size and pipelined to the
+    /// segment owner, and a read extent longer than this is requested
+    /// as `ReadSeg`s of this size, instead of travelling as one frame
+    /// per extent. `None` (the default) keeps the one-message-per-extent
+    /// behavior — seeded simulation runs stay byte-for-byte
+    /// deterministic.
     pub write_chunk: Option<u64>,
-    /// Bounded window of in-flight chunks per extent when `write_chunk`
-    /// is set (clamped to at least 1). The window keeps the owner's
-    /// pipe full without unbounded buffering on either side.
+    /// Bounded window of in-flight chunks per extent, written or read,
+    /// when `write_chunk` is set (clamped to at least 1). The window
+    /// keeps the owner's pipe full without unbounded buffering on
+    /// either side.
     pub write_window: usize,
     /// Extra same-request resends per RPC before the timeout path
     /// suspects the target. Resends reuse the original request id, so
@@ -881,6 +919,18 @@ impl SorrentoClient {
         self.view.len()
     }
 
+    /// Data-read requests awaiting a reply, counted per extent of the
+    /// read in progress (diagnostics: what the bulk window bounds).
+    pub fn reads_in_flight(&self) -> HashMap<usize, usize> {
+        let mut per_extent = HashMap::new();
+        for (_, p) in self.pending.values() {
+            if let Pending::DataRead { extent, .. } = p {
+                *per_extent.entry(*extent).or_insert(0) += 1;
+            }
+        }
+        per_extent
+    }
+
     fn pull_next_op(&mut self, ctx: &mut impl Transport) {
         if self.op.is_some() {
             return;
@@ -1193,9 +1243,6 @@ impl SorrentoClient {
         match reply {
             ReadReply::Data { data, .. } => {
                 let Some(bytes) = data else {
-                    if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                        eprintln!("TRACE {:?} t={:?} index read: no data", ctx.id(), ctx.now());
-                    }
                     self.retry_or_fail(ctx, Error::NoSuchSegment);
                     return;
                 };
@@ -1203,9 +1250,6 @@ impl SorrentoClient {
                     Ok(ix) => ix,
                     Err(e) => {
                         ctx.metrics().count_labeled("index_decode_error", e.label(), 1);
-                        if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                            eprintln!("TRACE {:?} t={:?} index decode failed ({} bytes): {e}", ctx.id(), ctx.now(), bytes.len());
-                        }
                         self.retry_or_fail(ctx, Error::NoSuchSegment);
                         return;
                     }
@@ -1245,10 +1289,7 @@ impl SorrentoClient {
                     Pending::IndexRead { owner_known: true },
                 );
             }
-            ReadReply::Err(ref e) if !owner_known => {
-                if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                    eprintln!("TRACE {:?} t={:?} index read err from home: {e:?}", ctx.id(), ctx.now());
-                }
+            ReadReply::Err(_) if !owner_known => {
                 // Base scheme failed: fall back to the multicast backup
                 // query (§3.4.2).
                 let seg = self
@@ -1259,9 +1300,6 @@ impl SorrentoClient {
                 self.start_backup_query(ctx, seg);
             }
             ReadReply::Err(e) => {
-                if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                    eprintln!("TRACE {:?} t={:?} index read err from owner: {e:?}", ctx.id(), ctx.now());
-                }
                 self.retry_or_fail(ctx, e);
             }
         }
@@ -1289,13 +1327,6 @@ impl SorrentoClient {
         };
         let hits = self.backup_hits.remove(&req).unwrap_or_default();
         if hits.is_empty() {
-            if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                eprintln!(
-                    "TRACE {:?} t={:?} backup query for {seg:?} found no owners",
-                    ctx.id(),
-                    ctx.now()
-                );
-            }
             // The segment is genuinely gone cluster-wide. For a read of
             // an erasure-coded file this is not fatal: fall into the
             // degraded path and reconstruct from k surviving shards.
@@ -1359,18 +1390,6 @@ impl SorrentoClient {
         };
         // Attached small files were fetched with the index at open time.
         if f.index.is_attached {
-            if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                eprintln!(
-                    "ATRACE {:?} t={:?} attached read path={} size={} buf={} synth={} ver={:?}",
-                    ctx.id(),
-                    ctx.now(),
-                    f.path,
-                    f.index.size,
-                    f.attached_buf.len(),
-                    f.synthetic,
-                    f.entry.version
-                );
-            }
             let end = (offset + len).min(f.index.size);
             let covered = end.saturating_sub(offset);
             let data = if f.synthetic {
@@ -1395,11 +1414,16 @@ impl SorrentoClient {
         if let Some((_, _, phase, _)) = &mut self.op {
             *phase = Phase::Reading {
                 unresolved: (0..extents.len()).collect(),
+                progress: vec![ExtentRead::default(); extents.len()],
                 extents,
+                // Zeroed by the allocator, not by a fill: a result above
+                // its mmap threshold is untouched pages until a reply
+                // lands on them, and short replies leave holes as zeros.
                 buf: real.then(|| vec![0u8; covered as usize]),
                 direct: None,
                 req_offset: offset,
                 outstanding: 0,
+                waiting: VecDeque::new(),
                 bytes: 0,
             };
         }
@@ -1461,121 +1485,172 @@ impl SorrentoClient {
         self.maybe_finish_read(ctx);
     }
 
+    /// Put requests for extent `i` on the wire until its window is full
+    /// or nothing is left to request: the whole extent as one `ReadSeg`,
+    /// or, with bulk pipelining on, `write_chunk`-sized pieces of it, at
+    /// most `write_window` in flight. Called when the extent's owner is
+    /// known and again after every reply, which holds the in-flight
+    /// count at the window.
     fn issue_extent_read(&mut self, ctx: &mut impl Transport, i: usize) {
-        let (seg, seg_offset, len, version) = {
-            let Some((_, _, Phase::Reading { extents, .. }, _)) = &self.op else {
+        let chunk = self.write_chunk.filter(|&c| c > 0);
+        let window = self.write_window.max(1);
+        loop {
+            let (seg, seg_offset, version, offset, len) = {
+                let Some((
+                    _,
+                    _,
+                    Phase::Reading { extents, progress, outstanding, waiting, .. },
+                    _,
+                )) = &mut self.op
+                else {
+                    return;
+                };
+                let (e, p) = (&extents[i], &mut progress[i]);
+                if p.inflight >= window {
+                    return;
+                }
+                let (offset, len) = match p.redo.last() {
+                    Some(&piece) => piece,
+                    None if p.next < e.len => {
+                        let rest = e.len - p.next;
+                        (p.next, chunk.map_or(rest, |c| c.min(rest)))
+                    }
+                    None => return,
+                };
+                if chunk.is_some() && *outstanding >= READ_PIECES_MAX {
+                    if !p.parked {
+                        p.parked = true;
+                        waiting.push_back(i);
+                    }
+                    return;
+                }
+                (e.seg, e.seg_offset, e.version, offset, len)
+            };
+            let owners = self.file.as_ref().and_then(|f| f.owners.get(&seg));
+            let owners = owners.map_or(&[][..], Vec::as_slice);
+            let choice = self.choose_owner(owners, Some(version), ctx.rng());
+            let Some(owner) = choice else {
+                // Every cached owner is gone: the extent goes back to the
+                // unresolved set (losing it here would let the read
+                // "complete" with an unfilled buffer) and a backup query
+                // refreshes the owner list.
+                if let Some(f) = &mut self.file {
+                    f.owners.remove(&seg);
+                }
+                if let Some((_, _, Phase::Reading { unresolved, .. }, _)) = &mut self.op {
+                    if !unresolved.contains(&i) {
+                        unresolved.push(i);
+                    }
+                }
+                self.start_backup_query(ctx, seg);
                 return;
             };
-            let e = &extents[i];
-            (e.seg, e.seg_offset, e.len, e.version)
-        };
-        let owners = self
-            .file
-            .as_ref()
-            .and_then(|f| f.owners.get(&seg).cloned())
-            .unwrap_or_default();
-        let choice = self.choose_owner(&owners, Some(version), ctx.rng());
-        let Some(owner) = choice else {
-            // Every cached owner is gone: the extent goes back to the
-            // unresolved set (losing it here would let the read
-            // "complete" with an unfilled buffer) and a backup query
-            // refreshes the owner list.
-            if let Some(f) = &mut self.file {
-                f.owners.remove(&seg);
-            }
-            if let Some((_, _, Phase::Reading { unresolved, .. }, _)) = &mut self.op {
-                if !unresolved.contains(&i) {
-                    unresolved.push(i);
+            if let Some((_, _, Phase::Reading { progress, outstanding, .. }, _)) = &mut self.op {
+                let p = &mut progress[i];
+                if p.redo.pop().is_none() {
+                    p.next = offset + len;
                 }
+                p.inflight += 1;
+                *outstanding += 1;
             }
-            self.start_backup_query(ctx, seg);
-            return;
-        };
-        let req = self.fresh_req();
-        if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-            eprintln!(
-                "DTRACE {:?} t={:?} issue extent {i} to {owner:?} len={len}",
-                ctx.id(),
-                ctx.now()
+            let req = self.fresh_req();
+            self.rpc(
+                ctx,
+                owner,
+                Msg::ReadSeg {
+                    req,
+                    seg,
+                    offset: seg_offset + offset,
+                    len,
+                    min_version: Some(version),
+                    allow_redirect: false,
+                },
+                Pending::DataRead { extent: i, offset, len },
             );
-        }
-        self.rpc(
-            ctx,
-            owner,
-            Msg::ReadSeg {
-                req,
-                seg,
-                offset: seg_offset,
-                len,
-                min_version: Some(version),
-                allow_redirect: false,
-            },
-            Pending::DataRead { extent: i },
-        );
-        if let Some((_, _, Phase::Reading { outstanding, .. }, _)) = &mut self.op {
-            *outstanding += 1;
         }
     }
 
-    fn on_data_read(&mut self, ctx: &mut impl Transport, i: usize, from: NodeId, reply: ReadReply) {
+    /// A request of the read completed: let waiting extents use the
+    /// room under [`READ_PIECES_MAX`].
+    fn issue_waiting_reads(&mut self, ctx: &mut impl Transport) {
+        loop {
+            let Some((_, _, Phase::Reading { progress, outstanding, waiting, .. }, _)) =
+                &mut self.op
+            else {
+                return;
+            };
+            if *outstanding >= READ_PIECES_MAX {
+                return;
+            }
+            let Some(i) = waiting.pop_front() else {
+                return;
+            };
+            progress[i].parked = false;
+            self.issue_extent_read(ctx, i);
+        }
+    }
+
+    /// A reply to the `ReadSeg` for `[offset, offset+len)` of extent `i`.
+    fn on_data_read(
+        &mut self,
+        ctx: &mut impl Transport,
+        i: usize,
+        offset: u64,
+        len: u64,
+        from: NodeId,
+        reply: ReadReply,
+    ) {
+        let seg = {
+            let Some((_, _, Phase::Reading { extents, progress, outstanding, .. }, _)) =
+                &mut self.op
+            else {
+                return;
+            };
+            *outstanding -= 1;
+            progress[i].inflight -= 1;
+            extents[i].seg
+        };
         match reply {
-            ReadReply::Data { len, data, version } => {
-                if std::env::var("SORRENTO_CLIENT_TRACE").is_ok() {
-                    eprintln!(
-                        "DTRACE {:?} t={:?} extent {i} from {from:?} ver={version:?} len={len} some={} b0={:?}",
-                        ctx.id(),
-                        ctx.now(),
-                        data.is_some(),
-                        data.as_ref().and_then(|d| d.first().copied())
-                    );
-                }
-                let Some((_, _, Phase::Reading { extents, buf, direct, req_offset, outstanding, bytes, .. }, _)) =
+            ReadReply::Data { len: got, data, .. } => {
+                let Some((_, _, Phase::Reading { extents, buf, direct, req_offset, bytes, .. }, _)) =
                     &mut self.op
                 else {
                     return;
                 };
-                *outstanding -= 1;
-                *bytes += len;
+                *bytes += got;
                 if let (Some(buf), Some(d)) = (buf.as_mut(), data) {
-                    let e = &extents[i];
-                    let start = (e.file_offset - *req_offset) as usize;
+                    let start = (extents[i].file_offset - *req_offset + offset) as usize;
                     if extents.len() == 1 && start == 0 && d.len() == buf.len() {
                         // Whole request answered by one reply: hand the
                         // wire payload through without copying.
                         *direct = Some(d);
                     } else {
+                        // Copied into place and dropped here, so the
+                        // buffer the reply landed in is free for the next.
                         let n = d.len().min(buf.len() - start);
                         buf[start..start + n].copy_from_slice(&d[..n]);
                     }
                 }
+                // A finished piece frees a slot in the extent's window.
+                self.issue_extent_read(ctx, i);
+                self.issue_waiting_reads(ctx);
                 self.maybe_finish_read(ctx);
             }
             ReadReply::Redirect(owners) => {
                 // Shouldn't happen with allow_redirect=false, but handle:
                 // cache and retry.
-                let seg = {
-                    let Some((_, _, Phase::Reading { extents, .. }, _)) = &self.op else {
-                        return;
-                    };
-                    extents[i].seg
-                };
                 if let Some(f) = &mut self.file {
                     f.owners.insert(seg, owners);
                 }
-                if let Some((_, _, Phase::Reading { outstanding, .. }, _)) = &mut self.op {
-                    *outstanding -= 1;
+                if let Some((_, _, Phase::Reading { progress, .. }, _)) = &mut self.op {
+                    progress[i].redo.push((offset, len));
                 }
                 self.issue_extent_read(ctx, i);
+                self.issue_waiting_reads(ctx);
             }
             ReadReply::Err(_) => {
                 // Owner lost the segment (or is stale): drop it from the
                 // cache and re-resolve this extent.
-                let seg = {
-                    let Some((_, _, Phase::Reading { extents, .. }, _)) = &self.op else {
-                        return;
-                    };
-                    extents[i].seg
-                };
                 if let Some(f) = &mut self.file {
                     if let Some(list) = f.owners.get_mut(&seg) {
                         list.retain(|(id, _)| *id != from);
@@ -1584,24 +1659,37 @@ impl SorrentoClient {
                         }
                     }
                 }
-                if let Some((_, _, Phase::Reading { outstanding, unresolved, .. }, _)) = &mut self.op {
-                    *outstanding -= 1;
-                    unresolved.push(i);
+                if let Some((_, _, Phase::Reading { progress, unresolved, .. }, _)) = &mut self.op {
+                    progress[i].redo.push((offset, len));
+                    if !unresolved.contains(&i) {
+                        unresolved.push(i);
+                    }
                 }
+                self.issue_waiting_reads(ctx);
                 self.continue_read(ctx);
             }
         }
     }
 
     fn maybe_finish_read(&mut self, ctx: &mut impl Transport) {
-        let Some((_, _, Phase::Reading { unresolved, outstanding, bytes, buf, direct, .. }, _)) =
-            &self.op
+        let Some((
+            _,
+            _,
+            Phase::Reading { unresolved, outstanding, waiting, bytes, buf, direct, .. },
+            _,
+        )) = &mut self.op
         else {
             return;
         };
-        if *outstanding == 0 && unresolved.is_empty() && self.pending.is_empty() {
+        if *outstanding == 0
+            && unresolved.is_empty()
+            && waiting.is_empty()
+            && self.pending.is_empty()
+        {
             let bytes = *bytes;
-            let data = direct.clone().or_else(|| buf.clone().map(bytes::Bytes::from));
+            // The result leaves by move: the op is over, nobody else
+            // needs the assembly buffer.
+            let data = direct.take().or_else(|| buf.take().map(bytes::Bytes::from));
             self.complete_op(ctx, None, bytes, data);
         }
     }
@@ -1830,14 +1918,22 @@ impl SorrentoClient {
             file: file_bits,
             lost,
         });
-        let Some((_, _, Phase::Reading { extents, buf, req_offset, unresolved, bytes, .. }, _)) =
-            &mut self.op
+        let Some((
+            _,
+            _,
+            Phase::Reading { extents, progress, buf, req_offset, unresolved, bytes, .. },
+            _,
+        )) = &mut self.op
         else {
             return;
         };
         let req_off = *req_offset;
         for i in unresolved.drain(..) {
             let e = &extents[i];
+            // The reconstruction fills the whole extent: nothing of it
+            // is left to request.
+            progress[i].next = e.len;
+            progress[i].redo.clear();
             *bytes += e.len;
             if let Some(buf) = buf.as_mut() {
                 let Some(sidx) = data_segs.iter().position(|&s| s == e.seg) else {
@@ -3121,8 +3217,8 @@ impl SorrentoClient {
             }
 
             // ---- data reads ----
-            (Pending::DataRead { extent }, Msg::ReadSegR { reply, .. }) => {
-                self.on_data_read(ctx, extent, from, reply);
+            (Pending::DataRead { extent, offset, len }, Msg::ReadSegR { reply, .. }) => {
+                self.on_data_read(ctx, extent, offset, len, from, reply);
             }
 
             // ---- degraded erasure-coded reads ----

@@ -1404,25 +1404,9 @@ impl StorageProvider {
                     .map(|(&id, info)| (id, info.version))
                     .collect();
                 if !owners.is_empty() {
-                    if std::env::var("SORRENTO_PROV_TRACE").is_ok() {
-                        eprintln!(
-                            "PTRACE {:?} t={:?} redirect {seg:?} -> {owners:?}",
-                            ctx.id(),
-                            ctx.now()
-                        );
-                    }
                     return ReadReply::Redirect(owners);
                 }
             }
-        }
-        if std::env::var("SORRENTO_PROV_TRACE").is_ok() {
-            eprintln!(
-                "PTRACE {:?} t={:?} read miss {seg:?} latest={:?} has={} min={min_version:?}",
-                ctx.id(),
-                ctx.now(),
-                self.store.latest(seg),
-                self.store.has_segment(seg)
-            );
         }
         ReadReply::Err(Error::NoSuchSegment)
     }

@@ -7,7 +7,9 @@
 //! * **Committed versions** are immutable. Each holds the bytes written
 //!   *at* that version (its delta) plus a [`RegionIndex`] telling which
 //!   version physically holds every byte — the standard copy-on-write
-//!   technique of §3.5.
+//!   technique of §3.5. Commit *freezes* the delta ([`FrozenBuffer`]):
+//!   a read of bytes that one stored extent holds is a view of that
+//!   extent, not a copy, and stays valid whatever the store does next.
 //! * **Shadow copies** are created blank and "truncated to the same size
 //!   as the base segment"; unmodified regions resolve into the base
 //!   chain, modified regions into the shadow's own delta. Shadows carry
@@ -24,9 +26,10 @@ mod region;
 mod sparse;
 
 pub use region::RegionIndex;
-pub use sparse::SparseBuffer;
+pub use sparse::{FrozenBuffer, SparseBuffer};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 
 use bytes::Bytes;
 use sorrento_sim::SimTime;
@@ -113,7 +116,12 @@ impl Default for SegMeta {
 /// Physical storage of one version's delta.
 #[derive(Debug, Clone)]
 enum Delta {
-    Real(SparseBuffer),
+    /// Mutable extents: an open shadow, or a version that
+    /// [`LocalStore::direct_write`] changes in place.
+    Open(SparseBuffer),
+    /// What `commit_shadow` and `install_replica` leave behind: extents
+    /// that can no longer change and are therefore served as views.
+    Frozen(FrozenBuffer),
     Synthetic { stored: u64 },
 }
 
@@ -122,14 +130,54 @@ impl Delta {
         if synthetic {
             Delta::Synthetic { stored: 0 }
         } else {
-            Delta::Real(SparseBuffer::new())
+            Delta::Open(SparseBuffer::new())
         }
     }
 
     fn stored_bytes(&self) -> u64 {
         match self {
-            Delta::Real(b) => b.stored_bytes(),
+            Delta::Open(b) => b.stored_bytes(),
+            Delta::Frozen(b) => b.stored_bytes(),
             Delta::Synthetic { stored } => *stored,
+        }
+    }
+
+    /// The delta as a committed version keeps it: extents moved, not
+    /// copied, into their immutable form.
+    fn freeze(self) -> Delta {
+        match self {
+            Delta::Open(b) => Delta::Frozen(b.freeze()),
+            other => other,
+        }
+    }
+
+    /// Apply a write of `payload` at `offset`. `already` tells a
+    /// synthetic delta how many of those bytes it accounts for already.
+    fn write(&mut self, offset: u64, payload: WritePayload, already: impl FnOnce() -> u64) {
+        if let Delta::Frozen(frozen) = self {
+            // Copy-on-write: views already handed to readers keep the
+            // frozen bytes, this version continues on a copy.
+            *self = Delta::Open(frozen.thaw());
+        }
+        match self {
+            Delta::Open(buf) => match payload {
+                WritePayload::Real(data) => buf.write(offset, &data),
+                // Tests may mix: fill with zeros of the modeled length.
+                WritePayload::Synthetic { len } => buf.write(offset, &vec![0u8; len as usize]),
+            },
+            // Account newly covered bytes only.
+            Delta::Synthetic { stored } => *stored += payload.len() - already(),
+            Delta::Frozen(_) => unreachable!("thawed above"),
+        }
+    }
+
+    /// Append `[offset, offset+len)` of this delta to `out` (zeros where
+    /// it holds nothing, and for synthetic deltas).
+    fn append_to(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
+        match self {
+            Delta::Open(b) => b.append_to(offset, len, out),
+            Delta::Frozen(b) => b.append_to(offset, len, out),
+            Delta::Synthetic { .. } => out.resize(out.len() + len as usize, 0),
         }
     }
 }
@@ -312,24 +360,10 @@ impl LocalStore {
             return Ok(());
         }
         let end = offset + len;
-        match (&mut sh.delta, payload) {
-            (Delta::Real(buf), WritePayload::Real(data)) => buf.write(offset, &data),
-            (Delta::Synthetic { stored }, _) => {
-                // Account newly covered fresh bytes only.
-                let already = sh
-                    .index
-                    .resolve(offset, end)
-                    .iter()
-                    .filter(|(_, s)| *s == Some(ShadowSrc::Fresh))
-                    .map(|(r, _)| r.end - r.start)
-                    .sum::<u64>();
-                *stored += len - already;
-            }
-            (Delta::Real(buf), WritePayload::Synthetic { len }) => {
-                // Tests may mix: fill with zeros of the modeled length.
-                buf.write(offset, &vec![0u8; len as usize]);
-            }
-        }
+        let index = &sh.index;
+        sh.delta.write(offset, payload, || {
+            covered_bytes(index, offset, end, |s| s == Some(ShadowSrc::Fresh))
+        });
         sh.index.overlay(offset, end, Some(ShadowSrc::Fresh));
         sh.len = sh.len.max(end);
         Ok(())
@@ -339,7 +373,7 @@ impl LocalStore {
     pub fn truncate_shadow(&mut self, id: ShadowId, len: u64) -> Result<()> {
         let sh = self.shadows.get_mut(&id).ok_or(Error::ShadowExpired)?;
         sh.index.set_len(len);
-        if let Delta::Real(buf) = &mut sh.delta {
+        if let Delta::Open(buf) = &mut sh.delta {
             buf.truncate(len);
         }
         sh.len = len;
@@ -365,19 +399,17 @@ impl LocalStore {
                 version: sh.base.unwrap_or(Version::INITIAL),
             });
         }
-        let mut out = vec![0u8; covered as usize];
+        let mut out = Vec::with_capacity(covered as usize);
         for (range, src) in sh.index.resolve(offset, end) {
-            let dst = &mut out[(range.start - offset) as usize..(range.end - offset) as usize];
+            let n = range.end - range.start;
             match src {
-                Some(ShadowSrc::Fresh) => {
-                    if let Delta::Real(buf) = &sh.delta {
-                        buf.read_into(range.start, dst);
-                    }
-                }
+                Some(ShadowSrc::Fresh) => sh.delta.append_to(range.start, n, &mut out),
                 Some(ShadowSrc::Committed(v)) => {
-                    self.read_committed_into(sh.seg, v, range.start, dst)?;
+                    let state = self.segments.get(&sh.seg).ok_or(Error::NoSuchSegment)?;
+                    let vd = state.versions.get(&v).ok_or(Error::NoSuchSegment)?;
+                    gather(state, &vd.index.resolve(range.start, range.end), &mut out)?;
                 }
-                None => {} // hole: zeros
+                None => out.resize(out.len() + n as usize, 0), // hole: zeros
             }
         }
         Ok(ReadOut {
@@ -461,7 +493,7 @@ impl LocalStore {
         let vd = VersionData {
             len: sh.len,
             index,
-            delta: sh.delta,
+            delta: sh.delta.freeze(),
             committed_at: now,
         };
         let state = self
@@ -530,57 +562,18 @@ impl LocalStore {
                 (v, vd)
             }
         };
-        let end = (offset + len).min(vd.len);
+        let end = offset.saturating_add(len).min(vd.len);
         let covered = end.saturating_sub(offset);
-        if state.meta.synthetic {
-            return Ok(ReadOut {
-                len: covered,
-                data: None,
-                version: v,
-            });
-        }
-        let mut out = vec![0u8; covered as usize];
-        if covered > 0 {
-            self.read_version_into(state, vd, offset, &mut out)?;
-        }
+        let data = if state.meta.synthetic {
+            None
+        } else {
+            Some(version_bytes(state, vd, offset, end)?)
+        };
         Ok(ReadOut {
             len: covered,
-            data: Some(out.into()),
+            data,
             version: v,
         })
-    }
-
-    fn read_version_into(
-        &self,
-        state: &SegmentState,
-        vd: &VersionData,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<()> {
-        let end = offset + out.len() as u64;
-        for (range, src) in vd.index.resolve(offset, end) {
-            if let Some(src_v) = src {
-                let holder = state.versions.get(&src_v).ok_or(Error::NoSuchSegment)?;
-                if let Delta::Real(buf) = &holder.delta {
-                    let dst =
-                        &mut out[(range.start - offset) as usize..(range.end - offset) as usize];
-                    buf.read_into(range.start, dst);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn read_committed_into(
-        &self,
-        seg: SegId,
-        version: Version,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<()> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        let vd = state.versions.get(&version).ok_or(Error::NoSuchSegment)?;
-        self.read_version_into(state, vd, offset, out)
     }
 
     /// Versioning-off write path (§3.5): apply directly to the latest
@@ -617,22 +610,9 @@ impl LocalStore {
             return Ok(());
         }
         let (&v, vd) = state.versions.iter_mut().next_back().expect("non-empty");
-        match (&mut vd.delta, payload) {
-            (Delta::Real(buf), WritePayload::Real(data)) => buf.write(offset, &data),
-            (Delta::Real(buf), WritePayload::Synthetic { len }) => {
-                buf.write(offset, &vec![0u8; len as usize])
-            }
-            (Delta::Synthetic { stored }, _) => {
-                let already = vd
-                    .index
-                    .resolve(offset, end)
-                    .iter()
-                    .filter(|(_, s)| s.is_some())
-                    .map(|(r, _)| r.end - r.start)
-                    .sum::<u64>();
-                *stored += wlen - already;
-            }
-        }
+        let index = &vd.index;
+        vd.delta
+            .write(offset, payload, || covered_bytes(index, offset, end, |s| s.is_some()));
         vd.index.overlay(offset, end, Some(v));
         vd.len = vd.len.max(end);
         state.last_access = now;
@@ -656,9 +636,7 @@ impl LocalStore {
         let data = if state.meta.synthetic {
             None
         } else {
-            let mut out = vec![0u8; vd.len as usize];
-            self.read_version_into(state, vd, 0, &mut out)?;
-            Some(out.into())
+            Some(version_bytes(state, vd, 0, vd.len)?)
         };
         Ok(ReplicaImage {
             seg,
@@ -680,13 +658,10 @@ impl LocalStore {
                 }
             }
         }
-        let delta = match (&image.data, image.meta.synthetic) {
-            (Some(bytes), _) => {
-                let mut buf = SparseBuffer::new();
-                buf.write(0, bytes);
-                Delta::Real(buf)
-            }
-            (None, _) => Delta::Synthetic { stored: image.len },
+        let delta = match image.data {
+            // The image becomes the version's one extent as it arrived.
+            Some(bytes) => Delta::Frozen(FrozenBuffer::whole(bytes)),
+            None => Delta::Synthetic { stored: image.len },
         };
         let vd = VersionData {
             len: image.len,
@@ -905,11 +880,11 @@ impl LocalStore {
         let delta = if state.meta.synthetic {
             Delta::Synthetic { stored: vd.len }
         } else {
-            let mut out = vec![0u8; vd.len as usize];
-            self.read_version_into(state, vd, 0, &mut out)?;
-            let mut buf = SparseBuffer::new();
-            buf.write(0, &out);
-            Delta::Real(buf)
+            // Always a copy, never a view: the point is to stop
+            // depending on (and pinning) the ancestors' allocations.
+            let mut out = Vec::with_capacity(vd.len as usize);
+            gather(state, &vd.index.resolve(0, vd.len), &mut out)?;
+            Delta::Frozen(FrozenBuffer::whole(out.into()))
         };
         Ok(Some(VersionData {
             len: vd.len,
@@ -978,6 +953,64 @@ impl LocalStore {
         }
         state.versions.retain(|v, _| retained.contains(v));
     }
+}
+
+/// Bytes of `[start, end)` whose source in `index` satisfies `pred`.
+fn covered_bytes<S: Copy + Eq + std::fmt::Debug>(
+    index: &RegionIndex<S>,
+    start: u64,
+    end: u64,
+    pred: impl Fn(Option<S>) -> bool,
+) -> u64 {
+    let parts = index.resolve(start, end);
+    parts.iter().filter(|(_, s)| pred(*s)).map(|(r, _)| r.end - r.start).sum()
+}
+
+/// Append the bytes of `parts` (consecutive regions of one version's
+/// index) to `out`, each from the delta of the version that holds it.
+fn gather(
+    state: &SegmentState,
+    parts: &[(Range<u64>, Option<Version>)],
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    for (range, src) in parts {
+        let n = range.end - range.start;
+        match src {
+            Some(v) => {
+                let holder = state.versions.get(v).ok_or(Error::NoSuchSegment)?;
+                holder.delta.append_to(range.start, n, out);
+            }
+            None => out.resize(out.len() + n as usize, 0),
+        }
+    }
+    Ok(())
+}
+
+/// Bytes `[offset, end)` of committed version `vd`: a view of the stored
+/// extent when one frozen extent holds them all (a segment written and
+/// committed, or installed, and read in place — the common case), else
+/// gathered in offset order into a buffer that was never zero-filled.
+fn version_bytes(state: &SegmentState, vd: &VersionData, offset: u64, end: u64) -> Result<Bytes> {
+    if offset >= end {
+        return Ok(Bytes::new());
+    }
+    let parts = vd.index.resolve(offset, end);
+    // Regions written by separate chunks stay separate in the index
+    // though one coalesced extent holds them: judge by the source.
+    if let Some((_, Some(src))) = parts.first() {
+        if parts.iter().all(|(_, s)| *s == Some(*src)) {
+            let holder = state.versions.get(src).ok_or(Error::NoSuchSegment)?;
+            if let Delta::Frozen(buf) = &holder.delta {
+                if let Some(view) = buf.view(offset, end - offset) {
+                    return Ok(view);
+                }
+            }
+        }
+    }
+    let mut out = Vec::with_capacity((end - offset) as usize);
+    gather(state, &parts, &mut out)?;
+    debug_assert_eq!(out.len() as u64, end - offset);
+    Ok(out.into())
 }
 
 #[cfg(test)]
@@ -1311,5 +1344,256 @@ mod tests {
         let mut listed = st.list_segments();
         listed.sort();
         assert_eq!(listed, vec![(a, Version(2)), (b, Version(1))]);
+    }
+
+    // ------------------------------------------------------------------
+    // Views and the flat reference model
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn committed_reads_and_exports_are_views_of_one_allocation() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        // Adjacent chunked writes coalesce into one extent, as a
+        // pipelined segment write does.
+        let sh = st.open_fresh_shadow(s, real_meta(), t(0), TTL);
+        for c in 0..4u64 {
+            st.write_shadow(sh, c * 100, WritePayload::Real(vec![c as u8; 100].into()))
+                .unwrap();
+        }
+        st.commit_shadow(sh, Version(1), t(0)).unwrap();
+        let a = st.read(s, None, 50, 300).unwrap().data.unwrap();
+        let b = st.read(s, Some(Version(1)), 50, 300).unwrap().data.unwrap();
+        assert_eq!(a.as_ptr(), b.as_ptr(), "two reads of one range must share the stored bytes");
+        let whole = st.read(s, None, 0, u64::MAX).unwrap().data.unwrap();
+        assert_eq!(whole.as_ptr().wrapping_add(50), a.as_ptr());
+        let img = st.export(s, None).unwrap();
+        assert_eq!(img.data.as_ref().unwrap().as_ptr(), whole.as_ptr());
+        // An installed image is kept as it arrived and served the same way.
+        let mut replica = LocalStore::new(2);
+        assert!(replica.install_replica(img, t(1)).unwrap());
+        let r = replica.read(s, None, 0, 400).unwrap().data.unwrap();
+        assert_eq!(r.as_ptr(), whole.as_ptr());
+        assert_eq!(replica.stored_bytes(s), 400);
+        // A range no single extent holds is gathered, zeros in the hole.
+        let sh = st.open_shadow(s, Version(1), t(2), TTL).unwrap();
+        st.write_shadow(sh, 450, WritePayload::Real(vec![9u8; 10].into())).unwrap();
+        st.commit_shadow(sh, Version(2), t(2)).unwrap();
+        let mixed = st.read(s, None, 390, 70).unwrap().data.unwrap();
+        assert_eq!(&mixed[..10], &[3u8; 10]);
+        assert_eq!(&mixed[10..60], &[0u8; 50]);
+        assert_eq!(&mixed[60..], &[9u8; 10]);
+    }
+
+    #[test]
+    fn direct_write_leaves_earlier_views_unchanged() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        commit_fresh(&mut st, s, b"0123456789");
+        let view = st.read(s, None, 2, 6).unwrap().data.unwrap();
+        st.direct_write(s, 4, WritePayload::Real(b"XY".to_vec().into()), real_meta(), t(1))
+            .unwrap();
+        assert_eq!(view, b"234567", "a view handed out must never change under its reader");
+        assert_eq!(st.read(s, None, 0, 10).unwrap().data.unwrap(), b"0123XY6789");
+        assert_eq!(st.stored_bytes(s), 10);
+    }
+
+    /// One committed version of the flat model: its bytes, and for every
+    /// byte the version whose delta physically holds it (`None`: a hole).
+    #[derive(Clone, Default)]
+    struct ModelVersion {
+        data: Vec<u8>,
+        src: Vec<Option<u64>>,
+    }
+
+    /// Bytes version `v`'s own delta stores: the store's accounting,
+    /// restated on the flat model.
+    fn model_stored(versions: &BTreeMap<u64, ModelVersion>) -> u64 {
+        versions
+            .iter()
+            .map(|(v, m)| m.src.iter().filter(|s| **s == Some(*v)).count() as u64)
+            .sum()
+    }
+
+    /// Retention on the flat model: keep the `keep` newest versions; a
+    /// survivor that references a dropped one is made self-contained.
+    fn model_consolidate(versions: &mut BTreeMap<u64, ModelVersion>, keep: usize) {
+        if versions.len() <= keep {
+            return;
+        }
+        let retained: Vec<u64> = versions.keys().rev().take(keep).copied().collect();
+        versions.retain(|v, _| retained.contains(v));
+        for (v, m) in versions.iter_mut() {
+            if m.src.iter().flatten().any(|s| !retained.contains(s)) {
+                m.src = vec![Some(*v); m.data.len()];
+            }
+        }
+    }
+
+    fn check_against_model(st: &LocalStore, s: SegId, versions: &BTreeMap<u64, ModelVersion>) {
+        for (&v, m) in versions {
+            let out = st.read(s, Some(Version(v)), 0, u64::MAX).unwrap();
+            assert_eq!(out.len, m.data.len() as u64, "length of v{v}");
+            assert_eq!(out.data.unwrap(), m.data, "contents of v{v}");
+        }
+        assert_eq!(st.list_segments().len(), usize::from(!versions.is_empty()));
+        assert_eq!(st.stored_bytes(s), model_stored(versions), "stored_bytes");
+    }
+
+    /// Reference-model check of the whole store against flat `Vec<u8>`s:
+    /// seeded random shadow sessions (writes, a closing truncate),
+    /// commits with consolidation, in-place `direct_write`s and replica
+    /// installs over a chain of versions. Contents, lengths and the
+    /// stored-bytes accounting must match after every step, and no view
+    /// taken along the way may ever change.
+    #[test]
+    fn matches_flat_model() {
+        use rand::{Rng, SeedableRng};
+        const KEEP: usize = 2;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        for round in 0..20u64 {
+            let mut st = LocalStore::new(KEEP);
+            let mut replica = LocalStore::new(KEEP);
+            let s = seg(round);
+            let mut versions: BTreeMap<u64, ModelVersion> = BTreeMap::new();
+            // (view, the bytes it showed when taken)
+            let mut views: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            let mut next_v = 1u64;
+            for step in 0..40u64 {
+                let latest = versions.keys().next_back().copied();
+                match rng.gen_range(0..10u32) {
+                    // A shadow session on the latest version, committed.
+                    0..=5 => {
+                        let base = latest.map(|b| versions[&b].clone()).unwrap_or_default();
+                        let sh = match latest {
+                            Some(b) => st.open_shadow(s, Version(b), t(step), TTL).unwrap(),
+                            None => st.open_fresh_shadow(s, real_meta(), t(step), TTL),
+                        };
+                        let mut m = base.clone();
+                        for _ in 0..rng.gen_range(1..6u32) {
+                            let off = rng.gen_range(0..300usize);
+                            let data: Vec<u8> =
+                                (0..rng.gen_range(0..80usize)).map(|_| rng.gen()).collect();
+                            st.write_shadow(sh, off as u64, WritePayload::Real(data.clone().into()))
+                                .unwrap();
+                            if data.is_empty() {
+                                continue;
+                            }
+                            let end = off + data.len();
+                            if m.data.len() < end {
+                                m.data.resize(end, 0);
+                                m.src.resize(end, None);
+                            }
+                            m.data[off..end].copy_from_slice(&data);
+                            m.src[off..end].fill(Some(next_v));
+                        }
+                        // Sessions may end by cutting the tail, as index
+                        // and parity rewrites do.
+                        if rng.gen_bool(0.3) {
+                            let len = rng.gen_range(0..=m.data.len());
+                            st.truncate_shadow(sh, len as u64).unwrap();
+                            m.data.truncate(len);
+                            m.src.truncate(len);
+                        }
+                        let pre = st.read_shadow(sh, 0, u64::MAX >> 1).unwrap();
+                        assert_eq!(pre.data.unwrap(), m.data, "read-your-writes");
+                        let fresh = m.src.iter().filter(|s| **s == Some(next_v)).count() as u64;
+                        assert_eq!(
+                            st.total_stored_bytes(),
+                            model_stored(&versions) + fresh,
+                            "open shadows count toward the total"
+                        );
+                        st.prepare_shadow(sh, Version(next_v)).unwrap();
+                        st.commit_shadow(sh, Version(next_v), t(step)).unwrap();
+                        versions.insert(next_v, m);
+                        model_consolidate(&mut versions, KEEP);
+                        next_v += 1;
+                    }
+                    // Versioning-off write into the latest version, in place.
+                    6..=7 => {
+                        let off = rng.gen_range(0..300usize);
+                        let data: Vec<u8> =
+                            (0..rng.gen_range(1..80usize)).map(|_| rng.gen()).collect();
+                        let v = latest.unwrap_or(1);
+                        st.direct_write(
+                            s,
+                            off as u64,
+                            WritePayload::Real(data.clone().into()),
+                            real_meta(),
+                            t(step),
+                        )
+                        .unwrap();
+                        next_v = next_v.max(v + 1);
+                        let m = versions.entry(v).or_default();
+                        let end = off + data.len();
+                        if m.data.len() < end {
+                            m.data.resize(end, 0);
+                            m.src.resize(end, None);
+                        }
+                        m.data[off..end].copy_from_slice(&data);
+                        m.src[off..end].fill(Some(v));
+                    }
+                    // The latest version travels to a replica, which
+                    // serves it (and exports it again) without a copy.
+                    8 => {
+                        let Some(v) = latest else { continue };
+                        let img = st.export(s, None).unwrap();
+                        assert_eq!(img.version, Version(v));
+                        assert_eq!(img.data.as_ref().unwrap(), &versions[&v].data);
+                        let fresh = replica.latest(s).is_none_or(|have| have < Version(v));
+                        assert_eq!(replica.install_replica(img.clone(), t(step)).unwrap(), fresh);
+                        // (A replica that already holds `v` keeps its
+                        // copy, which in-place writes may have left behind.)
+                        if fresh {
+                            let got = replica.read(s, None, 0, u64::MAX).unwrap().data.unwrap();
+                            assert_eq!(got, versions[&v].data);
+                            assert_eq!(replica.stored_bytes(s), got.len() as u64);
+                            if !got.is_empty() {
+                                assert_eq!(got.as_ptr(), img.data.as_ref().unwrap().as_ptr());
+                                let again = replica.export(s, None).unwrap().data.unwrap();
+                                assert_eq!(again.as_ptr(), got.as_ptr());
+                            }
+                        }
+                    }
+                    // A newer image arrives from elsewhere: it replaces
+                    // every version held.
+                    _ => {
+                        let data: Vec<u8> =
+                            (0..rng.gen_range(0..300usize)).map(|_| rng.gen()).collect();
+                        let img = ReplicaImage {
+                            seg: s,
+                            version: Version(next_v),
+                            len: data.len() as u64,
+                            data: Some(data.clone().into()),
+                            meta: real_meta(),
+                        };
+                        assert!(st.install_replica(img, t(step)).unwrap());
+                        versions.clear();
+                        let src = vec![Some(next_v); data.len()];
+                        versions.insert(next_v, ModelVersion { data, src });
+                        next_v += 1;
+                    }
+                }
+                check_against_model(&st, s, &versions);
+                assert_eq!(st.total_stored_bytes(), model_stored(&versions));
+                // Take a view of a random range of a random version; all
+                // views taken so far must still show what they showed.
+                if let Some((&v, m)) = versions.iter().nth(rng.gen_range(0..versions.len().max(1))) {
+                    if !m.data.is_empty() {
+                        let a = rng.gen_range(0..m.data.len());
+                        let b = rng.gen_range(a..=m.data.len());
+                        let view = st
+                            .read(s, Some(Version(v)), a as u64, (b - a) as u64)
+                            .unwrap()
+                            .data
+                            .unwrap();
+                        views.push((view, m.data[a..b].to_vec()));
+                    }
+                }
+                for (view, expect) in &views {
+                    assert_eq!(view, expect, "a view changed under its reader");
+                }
+            }
+        }
     }
 }

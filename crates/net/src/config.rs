@@ -287,10 +287,12 @@ pub struct CtlConfig {
     pub replication: u32,
     /// Protocol cost model (drives client RPC timeouts).
     pub costs: CostModel,
-    /// Split large extent writes into chunks of this many bytes and
-    /// pipeline them (`None` keeps the one-message-per-extent path).
+    /// Bulk pipelining, both directions: write — and read — an extent
+    /// longer than this many bytes as chunks of this size (`None` keeps
+    /// the one-message-per-extent path).
     pub write_chunk: Option<u64>,
-    /// How many chunks may be in flight per extent when chunking is on.
+    /// How many chunks may be in flight per extent, written or read,
+    /// when chunking is on.
     pub write_window: usize,
     /// Extra same-request resends per RPC before the client suspects
     /// the target (0 keeps the classic timeout-then-failover path).

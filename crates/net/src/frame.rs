@@ -408,6 +408,10 @@ pub fn reference_encode_msg(sender: NodeId, msg: &Msg) -> Vec<u8> {
 
 // ---------------------------------------------------------------- writer
 
+/// Room left after a blob for the fields that can follow it in one
+/// message (a version, a `SegMeta`, a truncate flag).
+const BLOB_TAIL: usize = 128;
+
 /// Append-only payload writer: every byte appended also advances the
 /// streaming checksum, so by the time the payload is written the CRC is
 /// already known.
@@ -441,6 +445,14 @@ impl Writer<'_> {
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
+        // A blob at least as large as the buffer: amortized growth would
+        // allocate exactly what the blob needs and then double on the
+        // first field after it (16 MiB for an 8 MiB extent). Reserve what
+        // the frame needs instead; no message has more than `BLOB_TAIL`
+        // bytes of fields after its blob.
+        if b.len() >= self.out.capacity() {
+            self.out.reserve_exact(b.len() + BLOB_TAIL);
+        }
         self.put(b);
     }
     fn string(&mut self, s: &str) {

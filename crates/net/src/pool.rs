@@ -19,10 +19,15 @@ use std::sync::{Arc, Mutex};
 /// Most buffers retained by a pool; beyond this, returned buffers are
 /// simply freed.
 const MAX_POOLED: usize = 64;
-/// Largest capacity worth keeping. A segment-sized frame returning from
-/// a bulk write is retained; a pathological one-off giant is freed so
-/// one huge message cannot pin memory forever.
-const MAX_RETAINED_CAPACITY: usize = 8 << 20;
+/// Largest frame whose buffer is worth keeping: 8 MiB of payload plus
+/// header and fields. A segment-sized frame returning from a bulk
+/// transfer (`FetchSegR`, a replica image, an unchunked extent) is
+/// retained; a pathological one-off giant is freed so one huge message
+/// cannot pin memory forever. Judged by the frame the buffer held, not
+/// by its capacity: a buffer is never larger than twice the largest
+/// frame it has carried, and that frame's own check-in freed it if it
+/// was over the limit.
+const MAX_RETAINED_FRAME: usize = (8 << 20) + (64 << 10);
 
 /// Shared pool of reusable byte buffers. Cloning shares the pool.
 #[derive(Clone, Default)]
@@ -66,7 +71,7 @@ impl PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         let Some(pool) = self.pool.upgrade() else { return };
-        if self.buf.capacity() == 0 || self.buf.capacity() > MAX_RETAINED_CAPACITY {
+        if self.buf.capacity() == 0 || self.buf.len() > MAX_RETAINED_FRAME {
             return;
         }
         let mut buf = std::mem::take(&mut self.buf);
@@ -132,11 +137,46 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
     }
 
+    /// A frame carrying `payload` bytes of blob, encoded the way the
+    /// mesh does it.
+    fn bulk_frame(pool: &BufPool, payload: usize) -> PooledBuf {
+        use sorrento::proto::{Msg, ReadReply};
+        use sorrento::types::Version;
+        let msg = Msg::ReadSegR {
+            req: 1,
+            reply: ReadReply::Data {
+                len: payload as u64,
+                data: Some(vec![7u8; payload].into()),
+                version: Version(1),
+            },
+        };
+        let mut buf = pool.check_out();
+        crate::frame::encode_msg_into(&mut buf, sorrento_sim::NodeId::from_index(0), &msg);
+        buf
+    }
+
+    #[test]
+    fn segment_sized_frames_are_retained_and_reused() {
+        let pool = BufPool::new();
+        let a = bulk_frame(&pool, 8 << 20);
+        assert!(a.len() > 8 << 20, "header and fields ride on top of the payload");
+        assert!(a.capacity() <= MAX_RETAINED_FRAME, "the writer reserves what the frame needs");
+        let ptr = a.as_ptr();
+        drop(a);
+        assert_eq!(pool.idle(), 1, "an 8 MiB-payload frame must check back in");
+        let b = bulk_frame(&pool, 8 << 20);
+        assert_eq!(b.as_ptr(), ptr, "and be reused: same allocation");
+        assert_eq!(pool.idle(), 0);
+    }
+
     #[test]
     fn oversized_buffers_are_not_retained() {
         let pool = BufPool::new();
+        drop(bulk_frame(&pool, 64 << 20));
+        assert_eq!(pool.idle(), 0);
+        // The limit is on the frame held, so a frame just over it goes too.
         let mut a = pool.check_out();
-        a.reserve(MAX_RETAINED_CAPACITY + 1);
+        a.resize(MAX_RETAINED_FRAME + 1, 0);
         drop(a);
         assert_eq!(pool.idle(), 0);
     }

@@ -1,0 +1,175 @@
+//! The allocation budget of a bulk read, counted process-wide.
+//!
+//! One namespace and three providers in-process on loopback, one 32 MiB
+//! file written and read back over the pipelined path (256 KiB chunks,
+//! window 4). While the read runs, a counting global allocator — this
+//! file is its own test binary, so it may install one — watches every
+//! thread of every node: the read may allocate the result and one
+//! landing buffer per reply frame, and nothing else of any size. These
+//! are counts, so they repeat exactly; they fail the day someone
+//! re-adds a copy (DESIGN.md §9.5 has the ledger).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::time::Duration;
+
+use sorrento::api::FsScript;
+use sorrento_net::config::{CtlConfig, DaemonConfig};
+use sorrento_net::ctl;
+use sorrento_net::daemon;
+
+const FILE_LEN: usize = 32 << 20;
+const MIB: f64 = (1 << 20) as f64;
+
+/// Live bytes since process start; may dip below zero only transiently.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Set by the test: the next allocation of `FILE_LEN` or more — the
+/// read's result — opens the window.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static IN_WINDOW: AtomicBool = AtomicBool::new(false);
+/// `LIVE` when the window opened (the result itself not yet counted).
+static BASE: AtomicI64 = AtomicI64::new(0);
+/// Highest `LIVE` seen inside the window.
+static PEAK: AtomicI64 = AtomicI64::new(0);
+/// Bytes allocated inside the window, the result included.
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+/// Largest single allocation inside the window other than the result.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+impl Counting {
+    fn on_alloc(size: usize) {
+        let before = LIVE.fetch_add(size as i64, Ordering::Relaxed);
+        if IN_WINDOW.load(Ordering::Relaxed) {
+            LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+        } else if size >= FILE_LEN && ARMED.swap(false, Ordering::Relaxed) {
+            BASE.store(before, Ordering::Relaxed);
+            IN_WINDOW.store(true, Ordering::Relaxed);
+        } else {
+            return;
+        }
+        ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
+        PEAK.fetch_max(before + size as i64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters beside it are atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        Counting::on_alloc(l.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(l) }
+    }
+
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        Counting::on_alloc(l.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(l) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        LIVE.fetch_sub(l.size() as i64, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.dealloc(p, l) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+        // Counted as if it always moved: `n` fresh bytes.
+        LIVE.fetch_sub(l.size() as i64, Ordering::Relaxed);
+        Counting::on_alloc(n);
+        // SAFETY: as above.
+        unsafe { System.realloc(p, l, n) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn peers_json(addrs: &[String], except: Option<usize>) -> String {
+    let rows: Vec<String> = addrs
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| Some(*i) != except)
+        .map(|(i, a)| format!(r#"{{"id":{i},"addr":"{a}","machine":{i}}}"#))
+        .collect();
+    format!("[{}]", rows.join(","))
+}
+
+fn patterned(len: usize) -> Vec<u8> {
+    (0..len).map(|i| ((i as u64 * 2_654_435_761) >> 13) as u8).collect()
+}
+
+#[test]
+fn a_32_mib_read_allocates_the_result_and_its_landing_buffers() {
+    // Node 0 is the namespace, 1..=3 the providers.
+    let listeners: Vec<TcpListener> =
+        (0..4).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
+    let addrs: Vec<String> =
+        listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
+    let daemons: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let role = if i == 0 { "namespace" } else { "provider" };
+            let cfg = DaemonConfig::parse(&format!(
+                r#"{{"node_id":{i},"role":"{role}","listen":"{}","seed":{},"capacity":{},
+                    "costs":"fast_test","peers":{}}}"#,
+                addrs[i],
+                100 + i,
+                1u64 << 30,
+                peers_json(&addrs, Some(i)),
+            ))
+            .expect("daemon config");
+            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
+        })
+        .collect();
+    let ctl_cfg = CtlConfig::parse(&format!(
+        r#"{{"namespace":0,"costs":"fast_test","write_chunk":262144,"write_window":4,"peers":{}}}"#,
+        peers_json(&addrs, None),
+    ))
+    .expect("ctl config");
+    let deadline = Duration::from_secs(60);
+
+    let data = bytes::Bytes::from(patterned(FILE_LEN));
+    let mut fs = FsScript::new();
+    let h = fs.create("/big").unwrap();
+    fs.write(h, 0, data.clone()).unwrap();
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&ctl_cfg, fs.into_ops(), 3, deadline).expect("write script");
+    assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
+    drop(out);
+
+    let mut fs = FsScript::new();
+    let h = fs.open("/big", false).unwrap();
+    fs.read(h, 0, FILE_LEN as u64).unwrap();
+    fs.close(h).unwrap();
+    let ops = fs.into_ops();
+    ARMED.store(true, Ordering::Relaxed);
+    let out = ctl::run_script(&ctl_cfg, ops, 3, deadline).expect("read script");
+    IN_WINDOW.store(false, Ordering::Relaxed);
+    assert_eq!(out.stats.failed_ops, 0, "read failed: {:?}", out.stats.last_error);
+    assert!(out.stats.last_read.as_deref() == Some(&data[..]), "readback mismatch");
+    assert!(!ARMED.load(Ordering::Relaxed), "the read never allocated its result");
+
+    let allocated = ALLOCATED.load(Ordering::Relaxed) as f64 / MIB;
+    let above = (PEAK.load(Ordering::Relaxed) - BASE.load(Ordering::Relaxed)) as f64 / MIB;
+    let largest = LARGEST.load(Ordering::Relaxed) as f64 / MIB;
+    eprintln!(
+        "32 MiB read: {allocated:.1} MiB allocated ({:.2} x), live at most {above:.1} MiB above \
+         the level before it, largest allocation beside the result {largest:.2} MiB",
+        allocated / 32.0
+    );
+    // The result, one landing buffer per reply frame, and small change.
+    assert!(allocated <= 2.25 * 32.0, "{allocated:.1} MiB allocated during one 32 MiB read");
+    // The result plus what the windows hold in flight.
+    assert!(above <= 32.0 + 16.0, "live bytes rose {above:.1} MiB during one 32 MiB read");
+    // Nothing segment-sized: every frame is a chunk.
+    assert!(largest <= 1.0, "a {largest:.2} MiB allocation beside the result");
+
+    for d in daemons {
+        d.stop().expect("clean daemon shutdown");
+    }
+}

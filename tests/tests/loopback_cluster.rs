@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use sorrento::api::FsScript;
 use sorrento::costs::CostModel;
-use sorrento::types::FileOptions;
+use sorrento::types::{FileOptions, Organization};
 use sorrento_kvdb::{Db, DbConfig, FileBackend};
 use sorrento::locator::LocationScheme;
 use sorrento::swim::MembershipMode;
@@ -291,6 +291,52 @@ fn pipelined_write_survives_provider_death_mid_window() {
     killer.join().expect("killer thread").expect("clean provider shutdown");
     assert_eq!(got, data, "chunked write corrupted by provider death");
 
+    for h in handles {
+        h.stop().expect("clean shutdown");
+    }
+}
+
+/// A big striped file read back in one op: 128 MiB over 4 stripes is
+/// 2,048 stripe-unit extents, and a mesh queues 256 frames per peer
+/// before it drops. The pipelined read path keeps a bounded number of
+/// requests in flight, so no node may drop a frame — a dropped reply
+/// would only show as a 1.5 s RPC timeout and a quietly retried read.
+#[test]
+fn big_striped_read_drops_no_frame() {
+    const LEN: usize = 128 << 20;
+    const PIECE: usize = 8 << 20;
+    let (handles, mut cfg) = spawn_cluster(3, &[]);
+    cfg.write_chunk = Some(256 * 1024);
+    let data = payload(LEN);
+
+    let mut fs = FsScript::new();
+    let striped = Organization::Striped { stripes: 4, max_size: LEN as u64 };
+    let h = fs
+        .create_with("/striped", FileOptions { organization: striped, ..FileOptions::default() })
+        .unwrap();
+    for at in (0..LEN).step_by(PIECE) {
+        fs.write(h, at as u64, data[at..at + PIECE].to_vec()).unwrap();
+    }
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&cfg, fs.into_ops(), 3, DEADLINE).expect("write script");
+    assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
+
+    let mut fs = FsScript::new();
+    let h = fs.open("/striped", false).unwrap();
+    fs.read(h, 0, LEN as u64).unwrap();
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&cfg, fs.into_ops(), 3, DEADLINE).expect("read script");
+    assert_eq!(out.stats.failed_ops, 0, "read failed: {:?}", out.stats.last_error);
+    assert!(out.stats.last_read.as_deref() == Some(&data[..]), "readback mismatch");
+
+    for node in 0..handles.len() {
+        let json = ctl::fetch_stats(&cfg, NodeId::from_index(node), DEADLINE).expect("stats");
+        let stats = sorrento_json::Json::parse(&json).expect("stats JSON parses");
+        for gauge in ["net_send_failures", "net_dropped_inbox_full"] {
+            let dropped = stats.get("gauges").and_then(|g| g.get(gauge)).and_then(|v| v.as_f64());
+            assert_eq!(dropped, Some(0.0), "node {node}: {gauge}");
+        }
+    }
     for h in handles {
         h.stop().expect("clean shutdown");
     }
