@@ -29,7 +29,7 @@
 
 use sorrento_sim::NodeId;
 
-use crate::ring::{hash_segid, mix, HashRing};
+use crate::ring::{hash_segid, hrw, mix, HashRing};
 use crate::types::SegId;
 
 /// Slots claimed by each provider in the ASURA table (uniformity is
@@ -158,10 +158,6 @@ impl Default for Locator {
     }
 }
 
-fn hash_rendezvous(seg_hash: u64, node: NodeId) -> u64 {
-    mix(seg_hash ^ mix(!(node.index() as u64)))
-}
-
 impl Locator {
     /// Build a locator over the live providers.
     pub fn build(
@@ -204,11 +200,9 @@ impl Locator {
                 (ring.home(seg), cost)
             }
             Inner::Rendezvous(nodes) => {
-                let h = hash_segid(seg);
-                let best = nodes
-                    .iter()
-                    .max_by_key(|&&n| (hash_rendezvous(h, n), n))
-                    .copied();
+                // A provider's salt is its complemented index, apart from
+                // the shard indices `nsmap` salts with.
+                let best = hrw(hash_segid(seg), nodes.iter().map(|&n| (!(n.index() as u64), n)));
                 (best, nodes.len() as u32)
             }
             Inner::Asura(table) => table.home_cost(seg),
@@ -283,6 +277,31 @@ mod tests {
                 assert_eq!(before, node(9), "a surviving provider's key moved");
             }
         }
+    }
+
+    /// Both rendezvous users route as they did before they shared
+    /// `ring::hrw`: the digests were computed by the commit that still
+    /// had a private `mix` and argmax loop in `nsmap` and a second argmax
+    /// here — 50,000 directory routes and 40,000 segment homes.
+    #[test]
+    fn rendezvous_routes_are_pinned() {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for nshards in [2u32, 3, 4, 8, 16] {
+            for i in 0..10_000 {
+                let dir = format!("/dir{i}/sub{}", i % 7);
+                h = fold(h, u64::from(crate::nsmap::shard_of_dir(&dir, nshards)));
+            }
+        }
+        assert_eq!(h, 0x0700_9a64_3ae1_7734, "a directory changed shard");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in [1usize, 3, 10, 64] {
+            let loc = Locator::build(LocationScheme::Rendezvous, (0..n).map(|i| node(i * 3 + 1)));
+            for s in segs(10_000) {
+                h = fold(h, loc.home(s).unwrap().index() as u64);
+            }
+        }
+        assert_eq!(h, 0x6b76_9a3f_7720_5d42, "a segment changed home");
     }
 
     #[test]

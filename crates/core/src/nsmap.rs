@@ -24,6 +24,8 @@
 
 use sorrento_sim::NodeId;
 
+use crate::ring::hrw;
+
 /// The directory whose shard owns `path`'s namespace entry: the parent
 /// directory, or `"/"` for the root itself (the root entry is
 /// pre-created on every shard, so its nominal owner never matters).
@@ -48,31 +50,10 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: decorrelates the per-shard scores so the
-/// argmax is uniform over shards.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Rendezvous-hash a directory onto one of `nshards` shards.
+/// Rendezvous-hash a directory onto one of `nshards` shards (each
+/// shard's salt is its index).
 pub fn shard_of_dir(dir: &str, nshards: u32) -> u32 {
-    if nshards <= 1 {
-        return 0;
-    }
-    let base = fnv1a(dir);
-    let mut best = 0u32;
-    let mut best_score = 0u64;
-    for k in 0..nshards {
-        let score = mix(base ^ mix(u64::from(k)));
-        if k == 0 || score > best_score {
-            best = k;
-            best_score = score;
-        }
-    }
-    best
+    hrw(fnv1a(dir), (0..nshards).map(|k| (u64::from(k), k))).unwrap_or(0)
 }
 
 /// The shard owning `path`'s namespace entry: the shard of its parent

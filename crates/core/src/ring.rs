@@ -36,6 +36,17 @@ pub(crate) fn hash_segid(seg: SegId) -> u64 {
     mix(seg.0 as u64 ^ mix((seg.0 >> 64) as u64))
 }
 
+/// Rendezvous (highest-random-weight) choice: every `(salt, candidate)`
+/// scores `mix(key_hash ^ mix(salt))` and the highest score wins. `mix`
+/// is a bijection, so distinct salts never tie. Shared by the namespace
+/// shard partition (`nsmap`) and the rendezvous locator.
+pub(crate) fn hrw<T>(key_hash: u64, candidates: impl IntoIterator<Item = (u64, T)>) -> Option<T> {
+    candidates
+        .into_iter()
+        .max_by_key(|(salt, _)| mix(key_hash ^ mix(*salt)))
+        .map(|(_, candidate)| candidate)
+}
+
 fn hash_vnode(provider: NodeId, vnode: u32) -> u64 {
     mix(((provider.index() as u64) << 32) | vnode as u64)
 }

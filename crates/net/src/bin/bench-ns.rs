@@ -24,7 +24,6 @@
 //! and re-checks its schema and bounds without running anything — the
 //! `make ns-smoke` guard for the committed `results/BENCH_ns.json`.
 
-use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -32,16 +31,13 @@ use sorrento::api::FsScript;
 use sorrento::client::ClientOp;
 use sorrento::cluster::{Cluster, ClusterBuilder, FnWorkload};
 use sorrento::costs::CostModel;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
 use sorrento::namespace::NamespaceServer;
-use sorrento::nsmap::{shard_of_dir, ShardInfo};
+use sorrento::nsmap::shard_of_dir;
 use sorrento::types::FileId;
 use rand::Rng;
 use sorrento_json::Json;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
-use sorrento_net::daemon::{self, DaemonHandle};
 use sorrento_net::ctl;
+use sorrento_net::testkit::LoopbackCluster;
 use sorrento_sim::{Dur, NodeId};
 
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -198,90 +194,6 @@ fn run_scaling(shards: u32, k: &ScalingKnobs) -> Json {
 
 const NSHARDS: u32 = 2;
 
-/// Node layout: 0..NSHARDS shard primaries, NSHARDS..2*NSHARDS their
-/// standbys, then providers — the same wiring as the `ns_failover`
-/// integration test and the RUNBOOK game-day drill.
-fn spawn_sharded_cluster(
-    providers: usize,
-    checkpoint_every: u64,
-) -> (Vec<DaemonHandle>, CtlConfig) {
-    let ns = NSHARDS as usize;
-    let n = 2 * ns + providers;
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let ns_map: Vec<ShardInfo> = (0..ns)
-        .map(|k| ShardInfo {
-            primary: NodeId::from_index(k),
-            standby: Some(NodeId::from_index(ns + k)),
-        })
-        .collect();
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let (role, shard) = if i < ns {
-                (Role::Namespace, i as u32)
-            } else if i < 2 * ns {
-                (Role::Standby, (i - ns) as u32)
-            } else {
-                (Role::Provider, 0)
-            };
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role,
-                listen: all_peers[i].addr.clone(),
-                data_dir: None,
-                seed: 900 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: None,
-                shard,
-                ns_shards: NSHARDS,
-                ns_map: ns_map.clone(),
-                ns_checkpoint_batches: Some(checkpoint_every),
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 1,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 0,
-        op_deadline_ms: None,
-        ns_map,
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
-    (handles, ctl_cfg)
-}
-
 /// A root-level directory whose children live on shard `k`.
 fn dir_on_shard(k: u32) -> String {
     (0..)
@@ -295,7 +207,15 @@ fn dir_on_shard(k: u32) -> String {
 /// client's ops succeed again and how many WAL batches the promoted
 /// standby had to replay.
 fn run_failover(checkpoint_every: u64, mutations: usize) -> Json {
-    let (mut handles, cfg) = spawn_sharded_cluster(2, checkpoint_every);
+    // Node layout (the `ns_failover` test's and the RUNBOOK game-day
+    // drill's): 0..NSHARDS shard primaries, then their standbys, then
+    // two providers.
+    let mut cluster = LoopbackCluster::builder(2)
+        .sharded_namespace(NSHARDS as usize)
+        .each_daemon(move |_, cfg| cfg.ns_checkpoint_batches = Some(checkpoint_every))
+        .boot()
+        .expect("boot the sharded cluster");
+    let cfg = cluster.ctl();
     let d0 = dir_on_shard(0);
 
     let mut fs = FsScript::new();
@@ -310,7 +230,7 @@ fn run_failover(checkpoint_every: u64, mutations: usize) -> Json {
     // Let the WAL shipper drain (fast_test ships every 50ms), then kill
     // the primary the way a crash would.
     std::thread::sleep(Duration::from_millis(300));
-    handles.remove(0).kill().expect("kill primary");
+    cluster.kill(0).expect("kill primary");
 
     // Recovery clock: from the kill until a stat + create against the
     // lost shard succeed again (client times out at the dead primary,
@@ -328,35 +248,19 @@ fn run_failover(checkpoint_every: u64, mutations: usize) -> Json {
     );
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Gauges ride the server's periodic export tick; poll briefly until
-    // the promoted standby has published its replayed-tail gauge.
-    let sb = NodeId::from_index(NSHARDS as usize);
-    let mut replayed = None;
-    let mut failovers = 0;
-    for _ in 0..40 {
-        let json = ctl::fetch_stats(&cfg, sb, DEADLINE).expect("standby stats");
-        let snap = Json::parse(&json).expect("snapshot parses");
-        replayed = snap
-            .get("gauges")
-            .and_then(|g| g.get("ns0.failover_replayed"))
-            .and_then(Json::as_f64)
-            .map(|x| x as u64);
-        failovers = snap
-            .get("counters")
-            .and_then(|c| c.get("ns.failovers"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if replayed.is_some() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
-    let replayed = replayed.expect("failover_replayed gauge never exported");
+    // Gauges ride the server's periodic export tick: wait until the
+    // promoted standby has published its replayed-tail gauge.
+    let (sb, gauge) = (NSHARDS as usize, "ns0.failover_replayed");
+    let snap = cluster
+        .wait("the promoted standby's replayed-tail gauge", Duration::from_secs(10), |s| {
+            s.gauge(sb, gauge).is_some()
+        })
+        .expect("failover_replayed gauge never exported");
+    let replayed = snap.gauge(sb, gauge).unwrap_or_default() as u64;
+    let failovers = snap.counter(sb, "ns.failovers");
     assert_eq!(failovers, 1, "standby promoted {failovers} times");
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
     println!(
         "  checkpoint every {checkpoint_every}: {mutations} mutations, \
          recovered in {recovery_ms:.0} ms, replayed {replayed} WAL batches"

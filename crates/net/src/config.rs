@@ -22,6 +22,15 @@
 //! has workable defaults. The peer list replaces the simulator's
 //! multicast domain — it only needs to seed connectivity, because
 //! `Hello` frames teach nodes about everyone else at runtime.
+//!
+//! Every default is stated once, in [`DaemonConfig::new`] and
+//! [`CtlConfig::new`]: the parsers start from those and overwrite what
+//! the document sets. A key the parsers do not know — at top level, in a
+//! `peers` or `ns_map` row, or under `chaos` — is an error that names it,
+//! so a misspelt knob cannot boot a node that quietly runs the default.
+//! Both structs are `#[non_exhaustive]`: code outside this crate builds
+//! them with `new` (or `parse`) and writes the fields it means to change,
+//! so adding a field touches this file and nothing else.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,6 +69,7 @@ pub struct PeerSpec {
 
 /// A daemon's full boot configuration.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct DaemonConfig {
     /// This node's cluster-unique id.
     pub node_id: NodeId,
@@ -110,7 +120,7 @@ pub struct DaemonConfig {
 }
 
 /// Why a config failed to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The file is not valid JSON.
     BadJson,
@@ -118,6 +128,9 @@ pub enum ConfigError {
     Missing(&'static str),
     /// A field has the wrong type or an unknown value.
     Invalid(&'static str),
+    /// A key no parser reads, by its path in the document
+    /// (`"write_chunks"`, `"peers[].adr"`, `"chaos.drop"`).
+    Unknown(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -126,93 +139,142 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadJson => f.write_str("config is not valid JSON"),
             ConfigError::Missing(name) => write!(f, "config missing field `{name}`"),
             ConfigError::Invalid(name) => write!(f, "config field `{name}` is invalid"),
+            ConfigError::Unknown(name) => write!(f, "config has unknown key `{name}`"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
+/// The keys of a daemon document, one per [`DaemonConfig`] field.
+const DAEMON_KEYS: &[&str] = &[
+    "node_id", "role", "listen", "data_dir", "seed", "capacity", "machine", "rack", "costs",
+    "chaos", "metrics_interval_ms", "shard", "ns_shards", "ns_map", "ns_checkpoint_batches",
+    "membership", "location", "peers",
+];
+/// The keys of a cluster document, one per [`CtlConfig`] field.
+const CTL_KEYS: &[&str] = &[
+    "ctl_id", "namespace", "seed", "replication", "costs", "write_chunk", "write_window",
+    "rpc_resends", "op_deadline_ms", "ns_map", "membership", "location", "peers",
+];
+const PEER_KEYS: &[&str] = &["id", "addr", "machine"];
+const NS_MAP_KEYS: &[&str] = &["primary", "standby"];
+const CHAOS_KEYS: &[&str] =
+    &["seed", "drop_permille", "dup_permille", "delay_permille", "delay_us", "partition"];
+
 impl DaemonConfig {
+    /// The configuration of a daemon whose document sets nothing but the
+    /// three required keys. Every default lives here.
+    pub fn new(node_id: NodeId, role: Role, listen: impl Into<String>) -> DaemonConfig {
+        DaemonConfig {
+            node_id,
+            role,
+            listen: listen.into(),
+            data_dir: None,
+            seed: 1,
+            capacity: 8 << 30,
+            machine: node_id.index() as u32,
+            rack: node_id.index() as u32,
+            costs: CostModel::default(),
+            chaos: ChaosConfig::default(),
+            metrics_interval_ms: None,
+            shard: 0,
+            ns_shards: 1,
+            ns_map: Vec::new(),
+            ns_checkpoint_batches: None,
+            membership: MembershipMode::Heartbeat,
+            location: LocationScheme::Ring,
+            peers: Vec::new(),
+        }
+    }
+
     /// Parse a config document.
     pub fn parse(text: &str) -> Result<DaemonConfig, ConfigError> {
         let j = Json::parse(text).map_err(|_| ConfigError::BadJson)?;
-        let node_id = req_u64(&j, "node_id")? as usize;
+        known_keys(&j, "", DAEMON_KEYS)?;
+        let node_id = NodeId::from_index(req_u64(&j, "node_id")? as usize);
         let role = match req_str(&j, "role")? {
             "namespace" => Role::Namespace,
             "standby" => Role::Standby,
             "provider" => Role::Provider,
             _ => return Err(ConfigError::Invalid("role")),
         };
-        let listen = req_str(&j, "listen")?.to_string();
-        let data_dir = match j.get("data_dir") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(PathBuf::from(
-                v.as_str().ok_or(ConfigError::Invalid("data_dir"))?,
-            )),
-        };
-        let costs = match j.get("costs") {
-            None => CostModel::default(),
-            Some(v) => match v.as_str().ok_or(ConfigError::Invalid("costs"))? {
-                "default" => CostModel::default(),
-                "fast_test" => CostModel::fast_test(),
-                _ => return Err(ConfigError::Invalid("costs")),
-            },
-        };
-        let mut peers = Vec::new();
-        if let Some(arr) = j.get("peers") {
-            for p in arr.as_arr().ok_or(ConfigError::Invalid("peers"))? {
-                peers.push(PeerSpec {
-                    id: NodeId::from_index(req_u64(p, "id")? as usize),
-                    addr: req_str(p, "addr")?.to_string(),
-                    machine: opt_u64(p, "machine")?.unwrap_or(0) as u32,
-                });
-            }
-        }
-        let chaos = parse_chaos(&j)?;
-        let ns_map = parse_ns_map(&j)?;
-        Ok(DaemonConfig {
-            node_id: NodeId::from_index(node_id),
-            role,
-            listen,
-            data_dir,
-            seed: opt_u64(&j, "seed")?.unwrap_or(1),
-            capacity: opt_u64(&j, "capacity")?.unwrap_or(8 << 30),
-            machine: opt_u64(&j, "machine")?.unwrap_or(node_id as u64) as u32,
-            rack: opt_u64(&j, "rack")?.unwrap_or(node_id as u64) as u32,
-            costs,
-            chaos,
-            metrics_interval_ms: opt_u64(&j, "metrics_interval_ms")?,
-            shard: opt_u64(&j, "shard")?.unwrap_or(0) as u32,
-            ns_shards: opt_u64(&j, "ns_shards")?.unwrap_or(1).max(1) as u32,
-            ns_map,
-            ns_checkpoint_batches: opt_u64(&j, "ns_checkpoint_batches")?,
-            membership: parse_membership(&j)?,
-            location: parse_location(&j)?,
-            peers,
-        })
+        let mut cfg = DaemonConfig::new(node_id, role, req_str(&j, "listen")?);
+        cfg.data_dir = opt_str(&j, "data_dir")?.map(PathBuf::from);
+        overwrite(&mut cfg.seed, opt_u64(&j, "seed")?);
+        overwrite(&mut cfg.capacity, opt_u64(&j, "capacity")?);
+        overwrite(&mut cfg.machine, opt_u64(&j, "machine")?.map(|v| v as u32));
+        overwrite(&mut cfg.rack, opt_u64(&j, "rack")?.map(|v| v as u32));
+        overwrite(&mut cfg.costs, parse_costs(&j)?);
+        overwrite(&mut cfg.chaos, parse_chaos(&j)?);
+        cfg.metrics_interval_ms = opt_u64(&j, "metrics_interval_ms")?;
+        overwrite(&mut cfg.shard, opt_u64(&j, "shard")?.map(|v| v as u32));
+        overwrite(&mut cfg.ns_shards, opt_u64(&j, "ns_shards")?.map(|v| v.max(1) as u32));
+        overwrite(&mut cfg.ns_map, parse_ns_map(&j)?);
+        cfg.ns_checkpoint_batches = opt_u64(&j, "ns_checkpoint_batches")?;
+        overwrite(&mut cfg.membership, parse_membership(&j)?);
+        overwrite(&mut cfg.location, parse_location(&j)?);
+        overwrite(&mut cfg.peers, parse_peers(&j)?);
+        Ok(cfg)
+    }
+}
+
+/// Replace a default with what the document set, if it set anything.
+fn overwrite<T>(slot: &mut T, parsed: Option<T>) {
+    if let Some(v) = parsed {
+        *slot = v;
+    }
+}
+
+/// Refuse any key of object `j` that is not in `known`; `at` is the path
+/// prefix the error names the key under.
+fn known_keys(j: &Json, at: &str, known: &[&str]) -> Result<(), ConfigError> {
+    match j.as_obj().and_then(|o| o.iter().find(|(k, _)| !known.contains(&k.as_str()))) {
+        Some((key, _)) => Err(ConfigError::Unknown(format!("{at}{key}"))),
+        None => Ok(()),
+    }
+}
+
+/// Parse the optional `"peers"` array.
+fn parse_peers(j: &Json) -> Result<Option<Vec<PeerSpec>>, ConfigError> {
+    let Some(arr) = j.get("peers") else { return Ok(None) };
+    let mut peers = Vec::new();
+    for p in arr.as_arr().ok_or(ConfigError::Invalid("peers"))? {
+        known_keys(p, "peers[].", PEER_KEYS)?;
+        peers.push(PeerSpec {
+            id: NodeId::from_index(req_u64(p, "id")? as usize),
+            addr: req_str(p, "addr")?.to_string(),
+            machine: opt_u64(p, "machine")?.unwrap_or(0) as u32,
+        });
+    }
+    Ok(Some(peers))
+}
+
+/// Parse the optional `"costs"` knob (`"default"` | `"fast_test"`).
+fn parse_costs(j: &Json) -> Result<Option<CostModel>, ConfigError> {
+    let Some(v) = j.get("costs") else { return Ok(None) };
+    match v.as_str().ok_or(ConfigError::Invalid("costs"))? {
+        "default" => Ok(Some(CostModel::default())),
+        "fast_test" => Ok(Some(CostModel::fast_test())),
+        _ => Err(ConfigError::Invalid("costs")),
     }
 }
 
 /// Parse the optional `"membership"` knob (`"heartbeat"` | `"swim"`).
-fn parse_membership(j: &Json) -> Result<MembershipMode, ConfigError> {
-    match j.get("membership") {
-        None | Some(Json::Null) => Ok(MembershipMode::Heartbeat),
-        Some(v) => match v.as_str().ok_or(ConfigError::Invalid("membership"))? {
-            "heartbeat" => Ok(MembershipMode::Heartbeat),
-            "swim" => Ok(MembershipMode::Swim),
-            _ => Err(ConfigError::Invalid("membership")),
-        },
+fn parse_membership(j: &Json) -> Result<Option<MembershipMode>, ConfigError> {
+    match opt_str(j, "membership")? {
+        None => Ok(None),
+        Some("heartbeat") => Ok(Some(MembershipMode::Heartbeat)),
+        Some("swim") => Ok(Some(MembershipMode::Swim)),
+        Some(_) => Err(ConfigError::Invalid("membership")),
     }
 }
 
 /// Parse the optional `"location"` knob (`"ring"` | `"rendezvous"` |
 /// `"asura"`).
-fn parse_location(j: &Json) -> Result<LocationScheme, ConfigError> {
-    match j.get("location") {
-        None | Some(Json::Null) => Ok(LocationScheme::Ring),
-        Some(v) => LocationScheme::parse(v.as_str().ok_or(ConfigError::Invalid("location"))?)
-            .ok_or(ConfigError::Invalid("location")),
-    }
+fn parse_location(j: &Json) -> Result<Option<LocationScheme>, ConfigError> {
+    let scheme = |s| LocationScheme::parse(s).ok_or(ConfigError::Invalid("location"));
+    opt_str(j, "location")?.map(scheme).transpose()
 }
 
 /// Parse an optional `"ns_map"` array — the namespace shard map, one
@@ -221,10 +283,11 @@ fn parse_location(j: &Json) -> Result<LocationScheme, ConfigError> {
 /// ```json
 /// { "ns_map": [ { "primary": 0, "standby": 5 }, { "primary": 1 } ] }
 /// ```
-fn parse_ns_map(j: &Json) -> Result<Vec<ShardInfo>, ConfigError> {
-    let Some(arr) = j.get("ns_map") else { return Ok(Vec::new()) };
+fn parse_ns_map(j: &Json) -> Result<Option<Vec<ShardInfo>>, ConfigError> {
+    let Some(arr) = j.get("ns_map") else { return Ok(None) };
     let mut rows = Vec::new();
     for row in arr.as_arr().ok_or(ConfigError::Invalid("ns_map"))? {
+        known_keys(row, "ns_map[].", NS_MAP_KEYS)?;
         let standby = match row.get("standby") {
             None | Some(Json::Null) => None,
             Some(v) => Some(NodeId::from_index(
@@ -236,7 +299,7 @@ fn parse_ns_map(j: &Json) -> Result<Vec<ShardInfo>, ConfigError> {
             standby,
         });
     }
-    Ok(rows)
+    Ok(Some(rows))
 }
 
 /// Parse an optional `"chaos"` object:
@@ -249,32 +312,32 @@ fn parse_ns_map(j: &Json) -> Result<Vec<ShardInfo>, ConfigError> {
 ///
 /// Absent means no fault injection; every field inside defaults to 0 /
 /// empty. The same knobs ride on `Msg::ChaosCtl` for runtime toggling.
-fn parse_chaos(j: &Json) -> Result<ChaosConfig, ConfigError> {
-    let Some(c) = j.get("chaos") else { return Ok(ChaosConfig::default()) };
-    if matches!(c, Json::Null) {
-        return Ok(ChaosConfig::default());
-    }
-    let mut partition = Vec::new();
+fn parse_chaos(j: &Json) -> Result<Option<ChaosConfig>, ConfigError> {
+    let c = match j.get("chaos") {
+        None | Some(Json::Null) => return Ok(None),
+        Some(c) => c,
+    };
+    known_keys(c, "chaos.", CHAOS_KEYS)?;
+    let mut chaos = ChaosConfig::default();
     if let Some(arr) = c.get("partition") {
         for id in arr.as_arr().ok_or(ConfigError::Invalid("chaos.partition"))? {
-            partition.push(NodeId::from_index(
+            chaos.partition.push(NodeId::from_index(
                 id.as_u64().ok_or(ConfigError::Invalid("chaos.partition"))? as usize,
             ));
         }
     }
-    Ok(ChaosConfig {
-        seed: opt_u64(c, "seed")?.unwrap_or(0),
-        drop_permille: opt_u64(c, "drop_permille")?.unwrap_or(0) as u32,
-        dup_permille: opt_u64(c, "dup_permille")?.unwrap_or(0) as u32,
-        delay_permille: opt_u64(c, "delay_permille")?.unwrap_or(0) as u32,
-        delay: Duration::from_micros(opt_u64(c, "delay_us")?.unwrap_or(0)),
-        partition,
-    })
+    overwrite(&mut chaos.seed, opt_u64(c, "seed")?);
+    overwrite(&mut chaos.drop_permille, opt_u64(c, "drop_permille")?.map(|v| v as u32));
+    overwrite(&mut chaos.dup_permille, opt_u64(c, "dup_permille")?.map(|v| v as u32));
+    overwrite(&mut chaos.delay_permille, opt_u64(c, "delay_permille")?.map(|v| v as u32));
+    overwrite(&mut chaos.delay, opt_u64(c, "delay_us")?.map(Duration::from_micros));
+    Ok(Some(chaos))
 }
 
 /// What `sorrentoctl` needs to talk to a cluster: where the daemons
 /// are and which one is the namespace server.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct CtlConfig {
     /// The node id the control client joins the mesh as (must not
     /// collide with any daemon id).
@@ -317,6 +380,26 @@ pub struct CtlConfig {
 }
 
 impl CtlConfig {
+    /// The configuration of a client whose document sets nothing but the
+    /// two required keys. Every default lives here.
+    pub fn new(namespace: NodeId, peers: Vec<PeerSpec>) -> CtlConfig {
+        CtlConfig {
+            ctl_id: NodeId::from_index(1000),
+            namespace,
+            seed: 1,
+            replication: 1,
+            costs: CostModel::default(),
+            write_chunk: None,
+            write_window: 4,
+            rpc_resends: 0,
+            op_deadline_ms: None,
+            ns_map: Vec::new(),
+            membership: MembershipMode::Heartbeat,
+            location: LocationScheme::Ring,
+            peers,
+        }
+    }
+
     /// Parse a cluster-description document:
     ///
     /// ```json
@@ -332,42 +415,21 @@ impl CtlConfig {
     /// ```
     pub fn parse(text: &str) -> Result<CtlConfig, ConfigError> {
         let j = Json::parse(text).map_err(|_| ConfigError::BadJson)?;
-        let mut peers = Vec::new();
-        for p in j
-            .get("peers")
-            .ok_or(ConfigError::Missing("peers"))?
-            .as_arr()
-            .ok_or(ConfigError::Invalid("peers"))?
-        {
-            peers.push(PeerSpec {
-                id: NodeId::from_index(req_u64(p, "id")? as usize),
-                addr: req_str(p, "addr")?.to_string(),
-                machine: opt_u64(p, "machine")?.unwrap_or(0) as u32,
-            });
-        }
-        let costs = match j.get("costs") {
-            None => CostModel::default(),
-            Some(v) => match v.as_str().ok_or(ConfigError::Invalid("costs"))? {
-                "default" => CostModel::default(),
-                "fast_test" => CostModel::fast_test(),
-                _ => return Err(ConfigError::Invalid("costs")),
-            },
-        };
-        Ok(CtlConfig {
-            ctl_id: NodeId::from_index(opt_u64(&j, "ctl_id")?.unwrap_or(1000) as usize),
-            namespace: NodeId::from_index(req_u64(&j, "namespace")? as usize),
-            seed: opt_u64(&j, "seed")?.unwrap_or(1),
-            replication: opt_u64(&j, "replication")?.unwrap_or(1) as u32,
-            costs,
-            write_chunk: opt_u64(&j, "write_chunk")?,
-            write_window: opt_u64(&j, "write_window")?.unwrap_or(4) as usize,
-            rpc_resends: opt_u64(&j, "rpc_resends")?.unwrap_or(0) as u32,
-            op_deadline_ms: opt_u64(&j, "op_deadline_ms")?,
-            ns_map: parse_ns_map(&j)?,
-            membership: parse_membership(&j)?,
-            location: parse_location(&j)?,
-            peers,
-        })
+        known_keys(&j, "", CTL_KEYS)?;
+        let peers = parse_peers(&j)?.ok_or(ConfigError::Missing("peers"))?;
+        let mut cfg = CtlConfig::new(NodeId::from_index(req_u64(&j, "namespace")? as usize), peers);
+        overwrite(&mut cfg.ctl_id, opt_u64(&j, "ctl_id")?.map(|v| NodeId::from_index(v as usize)));
+        overwrite(&mut cfg.seed, opt_u64(&j, "seed")?);
+        overwrite(&mut cfg.replication, opt_u64(&j, "replication")?.map(|v| v as u32));
+        overwrite(&mut cfg.costs, parse_costs(&j)?);
+        cfg.write_chunk = opt_u64(&j, "write_chunk")?;
+        overwrite(&mut cfg.write_window, opt_u64(&j, "write_window")?.map(|v| v as usize));
+        overwrite(&mut cfg.rpc_resends, opt_u64(&j, "rpc_resends")?.map(|v| v as u32));
+        cfg.op_deadline_ms = opt_u64(&j, "op_deadline_ms")?;
+        overwrite(&mut cfg.ns_map, parse_ns_map(&j)?);
+        overwrite(&mut cfg.membership, parse_membership(&j)?);
+        overwrite(&mut cfg.location, parse_location(&j)?);
+        Ok(cfg)
     }
 }
 
@@ -376,6 +438,14 @@ fn req_str<'a>(j: &'a Json, name: &'static str) -> Result<&'a str, ConfigError> 
         .ok_or(ConfigError::Missing(name))?
         .as_str()
         .ok_or(ConfigError::Invalid(name))
+}
+
+/// An optional string; `null` reads as absent.
+fn opt_str<'a>(j: &'a Json, name: &'static str) -> Result<Option<&'a str>, ConfigError> {
+    match j.get(name) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v.as_str().map(Some).ok_or(ConfigError::Invalid(name)),
+    }
 }
 
 fn req_u64(j: &Json, name: &'static str) -> Result<u64, ConfigError> {
@@ -530,5 +600,197 @@ mod tests {
             ConfigError::Invalid("role")
         );
         assert_eq!(DaemonConfig::parse("not json").unwrap_err(), ConfigError::BadJson);
+    }
+
+    #[test]
+    fn new_is_parse_of_the_minimal_document() {
+        // `Debug` prints every field, so equal strings are equal configs.
+        let parsed =
+            DaemonConfig::parse(r#"{"node_id": 3, "role": "standby", "listen": "127.0.0.1:0"}"#)
+                .unwrap();
+        let built = DaemonConfig::new(NodeId::from_index(3), Role::Standby, "127.0.0.1:0");
+        assert_eq!(format!("{built:?}"), format!("{parsed:?}"));
+
+        let parsed = CtlConfig::parse(r#"{"namespace": 2, "peers": []}"#).unwrap();
+        let built = CtlConfig::new(NodeId::from_index(2), Vec::new());
+        assert_eq!(format!("{built:?}"), format!("{parsed:?}"));
+    }
+
+    /// `{:?}` of `CostModel::fast_test()` as the commit before the
+    /// constructors printed it.
+    const FAST_TEST: &str = "CostModel { heartbeat_interval: 500.00ms, swim_probe_interval: 200.00ms, \
+        swim_ack_timeout: 60.00ms, swim_suspect_timeout: 1.600s, swim_indirect_k: 3, \
+        swim_sync_interval: 2.000s, refresh_interval: 30.000s, join_refresh_delay_max: 2.000s, \
+        location_gc_age: 90.000s, shadow_ttl: 30.000s, commit_lease: 10.000s, \
+        migration_interval: 5.000s, migration_pacing: 300.00ms, migration_alpha_hot: 0.8, \
+        migration_alpha_cold: 0.3, migration_top_fraction: 0.1, load_ewma_alpha: 0.3, \
+        home_boost: true, ns_op_cpu: 770.0us, provider_op_cpu: 4.50ms, client_op_cpu: 150.0us, \
+        rpc_header_bytes: 120, rpc_timeout: 1.500s, backup_query_wait: 500.00ms, \
+        ns_ship_interval: 50.00ms, ns_standby_grace: 400.00ms, repair_scan_interval: 1.000s }";
+
+    /// The four documents `benchmark/src/cluster.rs` generates (a daemon
+    /// with and without `data_dir`, a client with and without the
+    /// pipelining knobs) parse to what they parsed to before the
+    /// constructors existed: the expected strings were printed by the
+    /// parent commit's parsers, so no default drifted on the way into
+    /// `new`.
+    #[test]
+    fn the_benchmarks_documents_parse_as_they_did_at_the_parent() {
+        const PEERS: &str = r#"[{"id":0,"addr":"127.0.0.1:7400","machine":0},{"id":1,"addr":"127.0.0.1:7401","machine":1}]"#;
+        const PEERS_DBG: &str = "[PeerSpec { id: n0, addr: \"127.0.0.1:7400\", machine: 0 }, \
+            PeerSpec { id: n1, addr: \"127.0.0.1:7401\", machine: 1 }]";
+        for (doc_dir, dbg_dir) in [("", "None"), (r#","data_dir":"/tmp/p2""#, "Some(\"/tmp/p2\")")] {
+            let doc = format!(
+                r#"{{"node_id":2,"role":"provider","listen":"127.0.0.1:7402","seed":902,"capacity":8589934592,"costs":"fast_test","peers":{PEERS}{doc_dir}}}"#
+            );
+            let want = format!(
+                "DaemonConfig {{ node_id: n2, role: Provider, listen: \"127.0.0.1:7402\", \
+                 data_dir: {dbg_dir}, seed: 902, capacity: 8589934592, machine: 2, rack: 2, \
+                 costs: {FAST_TEST}, chaos: ChaosConfig {{ seed: 0, drop_permille: 0, \
+                 dup_permille: 0, delay_permille: 0, delay: 0ns, partition: [] }}, \
+                 metrics_interval_ms: None, shard: 0, ns_shards: 1, ns_map: [], \
+                 ns_checkpoint_batches: None, membership: Heartbeat, location: Ring, \
+                 peers: {PEERS_DBG} }}"
+            );
+            assert_eq!(format!("{:?}", DaemonConfig::parse(&doc).unwrap()), want);
+        }
+        for (doc_chunk, dbg_chunk) in
+            [("", "None"), (r#","write_chunk":262144,"write_window":4"#, "Some(262144)")]
+        {
+            let doc = format!(
+                r#"{{"namespace":0,"ctl_id":1001,"seed":5,"replication":3,"costs":"fast_test","peers":{PEERS}{doc_chunk}}}"#
+            );
+            let want = format!(
+                "CtlConfig {{ ctl_id: n1001, namespace: n0, seed: 5, replication: 3, \
+                 costs: {FAST_TEST}, write_chunk: {dbg_chunk}, write_window: 4, rpc_resends: 0, \
+                 op_deadline_ms: None, ns_map: [], membership: Heartbeat, location: Ring, \
+                 peers: {PEERS_DBG} }}"
+            );
+            assert_eq!(format!("{:?}", CtlConfig::parse(&doc).unwrap()), want);
+        }
+    }
+
+    #[test]
+    fn every_known_key_still_parses() {
+        let daemon = r#"{"node_id": 4, "role": "namespace", "listen": "h:1", "data_dir": "/d",
+            "seed": 2, "capacity": 3, "machine": 5, "rack": 6, "costs": "fast_test",
+            "chaos": {"seed": 7, "drop_permille": 8, "dup_permille": 9, "delay_permille": 10,
+                      "delay_us": 11, "partition": [12]},
+            "metrics_interval_ms": 13, "shard": 1, "ns_shards": 2,
+            "ns_map": [{"primary": 0, "standby": 14}, {"primary": 4, "standby": null}],
+            "ns_checkpoint_batches": 15, "membership": "swim", "location": "asura",
+            "peers": [{"id": 0, "addr": "h:0", "machine": 16}]}"#;
+        let keys = |doc: &str| Json::parse(doc).unwrap().as_obj().unwrap().len();
+        assert_eq!(keys(daemon), DAEMON_KEYS.len());
+        let cfg = DaemonConfig::parse(daemon).unwrap();
+        assert_eq!((cfg.seed, cfg.capacity, cfg.machine, cfg.rack), (2, 3, 5, 6));
+        assert_eq!(cfg.data_dir, Some(PathBuf::from("/d")));
+        assert_eq!(cfg.chaos.delay, Duration::from_micros(11));
+        assert_eq!((cfg.metrics_interval_ms, cfg.ns_checkpoint_batches), (Some(13), Some(15)));
+        assert_eq!(cfg.ns_map[0].standby, Some(NodeId::from_index(14)));
+        assert_eq!(cfg.peers[0].machine, 16);
+
+        let ctl = r#"{"ctl_id": 1001, "namespace": 0, "seed": 2, "replication": 3,
+            "costs": "default", "write_chunk": 4, "write_window": 5, "rpc_resends": 6,
+            "op_deadline_ms": 7, "ns_map": [{"primary": 0}], "membership": "heartbeat",
+            "location": "ring", "peers": [{"id": 0, "addr": "h:0"}]}"#;
+        assert_eq!(keys(ctl), CTL_KEYS.len());
+        let cfg = CtlConfig::parse(ctl).unwrap();
+        assert_eq!((cfg.ctl_id, cfg.seed, cfg.replication), (NodeId::from_index(1001), 2, 3));
+        assert_eq!((cfg.write_chunk, cfg.write_window), (Some(4), 5));
+        assert_eq!((cfg.rpc_resends, cfg.op_deadline_ms), (6, Some(7)));
+    }
+
+    #[test]
+    fn an_unknown_key_is_refused_by_name_at_every_level() {
+        let daemon = |extra: &str| {
+            DaemonConfig::parse(&format!(
+                r#"{{"node_id": 1, "role": "provider", "listen": "x", {extra}}}"#
+            ))
+            .unwrap_err()
+        };
+        let unknown = |key: &str| ConfigError::Unknown(key.to_string());
+        assert_eq!(daemon(r#""membrship": "swim""#), unknown("membrship"));
+        assert_eq!(
+            daemon(r#""peers": [{"id": 0, "addr": "y", "rack": 1}]"#),
+            unknown("peers[].rack")
+        );
+        assert_eq!(
+            daemon(r#""ns_map": [{"primary": 0, "stanby": 1}]"#),
+            unknown("ns_map[].stanby")
+        );
+        assert_eq!(daemon(r#""chaos": {"drop": 100}"#), unknown("chaos.drop"));
+        // A client knob in a daemon document is as unknown as a typo.
+        assert_eq!(daemon(r#""write_chunk": 262144"#), unknown("write_chunk"));
+
+        let ctl = CtlConfig::parse(r#"{"namespace": 0, "write_chunks": 262144, "peers": []}"#);
+        assert_eq!(ctl.unwrap_err(), unknown("write_chunks"));
+        let ctl = CtlConfig::parse(r#"{"namespace": 0, "peers": [{"id": 0, "adr": "y"}]}"#);
+        assert_eq!(ctl.unwrap_err(), unknown("peers[].adr"));
+        assert_eq!(unknown("chaos.drop").to_string(), "config has unknown key `chaos.drop`");
+    }
+
+    /// Every config document the docs show an operator: the `json` blocks
+    /// of this file's own comments and the here-documents README.md and
+    /// RUNBOOK.md feed to `cat`. A fragment (`{"chaos": …}`) is tried as
+    /// part of a minimal daemon document.
+    #[test]
+    fn every_documented_config_parses() {
+        fn parse_doc(doc: &str, from: &str) {
+            let j = Json::parse(doc).unwrap_or_else(|e| panic!("{from}: {e:?} in {doc}"));
+            let result = if j.get("namespace").is_some() {
+                CtlConfig::parse(doc).map(drop)
+            } else if j.get("node_id").is_some() {
+                DaemonConfig::parse(doc).map(drop)
+            } else {
+                let mut full =
+                    Json::obj().with("node_id", 1u64).with("role", "provider").with("listen", "x");
+                for (k, v) in j.as_obj().expect("a fragment is an object") {
+                    full.set(k, v.clone());
+                }
+                DaemonConfig::parse(&full.encode()).map(drop)
+            };
+            result.unwrap_or_else(|e| panic!("{from}: {e} in {doc}"));
+        }
+        /// The text between each line holding `open` and the next
+        /// `close` line.
+        fn blocks(text: &str, open: &str, close: &str) -> Vec<String> {
+            let mut found = Vec::new();
+            let mut lines = text.lines();
+            while lines.any(|l| l.contains(open)) {
+                let body: Vec<&str> = lines.by_ref().take_while(|l| l.trim() != close).collect();
+                found.push(body.join("\n"));
+            }
+            found
+        }
+
+        let fence = "`".repeat(3);
+        let comments: String = include_str!("config.rs")
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("//").map(|c| c.trim_start_matches(['/', '!'])))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let in_comments = blocks(&comments, &format!("{fence}json"), &fence);
+        assert_eq!(in_comments.len(), 4, "config.rs documents four JSON shapes");
+        for doc in in_comments {
+            parse_doc(&doc, "config.rs");
+        }
+
+        let mut heredocs = 0;
+        for (name, text) in [
+            ("README.md", include_str!("../../../README.md")),
+            ("RUNBOOK.md", include_str!("../../../RUNBOOK.md")),
+        ] {
+            for doc in blocks(text, &format!("{fence}json"), &fence) {
+                parse_doc(&doc, name);
+            }
+            for doc in blocks(text, "<<", "EOF") {
+                // The shell loops fill these in per node.
+                let doc = doc.replace("$i", "1").replace("$role", "provider").replace("$dir", "null");
+                parse_doc(&doc, name);
+                heredocs += 1;
+            }
+        }
+        assert_eq!(heredocs, 4, "README and RUNBOOK each boot a daemon and a client");
     }
 }

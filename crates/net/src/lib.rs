@@ -25,6 +25,9 @@
 //!   segment persistence through `sorrento-kvdb`'s file backend.
 //! * [`ctl`] — the `sorrentoctl` client library: run filesystem ops
 //!   against a live cluster, fetch daemon stats.
+//! * [`testkit`] — [`testkit::LoopbackCluster`]: boot, kill, restart,
+//!   scrape and wait on a loopback cluster of in-process daemons; what
+//!   every live test, drill and bench stands on.
 
 pub mod chaos;
 pub mod config;
@@ -35,3 +38,4 @@ pub mod frame;
 pub mod pool;
 pub mod runtime;
 pub mod tcp;
+pub mod testkit;

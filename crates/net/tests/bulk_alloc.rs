@@ -10,14 +10,18 @@
 //! re-adds a copy (DESIGN.md §9.5 has the ledger).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sorrento::api::FsScript;
-use sorrento_net::config::{CtlConfig, DaemonConfig};
+use sorrento::proto::Msg;
+use sorrento::store::WritePayload;
 use sorrento_net::ctl;
-use sorrento_net::daemon;
+use sorrento_net::frame;
+use sorrento_net::pool::BufPool;
+use sorrento_net::testkit::{payload, LoopbackCluster};
+use sorrento_sim::NodeId;
 
 const FILE_LEN: usize = 32 << 20;
 const MIB: f64 = (1 << 20) as f64;
@@ -36,11 +40,16 @@ static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// Largest single allocation inside the window other than the result.
 static LARGEST: AtomicU64 = AtomicU64::new(0);
+/// Every allocation since process start, window or not.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The counters are process-wide: one test at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
 impl Counting {
     fn on_alloc(size: usize) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let before = LIVE.fetch_add(size as i64, Ordering::Relaxed);
         if IN_WINDOW.load(Ordering::Relaxed) {
             LARGEST.fetch_max(size as u64, Ordering::Relaxed);
@@ -88,52 +97,41 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-fn peers_json(addrs: &[String], except: Option<usize>) -> String {
-    let rows: Vec<String> = addrs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != except)
-        .map(|(i, a)| format!(r#"{{"id":{i},"addr":"{a}","machine":{i}}}"#))
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn patterned(len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i as u64 * 2_654_435_761) >> 13) as u8).collect()
+#[test]
+fn a_pooled_bulk_encode_allocates_once_per_frame() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap();
+    let pool = BufPool::new();
+    let sender = NodeId::from_index(7);
+    let msg = Msg::WriteShadow {
+        req: 42,
+        shadow: 9,
+        offset: 0,
+        payload: WritePayload::Real(payload(64 * 1024).into()),
+        truncate: false,
+    };
+    let encode_once = || {
+        let mut buf = pool.check_out();
+        frame::encode_msg_into(&mut buf, sender, &msg);
+        drop(Arc::new(buf)); // the mesh's shared queue item
+    };
+    // Warm the pool: steady state starts once a buffer has grown to size.
+    (0..256).for_each(|_| encode_once());
+    let frames = 2_000;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    (0..frames).for_each(|_| encode_once());
+    let per_frame = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / frames as f64;
+    assert!(per_frame <= 1.0, "{per_frame} allocations per pooled 64 KiB WriteShadow encode");
 }
 
 #[test]
 fn a_32_mib_read_allocates_the_result_and_its_landing_buffers() {
-    // Node 0 is the namespace, 1..=3 the providers.
-    let listeners: Vec<TcpListener> =
-        (0..4).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
-    let addrs: Vec<String> =
-        listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
-    let daemons: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let role = if i == 0 { "namespace" } else { "provider" };
-            let cfg = DaemonConfig::parse(&format!(
-                r#"{{"node_id":{i},"role":"{role}","listen":"{}","seed":{},"capacity":{},
-                    "costs":"fast_test","peers":{}}}"#,
-                addrs[i],
-                100 + i,
-                1u64 << 30,
-                peers_json(&addrs, Some(i)),
-            ))
-            .expect("daemon config");
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig::parse(&format!(
-        r#"{{"namespace":0,"costs":"fast_test","write_chunk":262144,"write_window":4,"peers":{}}}"#,
-        peers_json(&addrs, None),
-    ))
-    .expect("ctl config");
+    let _alone = ONE_AT_A_TIME.lock().unwrap();
+    let cluster = LoopbackCluster::builder(3).boot().expect("boot 1 + 3");
+    let mut ctl_cfg = cluster.ctl();
+    ctl_cfg.write_chunk = Some(256 * 1024);
     let deadline = Duration::from_secs(60);
 
-    let data = bytes::Bytes::from(patterned(FILE_LEN));
+    let data = bytes::Bytes::from(payload(FILE_LEN));
     let mut fs = FsScript::new();
     let h = fs.create("/big").unwrap();
     fs.write(h, 0, data.clone()).unwrap();
@@ -169,7 +167,5 @@ fn a_32_mib_read_allocates_the_result_and_its_landing_buffers() {
     // Nothing segment-sized: every frame is a chunk.
     assert!(largest <= 1.0, "a {largest:.2} MiB allocation beside the result");
 
-    for d in daemons {
-        d.stop().expect("clean daemon shutdown");
-    }
+    cluster.shutdown().expect("clean daemon shutdown");
 }

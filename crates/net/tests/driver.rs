@@ -10,10 +10,9 @@ use std::time::{Duration, Instant};
 
 use sorrento::proto::{Msg, Tick};
 use sorrento::Transport;
-use sorrento_net::config::DaemonConfig;
-use sorrento_net::daemon;
 use sorrento_net::runtime::{Driver, Node, RealCtx, BATCH, IDLE_BACKSTOP};
 use sorrento_net::tcp::{Mesh, MeshConfig};
+use sorrento_net::testkit::LoopbackCluster;
 use sorrento_sim::{Dur, NodeId};
 
 const A: usize = 700;
@@ -133,21 +132,11 @@ fn a_flood_delays_a_due_timer_by_at_most_one_batch() {
 
 #[test]
 fn an_idle_daemon_stops_within_the_backstop() {
-    let boot = || {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let cfg = DaemonConfig::parse(&format!(
-            r#"{{"node_id": 1, "role": "provider", "listen": "{}", "costs": "fast_test"}}"#,
-            listener.local_addr().unwrap()
-        ))
-        .unwrap();
-        let handle = daemon::spawn_with_listener(cfg, listener).unwrap();
-        std::thread::sleep(Duration::from_millis(30)); // booted and asleep
-        handle
-    };
     for kill in [false, true] {
-        let handle = boot();
+        let mut cluster = LoopbackCluster::builder(1).boot().unwrap();
+        std::thread::sleep(Duration::from_millis(30)); // booted and asleep
         let t0 = Instant::now();
-        if kill { handle.kill() } else { handle.stop() }.unwrap();
+        if kill { cluster.kill(1) } else { cluster.stop(1) }.unwrap();
         let took = t0.elapsed();
         assert!(took < 2 * IDLE_BACKSTOP, "kill={kill}: {took:?}");
     }

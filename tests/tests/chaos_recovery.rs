@@ -10,182 +10,36 @@
 //! reproduces the same drop/duplicate/delay pattern on every rerun —
 //! that is what makes a network-failure bug from this test debuggable.
 
-use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sorrento::api::FsScript;
-use sorrento::costs::CostModel;
 use sorrento::types::FileOptions;
-use sorrento_kvdb::{Db, DbConfig, FileBackend};
 use sorrento_net::chaos::ChaosConfig;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
-use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
-use sorrento_net::frame::decode_image_bytes;
-use sorrento_sim::NodeId;
+use sorrento_net::testkit::{payload, read_until, run_until, LoopbackCluster};
 
 const DEADLINE: Duration = Duration::from_secs(60);
 /// The three fixed drill seeds (`make chaos-smoke` runs exactly these).
 const SEEDS: [u64; 3] = [11, 42, 1337];
 
-fn payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
-}
-
-/// The boot config for node `i` of an `n`-node cluster (node 0 is the
-/// namespace server; every provider gets a persistent `data_dir`).
-fn daemon_cfg(
-    i: usize,
-    all_peers: &[PeerSpec],
-    data_dir: Option<std::path::PathBuf>,
-) -> DaemonConfig {
-    DaemonConfig {
-        node_id: NodeId::from_index(i),
-        role: if i == 0 { Role::Namespace } else { Role::Provider },
-        listen: all_peers[i].addr.clone(),
-        data_dir,
-        seed: 100 + i as u64,
-        capacity: 1 << 30,
-        machine: i as u32,
-        rack: i as u32,
-        costs: CostModel::fast_test(),
-        chaos: Default::default(),
-        metrics_interval_ms: None,
-        shard: 0,
-        ns_shards: 1,
-        ns_map: Vec::new(),
-        ns_checkpoint_batches: None,
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-        peers: all_peers
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, p)| p.clone())
-            .collect(),
-    }
-}
-
-/// Rebind a just-released listen address (the restarted provider must
-/// come back on the address its peers already know).
-fn bind_retry(addr: &str) -> TcpListener {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match TcpListener::bind(addr) {
-            Ok(l) => return l,
-            Err(e) => {
-                assert!(Instant::now() < deadline, "cannot rebind {addr}: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Read until the bytes come back equal to `want`, retrying failed
-/// attempts while the cluster converges. Individual attempts may fail
-/// with *typed* errors (`Unavailable`, `DeadlineExceeded`,
-/// `NoSuchSegment` while locations are stale) — but a client that
-/// *hangs* (its workload unfinished past the per-run deadline) fails
-/// the drill immediately.
-fn read_until(cfg: &CtlConfig, path: &str, want: &[u8], min_providers: usize, what: &str) {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let mut fs = FsScript::new();
-        let h = fs.open(path, false).unwrap();
-        fs.read(h, 0, want.len() as u64).unwrap();
-        fs.close(h).unwrap();
-        let err = match ctl::run_script(cfg, fs.into_ops(), min_providers, Duration::from_secs(25))
-        {
-            Ok(out) if out.stats.failed_ops == 0 => {
-                assert_eq!(out.stats.last_read.as_deref(), Some(want), "{what}: bytes differ");
-                return;
-            }
-            // The op completed but with a typed error: retry.
-            Ok(out) => format!("{:?}", out.stats.last_error),
-            // Every op carries a deadline, so an unfinished workload
-            // means the client wedged — the exact bug this PR removes.
-            Err(ctl::CtlError::Deadline(stats)) => {
-                panic!("{what}: client hung ({} ops done): {stats:?}", stats.completed_ops)
-            }
-            Err(e) => e.to_string(),
-        };
-        assert!(
-            Instant::now() < deadline,
-            "{what}: no convergence before the deadline (last error: {err})"
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
-}
-
-/// Total replica count across all providers, from each daemon's
-/// `<node>.segments` gauge (set every heartbeat tick).
-fn replicas_held(cfg: &CtlConfig, providers: &[usize]) -> f64 {
-    providers
-        .iter()
-        .map(|&i| {
-            let json = ctl::fetch_stats(cfg, NodeId::from_index(i), Duration::from_secs(10))
-                .unwrap_or_else(|e| panic!("stats from n{i}: {e}"));
-            sorrento_json::Json::parse(&json)
-                .ok()
-                .and_then(|j| j.get("gauges")?.get(&format!("n{i}.segments"))?.as_f64())
-                .unwrap_or(0.0)
-        })
-        .sum()
-}
-
 fn run_drill(seed: u64) {
     let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos-{seed}"));
     let _ = std::fs::remove_dir_all(&base);
-    let dirs: Vec<std::path::PathBuf> = (1..4).map(|i| base.join(format!("p{i}"))).collect();
-    for d in &dirs {
-        std::fs::create_dir_all(d).unwrap();
-    }
 
-    // Bind everything first so every config carries real addresses.
-    let listeners: Vec<TcpListener> =
-        (0..4).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let mut handles: Vec<DaemonHandle> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let dir = if i == 0 { None } else { Some(dirs[i - 1].clone()) };
-            daemon::spawn_with_listener(daemon_cfg(i, &all_peers, dir), listener)
-                .expect("spawn daemon")
-        })
-        .collect();
+    // Node 0 is the namespace server; providers 1..=3 each persist to a
+    // `data_dir` under `base`.
+    let mut cluster =
+        LoopbackCluster::builder(3).data_root(&base).boot().expect("boot loopback cluster");
 
     // The resilient client: same-request resends with backoff, a whole-
     // op deadline so nothing can hang, reply dedup doing the rest.
-    let cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 2,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 2,
-        op_deadline_ms: Some(20_000),
-        ns_map: Vec::new(),
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers.clone(),
-    };
+    let mut cfg = cluster.ctl();
+    cfg.replication = 2;
+    cfg.rpc_resends = 2;
+    cfg.op_deadline_ms = Some(20_000);
 
     // Install fault injection on every daemon: 10% drop, 5% duplicate,
     // 3% delayed by 2 ms — on every frame each daemon sends.
-    for i in 0..4 {
+    for i in cluster.nodes() {
         let chaos = ChaosConfig {
             seed: seed ^ i as u64,
             drop_permille: 100,
@@ -194,8 +48,7 @@ fn run_drill(seed: u64) {
             delay: Duration::from_millis(2),
             partition: Vec::new(),
         };
-        ctl::set_chaos(&cfg, NodeId::from_index(i), &chaos, DEADLINE)
-            .expect("install chaos rules");
+        cluster.chaos(i, &chaos).expect("install chaos rules");
     }
 
     // Write through the lossy mesh. 96 KiB detaches into a real data
@@ -205,112 +58,79 @@ fn run_drill(seed: u64) {
     // and fail with a *typed* error, and the next attempt (a fresh
     // session with a fresh request-id range) runs it again.
     let data = payload(96 * 1024);
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let mut fs = FsScript::new();
-        let h = fs
-            .create_with(
-                "/drill",
-                FileOptions { replication: 2, eager_commit: true, ..FileOptions::default() },
-            )
-            .unwrap();
+    let eager = FileOptions { replication: 2, eager_commit: true, ..FileOptions::default() };
+    let create = |fs: &mut FsScript| {
+        let h = fs.create_with("/drill", eager).unwrap();
         fs.close(h).unwrap();
-        let out = ctl::run_script(&cfg, fs.into_ops(), 3, Duration::from_secs(25))
-            .expect("create under chaos: client did not finish");
-        // AlreadyExists means a previous attempt created it before dying.
-        let ok = out.stats.failed_ops == 0
-            || matches!(out.stats.last_error, Some(sorrento::types::Error::AlreadyExists));
-        if ok {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: create never converged: {:?}",
-            out.stats.last_error
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    loop {
-        let mut fs = FsScript::new();
+    };
+    // AlreadyExists means a previous attempt created it before dying.
+    run_until(&cfg, 3, DEADLINE, &format!("seed {seed}: create under chaos"), create, |out| {
+        out.stats.failed_ops == 0
+            || matches!(out.stats.last_error, Some(sorrento::types::Error::AlreadyExists))
+    })
+    .unwrap();
+    let write = |fs: &mut FsScript| {
         let h = fs.open("/drill", true).unwrap();
         fs.write(h, 0, data.clone()).unwrap();
         fs.close(h).unwrap();
-        let out = ctl::run_script(&cfg, fs.into_ops(), 3, Duration::from_secs(25))
-            .expect("write under chaos: client did not finish");
-        if out.stats.failed_ops == 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: write never converged: {:?}",
-            out.stats.last_error
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
+    };
+    run_until(&cfg, 3, DEADLINE, &format!("seed {seed}: write under chaos"), write, |out| {
+        out.stats.failed_ops == 0
+    })
+    .unwrap();
 
-    read_until(&cfg, "/drill", &data, 3, "read under chaos");
+    read_until(&cfg, "/drill", &data, 3, DEADLINE, "read under chaos").unwrap();
 
     // Eager commit is best-effort under loss: a dropped sync can leave a
     // segment at replication 1 until the repair scan re-replicates it.
     // Wait for the full degree — two segments (index + data) at
     // replication 2 — so that killing *any* provider leaves a live
     // replica of everything.
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let held = replicas_held(&cfg, &[1, 2, 3]);
-        if held >= 4.0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: repair never restored replication ({held} replicas held)"
-        );
-        std::thread::sleep(Duration::from_millis(250));
-    }
+    let mut held = 0.0;
+    cluster
+        .wait("repair restoring replication", DEADLINE, |s| {
+            held = s.replicas_held();
+            held >= 4.0
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e} ({held} replicas held)"));
 
     // Crash a provider: abrupt exit, no final persistence sweep — its
     // disk holds whatever the continuous 200 ms sweeps captured.
-    let victim = handles.pop().unwrap();
-    let victim_addr = victim.addr.to_string();
-    victim.kill().expect("abrupt kill");
+    cluster.kill(3).expect("abrupt kill");
 
     // The cluster still serves the file from the surviving replica set,
     // with the frame loss still on (retrying while the survivors notice
     // the death and expire stale locations).
-    read_until(&cfg, "/drill", &data, 2, "read after kill");
+    read_until(&cfg, "/drill", &data, 2, DEADLINE, "read after kill").unwrap();
 
     // Restart the victim on the same address and data_dir: boot
     // reinstalls its persisted segments, heartbeats re-admit it.
-    let listener = bind_retry(&victim_addr);
-    let restarted = daemon::spawn_with_listener(
-        daemon_cfg(3, &all_peers, Some(dirs[2].clone())),
-        listener,
-    )
-    .expect("restart victim");
-    handles.push(restarted);
+    cluster.restart(3).expect("restart victim");
 
     // Convergence: all three providers discoverable again, bytes intact.
-    read_until(&cfg, "/drill", &data, 3, "read after restart");
+    read_until(&cfg, "/drill", &data, 3, DEADLINE, "read after restart").unwrap();
 
-    // Let repair finish restoring the replication degree, then stop
-    // cleanly (each stop persists that provider's current segments).
-    std::thread::sleep(Duration::from_secs(2));
-    for h in handles {
-        h.stop().expect("clean shutdown");
+    // Let repair finish restoring the replication degree — two providers
+    // whose `stored_bytes` gauge has room for the data segment — or give
+    // it the two seconds it always had, then stop cleanly (each stop
+    // persists that provider's current segments). The disks decide.
+    let holds_data = |s: &sorrento_net::testkit::Snapshot, i: usize| {
+        s.gauge(i, &format!("n{i}.stored_bytes")).is_some_and(|b| b >= data.len() as f64)
+    };
+    let _ = cluster.wait("two providers holding the data segment", Duration::from_secs(2), |s| {
+        cluster.providers().filter(|&i| holds_data(s, i)).count() >= 2
+    });
+    for i in cluster.nodes() {
+        cluster.stop(i).expect("clean shutdown");
     }
 
     // All replicas restored: the data segment must exist, bytes intact,
     // on at least `replication` provider disks.
-    let copies = dirs
-        .iter()
-        .filter(|dir| {
-            let db = Db::open(FileBackend::open((*dir).clone()).unwrap(), DbConfig::default())
-                .unwrap();
-            let held = db
-                .scan_prefix(b"seg/")
-                .filter_map(|(_, v)| decode_image_bytes(v).ok())
-                .any(|img| img.data.as_deref() == Some(&data[..]));
-            held
+    let copies = cluster
+        .providers()
+        .filter(|&i| {
+            let images = cluster.disk_images(i).expect("provider disk");
+            images.iter().any(|img| img.data.as_deref() == Some(&data[..]))
         })
         .count();
     assert!(copies >= 2, "seed {seed}: only {copies} on-disk replicas carry the data");

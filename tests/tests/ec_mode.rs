@@ -4,7 +4,6 @@
 //! loopback TCP chaos drill (`make ec-smoke`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use sorrento::api::FsScript;
@@ -12,13 +11,9 @@ use sorrento::client::ClientOp;
 use sorrento::cluster::{Cluster, ClusterBuilder, ScriptedWorkload};
 use sorrento::costs::CostModel;
 use sorrento::types::{FileOptions, SegId};
-use sorrento_kvdb::{Db, DbConfig, FileBackend};
+use sorrento_json::Json;
 use sorrento_net::chaos::ChaosConfig;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
-use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
+use sorrento_net::testkit::{payload, read_until, run_until, LoopbackCluster, Snapshot};
 use sorrento_sim::{Dur, NodeId};
 
 fn cluster(providers: usize, seed: u64) -> Cluster {
@@ -290,161 +285,40 @@ fn drill_costs() -> CostModel {
     }
 }
 
-fn drill_payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 37 % 249) as u8).collect()
-}
-
-fn drill_daemon_cfg(
-    i: usize,
-    all_peers: &[PeerSpec],
-    data_dir: Option<std::path::PathBuf>,
-) -> DaemonConfig {
-    DaemonConfig {
-        node_id: NodeId::from_index(i),
-        role: if i == 0 { Role::Namespace } else { Role::Provider },
-        listen: all_peers[i].addr.clone(),
-        data_dir,
-        seed: 300 + i as u64,
-        capacity: 1 << 30,
-        machine: i as u32,
-        rack: i as u32,
-        costs: drill_costs(),
-        chaos: Default::default(),
-        metrics_interval_ms: None,
-        shard: 0,
-        ns_shards: 1,
-        ns_map: Vec::new(),
-        ns_checkpoint_batches: None,
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-        peers: all_peers
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, p)| p.clone())
-            .collect(),
-    }
-}
-
-fn drill_bind_retry(addr: &str) -> TcpListener {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match TcpListener::bind(addr) {
-            Ok(l) => return l,
-            Err(e) => {
-                assert!(Instant::now() < deadline, "cannot rebind {addr}: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Read until the bytes converge to `want`. Typed per-attempt errors
-/// are retried; a *hung* client (workload unfinished past its own
-/// deadline) fails the drill immediately.
-fn drill_read_until(cfg: &CtlConfig, path: &str, want: &[u8], min_providers: usize, what: &str) {
-    let deadline = Instant::now() + DRILL_DEADLINE;
-    loop {
-        let mut fs = FsScript::new();
-        let h = fs.open(path, false).unwrap();
-        fs.read(h, 0, want.len() as u64).unwrap();
-        fs.close(h).unwrap();
-        let err = match ctl::run_script(cfg, fs.into_ops(), min_providers, Duration::from_secs(25))
-        {
-            Ok(out) if out.stats.failed_ops == 0 => {
-                assert_eq!(out.stats.last_read.as_deref(), Some(want), "{what}: bytes differ");
-                return;
-            }
-            Ok(out) => format!("{:?}", out.stats.last_error),
-            Err(ctl::CtlError::Deadline(stats)) => {
-                panic!("{what}: client hung ({} ops done): {stats:?}", stats.completed_ops)
-            }
-            Err(e) => e.to_string(),
-        };
-        assert!(
-            Instant::now() < deadline,
-            "{what}: no convergence before the deadline (last error: {err})"
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
-}
-
-/// Total segment-replica count across `providers`, from each daemon's
-/// `<node>.segments` gauge.
-fn drill_replicas_held(cfg: &CtlConfig, providers: &[usize]) -> f64 {
-    providers
-        .iter()
-        .map(|&i| {
-            let json = ctl::fetch_stats(cfg, NodeId::from_index(i), Duration::from_secs(10))
-                .unwrap_or_else(|e| panic!("stats from n{i}: {e}"));
-            sorrento_json::Json::parse(&json)
-                .ok()
-                .and_then(|j| j.get("gauges")?.get(&format!("n{i}.segments"))?.as_f64())
-                .unwrap_or(0.0)
-        })
-        .sum()
-}
-
-/// The set of `seg/…` keys persisted in one provider's data dir.
-fn drill_disk_segs(dir: &std::path::Path) -> BTreeSet<Vec<u8>> {
-    let db = Db::open(FileBackend::open(dir.to_path_buf()).unwrap(), DbConfig::default()).unwrap();
-    db.scan_prefix(b"seg/").map(|(k, _)| k.to_vec()).collect()
+/// Whether every running provider has been up for at least `age`: what
+/// a provider's timers do a fixed time after boot (the first full
+/// location refresh, staggered over one `refresh_interval`; a repair
+/// scan every `repair_scan_interval`) has then happened on all of them.
+fn up_for(cluster: &LoopbackCluster, s: &Snapshot, age: Dur) -> bool {
+    let old_enough = |doc: &Json| {
+        doc.get("uptime_ms").and_then(Json::as_u64).is_some_and(|ms| ms * 1_000_000 >= age.as_nanos())
+    };
+    cluster.providers().filter_map(|i| s.node(i)).all(old_enough)
 }
 
 fn run_ec_drill(seed: u64) {
     let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("ec-drill-{seed}"));
     let _ = std::fs::remove_dir_all(&base);
-    let dirs: Vec<std::path::PathBuf> =
-        (1..=PROVIDERS).map(|i| base.join(format!("p{i}"))).collect();
-    for d in &dirs {
-        std::fs::create_dir_all(d).unwrap();
-    }
 
-    // Bind everything first so every config carries real addresses.
-    let n = PROVIDERS + 1;
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
+    // Node 0 is the namespace server; every provider persists under
+    // `base`.
+    let mut cluster = LoopbackCluster::builder(PROVIDERS)
+        .data_root(&base)
+        .each_daemon(|i, cfg| {
+            cfg.seed = 300 + i as u64;
+            cfg.costs = drill_costs();
         })
-        .collect();
-    let mut handles: Vec<Option<DaemonHandle>> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let dir = if i == 0 { None } else { Some(dirs[i - 1].clone()) };
-            Some(
-                daemon::spawn_with_listener(drill_daemon_cfg(i, &all_peers, dir), listener)
-                    .expect("spawn daemon"),
-            )
-        })
-        .collect();
-
-    let cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 9,
-        replication: 2,
-        costs: drill_costs(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 2,
-        op_deadline_ms: Some(20_000),
-        ns_map: Vec::new(),
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers.clone(),
-    };
+        .boot()
+        .expect("boot loopback cluster");
+    let mut cfg = cluster.ctl();
+    cfg.replication = 2;
+    cfg.rpc_resends = 2;
+    cfg.op_deadline_ms = Some(20_000);
 
     // Mild deterministic chaos on every daemon: the EC commit is a wide
     // 2PC (k + m shards plus the index), so the drop rate is kept low
     // enough that convergence loops, not luck, absorb the loss.
-    for i in 0..n {
+    for i in cluster.nodes() {
         let chaos = ChaosConfig {
             seed: seed ^ i as u64,
             drop_permille: 30,
@@ -453,77 +327,55 @@ fn run_ec_drill(seed: u64) {
             delay: Duration::from_millis(2),
             partition: Vec::new(),
         };
-        ctl::set_chaos(&cfg, NodeId::from_index(i), &chaos, DRILL_DEADLINE)
-            .expect("install chaos rules");
+        cluster.chaos(i, &chaos).expect("install chaos rules");
     }
 
     // Create the EC(4,2) file (index replicated ×2), then write 256 KiB
     // — 64 KiB per data shard once striped over k = 4.
-    let data = drill_payload(256 * 1024);
-    let deadline = Instant::now() + DRILL_DEADLINE;
-    loop {
-        let mut fs = FsScript::new();
-        let h = fs
-            .create_with(
-                "/ec-drill",
-                FileOptions { replication: 2, ..FileOptions::erasure_coded(4, 2, 64 << 20) },
-            )
-            .unwrap();
+    let data = payload(256 * 1024);
+    let options = FileOptions { replication: 2, ..FileOptions::erasure_coded(4, 2, 64 << 20) };
+    let create = |fs: &mut FsScript| {
+        let h = fs.create_with("/ec-drill", options).unwrap();
         fs.close(h).unwrap();
-        let out = ctl::run_script(&cfg, fs.into_ops(), PROVIDERS, Duration::from_secs(25))
-            .expect("create under chaos: client did not finish");
-        let ok = out.stats.failed_ops == 0
-            || matches!(out.stats.last_error, Some(sorrento::types::Error::AlreadyExists));
-        if ok {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: EC create never converged: {:?}",
-            out.stats.last_error
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    loop {
-        let mut fs = FsScript::new();
+    };
+    let what = format!("seed {seed}: EC create under chaos");
+    run_until(&cfg, PROVIDERS, DRILL_DEADLINE, &what, create, |out| {
+        out.stats.failed_ops == 0
+            || matches!(out.stats.last_error, Some(sorrento::types::Error::AlreadyExists))
+    })
+    .unwrap();
+    let write = |fs: &mut FsScript| {
         let h = fs.open("/ec-drill", true).unwrap();
         fs.write(h, 0, data.clone()).unwrap();
         fs.close(h).unwrap();
-        let out = ctl::run_script(&cfg, fs.into_ops(), PROVIDERS, Duration::from_secs(25))
-            .expect("EC write under chaos: client did not finish");
-        if out.stats.failed_ops == 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: EC write never converged: {:?}",
-            out.stats.last_error
-        );
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    drill_read_until(&cfg, "/ec-drill", &data, PROVIDERS, "EC read under chaos");
+    };
+    let what = format!("seed {seed}: EC write under chaos");
+    run_until(&cfg, PROVIDERS, DRILL_DEADLINE, &what, write, |out| out.stats.failed_ops == 0)
+        .unwrap();
+    read_until(&cfg, "/ec-drill", &data, PROVIDERS, DRILL_DEADLINE, "EC read under chaos").unwrap();
 
     // Stop every provider cleanly (each stop persists its segments) and
-    // classify the disks: keys held by ≥ 2 dirs are the replicated index
-    // segment; single-copy keys are EC shards. A chaos-dropped index
-    // write is topped up asynchronously by the repair scan, so the
+    // classify the disks: segments held by ≥ 2 disks are the replicated
+    // index segment; single-copy segments are EC shards. A chaos-dropped
+    // index write is topped up asynchronously by the repair scan, so the
     // settled layout — six single-copy shards plus one replicated index
     // — may lag the successful read: cycle the fleet until the disks
     // show it. Victims must hold a shard and no index replica — shard
     // loss with the index intact is exactly the failure EC(4,2) is
     // specified to survive.
+    let disk_segs = |cluster: &LoopbackCluster, i: usize| -> BTreeSet<SegId> {
+        cluster.disk_images(i).expect("provider disk").iter().map(|img| img.seg).collect()
+    };
     let deadline = Instant::now() + DRILL_DEADLINE;
     let (per_dir, copies) = loop {
-        for h in handles.iter_mut().take(n).skip(1) {
-            h.take().unwrap().stop().expect("clean stop");
+        for i in cluster.providers() {
+            cluster.stop(i).expect("clean stop");
         }
-        let per_dir: Vec<BTreeSet<Vec<u8>>> =
-            dirs.iter().map(|d| drill_disk_segs(d)).collect();
-        let mut copies: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
-        for set in &per_dir {
-            for k in set {
-                *copies.entry(k.clone()).or_insert(0) += 1;
-            }
+        let per_dir: BTreeMap<usize, BTreeSet<SegId>> =
+            cluster.providers().map(|i| (i, disk_segs(&cluster, i))).collect();
+        let mut copies: BTreeMap<SegId, usize> = BTreeMap::new();
+        for seg in per_dir.values().flatten() {
+            *copies.entry(*seg).or_insert(0) += 1;
         }
         let shards = copies.values().filter(|&&c| c == 1).count();
         let replicated = copies.values().filter(|&&c| c >= 2).count();
@@ -534,28 +386,22 @@ fn run_ec_drill(seed: u64) {
             Instant::now() < deadline,
             "seed {seed}: EC layout never settled on disk: {copies:?}"
         );
-        for i in 1..n {
-            let listener = drill_bind_retry(&all_peers[i].addr);
-            handles[i] = Some(
-                daemon::spawn_with_listener(
-                    drill_daemon_cfg(i, &all_peers, Some(dirs[i - 1].clone())),
-                    listener,
-                )
-                .expect("restart provider while layout settles"),
-            );
+        for i in cluster.providers() {
+            cluster.restart(i).expect("restart provider while layout settles");
         }
-        // Long enough for a staggered location refresh (≤ 1 s + 3 s)
-        // and a repair-scan round (1 s) to fire before the next audit.
-        std::thread::sleep(Duration::from_secs(6));
+        // Before the next audit: every provider's staggered location
+        // refresh, a repair-scan round against the refreshed tables, and
+        // the replica count that round should restore (six shards, two
+        // index copies) — or the six seconds this always got.
+        let settle = cfg.costs.refresh_interval + cfg.costs.repair_scan_interval;
+        let _ = cluster.wait("a refresh, a repair scan and 8 replicas", Duration::from_secs(6), |s| {
+            up_for(&cluster, s, settle) && s.replicas_held() >= 8.0
+        });
     };
-    let shard_keys: BTreeSet<&Vec<u8>> =
-        copies.iter().filter(|&(_, &c)| c == 1).map(|(k, _)| k).collect();
-    let victims: Vec<usize> = (0..PROVIDERS)
-        .filter(|&p| {
-            per_dir[p].iter().any(|k| shard_keys.contains(k))
-                && per_dir[p].iter().all(|k| copies[k] == 1)
-        })
-        .map(|p| p + 1) // dir index → node index
+    let victims: Vec<usize> = per_dir
+        .iter()
+        .filter(|(_, segs)| !segs.is_empty() && segs.iter().all(|seg| copies[seg] == 1))
+        .map(|(&node, _)| node)
         .take(2)
         .collect();
     assert_eq!(victims.len(), 2, "seed {seed}: no shard-only victims: {copies:?}");
@@ -563,48 +409,41 @@ fn run_ec_drill(seed: u64) {
     // Restart the full cluster on the same addresses, prove it serves,
     // then abruptly kill the two victims mid-run — no final persistence
     // sweep, no goodbye.
-    for i in 1..n {
-        let listener = drill_bind_retry(&all_peers[i].addr);
-        handles[i] = Some(
-            daemon::spawn_with_listener(
-                drill_daemon_cfg(i, &all_peers, Some(dirs[i - 1].clone())),
-                listener,
-            )
-            .expect("restart provider"),
-        );
+    for i in cluster.providers() {
+        cluster.restart(i).expect("restart provider");
     }
-    drill_read_until(&cfg, "/ec-drill", &data, PROVIDERS, "EC read after restart");
+    read_until(&cfg, "/ec-drill", &data, PROVIDERS, DRILL_DEADLINE, "EC read after restart").unwrap();
     // Let every provider's staggered location refresh fire once, so the
     // repair scan later classifies loss against warm tables instead of
     // mistaking a cold table for a dead shard.
-    std::thread::sleep(Duration::from_secs(7));
+    let _ = cluster.wait("every provider's first location refresh", Duration::from_secs(7), |s| {
+        up_for(&cluster, s, cfg.costs.refresh_interval)
+    });
     for &v in &victims {
-        handles[v].take().unwrap().kill().expect("abrupt kill");
+        cluster.kill(v).expect("abrupt kill");
     }
-    let survivors: Vec<usize> = (1..n).filter(|i| !victims.contains(i)).collect();
+    let survivors: Vec<usize> = cluster.providers().filter(|i| !victims.contains(i)).collect();
 
     // Degraded read: two shards are gone, so the bytes must come back
     // through Reed-Solomon reconstruction from the four survivors.
-    drill_read_until(&cfg, "/ec-drill", &data, survivors.len(), "EC degraded read");
+    let read = |what: &str| {
+        read_until(&cfg, "/ec-drill", &data, survivors.len(), DRILL_DEADLINE, what).unwrap()
+    };
+    read("EC degraded read");
 
     // Repair, first pass: the live fleet's replica count returns to at
     // least 8 (6 shards + 2 index copies). The gauge can over-count — a
     // scan racing cold location tables may install a harmless extra copy
     // before the true losses are declared dead — so this is a cheap
     // wait, not the verdict.
-    let deadline = Instant::now() + DRILL_DEADLINE;
-    loop {
-        let held = drill_replicas_held(&cfg, &survivors);
-        if held >= 8.0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: EC repair never restored the shard count ({held} replicas held)"
-        );
-        std::thread::sleep(Duration::from_millis(250));
-    }
-    drill_read_until(&cfg, "/ec-drill", &data, survivors.len(), "EC read after repair");
+    let mut held = 0.0;
+    cluster
+        .wait("EC repair restoring the shard count", DRILL_DEADLINE, |s| {
+            held = s.replicas_held();
+            held >= 8.0
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e} ({held} replicas held)"));
+    read("EC read after repair");
 
     // Repair, ground truth: every segment of the file — all six shards
     // and the index — must end up on a live (non-victim) provider's
@@ -613,17 +452,18 @@ fn run_ec_drill(seed: u64) {
     // cycle gives the repair scan a fresh round against a settled view.
     let deadline = Instant::now() + DRILL_DEADLINE;
     loop {
+        // Nothing a daemon exports says *which* shard an `ec.repair`
+        // rebuilt: an extra copy of a shard that was never lost counts
+        // like a repair, in the event counters and in the segments gauges
+        // alike. So there is no sound event to cut this pause short on,
+        // and a failed audit is expensive (the survivors come back cold).
         std::thread::sleep(Duration::from_secs(2));
         for &i in &survivors {
-            handles[i].take().unwrap().stop().expect("clean shutdown");
+            cluster.stop(i).expect("clean shutdown");
         }
-        let live: BTreeSet<Vec<u8>> =
-            survivors.iter().flat_map(|&i| drill_disk_segs(&dirs[i - 1])).collect();
-        let missing: Vec<String> = copies
-            .keys()
-            .filter(|k| !live.contains(*k))
-            .map(|k| String::from_utf8_lossy(k).into_owned())
-            .collect();
+        let live: BTreeSet<SegId> =
+            survivors.iter().flat_map(|&i| disk_segs(&cluster, i)).collect();
+        let missing: Vec<&SegId> = copies.keys().filter(|seg| !live.contains(seg)).collect();
         if missing.is_empty() {
             break;
         }
@@ -632,19 +472,10 @@ fn run_ec_drill(seed: u64) {
             "seed {seed}: EC repair never restored {missing:?} onto a live disk"
         );
         for &i in &survivors {
-            let listener = drill_bind_retry(&all_peers[i].addr);
-            handles[i] = Some(
-                daemon::spawn_with_listener(
-                    drill_daemon_cfg(i, &all_peers, Some(dirs[i - 1].clone())),
-                    listener,
-                )
-                .expect("restart survivor"),
-            );
+            cluster.restart(i).expect("restart survivor");
         }
     }
-    if let Some(h) = handles[0].take() {
-        h.stop().expect("namespace shutdown");
-    }
+    cluster.shutdown().expect("namespace shutdown");
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -4,101 +4,29 @@
 //! simulator tests — but over actual sockets, threads, and wall-clock
 //! timers.
 
-use std::net::TcpListener;
 use std::time::Duration;
 
 use sorrento::api::FsScript;
 use sorrento::costs::CostModel;
 use sorrento::types::{FileOptions, Organization};
-use sorrento_kvdb::{Db, DbConfig, FileBackend};
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
+use sorrento_net::config::CtlConfig;
 use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
-use sorrento_net::frame::decode_image_bytes;
+use sorrento_net::testkit::{payload, LoopbackCluster};
 use sorrento_sim::NodeId;
 
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// Boot one namespace daemon (node 0) and `providers` provider daemons
-/// (nodes 1..=providers) on ephemeral loopback ports. `data_dirs[i]`
-/// gives provider `i + 1` persistent segment storage.
-fn spawn_cluster(
-    providers: usize,
-    data_dirs: &[Option<std::path::PathBuf>],
-) -> (Vec<DaemonHandle>, CtlConfig) {
-    let n = providers + 1;
-    // Bind everything first so every config can carry real addresses.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role: if i == 0 { Role::Namespace } else { Role::Provider },
-                listen: all_peers[i].addr.clone(),
-                data_dir: if i == 0 { None } else { data_dirs.get(i - 1).cloned().flatten() },
-                seed: 100 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: None,
-                shard: 0,
-                ns_shards: 1,
-                ns_map: Vec::new(),
-                ns_checkpoint_batches: None,
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 1,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 0,
-        op_deadline_ms: None,
-        ns_map: Vec::new(),
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
-    (handles, ctl_cfg)
-}
-
-fn payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
+/// One namespace daemon (node 0) and `providers` provider daemons
+/// (nodes 1..=providers), with the client config that reaches them.
+fn boot(providers: usize) -> (LoopbackCluster, CtlConfig) {
+    let cluster = LoopbackCluster::builder(providers).boot().expect("boot loopback cluster");
+    let cfg = cluster.ctl();
+    (cluster, cfg)
 }
 
 #[test]
 fn loopback_cluster_survives_a_provider_failure() {
-    let (mut handles, cfg) = spawn_cluster(3, &[]);
+    let (mut cluster, cfg) = boot(3);
     let data = payload(32 * 1024);
 
     // Create and write with two replicas, committed eagerly so both
@@ -134,7 +62,7 @@ fn loopback_cluster_survives_a_provider_failure() {
     // Kill one provider. With two replicas on three providers, at least
     // one replica survives whichever daemon dies; the client recovers
     // through its RPC timeout and owner-retry path.
-    handles.pop().unwrap().stop().expect("clean provider shutdown");
+    cluster.stop(3).expect("clean provider shutdown");
 
     let mut fs = FsScript::new();
     let h = fs.open("/d/report", false).unwrap();
@@ -159,9 +87,7 @@ fn loopback_cluster_survives_a_provider_failure() {
     let out = ctl::run_script(&cfg, fs.into_ops(), 2, DEADLINE).expect("stat script");
     assert_eq!(out.stats.failed_ops, 1, "stat of a removed file should fail");
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 /// The guard against a loop that polls: between two ops of a script the
@@ -173,7 +99,7 @@ fn loopback_cluster_survives_a_provider_failure() {
 /// not run ahead of the schedule.
 #[test]
 fn small_file_sessions_leave_no_gap_between_ops() {
-    let (handles, cfg) = spawn_cluster(3, &[]);
+    let (cluster, cfg) = boot(3);
     let data = payload(12 * 1024);
     let mut fs = FsScript::new();
     for i in 0..200 {
@@ -189,9 +115,7 @@ fn small_file_sessions_leave_no_gap_between_ops() {
     assert!(gap_us < 2_000, "{gap_us} us between ops ({wall} ns wall, {busy} ns in ops)");
     // 600 slots, less the four a late session may make up back to back.
     assert!(wall >= 595 * 1_500_000, "600 ops in {wall} ns: ahead of the schedule");
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 /// Write `data` to `path` through a client configured from `cfg`, then
@@ -227,7 +151,7 @@ fn write_then_read(
 
 #[test]
 fn pipelined_chunked_writes_match_unchunked_writes() {
-    let (handles, plain) = spawn_cluster(3, &[]);
+    let (cluster, plain) = boot(3);
     // Large enough to detach into real extents and split into many
     // chunks: 768 KiB at a 32 KiB chunk is 24 chunks per extent write.
     let data = payload(768 * 1024);
@@ -263,14 +187,12 @@ fn pipelined_chunked_writes_match_unchunked_writes() {
     let sizes: Vec<u64> = out.records.iter().map(|r| r.bytes).collect();
     assert_eq!(sizes, vec![data.len() as u64; 3], "committed sizes diverge");
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 #[test]
 fn pipelined_write_survives_provider_death_mid_window() {
-    let (mut handles, plain) = spawn_cluster(4, &[]);
+    let (mut cluster, plain) = boot(4);
     let mut cfg = plain.clone();
     cfg.write_chunk = Some(8 * 1024);
     cfg.write_window = 2;
@@ -282,18 +204,18 @@ fn pipelined_write_survives_provider_death_mid_window() {
     // replication 2 on four providers the client rides out the death via
     // its RPC-timeout retry path, whether the chunks targeting the
     // victim were already acknowledged or die with it.
-    let victim = handles.pop().unwrap();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(1500));
-        victim.stop()
+    let got = std::thread::scope(|s| {
+        let killer = s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(1500));
+            cluster.stop(4)
+        });
+        let got = write_then_read(&cfg, &plain, "/pipe-churn", &data, 3);
+        killer.join().expect("killer thread").expect("clean provider shutdown");
+        got
     });
-    let got = write_then_read(&cfg, &plain, "/pipe-churn", &data, 3);
-    killer.join().expect("killer thread").expect("clean provider shutdown");
     assert_eq!(got, data, "chunked write corrupted by provider death");
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 /// A big striped file read back in one op: 128 MiB over 4 stripes is
@@ -305,7 +227,7 @@ fn pipelined_write_survives_provider_death_mid_window() {
 fn big_striped_read_drops_no_frame() {
     const LEN: usize = 128 << 20;
     const PIECE: usize = 8 << 20;
-    let (handles, mut cfg) = spawn_cluster(3, &[]);
+    let (cluster, mut cfg) = boot(3);
     cfg.write_chunk = Some(256 * 1024);
     let data = payload(LEN);
 
@@ -329,26 +251,23 @@ fn big_striped_read_drops_no_frame() {
     assert_eq!(out.stats.failed_ops, 0, "read failed: {:?}", out.stats.last_error);
     assert!(out.stats.last_read.as_deref() == Some(&data[..]), "readback mismatch");
 
-    for node in 0..handles.len() {
-        let json = ctl::fetch_stats(&cfg, NodeId::from_index(node), DEADLINE).expect("stats");
-        let stats = sorrento_json::Json::parse(&json).expect("stats JSON parses");
+    let snap = cluster.snapshot().expect("stats");
+    for node in cluster.nodes() {
         for gauge in ["net_send_failures", "net_dropped_inbox_full"] {
-            let dropped = stats.get("gauges").and_then(|g| g.get(gauge)).and_then(|v| v.as_f64());
-            assert_eq!(dropped, Some(0.0), "node {node}: {gauge}");
+            assert_eq!(snap.gauge(node, gauge), Some(0.0), "node {node}: {gauge}");
         }
     }
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 #[test]
 fn provider_persists_segments_for_restart() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sorrento-persist");
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
 
-    let (handles, cfg) = spawn_cluster(1, &[Some(dir.clone())]);
+    let mut cluster =
+        LoopbackCluster::builder(1).data_root(&dir).boot().expect("boot loopback cluster");
+    let cfg = cluster.ctl();
     // Past ATTACH_MAX so the bytes detach into a real data segment
     // instead of riding inline in the index segment's JSON.
     let data = payload(96 * 1024);
@@ -361,17 +280,10 @@ fn provider_persists_segments_for_restart() {
     assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
 
     // A clean stop persists every dirty segment and checkpoints the db.
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
-
-    // Reopen the provider's database offline: the images must decode,
-    // and one of them must carry the file's bytes.
-    let db = Db::open(FileBackend::open(dir).unwrap(), DbConfig::default()).unwrap();
-    let images: Vec<_> = db
-        .scan_prefix(b"seg/")
-        .map(|(_, v)| decode_image_bytes(v).expect("persisted image decodes"))
-        .collect();
+    // Read the provider's disk offline: the images must decode, and one
+    // of them must carry the file's bytes.
+    cluster.stop(1).expect("clean shutdown");
+    let images = cluster.disk_images(1).expect("persisted images decode");
     assert!(images.len() >= 2, "expected an index and a data segment, got {}", images.len());
     assert!(
         images.iter().any(|img| img.data.as_deref() == Some(&data[..])),

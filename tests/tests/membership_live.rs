@@ -7,85 +7,16 @@
 //! properties themselves are exercised at scale in the simulator suite
 //! (`tests/tests/membership.rs`).
 
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use sorrento::costs::CostModel;
-use sorrento::locator::LocationScheme;
 use sorrento::swim::MembershipMode;
 use sorrento_json::Json;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
+use sorrento_net::config::CtlConfig;
 use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
+use sorrento_net::testkit::LoopbackCluster;
 use sorrento_sim::NodeId;
 
 const DEADLINE: Duration = Duration::from_secs(60);
-
-/// Boot a namespace daemon (node 0) plus `providers` provider daemons,
-/// all in SWIM membership mode, on ephemeral loopback ports.
-fn spawn_swim_cluster(providers: usize) -> (Vec<DaemonHandle>, CtlConfig) {
-    let n = providers + 1;
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role: if i == 0 { Role::Namespace } else { Role::Provider },
-                listen: all_peers[i].addr.clone(),
-                data_dir: None,
-                seed: 900 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: None,
-                shard: 0,
-                ns_shards: 1,
-                ns_map: Vec::new(),
-                ns_checkpoint_batches: None,
-                membership: MembershipMode::Swim,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 1,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 2,
-        op_deadline_ms: Some(20_000),
-        ns_map: Vec::new(),
-        membership: MembershipMode::Swim,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
-    (handles, ctl_cfg)
-}
 
 /// Parse a `members` reply and return the reported state of `node`
 /// (`None` if the member is not in the view at all).
@@ -125,7 +56,12 @@ fn wait_for_state(
 
 #[test]
 fn live_suspect_confirm_drill() {
-    let (mut handles, ctl_cfg) = spawn_swim_cluster(3);
+    // One namespace daemon plus three providers, all in SWIM mode.
+    let mut cluster = LoopbackCluster::builder(3)
+        .each_daemon(|_, cfg| cfg.membership = MembershipMode::Swim)
+        .boot()
+        .expect("boot the swim cluster");
+    let ctl_cfg = cluster.ctl();
     let observer = NodeId::from_index(1);
     let victim = NodeId::from_index(3);
 
@@ -135,7 +71,7 @@ fn live_suspect_confirm_drill() {
     wait_for_state(&ctl_cfg, observer, victim, |s| s == Some("alive"), "initial convergence");
 
     // Kill the last provider without ceremony.
-    handles.pop().unwrap().kill().expect("kill provider");
+    cluster.kill(victim.index()).expect("kill provider");
 
     // The survivor must walk the victim to dead (a fast poll can catch
     // the intermediate `suspect`, but timing may skip past it — only
@@ -158,7 +94,5 @@ fn live_suspect_confirm_drill() {
         }
     }
 
-    for h in handles {
-        let _ = h.stop();
-    }
+    cluster.shutdown().expect("clean shutdown");
 }

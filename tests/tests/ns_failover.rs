@@ -4,102 +4,16 @@
 //! serves correct reads — the game-day script from RUNBOOK.md, as a
 //! test (and the backing check for `make ns-smoke`).
 
-use std::net::TcpListener;
 use std::time::Duration;
 
 use sorrento::api::FsScript;
-use sorrento::costs::CostModel;
-use sorrento::nsmap::{shard_of_dir, ShardInfo};
+use sorrento::nsmap::shard_of_dir;
 use sorrento_json::Json;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
 use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
-use sorrento_sim::NodeId;
+use sorrento_net::testkit::{payload, LoopbackCluster};
 
 const DEADLINE: Duration = Duration::from_secs(60);
 const NSHARDS: u32 = 2;
-
-/// Node layout: 0..NSHARDS are shard primaries, NSHARDS..2*NSHARDS are
-/// their standbys, the rest are providers.
-fn spawn_sharded_cluster(providers: usize) -> (Vec<DaemonHandle>, CtlConfig) {
-    let ns = NSHARDS as usize;
-    let n = 2 * ns + providers;
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let ns_map: Vec<ShardInfo> = (0..ns)
-        .map(|k| ShardInfo {
-            primary: NodeId::from_index(k),
-            standby: Some(NodeId::from_index(ns + k)),
-        })
-        .collect();
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let (role, shard) = if i < ns {
-                (Role::Namespace, i as u32)
-            } else if i < 2 * ns {
-                (Role::Standby, (i - ns) as u32)
-            } else {
-                (Role::Provider, 0)
-            };
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role,
-                listen: all_peers[i].addr.clone(),
-                data_dir: None,
-                seed: 500 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: None,
-                shard,
-                ns_shards: NSHARDS,
-                ns_map: ns_map.clone(),
-                ns_checkpoint_batches: Some(8),
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 1,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 0,
-        op_deadline_ms: None,
-        ns_map,
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
-    (handles, ctl_cfg)
-}
 
 /// A root-level directory whose children live on shard `k`.
 fn dir_on_shard(k: u32) -> String {
@@ -109,13 +23,16 @@ fn dir_on_shard(k: u32) -> String {
         .unwrap()
 }
 
-fn payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 37 % 251) as u8).collect()
-}
-
 #[test]
 fn sharded_namespace_fails_over_to_the_standby() {
-    let (mut handles, cfg) = spawn_sharded_cluster(2);
+    // Nodes 0..NSHARDS are the shard primaries, the next NSHARDS their
+    // standbys, the last two the providers.
+    let mut cluster = LoopbackCluster::builder(2)
+        .sharded_namespace(NSHARDS as usize)
+        .each_daemon(|_, cfg| cfg.ns_checkpoint_batches = Some(8))
+        .boot()
+        .expect("boot the sharded cluster");
+    let cfg = cluster.ctl();
     let d0 = dir_on_shard(0);
     let d1 = dir_on_shard(1);
     let data = payload(16 * 1024);
@@ -142,7 +59,7 @@ fn sharded_namespace_fails_over_to_the_standby() {
     // Give the WAL shipper a couple of intervals to drain, then kill
     // shard 0's primary the way a crash would (no clean shutdown).
     std::thread::sleep(Duration::from_millis(300));
-    handles.remove(0).kill().expect("kill primary");
+    cluster.kill(0).expect("kill primary");
 
     // The standby promotes after its grace period; ops against shard 0
     // time out at the dead primary, flip to the standby, and succeed.
@@ -160,21 +77,16 @@ fn sharded_namespace_fails_over_to_the_standby() {
 
     // The promoted standby's snapshot says so: it serves shard 0, its
     // failover counter ticked, and the replayed-tail gauge is present.
-    let sb = NodeId::from_index(NSHARDS as usize);
-    let json = ctl::fetch_stats(&cfg, sb, DEADLINE).expect("standby stats");
-    let snap = Json::parse(&json).expect("snapshot parses");
-    assert_eq!(snap.get("shard").and_then(Json::as_u64), Some(0));
-    let counter = |k: &str| {
-        snap.get("counters").and_then(|c| c.get(k)).and_then(Json::as_u64).unwrap_or(0)
-    };
-    assert_eq!(counter("ns.failovers"), 1, "snapshot: {json}");
-    let gauges = snap.get("gauges").expect("gauges section");
+    let sb = NSHARDS as usize;
+    let snap = cluster.snapshot().expect("standby stats");
+    let stats = snap.node(sb).expect("the standby runs");
+    assert_eq!(stats.get("shard").and_then(Json::as_u64), Some(0));
+    assert_eq!(snap.counter(sb, "ns.failovers"), 1, "snapshot: {}", stats.encode());
     assert!(
-        gauges.get("ns0.failover_replayed").is_some(),
-        "missing failover_replayed gauge: {json}"
+        snap.gauge(sb, "ns0.failover_replayed").is_some(),
+        "missing failover_replayed gauge: {}",
+        stats.encode()
     );
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }

@@ -7,17 +7,12 @@
 //! for the on-disk observability contract: rename a field and this
 //! fails before any dashboard goes dark.
 
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use sorrento::api::FsScript;
-use sorrento::costs::CostModel;
 use sorrento_json::Json;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
 use sorrento_net::ctl;
-use sorrento_net::daemon;
+use sorrento_net::testkit::LoopbackCluster;
 use sorrento_sim::NodeId;
 use sorrento_tests::{check_flight_dump, check_stats_snapshot, STATS_SCHEMA_V};
 
@@ -27,71 +22,16 @@ const DEADLINE: Duration = Duration::from_secs(60);
 fn obs_smoke() {
     let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-smoke");
     let _ = std::fs::remove_dir_all(&base);
-    let dirs: Vec<std::path::PathBuf> = (1..=2).map(|i| base.join(format!("p{i}"))).collect();
-    for d in &dirs {
-        std::fs::create_dir_all(d).unwrap();
-    }
 
     // Boot 1 namespace + 2 providers; providers persist to disk and
     // append a stats snapshot to metrics.jsonl every 100 ms.
-    let listeners: Vec<TcpListener> =
-        (0..3).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let mut handles: Vec<daemon::DaemonHandle> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role: if i == 0 { Role::Namespace } else { Role::Provider },
-                listen: all_peers[i].addr.clone(),
-                data_dir: if i == 0 { None } else { Some(dirs[i - 1].clone()) },
-                seed: 100 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: if i == 0 { None } else { Some(100) },
-                shard: 0,
-                ns_shards: 1,
-                ns_map: Vec::new(),
-                ns_checkpoint_batches: None,
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 2,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 0,
-        op_deadline_ms: None,
-        ns_map: Vec::new(),
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
+    let mut cluster = LoopbackCluster::builder(2)
+        .data_root(&base)
+        .each_daemon(|_, cfg| cfg.metrics_interval_ms = Some(100))
+        .boot()
+        .expect("boot loopback cluster");
+    let mut cfg = cluster.ctl();
+    cfg.replication = 2;
 
     // Put some real traffic through so the scrape sees a working
     // cluster, not three idle processes.
@@ -104,7 +44,7 @@ fn obs_smoke() {
 
     // Scrape every node once, exactly as `sorrentoctl top` does, and
     // hold each versioned snapshot to the schema.
-    for i in 0..3 {
+    for i in cluster.nodes() {
         let json = ctl::fetch_stats(&cfg, NodeId::from_index(i), DEADLINE)
             .unwrap_or_else(|e| panic!("top scrape of n{i}: {e}"));
         check_stats_snapshot(&json).unwrap_or_else(|e| panic!("n{i} snapshot: {e}"));
@@ -117,7 +57,8 @@ fn obs_smoke() {
     // be over in less (discovery is instant when the providers' boot
     // heartbeats reach the session): let it write once before the kill,
     // which — being a crash — writes nothing on the way out.
-    let metrics_path = dirs[1].join("metrics.jsonl");
+    let crash_dir = cluster.data_dir(2).expect("providers persist").to_path_buf();
+    let metrics_path = crash_dir.join("metrics.jsonl");
     let deadline = Instant::now() + Duration::from_secs(10);
     while std::fs::read_to_string(&metrics_path).unwrap_or_default().is_empty() {
         assert!(Instant::now() < deadline, "no metrics.jsonl snapshot appeared");
@@ -125,9 +66,9 @@ fn obs_smoke() {
     }
 
     // Kill provider 2: the abrupt path must still leave the black box.
-    handles.pop().unwrap().kill().expect("abrupt kill");
+    cluster.kill(2).expect("abrupt kill");
 
-    let dump = std::fs::read_dir(&dirs[1])
+    let dump = std::fs::read_dir(&crash_dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .find(|e| e.file_name().to_string_lossy().starts_with("flight_"))
@@ -143,7 +84,5 @@ fn obs_smoke() {
             .unwrap_or_else(|e| panic!("metrics.jsonl line {}: {e}", n + 1));
     }
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }

@@ -6,97 +6,19 @@
 //! order. A second test proves the flight recorder reaches disk on both
 //! clean and crash-style exits.
 
-use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sorrento::api::FsScript;
-use sorrento::costs::CostModel;
 use sorrento::types::FileOptions;
 use sorrento_json::Json;
 use sorrento_net::chaos::ChaosConfig;
-use sorrento::locator::LocationScheme;
-use sorrento::swim::MembershipMode;
-use sorrento_net::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
+use sorrento_net::config::CtlConfig;
 use sorrento_net::ctl;
-use sorrento_net::daemon::{self, DaemonHandle};
+use sorrento_net::testkit::{payload, run_until, LoopbackCluster};
 use sorrento_sim::NodeId;
 use sorrento_tests::check_flight_dump;
 
 const DEADLINE: Duration = Duration::from_secs(60);
-
-fn payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
-}
-
-/// Boot one namespace daemon (node 0) and `providers` provider daemons
-/// on ephemeral loopback ports. `data_dirs[i]` gives provider `i + 1`
-/// persistent storage (and with it a flight-dump destination).
-fn spawn_cluster(
-    providers: usize,
-    data_dirs: &[Option<std::path::PathBuf>],
-) -> (Vec<DaemonHandle>, CtlConfig) {
-    let n = providers + 1;
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let all_peers: Vec<PeerSpec> = listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PeerSpec {
-            id: NodeId::from_index(i),
-            addr: l.local_addr().unwrap().to_string(),
-            machine: i as u32,
-        })
-        .collect();
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let cfg = DaemonConfig {
-                node_id: NodeId::from_index(i),
-                role: if i == 0 { Role::Namespace } else { Role::Provider },
-                listen: all_peers[i].addr.clone(),
-                data_dir: if i == 0 { None } else { data_dirs.get(i - 1).cloned().flatten() },
-                seed: 100 + i as u64,
-                capacity: 1 << 30,
-                machine: i as u32,
-                rack: i as u32,
-                costs: CostModel::fast_test(),
-                chaos: Default::default(),
-                metrics_interval_ms: None,
-                shard: 0,
-                ns_shards: 1,
-                ns_map: Vec::new(),
-                ns_checkpoint_batches: None,
-                membership: MembershipMode::Heartbeat,
-                location: LocationScheme::Ring,
-                peers: all_peers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            };
-            daemon::spawn_with_listener(cfg, listener).expect("spawn daemon")
-        })
-        .collect();
-    let ctl_cfg = CtlConfig {
-        ctl_id: NodeId::from_index(1000),
-        namespace: NodeId::from_index(0),
-        seed: 7,
-        replication: 2,
-        costs: CostModel::fast_test(),
-        write_chunk: None,
-        write_window: 4,
-        rpc_resends: 2,
-        op_deadline_ms: Some(20_000),
-        ns_map: Vec::new(),
-        membership: MembershipMode::Heartbeat,
-        location: LocationScheme::Ring,
-        peers: all_peers,
-    };
-    (handles, ctl_cfg)
-}
 
 /// One merged-chain event: (wall-clock ns, node index, event text).
 type ChainEvent = (u64, usize, String);
@@ -125,49 +47,40 @@ fn trace_node(cfg: &CtlConfig, node: usize, span: u64) -> Vec<ChainEvent> {
 #[test]
 fn trace_renders_cross_node_causal_chain_under_chaos() {
     let providers = 3;
-    let (handles, cfg) = spawn_cluster(providers, &[]);
+    let cluster = LoopbackCluster::builder(providers).boot().expect("boot loopback cluster");
+    // The resilient client of the chaos drills: same-request resends and
+    // a whole-op deadline so nothing can hang.
+    let mut cfg = cluster.ctl();
+    cfg.replication = 2;
+    cfg.rpc_resends = 2;
+    cfg.op_deadline_ms = Some(20_000);
 
     // 5% frame loss on every frame every daemon sends; the client rides
     // it out with same-request resends and reply dedup.
-    for i in 0..=providers {
+    for i in cluster.nodes() {
         let chaos = ChaosConfig {
             seed: 0xC0FFEE ^ i as u64,
             drop_permille: 50,
             ..ChaosConfig::default()
         };
-        ctl::set_chaos(&cfg, NodeId::from_index(i), &chaos, DEADLINE)
-            .expect("install chaos rules");
+        cluster.chaos(i, &chaos).expect("install chaos rules");
     }
 
     // Write until an attempt converges cleanly — a fresh path per
     // attempt so a half-dead earlier try can't poison the next.
     let data = payload(96 * 1024);
-    let deadline = Instant::now() + DEADLINE;
+    let eager = FileOptions { replication: 2, eager_commit: true, ..FileOptions::default() };
     let mut attempt = 0u32;
-    let out = loop {
+    let write = |fs: &mut FsScript| {
         attempt += 1;
-        let path = format!("/obs-{attempt}"); // fresh path per attempt
-        let mut fs = FsScript::new();
-        let h = fs
-            .create_with(
-                &path,
-                FileOptions { replication: 2, eager_commit: true, ..FileOptions::default() },
-            )
-            .unwrap();
+        let h = fs.create_with(format!("/obs-{attempt}"), eager).unwrap();
         fs.write(h, 0, data.clone()).unwrap();
         fs.close(h).unwrap();
-        let out = ctl::run_script(&cfg, fs.into_ops(), providers, Duration::from_secs(25))
-            .expect("write under chaos: client did not finish");
-        if out.stats.failed_ops == 0 {
-            break out;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "write never converged: {:?}",
-            out.stats.last_error
-        );
-        std::thread::sleep(Duration::from_millis(200));
     };
+    let out = run_until(&cfg, providers, DEADLINE, "write under chaos", write, |out| {
+        out.stats.failed_ops == 0
+    })
+    .unwrap();
 
     // Every issued op carries a span the CLI prints; the close op's
     // span covers the whole commit (Figure 6 steps 6–12).
@@ -241,21 +154,17 @@ fn trace_renders_cross_node_causal_chain_under_chaos() {
         assert!(t_client_send <= w.0, "provider write precedes client send: {chain:?}");
     }
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
 
 #[test]
 fn flight_dump_survives_clean_and_crash_exits() {
     let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-flight");
     let _ = std::fs::remove_dir_all(&base);
-    let dirs: Vec<std::path::PathBuf> = (1..=2).map(|i| base.join(format!("p{i}"))).collect();
-    for d in &dirs {
-        std::fs::create_dir_all(d).unwrap();
-    }
-    let (mut handles, cfg) =
-        spawn_cluster(2, &[Some(dirs[0].clone()), Some(dirs[1].clone())]);
+    let mut cluster =
+        LoopbackCluster::builder(2).data_root(&base).boot().expect("boot loopback cluster");
+    let mut cfg = cluster.ctl();
+    cfg.replication = 2;
 
     let mut fs = FsScript::new();
     let h = fs.create("/box").unwrap();
@@ -266,33 +175,31 @@ fn flight_dump_survives_clean_and_crash_exits() {
 
     // Provider 2 dies abruptly (crash stand-in), provider 1 stops
     // cleanly. Both must leave a parseable black box.
-    handles.pop().unwrap().kill().expect("abrupt kill");
-    handles.pop().unwrap().stop().expect("clean shutdown");
-    for (i, dir) in dirs.iter().enumerate() {
+    cluster.kill(2).expect("abrupt kill");
+    cluster.stop(1).expect("clean shutdown");
+    for p in cluster.providers() {
+        let dir = cluster.data_dir(p).expect("providers persist");
         let dump = std::fs::read_dir(dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .find(|e| e.file_name().to_string_lossy().starts_with("flight_"))
             .unwrap_or_else(|| panic!("no flight_*.json in {}", dir.display()));
         let text = std::fs::read_to_string(dump.path()).unwrap();
-        check_flight_dump(&text).unwrap_or_else(|e| panic!("p{} dump: {e}", i + 1));
+        check_flight_dump(&text).unwrap_or_else(|e| panic!("p{p} dump: {e}"));
         let j = Json::parse(&text).unwrap();
-        assert_eq!(j.get("node").and_then(Json::as_u64), Some(i as u64 + 1));
+        assert_eq!(j.get("node").and_then(Json::as_u64), Some(p as u64));
         assert_eq!(j.get("role").and_then(Json::as_str), Some("provider"));
         let events = j.get("events").and_then(Json::as_arr).unwrap();
-        assert!(!events.is_empty(), "p{} black box is empty", i + 1);
+        assert!(!events.is_empty(), "p{p} black box is empty");
         // A provider that served a write must have seen protocol
         // traffic, not just its own heartbeats.
         assert!(
             events.iter().any(|ev| {
                 ev.get("kind").and_then(Json::as_str).is_some_and(|k| k.starts_with("msg."))
             }),
-            "p{} dump has no message events",
-            i + 1
+            "p{p} dump has no message events"
         );
     }
 
-    for h in handles {
-        h.stop().expect("clean shutdown");
-    }
+    cluster.shutdown().expect("clean shutdown");
 }
