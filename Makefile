@@ -3,7 +3,9 @@
 #   make check      build (release) + full test suite + clippy with -D warnings
 #                   + rustdoc with -D warnings (public-API docs are load-bearing)
 #   make test       test suite only
-#   make check-net  real-process runtime: frame-codec property tests, the
+#   make check-net  real-process runtime: frame-codec property tests over
+#                   every tag the codec lists plus the committed version-3
+#                   byte fixture (tests/tests/data/wire_v3.txt), the
 #                   allocation budgets of a 32 MiB read and of a pooled
 #                   frame encode (bulk_alloc prints its counts), the
 #                   256-session storm (zero hangs, zero dropped ops), the
@@ -51,10 +53,13 @@
 #                   workload with probe-sized phases; any failed or
 #                   mis-verified op fails the target
 #   make docs       rustdoc for the whole workspace (warnings are errors)
+#   make loc        workspace Rust line count as ROADMAP tracks it per PR
+#                   (benchmark/ and target/ excluded), total then per
+#                   top-level directory
 
 CARGO ?= cargo
 
-.PHONY: check build test clippy check-net bench bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs
+.PHONY: check build test clippy check-net bench bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs loc
 
 check: build test clippy docs
 
@@ -122,3 +127,8 @@ bench-e2e-smoke:
 
 docs:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
+
+loc:
+	@for d in "crates shims tests examples" crates shims tests examples; do \
+	  printf '%-28s %s\n' "$$d" "$$(find $$d -name '*.rs' | xargs cat | wc -l)"; \
+	done

@@ -57,7 +57,8 @@ pub enum ReadReply {
     Err(Error),
 }
 
-/// Local timer kinds (delivered to self; never on the wire).
+/// Local timer kinds (delivered to self; never on the wire: the frame
+/// codec has no table for them and refuses a timer that arrives).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tick {
     /// Provider: announce heartbeat + expire membership.

@@ -295,7 +295,7 @@ fn run_loop(
     let mut machines: HashMap<NodeId, u32> =
         cfg.peers.iter().map(|p| (p.id, p.machine)).collect();
     machines.insert(me, cfg.machine);
-    let ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
+    let mut ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
 
     let role_str = match cfg.role {
         Role::Namespace => "namespace",
@@ -367,11 +367,24 @@ fn run_loop(
     let mut persisted: HashMap<SegId, Version> = HashMap::new();
     if let (Some(db), Machine::Prov(prov)) = (&db, &mut machine) {
         let now = ctx.now();
-        for (_, value) in db.scan_prefix(b"seg/") {
-            if let Ok(image) = frame::decode_image_bytes(value) {
-                let (seg, version) = (image.seg, image.version);
-                if prov.store.install_replica(image, now).is_ok() {
+        for (key, value) in db.scan_prefix(b"seg/") {
+            // A value that does not decode (torn, foreign) or install is a
+            // segment lost at restart: counted and named, and the node
+            // still boots to serve the rest.
+            let installed =
+                frame::decode_image_bytes(value).map_err(|e| e.to_string()).and_then(|image| {
+                    let at = (image.seg, image.version);
+                    prov.store.install_replica(image, now).map(|_| at).map_err(|e| e.to_string())
+                });
+            match installed {
+                Ok((seg, version)) => {
                     persisted.insert(seg, version);
+                    ctx.metrics().count("recovery.images_installed", 1);
+                }
+                Err(why) => {
+                    let key = String::from_utf8_lossy(key);
+                    eprintln!("sorrento-node {}: skipped `{key}` at recovery: {why}", me.index());
+                    ctx.metrics().count("recovery.images_skipped", 1);
                 }
             }
         }

@@ -18,25 +18,53 @@
 //! protocol messages.
 //!
 //! The payload encoding is a tag byte per enum variant followed by the
-//! fields in declaration order. Strings and byte blobs are u32
+//! fields in table order. Strings and byte blobs are u32
 //! length-prefixed; `f64` travels as its IEEE-754 bit pattern;
-//! `Option`/`Result` spend one tag byte. The encoder matches every
-//! [`Msg`] variant exhaustively — adding a variant without extending the
-//! codec is a compile error, not a silent wire gap.
+//! `Option`/`Result` spend one tag byte; a `Vec` is a u32 count and its
+//! items.
+//!
+//! Each layout is stated once. A private `Wire` trait (`put` into a
+//! `Writer`, `get` from a `Reader`) is implemented directly only for the
+//! primitives and the generic containers (`Box`, `Option`,
+//! `Result<_, Error>`, `Vec`, tuples). Every struct and enum above them
+//! is one `wire_struct!` / `wire_enum!` table: a row is the tag and the
+//! field *names* in wire order, used verbatim as the pattern the encoder
+//! destructures with and as the constructor the decoder fills, so both
+//! directions come from the same tokens and the field types from the
+//! definitions in `sorrento`. The encoder's `match` has no wildcard and
+//! names every field: a new variant or field without a row is a compile
+//! error, not a silent wire gap. The bytes are pinned by
+//! `tests/tests/data/wire_v3.txt`; `MSG_TAGS` hands the row tags to the
+//! property suite.
+//!
+//! A new message is five places, each enforced by the compiler or a
+//! test: the `Msg` variant, its `dbg_kind` and its `wire_size` arms in
+//! `proto.rs`; one row here under the next free tag; one `arb_msg` arm
+//! in `tests/tests/frame_codec.rs` (its `unreachable!` fires for a row
+//! without one); then regenerate the fixture, whose diff must only add
+//! lines.
+//!
+//! `Tick`s — a node's own timers — are not messages to anyone else and
+//! have no table. `Msg::Tick` encodes as its bare tag 0 (encoding stays
+//! total and infallible) and tag 0 has no decode row: a timer frame from
+//! the network is `UnknownTag { what: "msg", tag: 0 }`, which poisons
+//! the stream and counts in `net_decode_errors` like any malformed frame.
 //!
 //! Copy discipline: encoding is single-pass — the header is reserved
 //! up front, the payload is appended once while a streaming [`Crc32`]
-//! folds in each byte, and the length/checksum are patched into the
-//! reserved header afterwards. [`encode_msg_into`] reuses a caller
-//! buffer (see [`crate::pool::BufPool`]) so the steady-state bulk path
-//! allocates nothing per frame. Decoding hands blob fields out as
-//! [`Bytes`] sub-views of the received payload instead of copying.
+//! folds in each byte (standalone `seg/` images skip the fold: their
+//! kvdb record is checksummed already), and the length/checksum are
+//! patched into the reserved header afterwards. [`encode_msg_into`]
+//! reuses a caller buffer (see [`crate::pool::BufPool`]) so the
+//! steady-state bulk path allocates nothing per frame. Decoding hands
+//! blob fields out as [`Bytes`] sub-views of the received payload
+//! instead of copying.
 
 use bytes::Bytes;
 use sorrento::membership::Heartbeat;
-use sorrento::proto::{FileEntry, Msg, ReadReply, Tick};
+use sorrento::proto::{FileEntry, Msg, ReadReply};
+use sorrento::store::{ReplicaImage, SegMeta, WritePayload};
 use sorrento::swim::{SwimState, SwimUpdate};
-use sorrento::store::{ReplicaImage, SegMeta, ShadowId, WritePayload};
 use sorrento::types::{
     EcParams, Error, FileId, FileOptions, Organization, PlacementPolicy, SegId, Version,
 };
@@ -168,7 +196,7 @@ pub fn decode_payload(h: &Header, payload: &Bytes) -> Result<Frame, FrameError> 
     let mut r = Reader { buf: payload, pos: 0 };
     let frame = match h.kind {
         KIND_HELLO => Frame::Hello { listen_addr: r.string()? },
-        KIND_MSG => Frame::Msg(read_msg(&mut r)?),
+        KIND_MSG => Frame::Msg(Msg::get(&mut r)?),
         tag => return Err(FrameError::UnknownTag { what: "frame kind", tag }),
     };
     if r.pos != r.buf.len() {
@@ -360,7 +388,7 @@ pub fn encode_hello(sender: NodeId, listen_addr: &str) -> Vec<u8> {
 /// final buffer. With a pooled `out` (see [`crate::pool::BufPool`]) the
 /// steady-state cost is zero allocations per frame.
 pub fn encode_msg_into(out: &mut Vec<u8>, sender: NodeId, msg: &Msg) {
-    encode_into(out, sender, KIND_MSG, |w| write_msg(w, msg));
+    encode_into(out, sender, KIND_MSG, |w| msg.put(w));
 }
 
 /// Single-pass encode of a `Hello` frame into a reusable buffer.
@@ -371,9 +399,9 @@ pub fn encode_hello_into(out: &mut Vec<u8>, sender: NodeId, listen_addr: &str) {
 fn encode_into(out: &mut Vec<u8>, sender: NodeId, kind: u8, f: impl FnOnce(&mut Writer<'_>)) {
     out.clear();
     out.resize(HEADER_LEN, 0);
-    let mut w = Writer { out: &mut *out, crc: Crc32::new() };
-    f(&mut w);
-    let crc = w.crc.finalize();
+    let mut crc = Crc32::new();
+    f(&mut Writer { out: &mut *out, crc: Some(&mut crc) });
+    let crc = crc.finalize();
     let payload_len = (out.len() - HEADER_LEN) as u32;
     debug_assert!(payload_len <= MAX_PAYLOAD);
     out[0..4].copy_from_slice(&MAGIC);
@@ -384,17 +412,15 @@ fn encode_into(out: &mut Vec<u8>, sender: NodeId, kind: u8, f: impl FnOnce(&mut 
     out[14..18].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The pre-single-pass encoder: build the payload in its own buffer,
+/// The pre-single-pass assembly: build the payload in its own buffer,
 /// re-scan it for the checksum, then copy header + payload into the
-/// final frame. Kept as the test oracle the single-pass encoder must
-/// match byte for byte.
+/// final frame. It shares the field tables, so it says nothing about the
+/// layout (the committed byte fixture does); it is the oracle for the
+/// reserved header, the streaming CRC and the patch-up afterwards.
 #[doc(hidden)]
 pub fn reference_encode_msg(sender: NodeId, msg: &Msg) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
-    {
-        let mut w = Writer { out: &mut payload, crc: Crc32::new() };
-        write_msg(&mut w, msg);
-    }
+    msg.put(&mut Writer { out: &mut payload, crc: None });
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
@@ -412,17 +438,20 @@ pub fn reference_encode_msg(sender: NodeId, msg: &Msg) -> Vec<u8> {
 /// message (a version, a `SegMeta`, a truncate flag).
 const BLOB_TAIL: usize = 128;
 
-/// Append-only payload writer: every byte appended also advances the
-/// streaming checksum, so by the time the payload is written the CRC is
-/// already known.
+/// Append-only payload writer. For a frame, every byte appended also
+/// advances the streaming checksum, so by the time the payload is
+/// written the CRC is already known; a caller that wants no checksum
+/// (a `seg/` image) passes none and pays for none.
 struct Writer<'a> {
     out: &'a mut Vec<u8>,
-    crc: Crc32,
+    crc: Option<&'a mut Crc32>,
 }
 
 impl Writer<'_> {
     fn put(&mut self, b: &[u8]) {
-        self.crc.update(b);
+        if let Some(crc) = &mut self.crc {
+            crc.update(b);
+        }
         self.out.extend_from_slice(b);
     }
     fn u8(&mut self, x: u8) {
@@ -524,467 +553,357 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ------------------------------------------------- composite field codecs
+// ---------------------------------------------------------- the Wire trait
 
-fn write_opt<T>(w: &mut Writer, x: &Option<T>, f: impl FnOnce(&mut Writer, &T)) {
-    match x {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            f(w, v);
+/// A type with one wire layout. Both directions live in the same impl —
+/// for everything below the primitives, in the same *table row* — so a
+/// layout cannot be written one way and read another.
+trait Wire: Sized {
+    /// The tag bytes of a `wire_enum!`'s rows, in table order; empty
+    /// for everything else.
+    const TAGS: &'static [u8] = &[];
+    fn put(&self, w: &mut Writer<'_>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// The fixed-width primitives, by the name of their `Writer`/`Reader`
+/// method.
+macro_rules! wire_prim {
+    ($($ty:ty => $method:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer<'_>) {
+                w.$method(*self)
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                r.$method()
+            }
+        }
+    )*};
+}
+wire_prim!(
+    u8 => u8, u32 => u32, u64 => u64, u128 => u128, f64 => f64, bool => boolean, NodeId => node
+);
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.string(self)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.string()
+    }
+}
+
+impl Wire for Bytes {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.bytes(self)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.bytes()
+    }
+}
+
+/// Nothing on the wire: the `Ok` of a `Result<(), Error>` reply.
+impl Wire for () {
+    fn put(&self, _: &mut Writer<'_>) {}
+    fn get(_: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(())
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer<'_>) {
+        (**self).put(w)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer<'_>) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            tag => Err(FrameError::UnknownTag { what: "option", tag }),
         }
     }
 }
 
-fn read_opt<T>(
-    r: &mut Reader<'_>,
-    f: impl FnOnce(&mut Reader<'_>) -> Result<T, FrameError>,
-) -> Result<Option<T>, FrameError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(f(r)?)),
-        tag => Err(FrameError::UnknownTag { what: "option", tag }),
-    }
-}
-
-fn write_result<T>(w: &mut Writer, x: &Result<T, Error>, f: impl FnOnce(&mut Writer, &T)) {
-    match x {
-        Ok(v) => {
-            w.u8(0);
-            f(w, v);
-        }
-        Err(e) => {
-            w.u8(1);
-            write_error(w, e);
+impl<T: Wire> Wire for Result<T, Error> {
+    fn put(&self, w: &mut Writer<'_>) {
+        match self {
+            Ok(v) => {
+                w.u8(0);
+                v.put(w);
+            }
+            Err(e) => {
+                w.u8(1);
+                e.put(w);
+            }
         }
     }
-}
-
-fn read_result<T>(
-    r: &mut Reader<'_>,
-    f: impl FnOnce(&mut Reader<'_>) -> Result<T, FrameError>,
-) -> Result<Result<T, Error>, FrameError> {
-    match r.u8()? {
-        0 => Ok(Ok(f(r)?)),
-        1 => Ok(Err(read_error(r)?)),
-        tag => Err(FrameError::UnknownTag { what: "result", tag }),
-    }
-}
-
-fn write_error(w: &mut Writer, e: &Error) {
-    w.u8(match e {
-        Error::NotFound => 0,
-        Error::AlreadyExists => 1,
-        Error::VersionConflict => 2,
-        Error::NoSuchSegment => 3,
-        Error::Timeout => 4,
-        Error::OutOfSpace => 5,
-        Error::LeaseHeld => 6,
-        Error::InvalidMode => 7,
-        Error::NotADirectory => 8,
-        Error::NotEmpty => 9,
-        Error::ShadowExpired => 10,
-        Error::Unavailable => 11,
-        Error::DeadlineExceeded => 12,
-    });
-}
-
-fn read_error(r: &mut Reader<'_>) -> Result<Error, FrameError> {
-    Ok(match r.u8()? {
-        0 => Error::NotFound,
-        1 => Error::AlreadyExists,
-        2 => Error::VersionConflict,
-        3 => Error::NoSuchSegment,
-        4 => Error::Timeout,
-        5 => Error::OutOfSpace,
-        6 => Error::LeaseHeld,
-        7 => Error::InvalidMode,
-        8 => Error::NotADirectory,
-        9 => Error::NotEmpty,
-        10 => Error::ShadowExpired,
-        11 => Error::Unavailable,
-        12 => Error::DeadlineExceeded,
-        tag => return Err(FrameError::UnknownTag { what: "error", tag }),
-    })
-}
-
-fn write_organization(w: &mut Writer, o: &Organization) {
-    match o {
-        Organization::Linear => w.u8(0),
-        Organization::Striped { stripes, max_size } => {
-            w.u8(1);
-            w.u32(*stripes);
-            w.u64(*max_size);
-        }
-        Organization::Hybrid { group_stripes } => {
-            w.u8(2);
-            w.u32(*group_stripes);
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => Ok(Ok(T::get(r)?)),
+            1 => Ok(Err(Error::get(r)?)),
+            tag => Err(FrameError::UnknownTag { what: "result", tag }),
         }
     }
 }
 
-fn read_organization(r: &mut Reader<'_>) -> Result<Organization, FrameError> {
-    Ok(match r.u8()? {
-        0 => Organization::Linear,
-        1 => Organization::Striped { stripes: r.u32()?, max_size: r.u64()? },
-        2 => Organization::Hybrid { group_stripes: r.u32()? },
-        tag => return Err(FrameError::UnknownTag { what: "organization", tag }),
-    })
-}
-
-fn write_placement(w: &mut Writer, p: &PlacementPolicy) {
-    match p {
-        PlacementPolicy::Random => w.u8(0),
-        PlacementPolicy::LoadAware => w.u8(1),
-        PlacementPolicy::LocalityDriven { threshold } => {
-            w.u8(2);
-            w.f64(*threshold);
+/// A u32 count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.u32(self.len() as u32);
+        self.iter().for_each(|item| item.put(w));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let n = r.u32()? as usize;
+        // The count is the sender's word: reserve for at most 1,024 items
+        // before any has parsed, and let `Truncated` end a longer lie.
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(r)?);
         }
+        Ok(out)
     }
 }
 
-fn read_placement(r: &mut Reader<'_>) -> Result<PlacementPolicy, FrameError> {
-    Ok(match r.u8()? {
-        0 => PlacementPolicy::Random,
-        1 => PlacementPolicy::LoadAware,
-        2 => PlacementPolicy::LocalityDriven { threshold: r.f64()? },
-        tag => return Err(FrameError::UnknownTag { what: "placement", tag }),
-    })
-}
-
-fn write_ec(w: &mut Writer, ec: &Option<EcParams>) {
-    write_opt(w, ec, |w, p| {
-        w.u8(p.k);
-        w.u8(p.m);
-    });
-}
-
-fn read_ec(r: &mut Reader<'_>) -> Result<Option<EcParams>, FrameError> {
-    read_opt(r, |r| Ok(EcParams { k: r.u8()?, m: r.u8()? }))
-}
-
-fn write_options(w: &mut Writer, o: &FileOptions) {
-    w.u32(o.replication);
-    w.f64(o.alpha);
-    write_organization(w, &o.organization);
-    write_placement(w, &o.placement);
-    w.boolean(o.versioning_off);
-    w.boolean(o.eager_commit);
-    write_ec(w, &o.ec);
-}
-
-fn read_options(r: &mut Reader<'_>) -> Result<FileOptions, FrameError> {
-    Ok(FileOptions {
-        replication: r.u32()?,
-        alpha: r.f64()?,
-        organization: read_organization(r)?,
-        placement: read_placement(r)?,
-        versioning_off: r.boolean()?,
-        eager_commit: r.boolean()?,
-        ec: read_ec(r)?,
-    })
-}
-
-fn write_entry(w: &mut Writer, e: &FileEntry) {
-    w.u128(e.file.0);
-    w.u64(e.version.0);
-    w.u64(e.size);
-    w.boolean(e.is_dir);
-    w.u64(e.created_ns);
-    w.u64(e.modified_ns);
-    write_options(w, &e.options);
-}
-
-fn read_entry(r: &mut Reader<'_>) -> Result<FileEntry, FrameError> {
-    Ok(FileEntry {
-        file: FileId(r.u128()?),
-        version: Version(r.u64()?),
-        size: r.u64()?,
-        is_dir: r.boolean()?,
-        created_ns: r.u64()?,
-        modified_ns: r.u64()?,
-        options: read_options(r)?,
-    })
-}
-
-fn write_owners(w: &mut Writer, owners: &[(NodeId, Version)]) {
-    w.u32(owners.len() as u32);
-    for (n, v) in owners {
-        w.node(*n);
-        w.u64(v.0);
-    }
-}
-
-fn read_owners(r: &mut Reader<'_>) -> Result<Vec<(NodeId, Version)>, FrameError> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push((r.node()?, Version(r.u64()?)));
-    }
-    Ok(out)
-}
-
-fn write_reply(w: &mut Writer, reply: &ReadReply) {
-    match reply {
-        ReadReply::Data { len, data, version } => {
-            w.u8(0);
-            w.u64(*len);
-            write_opt(w, data, |w, d| w.bytes(d));
-            w.u64(version.0);
+/// Tuples are their members in order, nothing between.
+macro_rules! wire_tuple {
+    ($($t:ident)*) => {
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut Writer<'_>) {
+                let ($($t,)*) = self;
+                $($t.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(($($t::get(r)?,)*))
+            }
         }
-        ReadReply::Redirect(owners) => {
-            w.u8(1);
-            write_owners(w, owners);
+    };
+}
+wire_tuple!(A B);
+wire_tuple!(A B C);
+wire_tuple!(A B C D);
+
+// ------------------------------------------------------------ field tables
+
+/// `wire_struct!(Name { a, b })` or `wire_struct!(Name(a))`: the fields
+/// in wire order. The row is used verbatim as the destructuring pattern
+/// and as the constructor, so a field it omits does not compile, and the
+/// field types come from the struct's definition.
+macro_rules! wire_struct {
+    ($ty:ident $(($($t:ident),*))? $({ $($f:ident),* })?) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer<'_>) {
+                let $ty $(($($t),*))? $({ $($f),* })? = self;
+                $($($t.put(w);)*)?
+                $($($f.put(w);)*)?
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                $($(let $t = Wire::get(r)?;)*)?
+                $($(let $f = Wire::get(r)?;)*)?
+                Ok($ty $(($($t),*))? $({ $($f),* })?)
+            }
         }
-        ReadReply::Err(e) => {
-            w.u8(2);
-            write_error(w, e);
+    };
+}
+
+/// `wire_enum!("what", Name { tag => Variant, tag => Variant(a), tag =>
+/// Variant { a, b }, … })`: a tag byte, then the variant's fields in wire
+/// order, each row used as pattern and constructor like a
+/// `wire_struct!` row. The encoder's `match` has no wildcard — a variant
+/// without a row does not compile — and the decoder's arms are the same
+/// rows; any other tag is `UnknownTag { what, tag }`.
+///
+/// One leading `local tag => Variant(_)` row marks a variant that never
+/// travels: it encodes as its bare tag, so encoding stays total and
+/// infallible, and it has no decode arm, so that tag is refused like any
+/// other unassigned one.
+macro_rules! wire_enum {
+    ($what:literal, $ty:ident {
+        $(local $ltag:literal => $lvar:ident(_),)?
+        $($tag:literal => $var:ident $(($($t:ident),*))? $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            const TAGS: &'static [u8] = &[$($tag),*];
+            fn put(&self, w: &mut Writer<'_>) {
+                match self {
+                    $($ty::$lvar(_) => w.u8($ltag),)?
+                    $($ty::$var $(($($t),*))? $({ $($f),* })? => {
+                        w.u8($tag);
+                        $($($t.put(w);)*)?
+                        $($($f.put(w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $t = Wire::get(r)?;)*)?
+                        $($(let $f = Wire::get(r)?;)*)?
+                        $ty::$var $(($($t),*))? $({ $($f),* })?
+                    })*
+                    tag => return Err(FrameError::UnknownTag { what: $what, tag }),
+                })
+            }
         }
-    }
+    };
 }
 
-fn read_reply(r: &mut Reader<'_>) -> Result<ReadReply, FrameError> {
-    Ok(match r.u8()? {
-        0 => ReadReply::Data {
-            len: r.u64()?,
-            data: read_opt(r, |r| r.bytes())?,
-            version: Version(r.u64()?),
-        },
-        1 => ReadReply::Redirect(read_owners(r)?),
-        2 => ReadReply::Err(read_error(r)?),
-        tag => return Err(FrameError::UnknownTag { what: "read_reply", tag }),
-    })
-}
+wire_struct!(SegId(id));
+wire_struct!(FileId(id));
+wire_struct!(Version(v));
+wire_struct!(EcParams { k, m });
+wire_struct!(FileOptions {
+    replication,
+    alpha,
+    organization,
+    placement,
+    versioning_off,
+    eager_commit,
+    ec
+});
+wire_struct!(FileEntry { file, version, size, is_dir, created_ns, modified_ns, options });
+wire_struct!(SegMeta { replication, alpha, policy, synthetic, ec });
+wire_struct!(ReplicaImage { seg, version, len, data, meta });
+wire_struct!(Heartbeat { load, available, capacity, machine, rack });
+wire_struct!(SwimUpdate { node, state, incarnation, beat, payload });
 
-fn write_payload(w: &mut Writer, p: &WritePayload) {
-    match p {
-        WritePayload::Real(bytes) => {
-            w.u8(0);
-            w.bytes(bytes);
-        }
-        WritePayload::Synthetic { len } => {
-            w.u8(1);
-            w.u64(*len);
-        }
-    }
-}
+wire_enum!("error", Error {
+    0 => NotFound,
+    1 => AlreadyExists,
+    2 => VersionConflict,
+    3 => NoSuchSegment,
+    4 => Timeout,
+    5 => OutOfSpace,
+    6 => LeaseHeld,
+    7 => InvalidMode,
+    8 => NotADirectory,
+    9 => NotEmpty,
+    10 => ShadowExpired,
+    11 => Unavailable,
+    12 => DeadlineExceeded,
+});
+wire_enum!("organization", Organization {
+    0 => Linear,
+    1 => Striped { stripes, max_size },
+    2 => Hybrid { group_stripes },
+});
+wire_enum!("placement", PlacementPolicy {
+    0 => Random,
+    1 => LoadAware,
+    2 => LocalityDriven { threshold },
+});
+wire_enum!("swim state", SwimState { 0 => Alive, 1 => Suspect, 2 => Dead });
+wire_enum!("read_reply", ReadReply {
+    0 => Data { len, data, version },
+    1 => Redirect(owners),
+    2 => Err(e),
+});
+wire_enum!("write_payload", WritePayload { 0 => Real(bytes), 1 => Synthetic { len } });
 
-fn read_payload(r: &mut Reader<'_>) -> Result<WritePayload, FrameError> {
-    Ok(match r.u8()? {
-        0 => WritePayload::Real(r.bytes()?),
-        1 => WritePayload::Synthetic { len: r.u64()? },
-        tag => return Err(FrameError::UnknownTag { what: "write_payload", tag }),
-    })
-}
+// Every message. Tags are forever: a new message takes the next free
+// one, and a retired one is never reused.
+wire_enum!("msg", Msg {
+    // A node's own alarm (`RealCtx` keeps timers as values and
+    // `Driver::flush` hands self-sends straight to the node): nothing
+    // sends one, and one that arrives is refused.
+    local 0 => Tick(_),
+    1 => Heartbeat(hb),
+    2 => NsLookup { req, path },
+    3 => NsLookupR { req, result },
+    4 => NsCreate { req, path, file, options },
+    5 => NsCreateR { req, result },
+    6 => NsMkdir { req, path },
+    7 => NsMkdirR { req, result },
+    8 => NsRemove { req, path },
+    9 => NsRemoveR { req, result },
+    10 => NsList { req, path },
+    11 => NsListR { req, result },
+    12 => NsCommitBegin { req, span, path, base },
+    13 => NsCommitBeginR { req, result },
+    14 => NsCommitEnd { req, span, path, commit, new_version, new_size },
+    15 => NsCommitEndR { req, result },
+    16 => LocQuery { req, seg },
+    17 => LocQueryR { req, seg, owners },
+    18 => LocUpsert { seg, owner, version, replication, bytes, deleted },
+    19 => LocRefresh { owner, entries },
+    20 => BackupQuery { req, seg },
+    21 => BackupQueryR { req, seg, version },
+    22 => ReadSeg { req, seg, offset, len, min_version, allow_redirect },
+    23 => ReadSegR { req, reply },
+    24 => CreateShadow { req, span, seg, base, meta },
+    25 => CreateShadowR { req, result },
+    26 => WriteShadow { req, shadow, offset, payload, truncate },
+    27 => WriteShadowR { req, result },
+    28 => ReadShadow { req, shadow, offset, len },
+    29 => ReadShadowR { req, reply },
+    30 => RenewShadow { shadow },
+    31 => Prepare { req, span, items },
+    32 => PrepareR { req, result },
+    33 => Commit { req, span, items },
+    34 => CommitR { req, result },
+    35 => Abort { span, items },
+    36 => DirectWrite { req, seg, offset, payload, meta },
+    37 => DirectWriteR { req, result },
+    38 => DeleteSeg { req, seg },
+    39 => DeleteSegR { req, existed },
+    40 => FetchSeg { req, seg },
+    41 => FetchSegR { req, result },
+    42 => SyncRequest { req, seg, source, bytes_hint },
+    43 => SyncDone { req, seg, version, result },
+    44 => MigrateTo { seg, source, bytes_hint },
+    45 => MigrateDone { seg, ok },
+    46 => StatsQuery { req },
+    47 => StatsR { req, json },
+    48 => ChaosCtl { req, seed, drop_permille, dup_permille, delay_permille, delay_us, partition },
+    49 => ChaosCtlR { req },
+    50 => TraceQuery { req, span },
+    51 => TraceR { req, json },
+    52 => EcInstall { req, image },
+    53 => EcInstallR { req, seg, result },
+    54 => NsRename { req, src, dst },
+    55 => NsRenameR { req, result },
+    56 => NsShardInstall { req, path, entry, xfer },
+    57 => NsShardInstallR { req, result },
+    58 => NsShardDrop { req, path, check_empty },
+    59 => NsShardDropR { req, result },
+    60 => ShardMapQuery { req },
+    61 => ShardMapR { req, rows },
+    62 => NsWalShip { shard, seq, ckpt, recs },
+    63 => NsCatchup { shard, have_seq },
+    64 => SwimPing { seq, origin, updates },
+    65 => SwimAck { seq, origin, updates },
+    66 => SwimPingReq { seq, target, origin, updates },
+    67 => MembersPull { req },
+    68 => MembersDigest { req, updates },
+    69 => MembersQuery { req },
+    70 => MembersR { req, json },
+});
 
-fn write_meta(w: &mut Writer, m: &SegMeta) {
-    w.u32(m.replication);
-    w.f64(m.alpha);
-    write_placement(w, &m.policy);
-    w.boolean(m.synthetic);
-    write_opt(w, &m.ec, |w, (k, m)| {
-        w.u8(*k);
-        w.u8(*m);
-    });
-}
-
-fn read_meta(r: &mut Reader<'_>) -> Result<SegMeta, FrameError> {
-    Ok(SegMeta {
-        replication: r.u32()?,
-        alpha: r.f64()?,
-        policy: read_placement(r)?,
-        synthetic: r.boolean()?,
-        ec: read_opt(r, |r| Ok((r.u8()?, r.u8()?)))?,
-    })
-}
-
-fn write_image(w: &mut Writer, img: &ReplicaImage) {
-    w.u128(img.seg.0);
-    w.u64(img.version.0);
-    w.u64(img.len);
-    write_opt(w, &img.data, |w, d| w.bytes(d));
-    write_meta(w, &img.meta);
-}
-
-fn read_image(r: &mut Reader<'_>) -> Result<ReplicaImage, FrameError> {
-    Ok(ReplicaImage {
-        seg: SegId(r.u128()?),
-        version: Version(r.u64()?),
-        len: r.u64()?,
-        data: read_opt(r, |r| r.bytes())?,
-        meta: read_meta(r)?,
-    })
-}
-
-fn write_heartbeat(w: &mut Writer, hb: &Heartbeat) {
-    w.f64(hb.load);
-    w.u64(hb.available);
-    w.u64(hb.capacity);
-    w.u32(hb.machine);
-    w.u32(hb.rack);
-}
-
-fn read_heartbeat(r: &mut Reader<'_>) -> Result<Heartbeat, FrameError> {
-    Ok(Heartbeat {
-        load: r.f64()?,
-        available: r.u64()?,
-        capacity: r.u64()?,
-        machine: r.u32()?,
-        rack: r.u32()?,
-    })
-}
-
-fn write_swim_updates(w: &mut Writer, updates: &[SwimUpdate]) {
-    w.u32(updates.len() as u32);
-    for u in updates {
-        w.node(u.node);
-        w.u8(match u.state {
-            SwimState::Alive => 0,
-            SwimState::Suspect => 1,
-            SwimState::Dead => 2,
-        });
-        w.u64(u.incarnation);
-        w.u64(u.beat);
-        write_opt(w, &u.payload, write_heartbeat);
-    }
-}
-
-fn read_swim_updates(r: &mut Reader<'_>) -> Result<Vec<SwimUpdate>, FrameError> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(SwimUpdate {
-            node: r.node()?,
-            state: match r.u8()? {
-                0 => SwimState::Alive,
-                1 => SwimState::Suspect,
-                2 => SwimState::Dead,
-                tag => return Err(FrameError::UnknownTag { what: "swim state", tag }),
-            },
-            incarnation: r.u64()?,
-            beat: r.u64()?,
-            payload: read_opt(r, read_heartbeat)?,
-        });
-    }
-    Ok(out)
-}
-
-fn write_tick(w: &mut Writer, t: &Tick) {
-    match t {
-        Tick::Heartbeat => w.u8(0),
-        Tick::LocationRefresh => w.u8(1),
-        Tick::JoinRefresh(n) => {
-            w.u8(2);
-            w.node(*n);
-        }
-        Tick::Gc => w.u8(3),
-        Tick::RepairScan => w.u8(4),
-        Tick::Migration => w.u8(5),
-        Tick::MigrationContinue => w.u8(6),
-        Tick::RpcTimeout(req) => {
-            w.u8(7);
-            w.u64(*req);
-        }
-        Tick::BackupDeadline(req) => {
-            w.u8(8);
-            w.u64(*req);
-        }
-        Tick::Membership => w.u8(9),
-        Tick::NextOp => w.u8(10),
-        Tick::AppendRetry => w.u8(11),
-        Tick::CommitBeginRetry => w.u8(12),
-        Tick::LeaseSweep => w.u8(13),
-        Tick::OpDeadline(generation) => {
-            w.u8(14);
-            w.u64(*generation);
-        }
-        Tick::RpcResend(req) => {
-            w.u8(15);
-            w.u64(*req);
-        }
-        Tick::NsShip => w.u8(16),
-        Tick::StandbyCheck => w.u8(17),
-        Tick::ShardMapRefresh => w.u8(18),
-        Tick::XShardTimeout(req) => {
-            w.u8(19);
-            w.u64(*req);
-        }
-        Tick::SwimProbe => w.u8(20),
-        Tick::SwimAckTimeout(seq) => {
-            w.u8(21);
-            w.u64(*seq);
-        }
-        Tick::SwimProbeTimeout(seq) => {
-            w.u8(22);
-            w.u64(*seq);
-        }
-        Tick::SwimSuspectTimeout(node, incarnation) => {
-            w.u8(23);
-            w.node(*node);
-            w.u64(*incarnation);
-        }
-        Tick::SwimSync => w.u8(24),
-        Tick::GaugeExport => w.u8(25),
-        Tick::MembersRefresh => w.u8(26),
-    }
-}
-
-fn read_tick(r: &mut Reader<'_>) -> Result<Tick, FrameError> {
-    Ok(match r.u8()? {
-        0 => Tick::Heartbeat,
-        1 => Tick::LocationRefresh,
-        2 => Tick::JoinRefresh(r.node()?),
-        3 => Tick::Gc,
-        4 => Tick::RepairScan,
-        5 => Tick::Migration,
-        6 => Tick::MigrationContinue,
-        7 => Tick::RpcTimeout(r.u64()?),
-        8 => Tick::BackupDeadline(r.u64()?),
-        9 => Tick::Membership,
-        10 => Tick::NextOp,
-        11 => Tick::AppendRetry,
-        12 => Tick::CommitBeginRetry,
-        13 => Tick::LeaseSweep,
-        14 => Tick::OpDeadline(r.u64()?),
-        15 => Tick::RpcResend(r.u64()?),
-        16 => Tick::NsShip,
-        17 => Tick::StandbyCheck,
-        18 => Tick::ShardMapRefresh,
-        19 => Tick::XShardTimeout(r.u64()?),
-        20 => Tick::SwimProbe,
-        21 => Tick::SwimAckTimeout(r.u64()?),
-        22 => Tick::SwimProbeTimeout(r.u64()?),
-        23 => Tick::SwimSuspectTimeout(r.node()?, r.u64()?),
-        24 => Tick::SwimSync,
-        25 => Tick::GaugeExport,
-        26 => Tick::MembersRefresh,
-        tag => return Err(FrameError::UnknownTag { what: "tick", tag }),
-    })
-}
-
-fn write_shadow_items(w: &mut Writer, items: &[(ShadowId, Version)]) {
-    w.u32(items.len() as u32);
-    for (s, v) in items {
-        w.u64(*s);
-        w.u64(v.0);
-    }
-}
-
-fn read_shadow_items(r: &mut Reader<'_>) -> Result<Vec<(ShadowId, Version)>, FrameError> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push((r.u64()?, Version(r.u64()?)));
-    }
-    Ok(out)
-}
+/// The wire tag of every [`Msg`] a peer may send, in table order: what
+/// the property suite iterates, so a new row is exercised or fails there.
+#[doc(hidden)]
+pub const MSG_TAGS: &[u8] = Msg::TAGS;
 
 /// Encode a standalone [`ReplicaImage`] (daemon segment persistence:
-/// the value format under `seg/` keys in the node's kvdb).
+/// the value format under `seg/` keys in the node's kvdb). No checksum
+/// is folded: the kvdb WAL record that wraps the value carries its own.
 pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + img.data.as_ref().map_or(0, |d| d.len()));
-    let mut w = Writer { out: &mut out, crc: Crc32::new() };
-    write_image(&mut w, img);
+    img.put(&mut Writer { out: &mut out, crc: None });
     out
 }
 
@@ -994,703 +913,17 @@ pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
 pub fn decode_image_bytes(bytes: &[u8]) -> Result<ReplicaImage, FrameError> {
     let buf = Bytes::copy_from_slice(bytes);
     let mut r = Reader { buf: &buf, pos: 0 };
-    let img = read_image(&mut r)?;
+    let img = ReplicaImage::get(&mut r)?;
     if r.pos != r.buf.len() {
         return Err(FrameError::TrailingBytes);
     }
     Ok(img)
 }
 
-// --------------------------------------------------------- the Msg codec
-
-fn write_msg(w: &mut Writer, msg: &Msg) {
-    match msg {
-        Msg::Tick(t) => {
-            w.u8(0);
-            write_tick(w, t);
-        }
-        Msg::Heartbeat(hb) => {
-            w.u8(1);
-            write_heartbeat(w, hb);
-        }
-        Msg::NsLookup { req, path } => {
-            w.u8(2);
-            w.u64(*req);
-            w.string(path);
-        }
-        Msg::NsLookupR { req, result } => {
-            w.u8(3);
-            w.u64(*req);
-            write_result(w, result, write_entry);
-        }
-        Msg::NsCreate { req, path, file, options } => {
-            w.u8(4);
-            w.u64(*req);
-            w.string(path);
-            w.u128(file.0);
-            write_options(w, options);
-        }
-        Msg::NsCreateR { req, result } => {
-            w.u8(5);
-            w.u64(*req);
-            write_result(w, result, write_entry);
-        }
-        Msg::NsMkdir { req, path } => {
-            w.u8(6);
-            w.u64(*req);
-            w.string(path);
-        }
-        Msg::NsMkdirR { req, result } => {
-            w.u8(7);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::NsRemove { req, path } => {
-            w.u8(8);
-            w.u64(*req);
-            w.string(path);
-        }
-        Msg::NsRemoveR { req, result } => {
-            w.u8(9);
-            w.u64(*req);
-            write_result(w, result, write_entry);
-        }
-        Msg::NsList { req, path } => {
-            w.u8(10);
-            w.u64(*req);
-            w.string(path);
-        }
-        Msg::NsListR { req, result } => {
-            w.u8(11);
-            w.u64(*req);
-            write_result(w, result, |w, names| {
-                w.u32(names.len() as u32);
-                for n in names {
-                    w.string(n);
-                }
-            });
-        }
-        Msg::NsCommitBegin { req, span, path, base } => {
-            w.u8(12);
-            w.u64(*req);
-            w.u64(*span);
-            w.string(path);
-            w.u64(base.0);
-        }
-        Msg::NsCommitBeginR { req, result } => {
-            w.u8(13);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::NsCommitEnd { req, span, path, commit, new_version, new_size } => {
-            w.u8(14);
-            w.u64(*req);
-            w.u64(*span);
-            w.string(path);
-            w.boolean(*commit);
-            w.u64(new_version.0);
-            w.u64(*new_size);
-        }
-        Msg::NsCommitEndR { req, result } => {
-            w.u8(15);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::LocQuery { req, seg } => {
-            w.u8(16);
-            w.u64(*req);
-            w.u128(seg.0);
-        }
-        Msg::LocQueryR { req, seg, owners } => {
-            w.u8(17);
-            w.u64(*req);
-            w.u128(seg.0);
-            write_owners(w, owners);
-        }
-        Msg::LocUpsert { seg, owner, version, replication, bytes, deleted } => {
-            w.u8(18);
-            w.u128(seg.0);
-            w.node(*owner);
-            w.u64(version.0);
-            w.u32(*replication);
-            w.u64(*bytes);
-            w.boolean(*deleted);
-        }
-        Msg::LocRefresh { owner, entries } => {
-            w.u8(19);
-            w.node(*owner);
-            w.u32(entries.len() as u32);
-            for (seg, v, repl, bytes) in entries {
-                w.u128(seg.0);
-                w.u64(v.0);
-                w.u32(*repl);
-                w.u64(*bytes);
-            }
-        }
-        Msg::BackupQuery { req, seg } => {
-            w.u8(20);
-            w.u64(*req);
-            w.u128(seg.0);
-        }
-        Msg::BackupQueryR { req, seg, version } => {
-            w.u8(21);
-            w.u64(*req);
-            w.u128(seg.0);
-            w.u64(version.0);
-        }
-        Msg::ReadSeg { req, seg, offset, len, min_version, allow_redirect } => {
-            w.u8(22);
-            w.u64(*req);
-            w.u128(seg.0);
-            w.u64(*offset);
-            w.u64(*len);
-            write_opt(w, min_version, |w, v| w.u64(v.0));
-            w.boolean(*allow_redirect);
-        }
-        Msg::ReadSegR { req, reply } => {
-            w.u8(23);
-            w.u64(*req);
-            write_reply(w, reply);
-        }
-        Msg::CreateShadow { req, span, seg, base, meta } => {
-            w.u8(24);
-            w.u64(*req);
-            w.u64(*span);
-            w.u128(seg.0);
-            write_opt(w, base, |w, v| w.u64(v.0));
-            write_meta(w, meta);
-        }
-        Msg::CreateShadowR { req, result } => {
-            w.u8(25);
-            w.u64(*req);
-            write_result(w, result, |w, s| w.u64(*s));
-        }
-        Msg::WriteShadow { req, shadow, offset, payload, truncate } => {
-            w.u8(26);
-            w.u64(*req);
-            w.u64(*shadow);
-            w.u64(*offset);
-            write_payload(w, payload);
-            w.boolean(*truncate);
-        }
-        Msg::WriteShadowR { req, result } => {
-            w.u8(27);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::ReadShadow { req, shadow, offset, len } => {
-            w.u8(28);
-            w.u64(*req);
-            w.u64(*shadow);
-            w.u64(*offset);
-            w.u64(*len);
-        }
-        Msg::ReadShadowR { req, reply } => {
-            w.u8(29);
-            w.u64(*req);
-            write_reply(w, reply);
-        }
-        Msg::RenewShadow { shadow } => {
-            w.u8(30);
-            w.u64(*shadow);
-        }
-        Msg::Prepare { req, span, items } => {
-            w.u8(31);
-            w.u64(*req);
-            w.u64(*span);
-            write_shadow_items(w, items);
-        }
-        Msg::PrepareR { req, result } => {
-            w.u8(32);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::Commit { req, span, items } => {
-            w.u8(33);
-            w.u64(*req);
-            w.u64(*span);
-            write_shadow_items(w, items);
-        }
-        Msg::CommitR { req, result } => {
-            w.u8(34);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::Abort { span, items } => {
-            w.u8(35);
-            w.u64(*span);
-            w.u32(items.len() as u32);
-            for s in items {
-                w.u64(*s);
-            }
-        }
-        Msg::DirectWrite { req, seg, offset, payload, meta } => {
-            w.u8(36);
-            w.u64(*req);
-            w.u128(seg.0);
-            w.u64(*offset);
-            write_payload(w, payload);
-            write_meta(w, meta);
-        }
-        Msg::DirectWriteR { req, result } => {
-            w.u8(37);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::DeleteSeg { req, seg } => {
-            w.u8(38);
-            w.u64(*req);
-            w.u128(seg.0);
-        }
-        Msg::DeleteSegR { req, existed } => {
-            w.u8(39);
-            w.u64(*req);
-            w.boolean(*existed);
-        }
-        Msg::FetchSeg { req, seg } => {
-            w.u8(40);
-            w.u64(*req);
-            w.u128(seg.0);
-        }
-        Msg::FetchSegR { req, result } => {
-            w.u8(41);
-            w.u64(*req);
-            write_result(w, result, |w, img| write_image(w, img));
-        }
-        Msg::SyncRequest { req, seg, source, bytes_hint } => {
-            w.u8(42);
-            w.u64(*req);
-            w.u128(seg.0);
-            w.node(*source);
-            w.u64(*bytes_hint);
-        }
-        Msg::SyncDone { req, seg, version, result } => {
-            w.u8(43);
-            w.u64(*req);
-            w.u128(seg.0);
-            w.u64(version.0);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::MigrateTo { seg, source, bytes_hint } => {
-            w.u8(44);
-            w.u128(seg.0);
-            w.node(*source);
-            w.u64(*bytes_hint);
-        }
-        Msg::MigrateDone { seg, ok } => {
-            w.u8(45);
-            w.u128(seg.0);
-            w.boolean(*ok);
-        }
-        Msg::EcInstall { req, image } => {
-            w.u8(52);
-            w.u64(*req);
-            write_image(w, image);
-        }
-        Msg::EcInstallR { req, seg, result } => {
-            w.u8(53);
-            w.u64(*req);
-            w.u128(seg.0);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::StatsQuery { req } => {
-            w.u8(46);
-            w.u64(*req);
-        }
-        Msg::StatsR { req, json } => {
-            w.u8(47);
-            w.u64(*req);
-            w.string(json);
-        }
-        Msg::ChaosCtl {
-            req,
-            seed,
-            drop_permille,
-            dup_permille,
-            delay_permille,
-            delay_us,
-            partition,
-        } => {
-            w.u8(48);
-            w.u64(*req);
-            w.u64(*seed);
-            w.u32(*drop_permille);
-            w.u32(*dup_permille);
-            w.u32(*delay_permille);
-            w.u64(*delay_us);
-            w.u32(partition.len() as u32);
-            for n in partition {
-                w.node(*n);
-            }
-        }
-        Msg::ChaosCtlR { req } => {
-            w.u8(49);
-            w.u64(*req);
-        }
-        Msg::TraceQuery { req, span } => {
-            w.u8(50);
-            w.u64(*req);
-            w.u64(*span);
-        }
-        Msg::TraceR { req, json } => {
-            w.u8(51);
-            w.u64(*req);
-            w.string(json);
-        }
-        Msg::NsRename { req, src, dst } => {
-            w.u8(54);
-            w.u64(*req);
-            w.string(src);
-            w.string(dst);
-        }
-        Msg::NsRenameR { req, result } => {
-            w.u8(55);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::NsShardInstall { req, path, entry, xfer } => {
-            w.u8(56);
-            w.u64(*req);
-            w.string(path);
-            write_entry(w, entry);
-            w.boolean(*xfer);
-        }
-        Msg::NsShardInstallR { req, result } => {
-            w.u8(57);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::NsShardDrop { req, path, check_empty } => {
-            w.u8(58);
-            w.u64(*req);
-            w.string(path);
-            w.boolean(*check_empty);
-        }
-        Msg::NsShardDropR { req, result } => {
-            w.u8(59);
-            w.u64(*req);
-            write_result(w, result, |_, ()| {});
-        }
-        Msg::ShardMapQuery { req } => {
-            w.u8(60);
-            w.u64(*req);
-        }
-        Msg::ShardMapR { req, rows } => {
-            w.u8(61);
-            w.u64(*req);
-            w.u32(rows.len() as u32);
-            for (shard, primary, standby) in rows {
-                w.u32(*shard);
-                w.node(*primary);
-                write_opt(w, standby, |w, n| w.node(*n));
-            }
-        }
-        Msg::NsWalShip { shard, seq, ckpt, recs } => {
-            w.u8(62);
-            w.u32(*shard);
-            w.u64(*seq);
-            write_opt(w, ckpt, |w, c| w.bytes(c));
-            w.u32(recs.len() as u32);
-            for rec in recs {
-                w.bytes(rec);
-            }
-        }
-        Msg::NsCatchup { shard, have_seq } => {
-            w.u8(63);
-            w.u32(*shard);
-            w.u64(*have_seq);
-        }
-        Msg::SwimPing { seq, origin, updates } => {
-            w.u8(64);
-            w.u64(*seq);
-            w.node(*origin);
-            write_swim_updates(w, updates);
-        }
-        Msg::SwimAck { seq, origin, updates } => {
-            w.u8(65);
-            w.u64(*seq);
-            w.node(*origin);
-            write_swim_updates(w, updates);
-        }
-        Msg::SwimPingReq { seq, target, origin, updates } => {
-            w.u8(66);
-            w.u64(*seq);
-            w.node(*target);
-            w.node(*origin);
-            write_swim_updates(w, updates);
-        }
-        Msg::MembersPull { req } => {
-            w.u8(67);
-            w.u64(*req);
-        }
-        Msg::MembersDigest { req, updates } => {
-            w.u8(68);
-            w.u64(*req);
-            write_swim_updates(w, updates);
-        }
-        Msg::MembersQuery { req } => {
-            w.u8(69);
-            w.u64(*req);
-        }
-        Msg::MembersR { req, json } => {
-            w.u8(70);
-            w.u64(*req);
-            w.string(json);
-        }
-    }
-}
-
-fn read_msg(r: &mut Reader<'_>) -> Result<Msg, FrameError> {
-    Ok(match r.u8()? {
-        0 => Msg::Tick(read_tick(r)?),
-        1 => Msg::Heartbeat(read_heartbeat(r)?),
-        2 => Msg::NsLookup { req: r.u64()?, path: r.string()? },
-        3 => Msg::NsLookupR { req: r.u64()?, result: read_result(r, read_entry)? },
-        4 => Msg::NsCreate {
-            req: r.u64()?,
-            path: r.string()?,
-            file: FileId(r.u128()?),
-            options: read_options(r)?,
-        },
-        5 => Msg::NsCreateR { req: r.u64()?, result: read_result(r, read_entry)? },
-        6 => Msg::NsMkdir { req: r.u64()?, path: r.string()? },
-        7 => Msg::NsMkdirR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        8 => Msg::NsRemove { req: r.u64()?, path: r.string()? },
-        9 => Msg::NsRemoveR { req: r.u64()?, result: read_result(r, read_entry)? },
-        10 => Msg::NsList { req: r.u64()?, path: r.string()? },
-        11 => Msg::NsListR {
-            req: r.u64()?,
-            result: read_result(r, |r| {
-                let n = r.u32()? as usize;
-                let mut names = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    names.push(r.string()?);
-                }
-                Ok(names)
-            })?,
-        },
-        12 => Msg::NsCommitBegin {
-            req: r.u64()?,
-            span: r.u64()?,
-            path: r.string()?,
-            base: Version(r.u64()?),
-        },
-        13 => Msg::NsCommitBeginR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        14 => Msg::NsCommitEnd {
-            req: r.u64()?,
-            span: r.u64()?,
-            path: r.string()?,
-            commit: r.boolean()?,
-            new_version: Version(r.u64()?),
-            new_size: r.u64()?,
-        },
-        15 => Msg::NsCommitEndR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        16 => Msg::LocQuery { req: r.u64()?, seg: SegId(r.u128()?) },
-        17 => Msg::LocQueryR {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            owners: read_owners(r)?,
-        },
-        18 => Msg::LocUpsert {
-            seg: SegId(r.u128()?),
-            owner: r.node()?,
-            version: Version(r.u64()?),
-            replication: r.u32()?,
-            bytes: r.u64()?,
-            deleted: r.boolean()?,
-        },
-        19 => Msg::LocRefresh {
-            owner: r.node()?,
-            entries: {
-                let n = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    entries.push((SegId(r.u128()?), Version(r.u64()?), r.u32()?, r.u64()?));
-                }
-                entries
-            },
-        },
-        20 => Msg::BackupQuery { req: r.u64()?, seg: SegId(r.u128()?) },
-        21 => Msg::BackupQueryR {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            version: Version(r.u64()?),
-        },
-        22 => Msg::ReadSeg {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            offset: r.u64()?,
-            len: r.u64()?,
-            min_version: read_opt(r, |r| Ok(Version(r.u64()?)))?,
-            allow_redirect: r.boolean()?,
-        },
-        23 => Msg::ReadSegR { req: r.u64()?, reply: read_reply(r)? },
-        24 => Msg::CreateShadow {
-            req: r.u64()?,
-            span: r.u64()?,
-            seg: SegId(r.u128()?),
-            base: read_opt(r, |r| Ok(Version(r.u64()?)))?,
-            meta: read_meta(r)?,
-        },
-        25 => Msg::CreateShadowR { req: r.u64()?, result: read_result(r, |r| r.u64())? },
-        26 => Msg::WriteShadow {
-            req: r.u64()?,
-            shadow: r.u64()?,
-            offset: r.u64()?,
-            payload: read_payload(r)?,
-            truncate: r.boolean()?,
-        },
-        27 => Msg::WriteShadowR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        28 => Msg::ReadShadow {
-            req: r.u64()?,
-            shadow: r.u64()?,
-            offset: r.u64()?,
-            len: r.u64()?,
-        },
-        29 => Msg::ReadShadowR { req: r.u64()?, reply: read_reply(r)? },
-        30 => Msg::RenewShadow { shadow: r.u64()? },
-        31 => Msg::Prepare { req: r.u64()?, span: r.u64()?, items: read_shadow_items(r)? },
-        32 => Msg::PrepareR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        33 => Msg::Commit { req: r.u64()?, span: r.u64()?, items: read_shadow_items(r)? },
-        34 => Msg::CommitR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        35 => Msg::Abort {
-            span: r.u64()?,
-            items: {
-                let n = r.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    items.push(r.u64()?);
-                }
-                items
-            },
-        },
-        36 => Msg::DirectWrite {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            offset: r.u64()?,
-            payload: read_payload(r)?,
-            meta: read_meta(r)?,
-        },
-        37 => Msg::DirectWriteR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        38 => Msg::DeleteSeg { req: r.u64()?, seg: SegId(r.u128()?) },
-        39 => Msg::DeleteSegR { req: r.u64()?, existed: r.boolean()? },
-        40 => Msg::FetchSeg { req: r.u64()?, seg: SegId(r.u128()?) },
-        41 => Msg::FetchSegR {
-            req: r.u64()?,
-            result: read_result(r, |r| Ok(Box::new(read_image(r)?)))?,
-        },
-        42 => Msg::SyncRequest {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            source: r.node()?,
-            bytes_hint: r.u64()?,
-        },
-        43 => Msg::SyncDone {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            version: Version(r.u64()?),
-            result: read_result(r, |_| Ok(()))?,
-        },
-        44 => Msg::MigrateTo {
-            seg: SegId(r.u128()?),
-            source: r.node()?,
-            bytes_hint: r.u64()?,
-        },
-        45 => Msg::MigrateDone { seg: SegId(r.u128()?), ok: r.boolean()? },
-        46 => Msg::StatsQuery { req: r.u64()? },
-        47 => Msg::StatsR { req: r.u64()?, json: r.string()? },
-        48 => Msg::ChaosCtl {
-            req: r.u64()?,
-            seed: r.u64()?,
-            drop_permille: r.u32()?,
-            dup_permille: r.u32()?,
-            delay_permille: r.u32()?,
-            delay_us: r.u64()?,
-            partition: {
-                let n = r.u32()? as usize;
-                let mut peers = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    peers.push(r.node()?);
-                }
-                peers
-            },
-        },
-        49 => Msg::ChaosCtlR { req: r.u64()? },
-        50 => Msg::TraceQuery { req: r.u64()?, span: r.u64()? },
-        51 => Msg::TraceR { req: r.u64()?, json: r.string()? },
-        52 => Msg::EcInstall {
-            req: r.u64()?,
-            image: Box::new(read_image(r)?),
-        },
-        53 => Msg::EcInstallR {
-            req: r.u64()?,
-            seg: SegId(r.u128()?),
-            result: read_result(r, |_| Ok(()))?,
-        },
-        54 => Msg::NsRename { req: r.u64()?, src: r.string()?, dst: r.string()? },
-        55 => Msg::NsRenameR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        56 => Msg::NsShardInstall {
-            req: r.u64()?,
-            path: r.string()?,
-            entry: read_entry(r)?,
-            xfer: r.boolean()?,
-        },
-        57 => Msg::NsShardInstallR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        58 => Msg::NsShardDrop { req: r.u64()?, path: r.string()?, check_empty: r.boolean()? },
-        59 => Msg::NsShardDropR { req: r.u64()?, result: read_result(r, |_| Ok(()))? },
-        60 => Msg::ShardMapQuery { req: r.u64()? },
-        61 => Msg::ShardMapR {
-            req: r.u64()?,
-            rows: {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push((r.u32()?, r.node()?, read_opt(r, |r| r.node())?));
-                }
-                rows
-            },
-        },
-        62 => Msg::NsWalShip {
-            shard: r.u32()?,
-            seq: r.u64()?,
-            ckpt: read_opt(r, |r| r.bytes())?,
-            recs: {
-                let n = r.u32()? as usize;
-                let mut recs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    recs.push(r.bytes()?);
-                }
-                recs
-            },
-        },
-        63 => Msg::NsCatchup { shard: r.u32()?, have_seq: r.u64()? },
-        64 => Msg::SwimPing {
-            seq: r.u64()?,
-            origin: r.node()?,
-            updates: read_swim_updates(r)?,
-        },
-        65 => Msg::SwimAck {
-            seq: r.u64()?,
-            origin: r.node()?,
-            updates: read_swim_updates(r)?,
-        },
-        66 => Msg::SwimPingReq {
-            seq: r.u64()?,
-            target: r.node()?,
-            origin: r.node()?,
-            updates: read_swim_updates(r)?,
-        },
-        67 => Msg::MembersPull { req: r.u64()? },
-        68 => Msg::MembersDigest { req: r.u64()?, updates: read_swim_updates(r)? },
-        69 => Msg::MembersQuery { req: r.u64()? },
-        70 => Msg::MembersR { req: r.u64()?, json: r.string()? },
-        tag => return Err(FrameError::UnknownTag { what: "msg", tag }),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sorrento::proto::Tick;
 
     fn roundtrip(msg: Msg) {
         let me = NodeId::from_index(7);
@@ -1791,10 +1024,6 @@ mod tests {
             partition: Vec::new(),
         });
         roundtrip(Msg::ChaosCtlR { req: 11 });
-        // New tick variants (never on the wire in practice, but the codec
-        // must stay total over Msg).
-        roundtrip(Msg::Tick(Tick::OpDeadline(7)));
-        roundtrip(Msg::Tick(Tick::RpcResend(99)));
         // New error variants travel inside any Result-bearing reply.
         roundtrip(Msg::WriteShadowR { req: 1, result: Err(Error::Unavailable) });
         roundtrip(Msg::CommitR { req: 2, result: Err(Error::DeadlineExceeded) });
@@ -1834,10 +1063,6 @@ mod tests {
         });
         roundtrip(Msg::NsWalShip { shard: 0, seq: 8, ckpt: None, recs: Vec::new() });
         roundtrip(Msg::NsCatchup { shard: 1, have_seq: 6 });
-        roundtrip(Msg::Tick(Tick::NsShip));
-        roundtrip(Msg::Tick(Tick::StandbyCheck));
-        roundtrip(Msg::Tick(Tick::ShardMapRefresh));
-        roundtrip(Msg::Tick(Tick::XShardTimeout(12)));
     }
 
     #[test]
@@ -1887,13 +1112,17 @@ mod tests {
         roundtrip(Msg::MembersDigest { req: 8, updates });
         roundtrip(Msg::MembersQuery { req: 9 });
         roundtrip(Msg::MembersR { req: 9, json: "{\"mode\":\"swim\"}".into() });
-        roundtrip(Msg::Tick(Tick::SwimProbe));
-        roundtrip(Msg::Tick(Tick::SwimAckTimeout(4)));
-        roundtrip(Msg::Tick(Tick::SwimProbeTimeout(5)));
-        roundtrip(Msg::Tick(Tick::SwimSuspectTimeout(NodeId::from_index(6), 2)));
-        roundtrip(Msg::Tick(Tick::SwimSync));
-        roundtrip(Msg::Tick(Tick::GaugeExport));
-        roundtrip(Msg::Tick(Tick::MembersRefresh));
+    }
+
+    #[test]
+    fn a_timer_encodes_as_a_bare_tag_that_decode_refuses() {
+        // Timers are local. Encoding stays total, and what it makes of
+        // one is exactly what a peer (this one included) turns away.
+        let wire = encode_msg(NodeId::from_index(7), &Msg::Tick(Tick::Gc));
+        assert_eq!(wire[HEADER_LEN..], [0]);
+        let refused = decode_frame(&wire).unwrap_err();
+        assert_eq!(refused, FrameError::UnknownTag { what: "msg", tag: 0 });
+        assert!(!MSG_TAGS.contains(&0));
     }
 
     #[test]

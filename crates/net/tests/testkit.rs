@@ -1,8 +1,8 @@
 //! The loopback kit itself, on one namespace server and three persisting
 //! providers: a stopped or killed node comes back on its address with
-//! what its `data_dir` held, `disk_images` reads what a clean stop
-//! persisted, `wait` names what it gave up on, and a shutdown leaves no
-//! thread behind.
+//! what its `data_dir` held (less, and counted, a `seg/` value that is no
+//! image), `disk_images` reads what a clean stop persisted, `wait` names
+//! what it gave up on, and a shutdown leaves no thread behind.
 //!
 //! One test, because the thread census at its end is process-wide.
 
@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use sorrento::api::FsScript;
 use sorrento::types::FileOptions;
+use sorrento_kvdb::{Db, DbConfig, FileBackend};
 use sorrento_net::ctl;
 use sorrento_net::testkit::{self, LoopbackCluster};
 
@@ -72,6 +73,13 @@ fn kill_restart_scrape_wait_and_shutdown() {
     assert!(cluster.disk_images(other).is_err(), "a running node's disk was opened");
     assert!(cluster.kill(victim).is_err(), "killed a node that was down");
 
+    // A value that is no image (torn, foreign) costs that one segment,
+    // visibly: every restart below counts it and installs the rest.
+    let dir = cluster.data_dir(victim).unwrap().to_path_buf();
+    let mut db = Db::open(FileBackend::open(dir).unwrap(), DbConfig::default()).unwrap();
+    db.put(b"seg/garbage", b"not an image").expect("plant the garbage");
+    drop(db);
+
     // Stopped or crashed, the node returns on its address with its data.
     for crash in [false, true] {
         if crash {
@@ -84,6 +92,9 @@ fn kill_restart_scrape_wait_and_shutdown() {
                 segments(s, victim) == Some(held)
             })
             .expect("restart re-reads the data_dir");
+        let recovered = cluster.snapshot().expect("scrape the restarted victim");
+        assert_eq!(recovered.counter(victim, "recovery.images_installed"), held as u64);
+        assert_eq!(recovered.counter(victim, "recovery.images_skipped"), 1);
         for i in 0..FILES {
             testkit::read_until(&cfg, &format!("/f{i}"), &body(i), 3, DEADLINE, "read after restart")
                 .unwrap();

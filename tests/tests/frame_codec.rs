@@ -5,26 +5,28 @@
 //! re-encode, and require the two byte strings to match. Corruption
 //! properties assert the decoder returns a typed [`FrameError`] — never
 //! panics — for every truncation and for bit flips anywhere in the
-//! header or payload.
+//! header or payload. Every property draws its tags from the codec's own
+//! table (`MSG_TAGS`). The last section pins the bytes themselves against
+//! the committed `data/wire_v3.txt`.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::{Rng, SeedableRng};
 use sorrento::membership::Heartbeat;
-use sorrento::proto::{FileEntry, Msg, ReadReply, Tick};
+use sorrento::proto::{FileEntry, Msg, ReadReply};
 use sorrento::store::{ReplicaImage, SegMeta, WritePayload};
+use sorrento::swim::{SwimState, SwimUpdate};
 use sorrento::types::{
     EcParams, Error, FileId, FileOptions, Organization, PlacementPolicy, SegId, Version,
 };
 use sorrento_net::frame::{
     decode_frame, decode_image_bytes, encode_hello, encode_image_bytes, encode_msg,
-    encode_msg_into, reference_encode_msg, Frame, FrameError, StreamDecoder, HEADER_LEN,
+    encode_msg_into, reference_encode_msg, Frame, FrameError, StreamDecoder, HEADER_LEN, MSG_TAGS,
 };
 use sorrento_net::pool::BufPool;
 use sorrento_sim::NodeId;
-
-/// Number of `Msg` variants; every tag below this is generated.
-const MSG_VARIANTS: u8 = 64;
 
 fn arb_u128(rng: &mut TestRng) -> u128 {
     ((rng.gen::<u64>() as u128) << 64) | rng.gen::<u64>() as u128
@@ -168,29 +170,28 @@ fn arb_image(rng: &mut TestRng) -> ReplicaImage {
     }
 }
 
-fn arb_tick(rng: &mut TestRng) -> Tick {
-    match rng.gen_range(0..20u8) {
-        0 => Tick::Heartbeat,
-        1 => Tick::LocationRefresh,
-        2 => Tick::JoinRefresh(arb_node(rng)),
-        3 => Tick::Gc,
-        4 => Tick::RepairScan,
-        5 => Tick::Migration,
-        6 => Tick::MigrationContinue,
-        7 => Tick::RpcTimeout(rng.gen()),
-        8 => Tick::BackupDeadline(rng.gen()),
-        9 => Tick::Membership,
-        10 => Tick::NextOp,
-        11 => Tick::AppendRetry,
-        12 => Tick::CommitBeginRetry,
-        13 => Tick::LeaseSweep,
-        14 => Tick::OpDeadline(rng.gen()),
-        15 => Tick::RpcResend(rng.gen()),
-        16 => Tick::NsShip,
-        17 => Tick::StandbyCheck,
-        18 => Tick::ShardMapRefresh,
-        _ => Tick::XShardTimeout(rng.gen()),
+fn arb_heartbeat(rng: &mut TestRng) -> Heartbeat {
+    Heartbeat {
+        load: arb_f64(rng),
+        available: rng.gen(),
+        capacity: rng.gen(),
+        machine: rng.gen(),
+        rack: rng.gen(),
     }
+}
+
+fn arb_updates(rng: &mut TestRng) -> Vec<SwimUpdate> {
+    let n = rng.gen_range(0..4usize);
+    (0..n)
+        .map(|_| SwimUpdate {
+            node: arb_node(rng),
+            state: [SwimState::Alive, SwimState::Suspect, SwimState::Dead]
+                [rng.gen_range(0..3usize)],
+            incarnation: rng.gen(),
+            beat: rng.gen(),
+            payload: if rng.gen() { Some(arb_heartbeat(rng)) } else { None },
+        })
+        .collect()
 }
 
 fn arb_shadow_items(rng: &mut TestRng) -> Vec<(u64, Version)> {
@@ -198,17 +199,15 @@ fn arb_shadow_items(rng: &mut TestRng) -> Vec<(u64, Version)> {
     (0..n).map(|_| (rng.gen(), Version(rng.gen()))).collect()
 }
 
+/// One of the codec's on-wire `Msg` tags.
+fn arb_tag(rng: &mut TestRng) -> u8 {
+    MSG_TAGS[rng.gen_range(0..MSG_TAGS.len())]
+}
+
 /// A random instance of the `Msg` variant with the given wire tag.
 fn arb_msg(tag: u8, rng: &mut TestRng) -> Msg {
     match tag {
-        0 => Msg::Tick(arb_tick(rng)),
-        1 => Msg::Heartbeat(Heartbeat {
-            load: arb_f64(rng),
-            available: rng.gen(),
-            capacity: rng.gen(),
-            machine: rng.gen(),
-            rack: rng.gen(),
-        }),
+        1 => Msg::Heartbeat(arb_heartbeat(rng)),
         2 => Msg::NsLookup { req: rng.gen(), path: arb_string(rng) },
         3 => Msg::NsLookupR { req: rng.gen(), result: arb_result(rng, arb_entry) },
         4 => Msg::NsCreate {
@@ -413,7 +412,19 @@ fn arb_msg(tag: u8, rng: &mut TestRng) -> Msg {
             },
         },
         63 => Msg::NsCatchup { shard: rng.gen(), have_seq: rng.gen() },
-        _ => unreachable!("tag out of range"),
+        64 => Msg::SwimPing { seq: rng.gen(), origin: arb_node(rng), updates: arb_updates(rng) },
+        65 => Msg::SwimAck { seq: rng.gen(), origin: arb_node(rng), updates: arb_updates(rng) },
+        66 => Msg::SwimPingReq {
+            seq: rng.gen(),
+            target: arb_node(rng),
+            origin: arb_node(rng),
+            updates: arb_updates(rng),
+        },
+        67 => Msg::MembersPull { req: rng.gen() },
+        68 => Msg::MembersDigest { req: rng.gen(), updates: arb_updates(rng) },
+        69 => Msg::MembersQuery { req: rng.gen() },
+        70 => Msg::MembersR { req: rng.gen(), json: arb_string(rng) },
+        _ => unreachable!("wire tag {tag} has a codec row but no generator here"),
     }
 }
 
@@ -423,7 +434,7 @@ proptest! {
     #[test]
     fn every_msg_variant_roundtrips_byte_exactly(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        for tag in 0..MSG_VARIANTS {
+        for &tag in MSG_TAGS {
             let msg = arb_msg(tag, &mut rng);
             let sender = arb_node(&mut rng);
             let bytes = encode_msg(sender, &msg);
@@ -450,7 +461,7 @@ proptest! {
         // leak into the next one.
         let mut rng = TestRng::seed_from_u64(seed);
         let pool = BufPool::new();
-        for tag in 0..MSG_VARIANTS {
+        for &tag in MSG_TAGS {
             let msg = arb_msg(tag, &mut rng);
             let sender = arb_node(&mut rng);
             let mut buf = pool.check_out();
@@ -488,7 +499,7 @@ proptest! {
     #[test]
     fn every_truncation_is_a_typed_error(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let tag = rng.gen_range(0..MSG_VARIANTS);
+        let tag = arb_tag(&mut rng);
         let msg = arb_msg(tag, &mut rng);
         let bytes = encode_msg(arb_node(&mut rng), &msg);
         for cut in 0..bytes.len() {
@@ -504,7 +515,7 @@ proptest! {
     #[test]
     fn payload_bit_flips_fail_the_checksum(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let tag = rng.gen_range(0..MSG_VARIANTS);
+        let tag = arb_tag(&mut rng);
         let msg = arb_msg(tag, &mut rng);
         let mut bytes = encode_msg(arb_node(&mut rng), &msg);
         let at = rng.gen_range(HEADER_LEN..bytes.len());
@@ -519,7 +530,7 @@ proptest! {
     #[test]
     fn header_corruption_is_a_typed_error(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let tag = rng.gen_range(0..MSG_VARIANTS);
+        let tag = arb_tag(&mut rng);
         let msg = arb_msg(tag, &mut rng);
         let mut bytes = encode_msg(arb_node(&mut rng), &msg);
         // Corrupt magic, version, payload length, or crc. The sender and
@@ -567,7 +578,7 @@ proptest! {
         let mut rng = TestRng::seed_from_u64(seed);
         let mut stream = Vec::new();
         let mut expected: Vec<(NodeId, Vec<u8>)> = Vec::new();
-        for tag in 0..MSG_VARIANTS {
+        for &tag in MSG_TAGS {
             let msg = arb_msg(tag, &mut rng);
             let sender = arb_node(&mut rng);
             let bytes = encode_msg(sender, &msg);
@@ -604,7 +615,7 @@ proptest! {
     #[test]
     fn stream_decoder_truncation_is_incomplete_not_an_error(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let tag = rng.gen_range(0..MSG_VARIANTS);
+        let tag = arb_tag(&mut rng);
         let bytes = encode_msg(arb_node(&mut rng), &arb_msg(tag, &mut rng));
         let cut = rng.gen_range(0..bytes.len());
         let mut dec = StreamDecoder::new();
@@ -628,7 +639,7 @@ proptest! {
     #[test]
     fn stream_decoder_corruption_is_a_typed_error(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let tag = rng.gen_range(0..MSG_VARIANTS);
+        let tag = arb_tag(&mut rng);
         let mut bytes = encode_msg(arb_node(&mut rng), &arb_msg(tag, &mut rng));
         let at = rng.gen_range(HEADER_LEN..bytes.len());
         bytes[at] ^= 1u8 << rng.gen_range(0..8u8);
@@ -665,4 +676,73 @@ proptest! {
             prop_assert!(got.is_empty(), "garbage yielded a frame");
         }
     }
+}
+
+// ------------------------------------------------------ pinned v3 bytes
+
+/// Frames and `seg/` images as the version-3 encoder wrote them. The
+/// properties above only say the codec agrees with itself; this says it
+/// agrees with every peer and every `data_dir` already out there.
+const FIXTURE: &str = include_str!("data/wire_v3.txt");
+/// Seeds per tag (and images) in the fixture.
+const FIXTURE_SEEDS: u64 = 3;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex")).collect()
+}
+
+/// Every committed line decodes and re-encodes to exactly itself, and
+/// the lines cover exactly the codec's tag list. Uses no generator and
+/// no rng: what it checks is the file.
+#[test]
+fn committed_v3_bytes_decode_and_reencode_unchanged() {
+    let mut seen = BTreeSet::new();
+    for line in FIXTURE.lines().filter(|l| !l.starts_with('#')) {
+        let (what, bytes) = line.split_once(' ').expect("`<tag|image> <hex>`");
+        let bytes = unhex(bytes);
+        let again = if what == "image" {
+            let image = decode_image_bytes(&bytes).unwrap_or_else(|e| panic!("image: {e}"));
+            encode_image_bytes(&image)
+        } else {
+            let tag: u8 = what.parse().expect("tag");
+            assert_eq!(bytes[HEADER_LEN], tag, "line labelled {tag} carries another tag");
+            seen.insert(tag);
+            match decode_frame(&bytes).unwrap_or_else(|e| panic!("tag {tag}: {e}")) {
+                (sender, Frame::Msg(msg)) => encode_msg(sender, &msg),
+                (_, other) => panic!("tag {tag} decoded as {other:?}"),
+            }
+        };
+        if let Some(at) = (0..again.len().max(bytes.len())).find(|&i| again.get(i) != bytes.get(i)) {
+            panic!("{what}: byte {at} is {:?} in the file, {:?} re-encoded", bytes.get(at), again.get(at));
+        }
+    }
+    let tags: BTreeSet<u8> = MSG_TAGS.iter().copied().collect();
+    assert_eq!(seen, tags, "fixture tags (left) are not the codec's tag list (right)");
+}
+
+/// Rewrites the fixture from this tree's encoder: run it only when the
+/// bytes are meant to change (`cargo test -p sorrento-tests --test
+/// frame_codec -- --ignored`), and then follow the file's header.
+#[test]
+#[ignore = "regenerates tests/tests/data/wire_v3.txt"]
+fn regenerate_the_v3_fixture() {
+    let mut out: String =
+        FIXTURE.lines().filter(|l| l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    for &tag in MSG_TAGS {
+        for seed in 0..FIXTURE_SEEDS {
+            let mut rng = TestRng::seed_from_u64(seed << 8 | u64::from(tag));
+            let msg = arb_msg(tag, &mut rng);
+            out += &format!("{tag} {}\n", hex(&encode_msg(arb_node(&mut rng), &msg)));
+        }
+    }
+    for seed in 0..FIXTURE_SEEDS {
+        let image = arb_image(&mut TestRng::seed_from_u64(seed));
+        out += &format!("image {}\n", hex(&encode_image_bytes(&image)));
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v3.txt");
+    std::fs::write(path, out).expect("write the fixture");
 }
