@@ -76,6 +76,35 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// `b[i] = (i·31 + 7) as u8`: every byte value, no period under 256.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn pinned_values_across_block_boundaries() {
+        // zlib's values, confirmed against the byte-at-a-time kernel
+        // this one replaced. A WAL or a frame written by any earlier
+        // build must keep verifying, so these never change.
+        const PINNED: [(usize, u32); 12] = [
+            (0, 0x0000_0000),
+            (1, 0x4c66_7a2e),
+            (15, 0x8f77_fabb),
+            (16, 0x0636_a895),
+            (17, 0x71b8_d951),
+            (31, 0x45d6_9b08),
+            (32, 0x4923_fba6),
+            (33, 0xd390_bd70),
+            (255, 0x50a2_2b05),
+            (4_096, 0x5d1c_4ee3),
+            (65_537, 0x97a6_5d31),
+            (262_181, 0x6667_433f),
+        ];
+        for (len, want) in PINNED {
+            assert_eq!(crc32(&pattern(len)), want, "len {len}");
+        }
+    }
+
     #[test]
     fn streaming_matches_one_shot() {
         let data = b"the quick brown fox jumps over the lazy dog";

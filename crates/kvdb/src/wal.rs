@@ -131,6 +131,17 @@ mod tests {
     }
 
     #[test]
+    fn a_record_written_by_an_earlier_build_still_replays() {
+        // `encode_record(&batch1())` as the byte-at-a-time CRC kernel
+        // wrote it: a WAL on disk outlives the code that appended it.
+        const ON_DISK: &[u8] = b"\x18\x00\x00\x00\xbd\xf8\xe3\x35\
+            \x01\x05\x00\x00\x00alpha\x01\x00\x00\x001\
+            \x02\x04\x00\x00\x00beta";
+        assert_eq!(replay(ON_DISK), vec![batch1()]);
+        assert_eq!(encode_record(&batch1()), ON_DISK);
+    }
+
+    #[test]
     fn round_trip_many_records() {
         let mut wal = Vec::new();
         for i in 0..10u8 {
