@@ -23,8 +23,12 @@
 //! Send path: `send` encodes the frame once into a buffer checked out
 //! of a [`BufPool`] and pushes an `Arc` of it onto the peer's bounded
 //! queue (a multicast shares one encoded frame across every queue),
-//! then kicks the loop through an eventfd waker. The loop drains each
-//! queue into ≤32-frame vectored writes; when the socket's buffer
+//! then kicks the loop through an eventfd waker. A bulk message bound
+//! for a peer that already has frames waiting is queued unencoded and
+//! encoded by the loop instead (`ENCODE_AHEAD`): copies exist for what
+//! the socket is about to take, not for everything a peer asked for.
+//! The loop drains each queue into vectored writes of ≤32 frames or
+//! ≈1 MiB; when the socket's buffer
 //! fills it subscribes `EPOLLOUT` (counted — the backpressure gauge)
 //! and resumes exactly where the partial write stopped. Replies
 //! prefer the live inbound connection a peer's frames arrived on, so
@@ -49,15 +53,28 @@ use std::time::{Duration, Instant};
 
 use epoll::{Interest, Poller, Token, Waker};
 use sorrento::proto::Msg;
-use sorrento_sim::{NodeId, TelemetryEvent};
+use sorrento_sim::{NodeId, Payload, TelemetryEvent};
 
 use crate::chaos::{Chaos, ChaosConfig, Fault};
 use crate::flight::FlightRecorder;
-use crate::frame::{self, Frame, StreamDecoder};
+use crate::frame::{self, Frame, FrameError, StreamDecoder};
 use crate::pool::{BufPool, PooledBuf};
 
 /// Most frames folded into one vectored write.
 const COALESCE_MAX: usize = 32;
+/// Bytes past which a write batch takes no further frame: a socket
+/// accepts a few MiB at most, and a frame in the batch is an encoded copy.
+const COALESCE_BYTES: usize = 1 << 20;
+
+/// Frames waiting for a peer at which `send` stops encoding bulk
+/// messages ahead of the socket. A sender that checksums faster than its
+/// peer drains would otherwise hold a pooled copy of every reply the
+/// peer's read windows asked for (a 32 MiB read: 11 extents × 4 chunks
+/// of 256 KiB); from here on the message is queued as it is — its blob a
+/// view of the store — and the loop encodes it on its turn at the socket.
+const ENCODE_AHEAD: u64 = 2;
+/// Smallest modeled size worth queueing unencoded (a clone of the message).
+const DEFER_MIN: u64 = 64 * 1024;
 
 /// Consecutive queue-full drops to one peer before its connection is
 /// evicted (closed and redialed on the next send). A healthy peer never
@@ -122,6 +139,7 @@ struct MeshCounters {
     send_failures: AtomicU64,
     dropped_inbox_full: AtomicU64,
     decode_errors: AtomicU64,
+    checksum_errors: AtomicU64,
     chaos_dropped: AtomicU64,
     chaos_duplicated: AtomicU64,
     chaos_delayed: AtomicU64,
@@ -154,10 +172,18 @@ pub struct MeshStats {
     pub conns: u64,
 }
 
-/// One queued outbound frame: the shared encoded bytes plus the
-/// earliest instant it may hit the wire (chaos delay; `None` = now).
+/// A queued frame: encoded by the sender (shared across a multicast's
+/// queues), or the message still to encode (see [`ENCODE_AHEAD`]).
+#[derive(Clone)]
+enum Outbound {
+    Encoded(Arc<PooledBuf>),
+    Deferred(Box<Msg>),
+}
+
+/// One queued outbound frame plus the earliest instant it may hit the
+/// wire (chaos delay; `None` = now).
 struct QItem {
-    buf: Arc<PooledBuf>,
+    out: Outbound,
     deliver_at: Option<Instant>,
 }
 
@@ -255,7 +281,10 @@ impl Mesh {
                 dial_loop(dial_req_rx, dial_res_tx, dial_waker, dial_shared, cfg, me, listen_addr)
             })?;
 
+        let pool = BufPool::new();
         let mut el = EventLoop {
+            me,
+            pool: pool.clone(),
             poller: Poller::new()?,
             waker: Arc::clone(&waker),
             listener,
@@ -284,7 +313,7 @@ impl Mesh {
             cfg,
             shared,
             inbox: inbox_rx,
-            pool: BufPool::new(),
+            pool,
             cmd_tx,
             waker,
             full_strikes: HashMap::new(),
@@ -327,9 +356,18 @@ impl Mesh {
     /// is encoded into a pooled buffer and queued; a full queue drops
     /// the frame.
     pub fn send(&mut self, to: NodeId, msg: &Msg) {
+        if msg.wire_size() >= DEFER_MIN && self.backlog(to) >= ENCODE_AHEAD {
+            return self.enqueue(to, Outbound::Deferred(Box::new(msg.clone())));
+        }
         let mut buf = self.pool.check_out();
         frame::encode_msg_into(&mut buf, self.me, msg);
-        self.enqueue(to, Arc::new(buf));
+        self.enqueue(to, Outbound::Encoded(Arc::new(buf)));
+    }
+
+    /// Frames queued for `to` and not yet in its connection's write batch.
+    fn backlog(&self, to: NodeId) -> u64 {
+        let queues = self.shared.queues.lock().unwrap();
+        queues.get(&to).map_or(0, |q| q.depth.load(Ordering::Relaxed))
     }
 
     /// Fan a message out to every known peer, encoding it exactly once.
@@ -340,9 +378,9 @@ impl Mesh {
         }
         let mut buf = self.pool.check_out();
         frame::encode_msg_into(&mut buf, self.me, msg);
-        let shared_frame = Arc::new(buf);
+        let shared_frame = Outbound::Encoded(Arc::new(buf));
         for peer in peers {
-            self.enqueue(peer, Arc::clone(&shared_frame));
+            self.enqueue(peer, shared_frame.clone());
         }
     }
 
@@ -362,7 +400,7 @@ impl Mesh {
         self.flight = Some(rec);
     }
 
-    fn enqueue(&mut self, to: NodeId, frame: Arc<PooledBuf>) {
+    fn enqueue(&mut self, to: NodeId, frame: Outbound) {
         // Chaos verdict first (daemon thread, frame order: the decision
         // stream is deterministic for a given seed and link).
         let mut delay = None;
@@ -419,7 +457,7 @@ impl Mesh {
                     }
                     continue;
                 }
-                g.q.push_back(QItem { buf: Arc::clone(&frame), deliver_at: delay });
+                g.q.push_back(QItem { out: frame.clone(), deliver_at: delay });
                 self.full_strikes.remove(&to);
                 let kick = !g.kicked;
                 g.kicked = true;
@@ -481,6 +519,8 @@ impl Mesh {
         metrics.gauge_set("net_send_failures", s.send_failures as f64);
         metrics.gauge_set("net_dropped_inbox_full", s.dropped_inbox_full as f64);
         metrics.gauge_set("net_decode_errors", s.decode_errors as f64);
+        let checksum_errors = self.shared.counters.checksum_errors.load(Ordering::Relaxed);
+        metrics.gauge_set("net_checksum_errors", checksum_errors as f64);
         metrics.gauge_set("net_chaos_dropped", s.chaos_dropped as f64);
         metrics.gauge_set("net_chaos_duplicated", s.chaos_duplicated as f64);
         metrics.gauge_set("net_chaos_delayed", s.chaos_delayed as f64);
@@ -600,6 +640,9 @@ enum Timer {
 }
 
 struct EventLoop {
+    me: NodeId,
+    /// The mesh's encode-buffer pool, for frames queued unencoded.
+    pool: BufPool,
     poller: Poller,
     waker: Arc<Waker>,
     listener: TcpListener,
@@ -894,10 +937,20 @@ impl EventLoop {
                 Ok(n) => match conn.decoder.advance(n) {
                     Ok(Some((sender, frame))) => self.on_frame(idx, sender, frame),
                     Ok(None) => {}
-                    Err(_) => {
+                    Err(why) => {
                         // The stream is out of sync; there is no resync
                         // point in a byte stream, so drop the connection.
-                        self.shared.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                        // A failed checksum is counted apart: it is damage
+                        // to a peer's bytes, not a stranger's protocol.
+                        // (First, so no export shows the total without it.)
+                        let counters = &self.shared.counters;
+                        if why == FrameError::ChecksumMismatch {
+                            counters.checksum_errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                        let peer = conn.peer.map_or("unidentified".into(), |p| p.to_string());
+                        let addr = conn.stream.peer_addr().map_or("?".into(), |a| a.to_string());
+                        eprintln!("sorrento mesh: closed connection from {peer} at {addr}: {why}");
                         self.close_conn(idx);
                         return;
                     }
@@ -1000,34 +1053,42 @@ impl EventLoop {
             // the link — FIFO order is preserved, like queueing delay on
             // a real NIC).
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-            {
-                let now = Instant::now();
-                let mut g = pq.inner.lock().unwrap();
-                let mut took = 0u64;
-                while conn.batch.len() < COALESCE_MAX {
+            let now = Instant::now();
+            let mut bytes: usize = conn.batch.iter().map(|b| b.len()).sum();
+            loop {
+                // One frame per lock hold: a deferred one is encoded
+                // below, which must not hold up the sender's `enqueue`.
+                let item = {
+                    let mut g = pq.inner.lock().unwrap();
                     match g.q.front() {
-                        Some(item) => {
-                            if let Some(at) = item.deliver_at {
-                                if at > now {
-                                    self.timers.push((at, Timer::Kick(peer)));
-                                    break;
-                                }
+                        None => {
+                            if conn.batch.is_empty() {
+                                // Fully drained: the next enqueue must kick again.
+                                g.kicked = false;
                             }
+                            break;
                         }
-                        None => break,
+                        Some(_) if conn.batch.len() >= COALESCE_MAX || bytes >= COALESCE_BYTES => {
+                            break
+                        }
+                        Some(QItem { deliver_at: Some(at), .. }) if *at > now => {
+                            self.timers.push((*at, Timer::Kick(peer)));
+                            break;
+                        }
+                        Some(_) => g.q.pop_front().expect("front just checked"),
                     }
-                    let item = g.q.pop_front().expect("front just checked");
-                    conn.batch.push_back(item.buf);
-                    took += 1;
-                }
-                if g.q.is_empty() && conn.batch.is_empty() {
-                    // Fully drained: the next enqueue must kick again.
-                    g.kicked = false;
-                }
-                drop(g);
-                if took > 0 {
-                    pq.depth.fetch_sub(took, Ordering::Relaxed);
-                }
+                };
+                pq.depth.fetch_sub(1, Ordering::Relaxed);
+                let buf = match item.out {
+                    Outbound::Encoded(buf) => buf,
+                    Outbound::Deferred(msg) => {
+                        let mut buf = self.pool.check_out();
+                        frame::encode_msg_into(&mut buf, self.me, &msg);
+                        Arc::new(buf)
+                    }
+                };
+                bytes += buf.len();
+                conn.batch.push_back(buf);
             }
             if conn.batch.is_empty() {
                 self.set_want_write(idx, false);
@@ -1309,6 +1370,44 @@ mod tests {
             assert!(Instant::now() < deadline, "{what}: census {n}, expected {expected}");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// Forty 256 KiB replies to a peer that reads late: the sender keeps
+    /// encoded copies of what is next for the socket — not of all forty —
+    /// and every reply still arrives, whole and in order.
+    #[test]
+    fn bulk_frames_behind_a_backlog_are_encoded_by_the_loop() {
+        use sorrento::proto::ReadReply;
+        const FRAMES: u64 = 40;
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (n0, n1) = (NodeId::from_index(0), NodeId::from_index(1));
+        let peers = HashMap::from([(n1, l1.local_addr().unwrap())]);
+        let mut m0 = Mesh::start(n0, l0, peers, MeshConfig::default()).unwrap();
+        for req in 0..FRAMES {
+            let data = Some(vec![req as u8; 256 * 1024].into());
+            let reply = ReadReply::Data { len: 256 * 1024, data, version: Default::default() };
+            m0.send(n1, &Msg::ReadSegR { req, reply });
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let (mut stream, _) = l1.accept().unwrap();
+        let mut decoder = StreamDecoder::new();
+        let mut next = 0;
+        while next < FRAMES {
+            let n = stream.read(decoder.spare()).unwrap();
+            assert!(n > 0, "connection closed after {next} replies");
+            match decoder.advance(n).expect("well-formed frames").map(|(_, frame)| frame) {
+                Some(Frame::Msg(Msg::ReadSegR { req, reply: ReadReply::Data { data, .. } })) => {
+                    assert_eq!(req, next);
+                    assert!(data.unwrap().iter().all(|&b| b == req as u8));
+                    next += 1;
+                }
+                Some(Frame::Hello { .. }) | None => {}
+                Some(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        let copies = m0.pool.idle() as u64;
+        assert!((1..=ENCODE_AHEAD + 6).contains(&copies), "{copies} pooled encode buffers");
     }
 
     /// The thread census is independent of how many peers the mesh

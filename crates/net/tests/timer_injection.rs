@@ -1,19 +1,28 @@
-//! A timer frame from the network does nothing (north-star aim 3: no
-//! bytes from the network may drive a daemon).
+//! Bytes from the network that must do nothing, and be counted as what
+//! they are (north-star aim 3: no bytes from the network may drive a
+//! daemon).
 //!
-//! `Tick`s are a node's own alarms. While the codec still had a table
-//! for them, twenty `Tick::Heartbeat` frames from a stranger each started
-//! one more self-re-arming heartbeat chain on the provider that decoded
-//! them (`hb.send` +168 in 4 s against its neighbour's +7). The frames
-//! are built by hand, so this test does not depend on what `encode_msg`
-//! makes of a timer today.
+//! *A timer frame.* `Tick`s are a node's own alarms. While the codec still
+//! had a table for them, twenty `Tick::Heartbeat` frames from a stranger
+//! each started one more self-re-arming heartbeat chain on the provider
+//! that decoded them (`hb.send` +168 in 4 s against its neighbour's +7).
+//! The frames are built by hand, so this test does not depend on what
+//! `encode_msg` makes of a timer today.
+//!
+//! *A frame damaged in flight.* `net_decode_errors` counts every reason a
+//! stream was dropped — a port scanner's bytes, a newer peer's tag, the
+//! timer above. Only a failed payload checksum says that a peer's own
+//! bytes arrived changed, and `net_checksum_errors` is how an operator
+//! tells that from the rest.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use sorrento_net::frame::{encode_hello, MAGIC, VERSION};
-use sorrento_net::testkit::{LoopbackCluster, Snapshot};
+use sorrento::proto::Msg;
+use sorrento::store::WritePayload;
+use sorrento_net::frame::{encode_hello, encode_msg, HEADER_LEN, MAGIC, VERSION};
+use sorrento_net::testkit::{payload, LoopbackCluster, Snapshot};
 use sorrento_sim::NodeId;
 
 /// A node id no config lists.
@@ -54,12 +63,48 @@ fn injected_timer_frames_start_no_timer_chain() {
     assert!(two > 0, "provider 2 sent no heartbeat in 4 s");
     assert!(one.abs_diff(two) <= 2, "hb.send: provider 1 +{one}, provider 2 +{two}");
     assert!(after.gauge(1, "net_decode_errors") >= Some(1.0), "the refusal is not counted");
-    // A poisoned stream is dropped: EOF, or a reset for the unread frames.
+    assert_hung_up(sock);
+    cluster.shutdown().expect("clean shutdown");
+}
+
+/// A poisoned stream is dropped: EOF, or a reset for the unread bytes.
+fn assert_hung_up(mut sock: TcpStream) {
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     match sock.read(&mut [0u8; 64]) {
         Ok(0) => {}
         Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
         other => panic!("the connection is still open: {other:?}"),
     }
+}
+
+#[test]
+fn a_flipped_payload_bit_is_a_checksum_error_and_stores_nothing() {
+    let cluster = LoopbackCluster::builder(2).boot().expect("boot 1 + 2");
+    let wait = |what: &str, done: &dyn Fn(&Snapshot) -> bool| {
+        cluster.wait(what, Duration::from_secs(10), done).expect("seen on a running cluster")
+    };
+    // The gauge is refreshed on the heartbeat tick.
+    let stored = |s: &Snapshot| s.gauge(1, "n1.stored_bytes");
+    let before = wait("provider 1's first tick", &|s| stored(s).is_some());
+
+    // One pipelined-write chunk, encoded correctly, then damaged the way
+    // a bad NIC or cable would: after the sender computed the CRC.
+    let sender = NodeId::from_index(STRANGER);
+    let chunk = WritePayload::Real(payload(256 << 10).into());
+    let write = Msg::WriteShadow { req: 1, shadow: 1, offset: 0, payload: chunk, truncate: false };
+    let mut frame = encode_msg(sender, &write);
+    frame[HEADER_LEN + (100 << 10)] ^= 0x04;
+    let mut sock = TcpStream::connect(cluster.addr(1)).expect("connect to provider 1");
+    sock.write_all(&encode_hello(sender, "nowhere")).expect("hello");
+    sock.write_all(&frame).expect("the daemon reads a whole frame before it judges it");
+
+    let refused = wait("the refusal", &|s| s.gauge(1, "net_decode_errors") >= Some(1.0));
+    assert_eq!(refused.gauge(1, "net_checksum_errors"), Some(1.0));
+    assert_eq!(refused.gauge(1, "net_decode_errors"), Some(1.0));
+    assert_eq!(refused.gauge(2, "net_checksum_errors"), Some(0.0));
+    assert_eq!(refused.gauge(2, "net_decode_errors"), Some(0.0));
+    assert_hung_up(sock);
+    let ticked = |s: &Snapshot| heartbeats_sent(s, 1) > heartbeats_sent(&refused, 1);
+    assert_eq!(stored(&wait("a tick after the refusal", &ticked)), stored(&before));
     cluster.shutdown().expect("clean shutdown");
 }
