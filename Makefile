@@ -4,8 +4,8 @@
 #                   + rustdoc with -D warnings (public-API docs are load-bearing)
 #   make test       test suite only
 #   make check-net  real-process runtime: frame-codec property tests over
-#                   every tag the codec lists plus the committed version-3
-#                   byte fixture (tests/tests/data/wire_v3.txt), the
+#                   every tag the codec lists plus the committed version-4
+#                   byte fixture (tests/tests/data/wire_v4.txt), the
 #                   allocation budgets of a 32 MiB read and of a pooled
 #                   frame encode (bulk_alloc prints its counts), the
 #                   256-session storm (zero hangs, zero dropped ops), the

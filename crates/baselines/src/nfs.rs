@@ -209,9 +209,10 @@ impl Node<NfsMsg> for NfsServer {
                     None => Err(Error::NotFound),
                     Some(file) => {
                         match (&mut *file, payload) {
-                            (NfsFile::Real(buf), WritePayload::Real(data)) => {
-                                buf.write(offset, &data)
-                            }
+                            (
+                                NfsFile::Real(buf),
+                                WritePayload::Real(data) | WritePayload::Checked { data, .. },
+                            ) => buf.write(offset, &data),
                             (f @ NfsFile::Real(_), WritePayload::Synthetic { len }) => {
                                 // First synthetic write switches tracking.
                                 *f = NfsFile::Synthetic { len: offset + len };

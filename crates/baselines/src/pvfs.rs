@@ -346,13 +346,16 @@ impl Node<PvfsMsg> for PvfsIod {
                     .stripes
                     .entry(fid)
                     .or_insert_with(|| match &payload {
-                        WritePayload::Real(_) => StripeData::Real(SparseBuffer::new()),
+                        WritePayload::Real(_) | WritePayload::Checked { .. } => {
+                            StripeData::Real(SparseBuffer::new())
+                        }
                         WritePayload::Synthetic { .. } => StripeData::Synthetic { len: 0 },
                     });
                 match (entry, payload) {
-                    (StripeData::Real(buf), WritePayload::Real(data)) => {
-                        buf.write(offset, &data)
-                    }
+                    (
+                        StripeData::Real(buf),
+                        WritePayload::Real(data) | WritePayload::Checked { data, .. },
+                    ) => buf.write(offset, &data),
                     (e @ StripeData::Real(_), WritePayload::Synthetic { len }) => {
                         *e = StripeData::Synthetic { len: offset + len };
                     }
@@ -614,7 +617,7 @@ impl PvfsClient {
         let niods = self.iods.len() as u64;
         for (iod, local, elen, fpos) in stripe_extents(offset, len, niods) {
             let piece = match &payload {
-                WritePayload::Real(data) => {
+                WritePayload::Real(data) | WritePayload::Checked { data, .. } => {
                     let s = (fpos - offset) as usize;
                     // Zero-copy stripe view into the caller's payload.
                     WritePayload::Real(data.slice(s..s + elen as usize))

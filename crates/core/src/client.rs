@@ -2930,17 +2930,25 @@ impl SorrentoClient {
             .unwrap_or(false);
         if eager {
             let mut outstanding = 0;
-            let targets: Vec<(SegId, NodeId, u32)> = {
+            let targets: Vec<(SegId, NodeId, u32, u64)> = {
                 let f = self.file.as_ref().expect("commit has open file");
-                let mut t: Vec<(SegId, NodeId, u32)> = f
+                // A target fetches the segment as committed; its length
+                // sizes the target's fetch timeout (the index: its encoding).
+                let entries = || f.index.segments.iter().chain(&f.index.parity);
+                let committed_len = |seg| match entries().find(|e| e.seg == seg) {
+                    Some(e) => e.len,
+                    None => encode_index(&f.index).len() as u64,
+                };
+                let r = f.entry.options.replication;
+                let mut t: Vec<(SegId, NodeId, u32, u64)> = f
                     .shadows
                     .iter()
-                    .map(|(&seg, sref)| (seg, sref.provider, f.entry.options.replication))
+                    .map(|(&seg, sref)| (seg, sref.provider, r, committed_len(seg)))
                     .collect();
                 t.sort(); // deterministic eager-sync issue order
                 t
             };
-            for (seg, source, replication) in targets {
+            for (seg, source, replication, bytes_hint) in targets {
                 // Choose (r-1) extra sites and push synchronously.
                 let mut exclude = vec![source];
                 for _ in 1..replication {
@@ -2961,7 +2969,7 @@ impl SorrentoClient {
                     self.rpc(
                         ctx,
                         site,
-                        Msg::SyncRequest { req, seg, source, bytes_hint: 64 << 20 },
+                        Msg::SyncRequest { req, seg, source, bytes_hint },
                         Pending::EagerSync,
                     );
                     outstanding += 1;

@@ -49,6 +49,10 @@ pub enum ReadReply {
         data: Option<bytes::Bytes>,
         /// Version served.
         version: Version,
+        /// CRC-32 of `data`, when known without a pass over it: the
+        /// writer's, kept with the stored piece, or the one the decoder
+        /// verified. `None` leaves it to the encoder.
+        crc: Option<u32>,
     },
     /// The provider is the segment's home host but not an owner: go ask
     /// one of these owners (§3.4, Figure 7 step 3).
@@ -674,6 +678,7 @@ mod tests {
                 len: 4_000_000,
                 data: None,
                 version: Version(1),
+                crc: None,
             },
         };
         assert!(reply.wire_size() > 4_000_000);

@@ -1391,6 +1391,7 @@ impl StorageProvider {
                         len: out.len,
                         data: out.data,
                         version: out.version,
+                        crc: out.crc,
                     };
                 }
                 Err(e) => return ReadReply::Err(e),
@@ -1762,6 +1763,7 @@ impl StorageProvider {
                         len: out.len,
                         data: out.data,
                         version: out.version,
+                        crc: out.crc,
                     },
                     Err(e) => ReadReply::Err(e),
                 };

@@ -42,9 +42,20 @@ pub type ShadowId = u64;
 /// Bytes handed to a write: real data or a modeled length.
 #[derive(Debug, Clone)]
 pub enum WritePayload {
-    /// Actual bytes (stored and readable back). A [`Bytes`] view, so
-    /// forwarding a payload between layers never copies it.
+    /// Actual bytes (stored and readable back), no CRC computed yet. A
+    /// [`Bytes`] view, so forwarding a payload between layers never
+    /// copies it.
     Real(Bytes),
+    /// Actual bytes with the CRC-32 their writer computed, verified on
+    /// arrival: what the wire decoder makes of a real payload. The store
+    /// keeps the CRC with the piece, so a read of exactly that piece is
+    /// served with it instead of a fresh pass over the bytes.
+    Checked {
+        /// The bytes.
+        data: Bytes,
+        /// CRC-32 of `data`.
+        crc: u32,
+    },
     /// Modeled bytes (only the length is tracked).
     Synthetic {
         /// Modeled write length.
@@ -56,7 +67,7 @@ impl WritePayload {
     /// Length of the write in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            WritePayload::Real(d) => d.len() as u64,
+            WritePayload::Real(d) | WritePayload::Checked { data: d, .. } => d.len() as u64,
             WritePayload::Synthetic { len } => *len,
         }
     }
@@ -161,7 +172,9 @@ impl Delta {
         }
         match self {
             Delta::Open(buf) => match payload {
-                WritePayload::Real(data) => buf.write(offset, &data),
+                WritePayload::Real(data) | WritePayload::Checked { data, .. } => {
+                    buf.write(offset, &data)
+                }
                 // Tests may mix: fill with zeros of the modeled length.
                 WritePayload::Synthetic { len } => buf.write(offset, &vec![0u8; len as usize]),
             },
@@ -182,6 +195,47 @@ impl Delta {
     }
 }
 
+/// The whole pieces written into a shadow or version with a known CRC,
+/// `start → (len, crc)`. Pieces never overlap, and one lives only as long
+/// as every byte of it is still the piece's: a write over any of them, or
+/// a cut into it, drops it.
+#[derive(Debug, Clone, Default)]
+struct Pieces(BTreeMap<u64, (u64, u32)>);
+
+impl Pieces {
+    /// Record a write at `offset`: the pieces it overlaps are gone, and a
+    /// checked payload becomes a piece.
+    fn write(&mut self, offset: u64, payload: &WritePayload) {
+        self.drop_overlapping(offset, offset + payload.len());
+        if let WritePayload::Checked { data, crc } = payload {
+            self.0.insert(offset, (data.len() as u64, *crc));
+        }
+    }
+
+    /// Drop every piece past a cut at `len`.
+    fn truncate(&mut self, len: u64) {
+        self.drop_overlapping(len, u64::MAX);
+    }
+
+    /// Drop every piece with a byte in `[start, end)`.
+    fn drop_overlapping(&mut self, start: u64, end: u64) {
+        if let Some((&s, &(len, _))) = self.0.range(..start).next_back() {
+            if s + len > start {
+                self.0.remove(&s);
+            }
+        }
+        while let Some((&s, _)) = self.0.range(start..end).next() {
+            self.0.remove(&s);
+        }
+    }
+
+    /// The CRC of `[offset, offset + len)` when that range is exactly one
+    /// piece.
+    fn crc(&self, offset: u64, len: u64) -> Option<u32> {
+        self.0.get(&offset).filter(|&&(l, _)| l == len).map(|&(_, crc)| crc)
+    }
+}
+
 /// Source marker inside a shadow's region index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShadowSrc {
@@ -197,6 +251,7 @@ struct VersionData {
     len: u64,
     index: RegionIndex<Version>,
     delta: Delta,
+    pieces: Pieces,
     committed_at: SimTime,
 }
 
@@ -230,6 +285,7 @@ struct Shadow {
     len: u64,
     index: RegionIndex<ShadowSrc>,
     delta: Delta,
+    pieces: Pieces,
     expires_at: SimTime,
     meta: SegMeta,
     /// Set by 2PC prepare: shadow may no longer expire and is pinned to
@@ -246,6 +302,9 @@ pub struct ReadOut {
     pub data: Option<Bytes>,
     /// Version served.
     pub version: Version,
+    /// CRC-32 of `data` as its writer computed it, when the range served
+    /// is exactly one piece written with a known CRC.
+    pub crc: Option<u32>,
 }
 
 /// A materialized replica image for transfer between providers.
@@ -318,6 +377,7 @@ impl LocalStore {
             len,
             index,
             delta: Delta::new(meta.synthetic),
+            pieces: Pieces::default(),
             expires_at: now + ttl,
             meta,
             prepared_as: None,
@@ -339,6 +399,7 @@ impl LocalStore {
             len: 0,
             index: RegionIndex::full(0, None),
             delta: Delta::new(meta.synthetic),
+            pieces: Pieces::default(),
             expires_at: now + ttl,
             meta,
             prepared_as: None,
@@ -360,6 +421,7 @@ impl LocalStore {
             return Ok(());
         }
         let end = offset + len;
+        sh.pieces.write(offset, &payload);
         let index = &sh.index;
         sh.delta.write(offset, payload, || {
             covered_bytes(index, offset, end, |s| s == Some(ShadowSrc::Fresh))
@@ -376,6 +438,7 @@ impl LocalStore {
         if let Delta::Open(buf) = &mut sh.delta {
             buf.truncate(len);
         }
+        sh.pieces.truncate(len);
         sh.len = len;
         Ok(())
     }
@@ -389,6 +452,7 @@ impl LocalStore {
                 len: 0,
                 data: (!sh.meta.synthetic).then(Bytes::new),
                 version: sh.base.unwrap_or(Version::INITIAL),
+                crc: None,
             });
         }
         let covered = end - offset;
@@ -397,6 +461,7 @@ impl LocalStore {
                 len: covered,
                 data: None,
                 version: sh.base.unwrap_or(Version::INITIAL),
+                crc: None,
             });
         }
         let mut out = Vec::with_capacity(covered as usize);
@@ -416,6 +481,7 @@ impl LocalStore {
             len: covered,
             data: Some(out.into()),
             version: sh.base.unwrap_or(Version::INITIAL),
+            crc: None,
         })
     }
 
@@ -494,6 +560,7 @@ impl LocalStore {
             len: sh.len,
             index,
             delta: sh.delta.freeze(),
+            pieces: sh.pieces,
             committed_at: now,
         };
         let state = self
@@ -569,10 +636,12 @@ impl LocalStore {
         } else {
             Some(version_bytes(state, vd, offset, end)?)
         };
+        let crc = data.as_ref().and_then(|_| vd.pieces.crc(offset, covered));
         Ok(ReadOut {
             len: covered,
             data,
             version: v,
+            crc,
         })
     }
 
@@ -602,6 +671,7 @@ impl LocalStore {
                     len: 0,
                     index: RegionIndex::full(0, None),
                     delta: Delta::new(meta.synthetic),
+                    pieces: Pieces::default(),
                     committed_at: now,
                 },
             );
@@ -610,6 +680,7 @@ impl LocalStore {
             return Ok(());
         }
         let (&v, vd) = state.versions.iter_mut().next_back().expect("non-empty");
+        vd.pieces.write(offset, &payload);
         let index = &vd.index;
         vd.delta
             .write(offset, payload, || covered_bytes(index, offset, end, |s| s.is_some()));
@@ -667,6 +738,7 @@ impl LocalStore {
             len: image.len,
             index: RegionIndex::full(image.len, Some(image.version)),
             delta,
+            pieces: Pieces::default(),
             committed_at: now,
         };
         let state = self
@@ -890,6 +962,7 @@ impl LocalStore {
             len: vd.len,
             index: RegionIndex::full(vd.len, Some(version)),
             delta,
+            pieces: vd.pieces.clone(),
             committed_at: vd.committed_at,
         }))
     }
@@ -1016,6 +1089,7 @@ fn version_bytes(state: &SegmentState, vd: &VersionData, offset: u64, end: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sorrento_kvdb::crc32;
     use sorrento_sim::Dur;
 
     const TTL: Dur = Dur::nanos(60_000_000_000);
@@ -1430,6 +1504,46 @@ mod tests {
         }
     }
 
+    /// Read every range in `ranges` from every version held: a read that
+    /// comes back with a CRC must carry the CRC of the bytes it came back
+    /// with. Returns how many did.
+    fn check_crcs(
+        st: &LocalStore,
+        s: SegId,
+        versions: &BTreeMap<u64, ModelVersion>,
+        ranges: &[(u64, u64)],
+    ) -> usize {
+        let mut served = 0;
+        for &v in versions.keys() {
+            for &(off, len) in ranges {
+                let out = st.read(s, Some(Version(v)), off, len).unwrap();
+                if let Some(crc) = out.crc {
+                    let data = out.data.expect("a CRC comes with bytes");
+                    assert_eq!(crc, crc32(&data), "v{v} [{off}, +{len})");
+                    served += 1;
+                }
+            }
+        }
+        served
+    }
+
+    /// `data` as a write, checked half the time (its range noted in
+    /// `ranges` for [`check_crcs`]).
+    fn arb_write(
+        rng: &mut rand::rngs::SmallRng,
+        off: usize,
+        data: &[u8],
+        ranges: &mut Vec<(u64, u64)>,
+    ) -> WritePayload {
+        use rand::Rng;
+        if rng.gen() {
+            ranges.push((off as u64, data.len() as u64));
+            checked(data)
+        } else {
+            WritePayload::Real(data.to_vec().into())
+        }
+    }
+
     fn check_against_model(st: &LocalStore, s: SegId, versions: &BTreeMap<u64, ModelVersion>) {
         for (&v, m) in versions {
             let out = st.read(s, Some(Version(v)), 0, u64::MAX).unwrap();
@@ -1443,21 +1557,26 @@ mod tests {
     /// Reference-model check of the whole store against flat `Vec<u8>`s:
     /// seeded random shadow sessions (writes, a closing truncate),
     /// commits with consolidation, in-place `direct_write`s and replica
-    /// installs over a chain of versions. Contents, lengths and the
-    /// stored-bytes accounting must match after every step, and no view
-    /// taken along the way may ever change.
+    /// installs over a chain of versions, keeping one version or two.
+    /// Contents, lengths and the stored-bytes accounting must match after
+    /// every step, and no view taken along the way may ever change. Half
+    /// the writes carry their CRC: every read of a range written so that
+    /// comes back with a CRC must carry the CRC of what it returned.
     #[test]
     fn matches_flat_model() {
         use rand::{Rng, SeedableRng};
-        const KEEP: usize = 2;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        let mut served_with_crc = 0;
         for round in 0..20u64 {
-            let mut st = LocalStore::new(KEEP);
-            let mut replica = LocalStore::new(KEEP);
+            let keep = 1 + (round % 2) as usize;
+            let mut st = LocalStore::new(keep);
+            let mut replica = LocalStore::new(keep);
             let s = seg(round);
             let mut versions: BTreeMap<u64, ModelVersion> = BTreeMap::new();
             // (view, the bytes it showed when taken)
             let mut views: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            // Ranges written with a CRC.
+            let mut checked_ranges: Vec<(u64, u64)> = Vec::new();
             let mut next_v = 1u64;
             for step in 0..40u64 {
                 let latest = versions.keys().next_back().copied();
@@ -1474,8 +1593,8 @@ mod tests {
                             let off = rng.gen_range(0..300usize);
                             let data: Vec<u8> =
                                 (0..rng.gen_range(0..80usize)).map(|_| rng.gen()).collect();
-                            st.write_shadow(sh, off as u64, WritePayload::Real(data.clone().into()))
-                                .unwrap();
+                            let payload = arb_write(&mut rng, off, &data, &mut checked_ranges);
+                            st.write_shadow(sh, off as u64, payload).unwrap();
                             if data.is_empty() {
                                 continue;
                             }
@@ -1506,7 +1625,7 @@ mod tests {
                         st.prepare_shadow(sh, Version(next_v)).unwrap();
                         st.commit_shadow(sh, Version(next_v), t(step)).unwrap();
                         versions.insert(next_v, m);
-                        model_consolidate(&mut versions, KEEP);
+                        model_consolidate(&mut versions, keep);
                         next_v += 1;
                     }
                     // Versioning-off write into the latest version, in place.
@@ -1515,14 +1634,8 @@ mod tests {
                         let data: Vec<u8> =
                             (0..rng.gen_range(1..80usize)).map(|_| rng.gen()).collect();
                         let v = latest.unwrap_or(1);
-                        st.direct_write(
-                            s,
-                            off as u64,
-                            WritePayload::Real(data.clone().into()),
-                            real_meta(),
-                            t(step),
-                        )
-                        .unwrap();
+                        let payload = arb_write(&mut rng, off, &data, &mut checked_ranges);
+                        st.direct_write(s, off as u64, payload, real_meta(), t(step)).unwrap();
                         next_v = next_v.max(v + 1);
                         let m = versions.entry(v).or_default();
                         let end = off + data.len();
@@ -1575,6 +1688,7 @@ mod tests {
                     }
                 }
                 check_against_model(&st, s, &versions);
+                served_with_crc += check_crcs(&st, s, &versions, &checked_ranges);
                 assert_eq!(st.total_stored_bytes(), model_stored(&versions));
                 // Take a view of a random range of a random version; all
                 // views taken so far must still show what they showed.
@@ -1595,5 +1709,62 @@ mod tests {
                 }
             }
         }
+        assert!(served_with_crc > 100, "only {served_with_crc} reads came back with a CRC");
+    }
+
+    fn checked(data: &[u8]) -> WritePayload {
+        WritePayload::Checked { data: data.to_vec().into(), crc: crc32(data) }
+    }
+
+    #[test]
+    fn a_read_of_exactly_one_stored_piece_carries_its_crc() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        let sh = st.open_fresh_shadow(s, real_meta(), t(0), TTL);
+        st.write_shadow(sh, 0, checked(b"first piece")).unwrap();
+        st.write_shadow(sh, 11, checked(b"second")).unwrap();
+        st.commit_shadow(sh, Version(1), t(0)).unwrap();
+        let second = Some(crc32(b"second"));
+        assert_eq!(st.read(s, None, 11, 6).unwrap().crc, second);
+        assert_eq!(st.read(s, None, 11, 100).unwrap().crc, second, "clamped to the piece");
+        assert_eq!(st.read(s, None, 0, 17).unwrap().crc, None, "two pieces");
+        assert_eq!(st.read(s, None, 1, 10).unwrap().crc, None, "part of one");
+        // An installed copy of the same bytes knows no pieces.
+        let mut replica = LocalStore::new(2);
+        replica.install_replica(st.export(s, None).unwrap(), t(1)).unwrap();
+        assert_eq!(replica.read(s, None, 11, 6).unwrap().crc, None);
+    }
+
+    #[test]
+    fn a_piece_half_overwritten_has_no_crc() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        let sh = st.open_fresh_shadow(s, real_meta(), t(0), TTL);
+        st.write_shadow(sh, 0, checked(b"0123456789")).unwrap();
+        st.commit_shadow(sh, Version(1), t(0)).unwrap();
+        let sh = st.open_shadow(s, Version(1), t(1), TTL).unwrap();
+        st.write_shadow(sh, 5, checked(b"abcde")).unwrap();
+        st.commit_shadow(sh, Version(2), t(1)).unwrap();
+        assert_eq!(st.read(s, None, 0, 10).unwrap().crc, None, "the old piece, half gone");
+        assert_eq!(st.read(s, None, 5, 5).unwrap().crc, Some(crc32(b"abcde")));
+        assert_eq!(st.read(s, Some(Version(1)), 0, 10).unwrap().crc, Some(crc32(b"0123456789")));
+        // In place, the same.
+        st.direct_write(s, 4, WritePayload::Real(b"XY".to_vec().into()), real_meta(), t(2))
+            .unwrap();
+        assert_eq!(st.read(s, None, 5, 5).unwrap().crc, None, "its first byte rewritten");
+    }
+
+    #[test]
+    fn a_truncate_into_a_piece_drops_its_crc() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        let sh = st.open_fresh_shadow(s, real_meta(), t(0), TTL);
+        st.write_shadow(sh, 0, checked(b"0123456789")).unwrap();
+        st.write_shadow(sh, 10, checked(b"abcdefghij")).unwrap();
+        st.truncate_shadow(sh, 15).unwrap();
+        st.commit_shadow(sh, Version(1), t(0)).unwrap();
+        assert_eq!(st.read(s, None, 0, 10).unwrap().crc, Some(crc32(b"0123456789")));
+        assert_eq!(st.read(s, None, 10, 10).unwrap().crc, None);
+        assert_eq!(st.read(s, None, 10, 5).unwrap().crc, None);
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! The 18-byte header is fixed-size so a stream reader can read it
 //! exactly, validate it, then read `payload len` more bytes. The crc32
-//! covers the payload only. `kind` distinguishes `Hello` control frames
+//! covers the payload, except a checked blob's bytes (below). `kind`
+//! distinguishes `Hello` control frames
 //! (a joining node announcing its id and listen address, replacing the
 //! simulator's Ethernet multicast with peer-list registration) from
 //! protocol messages.
@@ -23,18 +24,29 @@
 //! `Option`/`Result` spend one tag byte; a `Vec` is a u32 count and its
 //! items.
 //!
+//! **Checked blobs.** The bytes of a real [`WritePayload`] (`WriteShadow`,
+//! `DirectWrite`) and of a `ReadReply::Data` (`ReadSegR`, `ReadShadowR`)
+//! are a checked blob: `u32 len`, `u32 crc`, then the bytes, which their
+//! own CRC-32 covers and the frame's does not. The chunk's writer computes
+//! that CRC once; a provider keeps it with the stored piece and returns it
+//! with a read of exactly that piece, so serving the read costs no pass
+//! over the bytes, and bytes changed at rest fail the reader's check. A
+//! message has at most one checked blob; every other blob (`ReplicaImage`
+//! data, `seg/` images) keeps the plain layout.
+//!
 //! Each layout is stated once. A private `Wire` trait (`put` into a
 //! `Writer`, `get` from a `Reader`) is implemented directly only for the
 //! primitives and the generic containers (`Box`, `Option`,
-//! `Result<_, Error>`, `Vec`, tuples). Every struct and enum above them
-//! is one `wire_struct!` / `wire_enum!` table: a row is the tag and the
+//! `Result<_, Error>`, `Vec`, tuples) and for the two enums that carry a
+//! checked blob. Every other struct and enum above them is one
+//! `wire_struct!` / `wire_enum!` table: a row is the tag and the
 //! field *names* in wire order, used verbatim as the pattern the encoder
 //! destructures with and as the constructor the decoder fills, so both
 //! directions come from the same tokens and the field types from the
 //! definitions in `sorrento`. The encoder's `match` has no wildcard and
 //! names every field: a new variant or field without a row is a compile
 //! error, not a silent wire gap. The bytes are pinned by
-//! `tests/tests/data/wire_v3.txt`; `MSG_TAGS` hands the row tags to the
+//! `tests/tests/data/wire_v4.txt`; `MSG_TAGS` hands the row tags to the
 //! property suite.
 //!
 //! A new message is five places, each enforced by the compiler or a
@@ -54,11 +66,14 @@
 //! up front, the payload is appended once while a streaming [`Crc32`]
 //! folds in each byte (standalone `seg/` images skip the fold: their
 //! kvdb record is checksummed already), and the length/checksum are
-//! patched into the reserved header afterwards. [`encode_msg_into`]
-//! reuses a caller buffer (see [`crate::pool::BufPool`]) so the
-//! steady-state bulk path allocates nothing per frame. Decoding hands
-//! blob fields out as [`Bytes`] sub-views of the received payload
-//! instead of copying.
+//! patched into the reserved header afterwards. A checked blob's bytes
+//! are not appended: [`encode_msg_spliced`] hands them back as a splice,
+//! a view the mesh's vectored write takes from where they lie (the
+//! store's extent, the client's payload); [`encode_msg_into`] is the same
+//! encode with the splice copied into place. Either reuses a caller
+//! buffer (see [`crate::pool::BufPool`]) so the steady-state bulk path
+//! allocates nothing per frame. Decoding hands blob fields out as
+//! [`Bytes`] sub-views of the received payload instead of copying.
 
 use bytes::Bytes;
 use sorrento::membership::Heartbeat;
@@ -77,9 +92,11 @@ pub const MAGIC: [u8; 4] = *b"SRTO";
 /// (`FileOptions::ec`, `SegMeta::ec`) and the `EcInstall`/`EcInstallR`
 /// shard-repair messages; v3 added the SWIM gossip messages
 /// (`SwimPing`/`SwimAck`/`SwimPingReq`) and the membership pull/query
-/// family (`MembersPull`/`MembersDigest`/`MembersQuery`/`MembersR`).
-/// Older peers are refused at the header.
-pub const VERSION: u8 = 3;
+/// family (`MembersPull`/`MembersDigest`/`MembersQuery`/`MembersR`); v4
+/// made the bytes of a real write payload and of a read reply a checked
+/// blob (its own CRC beside it, outside the frame CRC). Older peers are
+/// refused at the header.
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Largest accepted payload (a full segment plus slack); guards the
@@ -156,7 +173,7 @@ pub struct Header {
     pub kind: u8,
     /// Payload byte count that follows the header.
     pub payload_len: u32,
-    /// crc32 of the payload.
+    /// crc32 of the payload but a checked blob's bytes.
     pub crc: u32,
 }
 
@@ -181,7 +198,8 @@ pub fn decode_header(buf: &[u8; HEADER_LEN]) -> Result<Header, FrameError> {
     Ok(Header { sender: NodeId::from_index(sender as usize), kind, payload_len, crc })
 }
 
-/// Decode a payload against its validated header (checksum included).
+/// Decode a payload against its validated header, checksums included:
+/// the frame's, and a checked blob's own.
 ///
 /// Blob fields in the returned [`Frame`] are zero-copy sub-views of
 /// `payload` — the buffer read off the socket is the same allocation
@@ -190,17 +208,29 @@ pub fn decode_payload(h: &Header, payload: &Bytes) -> Result<Frame, FrameError> 
     if payload.len() != h.payload_len as usize {
         return Err(FrameError::Truncated);
     }
-    if crc32(payload) != h.crc {
+    // The parse finds the checked blob; the checksums are judged before
+    // its verdict, so damage is a checksum error whatever shape it gave
+    // the bytes (a parse that stopped short of the blob leaves the frame
+    // CRC over every byte).
+    let mut r = Reader { buf: payload, pos: 0, blob: None };
+    let frame = match h.kind {
+        KIND_HELLO => r.string().map(|listen_addr| Frame::Hello { listen_addr }),
+        KIND_MSG => Msg::get(&mut r).map(Frame::Msg),
+        tag => Err(FrameError::UnknownTag { what: "frame kind", tag }),
+    };
+    let (start, end, blob_crc) = r.blob.unwrap_or((payload.len(), payload.len(), 0));
+    let mut crc = Crc32::new();
+    crc.update(&payload[..start]);
+    crc.update(&payload[end..]);
+    if crc.finalize() != h.crc {
         return Err(FrameError::ChecksumMismatch);
     }
-    let mut r = Reader { buf: payload, pos: 0 };
-    let frame = match h.kind {
-        KIND_HELLO => Frame::Hello { listen_addr: r.string()? },
-        KIND_MSG => Frame::Msg(Msg::get(&mut r)?),
-        tag => return Err(FrameError::UnknownTag { what: "frame kind", tag }),
-    };
-    if r.pos != r.buf.len() {
+    let frame = frame?;
+    if r.pos != payload.len() {
         return Err(FrameError::TrailingBytes);
+    }
+    if r.blob.is_some() && crc32(&payload[start..end]) != blob_crc {
+        return Err(FrameError::ChecksumMismatch);
     }
     Ok(frame)
 }
@@ -386,9 +416,20 @@ pub fn encode_hello(sender: NodeId, listen_addr: &str) -> Vec<u8> {
 /// streaming CRC folds in each byte, then patches length and checksum
 /// into the header — no second scan over the payload and no copy into a
 /// final buffer. With a pooled `out` (see [`crate::pool::BufPool`]) the
-/// steady-state cost is zero allocations per frame.
+/// steady-state cost is zero allocations per frame. The checked blob, if
+/// any, is [`encode_msg_spliced`]'s splice, copied into place.
 pub fn encode_msg_into(out: &mut Vec<u8>, sender: NodeId, msg: &Msg) {
-    encode_into(out, sender, KIND_MSG, |w| msg.put(w));
+    if let Some(splice) = encode_msg_spliced(out, sender, msg) {
+        splice_in(out, splice);
+    }
+}
+
+/// Encode a [`Msg`] frame but its checked blob, which comes back as
+/// `(position in out, bytes)`: inserted there, it makes exactly what
+/// [`encode_msg_into`] writes. A blob whose CRC the message carries costs
+/// no pass over its bytes; one without has its CRC computed here.
+pub fn encode_msg_spliced(out: &mut Vec<u8>, sender: NodeId, msg: &Msg) -> Option<(usize, Bytes)> {
+    encode_into(out, sender, KIND_MSG, |w| msg.put(w))
 }
 
 /// Single-pass encode of a `Hello` frame into a reusable buffer.
@@ -396,13 +437,20 @@ pub fn encode_hello_into(out: &mut Vec<u8>, sender: NodeId, listen_addr: &str) {
     encode_into(out, sender, KIND_HELLO, |w| w.string(listen_addr));
 }
 
-fn encode_into(out: &mut Vec<u8>, sender: NodeId, kind: u8, f: impl FnOnce(&mut Writer<'_>)) {
+fn encode_into(
+    out: &mut Vec<u8>,
+    sender: NodeId,
+    kind: u8,
+    f: impl FnOnce(&mut Writer<'_>),
+) -> Option<(usize, Bytes)> {
     out.clear();
     out.resize(HEADER_LEN, 0);
     let mut crc = Crc32::new();
-    f(&mut Writer { out: &mut *out, crc: Some(&mut crc) });
+    let mut w = Writer { out: &mut *out, crc: Some(&mut crc), blob: None };
+    f(&mut w);
+    let blob = w.blob;
     let crc = crc.finalize();
-    let payload_len = (out.len() - HEADER_LEN) as u32;
+    let payload_len = (out.len() - HEADER_LEN + blob.as_ref().map_or(0, |b| b.1.len())) as u32;
     debug_assert!(payload_len <= MAX_PAYLOAD);
     out[0..4].copy_from_slice(&MAGIC);
     out[4] = VERSION;
@@ -410,6 +458,18 @@ fn encode_into(out: &mut Vec<u8>, sender: NodeId, kind: u8, f: impl FnOnce(&mut 
     out[6..10].copy_from_slice(&(sender.index() as u32).to_le_bytes());
     out[10..14].copy_from_slice(&payload_len.to_le_bytes());
     out[14..18].copy_from_slice(&crc.to_le_bytes());
+    blob
+}
+
+/// Copy a splice's bytes into place: the contiguous frame.
+fn splice_in(out: &mut Vec<u8>, (at, blob): (usize, Bytes)) {
+    let mut tail = [0u8; BLOB_TAIL];
+    let tail = &mut tail[..out.len() - at];
+    tail.copy_from_slice(&out[at..]);
+    out.truncate(at);
+    out.reserve_exact(blob.len() + BLOB_TAIL); // as `Writer::bytes` does
+    out.extend_from_slice(&blob);
+    out.extend_from_slice(tail);
 }
 
 /// The pre-single-pass assembly: build the payload in its own buffer,
@@ -420,14 +480,21 @@ fn encode_into(out: &mut Vec<u8>, sender: NodeId, kind: u8, f: impl FnOnce(&mut 
 #[doc(hidden)]
 pub fn reference_encode_msg(sender: NodeId, msg: &Msg) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
-    msg.put(&mut Writer { out: &mut payload, crc: None });
+    let mut w = Writer { out: &mut payload, crc: None, blob: None };
+    msg.put(&mut w);
+    let blob = w.blob;
+    // Without the blob's bytes, the payload is what the frame CRC covers.
+    let crc = crc32(&payload);
+    if let Some((at, bytes)) = blob {
+        payload.splice(at..at, bytes.iter().copied());
+    }
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(KIND_MSG);
     out.extend_from_slice(&(sender.index() as u32).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -441,10 +508,12 @@ const BLOB_TAIL: usize = 128;
 /// Append-only payload writer. For a frame, every byte appended also
 /// advances the streaming checksum, so by the time the payload is
 /// written the CRC is already known; a caller that wants no checksum
-/// (a `seg/` image) passes none and pays for none.
+/// (a `seg/` image) passes none and pays for none. A checked blob's
+/// bytes are neither appended nor folded: `blob` records where they go.
 struct Writer<'a> {
     out: &'a mut Vec<u8>,
     crc: Option<&'a mut Crc32>,
+    blob: Option<(usize, Bytes)>,
 }
 
 impl Writer<'_> {
@@ -484,6 +553,14 @@ impl Writer<'_> {
         }
         self.put(b);
     }
+    /// A checked blob: `len`, its CRC (computed here if not carried), and
+    /// the bytes as a splice at the current end.
+    fn checked(&mut self, data: &Bytes, crc: Option<u32>) {
+        self.u32(data.len() as u32);
+        self.u32(crc.unwrap_or_else(|| crc32(data)));
+        debug_assert!(self.blob.is_none(), "one checked blob per message");
+        self.blob = Some((self.out.len(), data.clone()));
+    }
     fn string(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
@@ -495,10 +572,12 @@ impl Writer<'_> {
 // ---------------------------------------------------------------- reader
 
 /// Payload reader over a shared buffer: fixed-width fields are parsed
-/// in place, blob fields come out as O(1) [`Bytes`] sub-views.
+/// in place, blob fields come out as O(1) [`Bytes`] sub-views. `blob` is
+/// the checked blob met, `(start, end, crc)`, for the decoder to verify.
 struct Reader<'a> {
     buf: &'a Bytes,
     pos: usize,
+    blob: Option<(usize, usize, u32)>,
 }
 
 impl<'a> Reader<'a> {
@@ -535,6 +614,17 @@ impl<'a> Reader<'a> {
     }
     fn bytes(&mut self) -> Result<Bytes, FrameError> {
         let n = self.u32()? as usize;
+        self.view(n)
+    }
+    fn checked(&mut self) -> Result<(Bytes, u32), FrameError> {
+        let n = self.u32()? as usize;
+        let crc = self.u32()?;
+        let start = self.pos;
+        let data = self.view(n)?;
+        self.blob = Some((start, self.pos, crc));
+        Ok((data, crc))
+    }
+    fn view(&mut self, n: usize) -> Result<Bytes, FrameError> {
         let end = self.pos.checked_add(n).ok_or(FrameError::Truncated)?;
         if end > self.buf.len() {
             return Err(FrameError::Truncated);
@@ -807,12 +897,68 @@ wire_enum!("placement", PlacementPolicy {
     2 => LocalityDriven { threshold },
 });
 wire_enum!("swim state", SwimState { 0 => Alive, 1 => Suspect, 2 => Dead });
-wire_enum!("read_reply", ReadReply {
-    0 => Data { len, data, version },
-    1 => Redirect(owners),
-    2 => Err(e),
-});
-wire_enum!("write_payload", WritePayload { 0 => Real(bytes), 1 => Synthetic { len } });
+
+// The two enums that carry a checked blob are written out, not tabled:
+// a real payload has one layout whether its CRC is known yet or not, and
+// decodes `Checked`.
+impl Wire for ReadReply {
+    fn put(&self, w: &mut Writer<'_>) {
+        match self {
+            ReadReply::Data { len, data, version, crc } => {
+                w.u8(0);
+                len.put(w);
+                w.boolean(data.is_some());
+                if let Some(data) = data {
+                    w.checked(data, *crc);
+                }
+                version.put(w);
+            }
+            ReadReply::Redirect(owners) => {
+                w.u8(1);
+                owners.put(w);
+            }
+            ReadReply::Err(e) => {
+                w.u8(2);
+                e.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(match r.u8()? {
+            0 => {
+                let len = Wire::get(r)?;
+                let blob = if r.boolean()? { Some(r.checked()?) } else { None };
+                let (data, crc) = blob.unzip();
+                ReadReply::Data { len, data, version: Wire::get(r)?, crc }
+            }
+            1 => ReadReply::Redirect(Wire::get(r)?),
+            2 => ReadReply::Err(Wire::get(r)?),
+            tag => return Err(FrameError::UnknownTag { what: "read_reply", tag }),
+        })
+    }
+}
+
+impl Wire for WritePayload {
+    fn put(&self, w: &mut Writer<'_>) {
+        let (data, crc) = match self {
+            WritePayload::Real(data) => (data, None),
+            WritePayload::Checked { data, crc } => (data, Some(*crc)),
+            WritePayload::Synthetic { len } => {
+                w.u8(1);
+                return len.put(w);
+            }
+        };
+        w.u8(0);
+        w.checked(data, crc);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => r.checked().map(|(data, crc)| WritePayload::Checked { data, crc }),
+            1 => Ok(WritePayload::Synthetic { len: Wire::get(r)? }),
+            tag => Err(FrameError::UnknownTag { what: "write_payload", tag }),
+        }
+    }
+}
 
 // Every message. Tags are forever: a new message takes the next free
 // one, and a retired one is never reused.
@@ -903,7 +1049,7 @@ pub const MSG_TAGS: &[u8] = Msg::TAGS;
 /// is folded: the kvdb WAL record that wraps the value carries its own.
 pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + img.data.as_ref().map_or(0, |d| d.len()));
-    img.put(&mut Writer { out: &mut out, crc: None });
+    img.put(&mut Writer { out: &mut out, crc: None, blob: None });
     out
 }
 
@@ -912,7 +1058,7 @@ pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
 /// path) so the image's blob can be a [`Bytes`] view.
 pub fn decode_image_bytes(bytes: &[u8]) -> Result<ReplicaImage, FrameError> {
     let buf = Bytes::copy_from_slice(bytes);
-    let mut r = Reader { buf: &buf, pos: 0 };
+    let mut r = Reader { buf: &buf, pos: 0, blob: None };
     let img = ReplicaImage::get(&mut r)?;
     if r.pos != r.buf.len() {
         return Err(FrameError::TrailingBytes);
@@ -954,6 +1100,7 @@ mod tests {
                 len: 3,
                 data: Some(vec![1, 2, 3].into()),
                 version: Version(5),
+                crc: None,
             },
         });
         roundtrip(Msg::FetchSegR {
@@ -1135,6 +1282,7 @@ mod tests {
                 len: 4,
                 data: Some(vec![9, 9, 9, 9].into()),
                 version: Version(1),
+                crc: None,
             },
         };
         let wire = encode_msg(NodeId::from_index(1), &msg);

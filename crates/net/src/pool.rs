@@ -3,7 +3,7 @@
 //! Frame encoding is the one hot-path allocation the wire format would
 //! otherwise force: every `send` needs a contiguous `[header][payload]`
 //! buffer. [`BufPool`] amortizes that to zero steady-state allocations —
-//! a buffer checked out, filled by [`crate::frame::encode_msg_into`],
+//! a buffer checked out, filled by [`crate::frame::encode_msg_spliced`],
 //! shipped, and dropped returns to the pool with its capacity intact,
 //! so the next frame of similar size reuses the same backing memory.
 //!
@@ -21,12 +21,12 @@ use std::sync::{Arc, Mutex};
 const MAX_POOLED: usize = 64;
 /// Largest frame whose buffer is worth keeping: 8 MiB of payload plus
 /// header and fields. A segment-sized frame returning from a bulk
-/// transfer (`FetchSegR`, a replica image, an unchunked extent) is
-/// retained; a pathological one-off giant is freed so one huge message
-/// cannot pin memory forever. Judged by the frame the buffer held, not
-/// by its capacity: a buffer is never larger than twice the largest
-/// frame it has carried, and that frame's own check-in freed it if it
-/// was over the limit.
+/// transfer (a replica image in `FetchSegR` or `EcInstall`) is retained;
+/// a pathological one-off giant is freed so one huge message cannot pin
+/// memory forever. Judged by the frame the buffer held, not by its
+/// capacity: a buffer is never larger than twice the largest frame it
+/// has carried, and that frame's own check-in freed it if it was over
+/// the limit.
 const MAX_RETAINED_FRAME: usize = (8 << 20) + (64 << 10);
 
 /// Shared pool of reusable byte buffers. Cloning shares the pool.
@@ -51,6 +51,12 @@ impl BufPool {
     /// Number of buffers currently resting in the pool.
     pub fn idle(&self) -> usize {
         self.bufs.lock().unwrap().len()
+    }
+
+    /// Capacity of the largest buffer resting in the pool.
+    #[cfg(test)]
+    pub(crate) fn largest_idle(&self) -> usize {
+        self.bufs.lock().unwrap().iter().map(Vec::capacity).max().unwrap_or(0)
     }
 }
 
@@ -137,21 +143,24 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
     }
 
-    /// A frame carrying `payload` bytes of blob, encoded the way the
-    /// mesh does it.
+    /// A replica transfer carrying `payload` bytes of segment, encoded
+    /// the way the mesh does it (an image's blob is copied, not spliced).
     fn bulk_frame(pool: &BufPool, payload: usize) -> PooledBuf {
-        use sorrento::proto::{Msg, ReadReply};
-        use sorrento::types::Version;
-        let msg = Msg::ReadSegR {
-            req: 1,
-            reply: ReadReply::Data {
-                len: payload as u64,
-                data: Some(vec![7u8; payload].into()),
-                version: Version(1),
-            },
+        use sorrento::proto::Msg;
+        use sorrento::store::{ReplicaImage, SegMeta};
+        use sorrento::types::{SegId, Version};
+        let image = ReplicaImage {
+            seg: SegId(1),
+            version: Version(1),
+            len: payload as u64,
+            data: Some(vec![7u8; payload].into()),
+            meta: SegMeta::default(),
         };
+        let msg = Msg::FetchSegR { req: 1, result: Ok(Box::new(image)) };
         let mut buf = pool.check_out();
-        crate::frame::encode_msg_into(&mut buf, sorrento_sim::NodeId::from_index(0), &msg);
+        let sender = sorrento_sim::NodeId::from_index(0);
+        let splice = crate::frame::encode_msg_spliced(&mut buf, sender, &msg);
+        assert!(splice.is_none(), "a replica image is not a checked blob");
         buf
     }
 

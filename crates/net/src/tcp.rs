@@ -21,14 +21,15 @@
 //! from becomes routable.
 //!
 //! Send path: `send` encodes the frame once into a buffer checked out
-//! of a [`BufPool`] and pushes an `Arc` of it onto the peer's bounded
-//! queue (a multicast shares one encoded frame across every queue),
-//! then kicks the loop through an eventfd waker. A bulk message bound
-//! for a peer that already has frames waiting is queued unencoded and
-//! encoded by the loop instead (`ENCODE_AHEAD`): copies exist for what
-//! the socket is about to take, not for everything a peer asked for.
-//! The loop drains each queue into vectored writes of ≤32 frames or
-//! ≈1 MiB; when the socket's buffer
+//! of a [`BufPool`] — every byte but a checked blob's (a write's payload,
+//! a read reply's bytes: see [`frame`]), which stays where it lies, a
+//! view of the store's extent or of the caller's payload, and is spliced
+//! into the socket write at its position. An `Arc` of the pair goes onto
+//! the peer's bounded queue (a multicast shares one encoded frame across
+//! every queue), then the loop is kicked through an eventfd waker. A
+//! queued bulk frame therefore holds a view, not a copy, however far
+//! ahead of the socket its sender runs. The loop drains each queue into
+//! vectored writes of ≤32 frames or ≈1 MiB; when the socket's buffer
 //! fills it subscribes `EPOLLOUT` (counted — the backpressure gauge)
 //! and resumes exactly where the partial write stopped. Replies
 //! prefer the live inbound connection a peer's frames arrived on, so
@@ -51,9 +52,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use epoll::{Interest, Poller, Token, Waker};
 use sorrento::proto::Msg;
-use sorrento_sim::{NodeId, Payload, TelemetryEvent};
+use sorrento_sim::{NodeId, TelemetryEvent};
 
 use crate::chaos::{Chaos, ChaosConfig, Fault};
 use crate::flight::FlightRecorder;
@@ -63,18 +65,8 @@ use crate::pool::{BufPool, PooledBuf};
 /// Most frames folded into one vectored write.
 const COALESCE_MAX: usize = 32;
 /// Bytes past which a write batch takes no further frame: a socket
-/// accepts a few MiB at most, and a frame in the batch is an encoded copy.
+/// accepts a few MiB at most.
 const COALESCE_BYTES: usize = 1 << 20;
-
-/// Frames waiting for a peer at which `send` stops encoding bulk
-/// messages ahead of the socket. A sender that checksums faster than its
-/// peer drains would otherwise hold a pooled copy of every reply the
-/// peer's read windows asked for (a 32 MiB read: 11 extents × 4 chunks
-/// of 256 KiB); from here on the message is queued as it is — its blob a
-/// view of the store — and the loop encodes it on its turn at the socket.
-const ENCODE_AHEAD: u64 = 2;
-/// Smallest modeled size worth queueing unencoded (a clone of the message).
-const DEFER_MIN: u64 = 64 * 1024;
 
 /// Consecutive queue-full drops to one peer before its connection is
 /// evicted (closed and redialed on the next send). A healthy peer never
@@ -172,18 +164,38 @@ pub struct MeshStats {
     pub conns: u64,
 }
 
-/// A queued frame: encoded by the sender (shared across a multicast's
-/// queues), or the message still to encode (see [`ENCODE_AHEAD`]).
-#[derive(Clone)]
-enum Outbound {
-    Encoded(Arc<PooledBuf>),
-    Deferred(Box<Msg>),
+/// An encoded frame: the pooled buffer holds every byte but a checked
+/// blob's, and the blob, if the message has one, goes at its position in
+/// the buffer when the socket write gathers the frame.
+struct Encoded {
+    head: PooledBuf,
+    blob: Option<(usize, Bytes)>,
 }
 
-/// One queued outbound frame plus the earliest instant it may hit the
-/// wire (chaos delay; `None` = now).
+impl Encoded {
+    fn len(&self) -> usize {
+        self.head.len() + self.blob.as_ref().map_or(0, |(_, b)| b.len())
+    }
+
+    /// The frame from byte `skip` on, as at most three slices.
+    fn slices<'a>(&'a self, mut skip: usize, out: &mut Vec<IoSlice<'a>>) {
+        let (at, blob): (usize, &[u8]) = match &self.blob {
+            Some((at, b)) => (*at, b),
+            None => (self.head.len(), &[]),
+        };
+        for part in [&self.head[..at], blob, &self.head[at..]] {
+            if skip < part.len() {
+                out.push(IoSlice::new(&part[skip..]));
+            }
+            skip = skip.saturating_sub(part.len());
+        }
+    }
+}
+
+/// One queued outbound frame (shared across a multicast's queues) plus
+/// the earliest instant it may hit the wire (chaos delay; `None` = now).
 struct QItem {
-    out: Outbound,
+    out: Arc<Encoded>,
     deliver_at: Option<Instant>,
 }
 
@@ -281,10 +293,7 @@ impl Mesh {
                 dial_loop(dial_req_rx, dial_res_tx, dial_waker, dial_shared, cfg, me, listen_addr)
             })?;
 
-        let pool = BufPool::new();
         let mut el = EventLoop {
-            me,
-            pool: pool.clone(),
             poller: Poller::new()?,
             waker: Arc::clone(&waker),
             listener,
@@ -313,7 +322,7 @@ impl Mesh {
             cfg,
             shared,
             inbox: inbox_rx,
-            pool,
+            pool: BufPool::new(),
             cmd_tx,
             waker,
             full_strikes: HashMap::new(),
@@ -356,18 +365,8 @@ impl Mesh {
     /// is encoded into a pooled buffer and queued; a full queue drops
     /// the frame.
     pub fn send(&mut self, to: NodeId, msg: &Msg) {
-        if msg.wire_size() >= DEFER_MIN && self.backlog(to) >= ENCODE_AHEAD {
-            return self.enqueue(to, Outbound::Deferred(Box::new(msg.clone())));
-        }
-        let mut buf = self.pool.check_out();
-        frame::encode_msg_into(&mut buf, self.me, msg);
-        self.enqueue(to, Outbound::Encoded(Arc::new(buf)));
-    }
-
-    /// Frames queued for `to` and not yet in its connection's write batch.
-    fn backlog(&self, to: NodeId) -> u64 {
-        let queues = self.shared.queues.lock().unwrap();
-        queues.get(&to).map_or(0, |q| q.depth.load(Ordering::Relaxed))
+        let frame = self.encode(msg);
+        self.enqueue(to, frame);
     }
 
     /// Fan a message out to every known peer, encoding it exactly once.
@@ -376,12 +375,16 @@ impl Mesh {
         if peers.is_empty() {
             return;
         }
-        let mut buf = self.pool.check_out();
-        frame::encode_msg_into(&mut buf, self.me, msg);
-        let shared_frame = Outbound::Encoded(Arc::new(buf));
+        let shared_frame = self.encode(msg);
         for peer in peers {
-            self.enqueue(peer, shared_frame.clone());
+            self.enqueue(peer, Arc::clone(&shared_frame));
         }
+    }
+
+    fn encode(&self, msg: &Msg) -> Arc<Encoded> {
+        let mut head = self.pool.check_out();
+        let blob = frame::encode_msg_spliced(&mut head, self.me, msg);
+        Arc::new(Encoded { head, blob })
     }
 
     /// Install (or clear, with `None` / an inactive config) deterministic
@@ -400,7 +403,7 @@ impl Mesh {
         self.flight = Some(rec);
     }
 
-    fn enqueue(&mut self, to: NodeId, frame: Outbound) {
+    fn enqueue(&mut self, to: NodeId, frame: Arc<Encoded>) {
         // Chaos verdict first (daemon thread, frame order: the decision
         // stream is deterministic for a given seed and link).
         let mut delay = None;
@@ -457,7 +460,7 @@ impl Mesh {
                     }
                     continue;
                 }
-                g.q.push_back(QItem { out: frame.clone(), deliver_at: delay });
+                g.q.push_back(QItem { out: Arc::clone(&frame), deliver_at: delay });
                 self.full_strikes.remove(&to);
                 let kick = !g.kicked;
                 g.kicked = true;
@@ -627,7 +630,7 @@ struct Conn {
     /// their `Hello` arrives).
     peer: Option<NodeId>,
     /// Frames mid-write: front may be partially written (`front_off`).
-    batch: VecDeque<Arc<PooledBuf>>,
+    batch: VecDeque<Arc<Encoded>>,
     front_off: usize,
     /// `EPOLLOUT` currently subscribed.
     want_write: bool,
@@ -640,9 +643,6 @@ enum Timer {
 }
 
 struct EventLoop {
-    me: NodeId,
-    /// The mesh's encode-buffer pool, for frames queued unencoded.
-    pool: BufPool,
     poller: Poller,
     waker: Arc<Waker>,
     listener: TcpListener,
@@ -1055,41 +1055,29 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
             let now = Instant::now();
             let mut bytes: usize = conn.batch.iter().map(|b| b.len()).sum();
+            let mut g = pq.inner.lock().unwrap();
             loop {
-                // One frame per lock hold: a deferred one is encoded
-                // below, which must not hold up the sender's `enqueue`.
-                let item = {
-                    let mut g = pq.inner.lock().unwrap();
-                    match g.q.front() {
-                        None => {
-                            if conn.batch.is_empty() {
-                                // Fully drained: the next enqueue must kick again.
-                                g.kicked = false;
-                            }
-                            break;
+                match g.q.front() {
+                    None => {
+                        if conn.batch.is_empty() {
+                            // Fully drained: the next enqueue must kick again.
+                            g.kicked = false;
                         }
-                        Some(_) if conn.batch.len() >= COALESCE_MAX || bytes >= COALESCE_BYTES => {
-                            break
-                        }
-                        Some(QItem { deliver_at: Some(at), .. }) if *at > now => {
-                            self.timers.push((*at, Timer::Kick(peer)));
-                            break;
-                        }
-                        Some(_) => g.q.pop_front().expect("front just checked"),
+                        break;
                     }
-                };
+                    Some(_) if conn.batch.len() >= COALESCE_MAX || bytes >= COALESCE_BYTES => break,
+                    Some(QItem { deliver_at: Some(at), .. }) if *at > now => {
+                        self.timers.push((*at, Timer::Kick(peer)));
+                        break;
+                    }
+                    Some(_) => {}
+                }
+                let item = g.q.pop_front().expect("front just checked");
                 pq.depth.fetch_sub(1, Ordering::Relaxed);
-                let buf = match item.out {
-                    Outbound::Encoded(buf) => buf,
-                    Outbound::Deferred(msg) => {
-                        let mut buf = self.pool.check_out();
-                        frame::encode_msg_into(&mut buf, self.me, &msg);
-                        Arc::new(buf)
-                    }
-                };
-                bytes += buf.len();
-                conn.batch.push_back(buf);
+                bytes += item.out.len();
+                conn.batch.push_back(item.out);
             }
+            drop(g);
             if conn.batch.is_empty() {
                 self.set_want_write(idx, false);
                 return;
@@ -1123,10 +1111,11 @@ impl EventLoop {
             return WriteOutcome::Closed;
         };
         while !conn.batch.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(conn.batch.len());
-            for (i, b) in conn.batch.iter().enumerate() {
-                let bytes: &[u8] = b;
-                slices.push(IoSlice::new(if i == 0 { &bytes[conn.front_off..] } else { bytes }));
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(3 * conn.batch.len());
+            let mut skip = conn.front_off;
+            for frame in &conn.batch {
+                frame.slices(skip, &mut slices);
+                skip = 0;
             }
             match conn.stream.write_vectored(&slices) {
                 Ok(0) => return WriteOutcome::Closed,
@@ -1372,11 +1361,11 @@ mod tests {
         }
     }
 
-    /// Forty 256 KiB replies to a peer that reads late: the sender keeps
-    /// encoded copies of what is next for the socket — not of all forty —
-    /// and every reply still arrives, whole and in order.
+    /// Forty 256 KiB replies to a peer that reads late: every queued
+    /// frame holds its reply's bytes as a view, so no pooled buffer grows
+    /// past a few KiB, and every reply still arrives, whole and in order.
     #[test]
-    fn bulk_frames_behind_a_backlog_are_encoded_by_the_loop() {
+    fn bulk_replies_to_a_late_reader_are_spliced_not_copied() {
         use sorrento::proto::ReadReply;
         const FRAMES: u64 = 40;
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1386,7 +1375,8 @@ mod tests {
         let mut m0 = Mesh::start(n0, l0, peers, MeshConfig::default()).unwrap();
         for req in 0..FRAMES {
             let data = Some(vec![req as u8; 256 * 1024].into());
-            let reply = ReadReply::Data { len: 256 * 1024, data, version: Default::default() };
+            let reply =
+                ReadReply::Data { len: 256 * 1024, data, version: Default::default(), crc: None };
             m0.send(n1, &Msg::ReadSegR { req, reply });
         }
         std::thread::sleep(Duration::from_millis(200));
@@ -1406,8 +1396,9 @@ mod tests {
                 Some(other) => panic!("unexpected {other:?}"),
             }
         }
-        let copies = m0.pool.idle() as u64;
-        assert!((1..=ENCODE_AHEAD + 6).contains(&copies), "{copies} pooled encode buffers");
+        assert!(m0.pool.idle() >= 1, "the replies' buffers never came back to the pool");
+        let largest = m0.pool.largest_idle();
+        assert!(largest <= 4096, "a pooled buffer grew to {largest} bytes");
     }
 
     /// The thread census is independent of how many peers the mesh

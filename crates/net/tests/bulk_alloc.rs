@@ -148,6 +148,7 @@ fn a_32_mib_read_allocates_the_result_and_its_landing_buffers() {
     ARMED.store(true, Ordering::Relaxed);
     let out = ctl::run_script(&ctl_cfg, ops, 3, deadline).expect("read script");
     IN_WINDOW.store(false, Ordering::Relaxed);
+    let kept = (LIVE.load(Ordering::Relaxed) - BASE.load(Ordering::Relaxed)) as f64 / MIB;
     assert_eq!(out.stats.failed_ops, 0, "read failed: {:?}", out.stats.last_error);
     assert!(out.stats.last_read.as_deref() == Some(&data[..]), "readback mismatch");
     assert!(!ARMED.load(Ordering::Relaxed), "the read never allocated its result");
@@ -157,13 +158,21 @@ fn a_32_mib_read_allocates_the_result_and_its_landing_buffers() {
     let largest = LARGEST.load(Ordering::Relaxed) as f64 / MIB;
     eprintln!(
         "32 MiB read: {allocated:.1} MiB allocated ({:.2} x), live at most {above:.1} MiB above \
-         the level before it, largest allocation beside the result {largest:.2} MiB",
+         the level before it and {kept:.1} MiB after, largest allocation beside the result \
+         {largest:.2} MiB",
         allocated / 32.0
     );
-    // The result, one landing buffer per reply frame, and small change.
-    assert!(allocated <= 2.25 * 32.0, "{allocated:.1} MiB allocated during one 32 MiB read");
-    // The result plus what the windows hold in flight.
-    assert!(above <= 32.0 + 16.0, "live bytes rose {above:.1} MiB during one 32 MiB read");
+    // The result, one landing buffer per reply frame, and small change:
+    // a provider's reply is spliced from its store, so no encode buffer
+    // holds a copy of it.
+    assert!(allocated <= 2.05 * 32.0, "{allocated:.1} MiB allocated during one 32 MiB read");
+    // The result plus the landing buffers of the replies in flight. The
+    // peak is the windows' first burst, when every extent's pieces are
+    // asked for at once: 8–16 landed replies on a 2-core VM.
+    assert!(above <= 32.0 + 5.0, "live bytes rose {above:.1} MiB during one 32 MiB read");
+    // Nothing outlives the read but its result: no copy of a reply stays
+    // in a queue or a pool.
+    assert!(kept <= 32.0 + 1.0, "{kept:.1} MiB still live after one 32 MiB read");
     // Nothing segment-sized: every frame is a chunk.
     assert!(largest <= 1.0, "a {largest:.2} MiB allocation beside the result");
 

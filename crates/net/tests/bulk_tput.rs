@@ -1,161 +1,79 @@
-//! Raw-mesh data-path regression tests: bulk throughput for large
-//! frames across the three topologies the daemons exercise (one-way,
-//! reply over the inbound connection, fan-in), plus serial and
-//! windowed RPC round trips. These run small (3 × 8 MiB, a few
-//! thousand RPCs) so they are correctness gates first — a hang or a
-//! lost reply fails loudly with queue stats — and throughput probes
-//! second (`BULK_MB` / `PING_N` env vars scale them up for manual
-//! runs with `--nocapture`).
+//! Raw-mesh data-path regression gates: large frames across the three
+//! topologies the daemons exercise (one-way, reply over the inbound
+//! connection, fan-in), plus serial and windowed RPC round trips. Each
+//! runs at a fixed small size (3 × 8 MiB, a few thousand RPCs) and fails
+//! loudly, with queue stats, on a hang or a lost reply. Throughput is the
+//! `stream*` workloads' and `storm.rs`'s to measure, not this file's.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sorrento::proto::Msg;
 use sorrento::store::{SegMeta, WritePayload};
-use sorrento::types::{PlacementPolicy, SegId};
+use sorrento::types::SegId;
 use sorrento_net::tcp::{Mesh, MeshConfig};
 use sorrento_sim::NodeId;
+
+const BULK: usize = 8 << 20;
 
 fn mesh(i: u64) -> Mesh {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
     Mesh::start(NodeId::from_index(i as usize), l, HashMap::new(), MeshConfig::default()).unwrap()
 }
 
+fn bulk_write(req: u64, seg: u128, payload: &bytes::Bytes) -> Msg {
+    Msg::DirectWrite {
+        req,
+        seg: SegId(seg),
+        offset: 0,
+        payload: WritePayload::Real(payload.clone()),
+        meta: SegMeta::default(),
+    }
+}
+
+/// Wait for `n` bulk writes at `at`; `what` names the direction.
+fn expect_bulk(at: &Mesh, n: u64, what: &str) {
+    for got in 0..n {
+        match at.recv_timeout(Duration::from_secs(30)) {
+            Some((_, Msg::DirectWrite { payload, .. })) => assert_eq!(payload.len(), BULK as u64),
+            other => panic!("{what}: got {got} of {n}, then {other:?}; stats {:?}", at.stats()),
+        }
+    }
+}
+
 #[test]
 fn bulk_one_way() {
-    let mb: usize = std::env::var("BULK_MB").ok().and_then(|s| s.parse().ok()).unwrap_or(8);
-    let a = mesh(900);
+    let mut a = mesh(900);
     let mut b = mesh(901);
     b.add_peer(NodeId::from_index(900), a.listen_addr());
-
-    let payload = bytes::Bytes::from(vec![0xabu8; mb << 20]);
-    let t0 = Instant::now();
-    let n = 3u64;
-    for req in 0..n {
-        b.send(
-            NodeId::from_index(900),
-            &Msg::DirectWrite {
-                req,
-                seg: SegId(1),
-                offset: 0,
-                payload: WritePayload::Real(payload.clone()),
-                meta: SegMeta {
-                    replication: 1,
-                    alpha: 1.0,
-                    policy: PlacementPolicy::Random,
-                    synthetic: false,
-                    ec: None,
-                },
-            },
-        );
+    let payload = bytes::Bytes::from(vec![0xabu8; BULK]);
+    for req in 0..3 {
+        b.send(NodeId::from_index(900), &bulk_write(req, 1, &payload));
     }
-    let mut got = 0;
-    while got < n {
-        if let Some((_, Msg::DirectWrite { .. })) = a.recv_timeout(Duration::from_secs(30)) {
-            got += 1;
-            eprintln!("frame {got} at {:?}", t0.elapsed());
-        } else {
-            panic!("timed out, got {got}");
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "one-way {} x {} MB in {:.3}s = {:.1} MB/s; a={:?} b={:?}",
-        n,
-        mb,
-        secs,
-        (n as usize * mb) as f64 / secs,
-        a.stats(),
-        b.stats()
-    );
-
+    expect_bulk(&a, 3, "one-way");
     // Reply direction: a answers over the inbound connection.
-    let mut a = a;
-    let t0 = Instant::now();
-    for req in 0..n {
-        a.send(
-            NodeId::from_index(901),
-            &Msg::DirectWrite {
-                req,
-                seg: SegId(2),
-                offset: 0,
-                payload: WritePayload::Real(payload.clone()),
-                meta: SegMeta {
-                    replication: 1,
-                    alpha: 1.0,
-                    policy: PlacementPolicy::Random,
-                    synthetic: false,
-                    ec: None,
-                },
-            },
-        );
+    for req in 0..3 {
+        a.send(NodeId::from_index(901), &bulk_write(req, 2, &payload));
     }
-    let mut got = 0;
-    while got < n {
-        if let Some((_, Msg::DirectWrite { .. })) = b.recv_timeout(Duration::from_secs(30)) {
-            got += 1;
-            eprintln!("reply frame {got} at {:?}", t0.elapsed());
-        } else {
-            panic!("reply timed out, got {got}");
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "reply-dir {} x {} MB in {:.3}s = {:.1} MB/s; a={:?} b={:?}",
-        n,
-        mb,
-        secs,
-        (n as usize * mb) as f64 / secs,
-        a.stats(),
-        b.stats()
-    );
+    expect_bulk(&b, 3, "reply direction");
 }
 
 #[test]
 fn bulk_fan_in() {
-    let mb: usize = std::env::var("BULK_MB").ok().and_then(|s| s.parse().ok()).unwrap_or(8);
     let sink = mesh(910);
     let mut senders: Vec<Mesh> = (0..3).map(|i| mesh(911 + i)).collect();
-    for s in &mut senders {
-        s.add_peer(NodeId::from_index(910), sink.listen_addr());
-    }
-    let payload = bytes::Bytes::from(vec![0xcdu8; mb << 20]);
-    let t0 = Instant::now();
+    let payload = bytes::Bytes::from(vec![0xcdu8; BULK]);
     for (i, s) in senders.iter_mut().enumerate() {
-        s.send(
-            NodeId::from_index(910),
-            &Msg::DirectWrite {
-                req: i as u64,
-                seg: SegId(3),
-                offset: 0,
-                payload: WritePayload::Real(payload.clone()),
-                meta: SegMeta {
-                    replication: 1,
-                    alpha: 1.0,
-                    policy: PlacementPolicy::Random,
-                    synthetic: false,
-                    ec: None,
-                },
-            },
-        );
+        s.add_peer(NodeId::from_index(910), sink.listen_addr());
+        s.send(NodeId::from_index(910), &bulk_write(i as u64, 3, &payload));
     }
-    let mut got = 0;
-    while got < 3 {
-        if let Some((from, Msg::DirectWrite { .. })) = sink.recv_timeout(Duration::from_secs(30)) {
-            got += 1;
-            eprintln!("fan-in frame {got} from {from:?} at {:?}", t0.elapsed());
-        } else {
-            panic!("fan-in timed out, got {got}");
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    eprintln!("fan-in 3 x {} MB in {:.3}s = {:.1} MB/s", mb, secs, (3 * mb) as f64 / secs);
+    expect_bulk(&sink, 3, "fan-in");
 }
 
 #[test]
 fn rpc_ping_pong() {
-    let n: u64 = std::env::var("PING_N").ok().and_then(|s| s.parse().ok()).unwrap_or(2000);
+    let n: u64 = 2000;
     let server = mesh(920);
     let mut client = mesh(921);
     client.add_peer(NodeId::from_index(920), server.listen_addr());
@@ -181,25 +99,17 @@ fn rpc_ping_pong() {
     // (the echo thread counts it; ask for n+1 total below)
     let _ = client.recv_timeout(Duration::from_secs(10)).expect("warmup rtt");
 
-    let t0 = Instant::now();
     for req in 0..n - 1 {
         client.send(NodeId::from_index(920), &Msg::StatsQuery { req });
         let got = client.recv_timeout(Duration::from_secs(10));
         assert!(matches!(got, Some((_, Msg::StatsR { .. }))), "rtt {req} timed out");
     }
-    let secs = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "ping-pong {} rtts in {:.3}s = {:.1} us/rtt",
-        n - 1,
-        secs,
-        secs * 1e6 / (n - 1) as f64
-    );
     echo.join().unwrap();
 }
 
 #[test]
 fn rpc_windowed() {
-    let n: u64 = std::env::var("PING_N").ok().and_then(|s| s.parse().ok()).unwrap_or(4000);
+    let n: u64 = 4000;
     let window: u64 = 4;
     let server = mesh(930);
     let mut client = mesh(931);
@@ -222,7 +132,6 @@ fn rpc_windowed() {
         server.shutdown();
     });
 
-    let t0 = Instant::now();
     let mut sent = 0u64;
     let mut done = 0u64;
     let mut outstanding: Vec<u64> = Vec::new();
@@ -247,13 +156,5 @@ fn rpc_windowed() {
             sent += 1;
         }
     }
-    let secs = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "windowed({window}) {} rpcs in {:.3}s = {:.1} us/op = {:.0} ops/s",
-        n,
-        secs,
-        secs * 1e6 / n as f64,
-        n as f64 / secs
-    );
     echo.join().unwrap();
 }

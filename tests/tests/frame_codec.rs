@@ -7,7 +7,7 @@
 //! panics — for every truncation and for bit flips anywhere in the
 //! header or payload. Every property draws its tags from the codec's own
 //! table (`MSG_TAGS`). The last section pins the bytes themselves against
-//! the committed `data/wire_v3.txt`.
+//! the committed `data/wire_v4.txt`.
 
 use std::collections::BTreeSet;
 
@@ -21,9 +21,11 @@ use sorrento::swim::{SwimState, SwimUpdate};
 use sorrento::types::{
     EcParams, Error, FileId, FileOptions, Organization, PlacementPolicy, SegId, Version,
 };
+use sorrento_kvdb::crc32;
 use sorrento_net::frame::{
     decode_frame, decode_image_bytes, encode_hello, encode_image_bytes, encode_msg,
-    encode_msg_into, reference_encode_msg, Frame, FrameError, StreamDecoder, HEADER_LEN, MSG_TAGS,
+    encode_msg_into, encode_msg_spliced, reference_encode_msg, Frame, FrameError, StreamDecoder,
+    HEADER_LEN, MSG_TAGS,
 };
 use sorrento_net::pool::BufPool;
 use sorrento_sim::NodeId;
@@ -130,13 +132,25 @@ fn arb_owners(rng: &mut TestRng) -> Vec<(NodeId, Version)> {
     (0..n).map(|_| (arb_node(rng), Version(rng.gen()))).collect()
 }
 
+/// Bytes and, half the time, their CRC as a store would carry it.
+fn arb_checked(rng: &mut TestRng) -> (bytes::Bytes, Option<u32>) {
+    let data = arb_bytes(rng);
+    let crc = if rng.gen() { Some(crc32(&data)) } else { None };
+    (data.into(), crc)
+}
+
 fn arb_reply(rng: &mut TestRng) -> ReadReply {
     match rng.gen_range(0..3u8) {
-        0 => ReadReply::Data {
-            len: rng.gen(),
-            data: if rng.gen() { Some(arb_bytes(rng).into()) } else { None },
-            version: Version(rng.gen()),
-        },
+        0 => {
+            let len = rng.gen();
+            let (data, crc) = if rng.gen() {
+                let (data, crc) = arb_checked(rng);
+                (Some(data), crc)
+            } else {
+                (None, None)
+            };
+            ReadReply::Data { len, data, version: Version(rng.gen()), crc }
+        }
         1 => ReadReply::Redirect(arb_owners(rng)),
         _ => ReadReply::Err(arb_error(rng)),
     }
@@ -144,7 +158,10 @@ fn arb_reply(rng: &mut TestRng) -> ReadReply {
 
 fn arb_payload(rng: &mut TestRng) -> WritePayload {
     if rng.gen() {
-        WritePayload::Real(arb_bytes(rng).into())
+        match arb_checked(rng) {
+            (data, Some(crc)) => WritePayload::Checked { data, crc },
+            (data, None) => WritePayload::Real(data),
+        }
     } else {
         WritePayload::Synthetic { len: rng.gen() }
     }
@@ -474,6 +491,24 @@ proptest! {
     }
 
     #[test]
+    fn spliced_encoding_flattened_is_encode_msg(seed in any::<u64>()) {
+        // What the mesh writes — the pooled buffer with the checked blob
+        // gathered in at its position — is the contiguous encoding.
+        let mut rng = TestRng::seed_from_u64(seed);
+        let pool = BufPool::new();
+        for &tag in MSG_TAGS {
+            let msg = arb_msg(tag, &mut rng);
+            let sender = arb_node(&mut rng);
+            let mut head = pool.check_out();
+            let flat = match encode_msg_spliced(&mut head, sender, &msg) {
+                Some((at, blob)) => [&head[..at], &blob[..], &head[at..]].concat(),
+                None => head.to_vec(),
+            };
+            prop_assert_eq!(flat, encode_msg(sender, &msg), "tag {} spliced encode differs", tag);
+        }
+    }
+
+    #[test]
     fn hello_roundtrips(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
         let addr = arb_string(&mut rng);
@@ -550,6 +585,57 @@ proptest! {
         // Whatever the bytes, decoding must return — a panic fails the test.
         let _ = decode_frame(&junk);
     }
+}
+
+/// A write and a read reply, each with a 64-byte checked blob: the first
+/// as a client sends it (CRC computed by the encoder), the second as a
+/// provider does (CRC carried from the store).
+fn frames_with_a_checked_blob() -> [(&'static str, Vec<u8>); 2] {
+    let blob = bytes::Bytes::from((0..64u8).collect::<Vec<u8>>());
+    let write = Msg::WriteShadow {
+        req: 3,
+        shadow: 4,
+        offset: 0,
+        payload: WritePayload::Real(blob.clone()),
+        truncate: false,
+    };
+    let crc = Some(crc32(&blob));
+    let read = Msg::ReadSegR {
+        req: 5,
+        reply: ReadReply::Data { len: 64, data: Some(blob), version: Version(2), crc },
+    };
+    let sender = NodeId::from_index(1);
+    [("WriteShadow", encode_msg(sender, &write)), ("ReadSegR", encode_msg(sender, &read))]
+}
+
+/// Every single-bit flip of the payload — the fields around the blob, its
+/// `len` and `crc`, its bytes — is refused as damage.
+#[test]
+fn every_bit_flip_around_and_inside_a_checked_blob_is_refused() {
+    for (what, wire) in frames_with_a_checked_blob() {
+        assert!(decode_frame(&wire).is_ok(), "{what} as sent");
+        for bit in HEADER_LEN * 8..wire.len() * 8 {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let got = decode_frame(&bad).map(|_| ());
+            assert_eq!(got, Err(FrameError::ChecksumMismatch), "{what}: payload bit {bit}");
+        }
+    }
+}
+
+/// A provider whose stored bytes changed after their CRC was kept sends
+/// the old CRC with the new bytes: the reader refuses the reply.
+#[test]
+fn a_reply_whose_bytes_changed_since_their_crc_was_kept_is_refused() {
+    let kept = crc32(&[7u8; 64]);
+    let reply = ReadReply::Data {
+        len: 64,
+        data: Some(vec![7u8 ^ 0x10; 64].into()),
+        version: Version(1),
+        crc: Some(kept),
+    };
+    let wire = encode_msg(NodeId::from_index(1), &Msg::ReadSegR { req: 1, reply });
+    assert_eq!(decode_frame(&wire).map(|_| ()), Err(FrameError::ChecksumMismatch));
 }
 
 /// Split `bytes` into nonempty chunks at boundaries chosen by `rng`.
@@ -678,12 +764,12 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------ pinned v3 bytes
+// ------------------------------------------------------ pinned v4 bytes
 
-/// Frames and `seg/` images as the version-3 encoder wrote them. The
+/// Frames and `seg/` images as the version-4 encoder wrote them. The
 /// properties above only say the codec agrees with itself; this says it
 /// agrees with every peer and every `data_dir` already out there.
-const FIXTURE: &str = include_str!("data/wire_v3.txt");
+const FIXTURE: &str = include_str!("data/wire_v4.txt");
 /// Seeds per tag (and images) in the fixture.
 const FIXTURE_SEEDS: u64 = 3;
 
@@ -699,7 +785,7 @@ fn unhex(s: &str) -> Vec<u8> {
 /// the lines cover exactly the codec's tag list. Uses no generator and
 /// no rng: what it checks is the file.
 #[test]
-fn committed_v3_bytes_decode_and_reencode_unchanged() {
+fn committed_v4_bytes_decode_and_reencode_unchanged() {
     let mut seen = BTreeSet::new();
     for line in FIXTURE.lines().filter(|l| !l.starts_with('#')) {
         let (what, bytes) = line.split_once(' ').expect("`<tag|image> <hex>`");
@@ -728,8 +814,8 @@ fn committed_v3_bytes_decode_and_reencode_unchanged() {
 /// bytes are meant to change (`cargo test -p sorrento-tests --test
 /// frame_codec -- --ignored`), and then follow the file's header.
 #[test]
-#[ignore = "regenerates tests/tests/data/wire_v3.txt"]
-fn regenerate_the_v3_fixture() {
+#[ignore = "regenerates tests/tests/data/wire_v4.txt"]
+fn regenerate_the_v4_fixture() {
     let mut out: String =
         FIXTURE.lines().filter(|l| l.starts_with('#')).map(|l| format!("{l}\n")).collect();
     for &tag in MSG_TAGS {
@@ -743,6 +829,6 @@ fn regenerate_the_v3_fixture() {
         let image = arb_image(&mut TestRng::seed_from_u64(seed));
         out += &format!("image {}\n", hex(&encode_image_bytes(&image)));
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v3.txt");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v4.txt");
     std::fs::write(path, out).expect("write the fixture");
 }

@@ -1,11 +1,14 @@
 //! Replication integration tests: home-host-driven lazy propagation and
 //! degree repair (§3.6), eager commitment, and recovery after failures.
 
-use sorrento::client::ClientOp;
+use sorrento::client::{ClientOp, SorrentoClient};
 use sorrento::cluster::{Cluster, ClusterBuilder, ScriptedWorkload};
 use sorrento::costs::CostModel;
-use sorrento::types::{FileOptions, Version};
-use sorrento_sim::Dur;
+use sorrento::namespace::NamespaceServer;
+use sorrento::proto::Msg;
+use sorrento::provider::StorageProvider;
+use sorrento::types::{FileOptions, SegId, Version};
+use sorrento_sim::{Ctx, Dur, Node, NodeConfig, NodeId, Simulation};
 
 fn cluster(providers: usize, replication: u32, seed: u64) -> Cluster {
     ClusterBuilder::new()
@@ -133,6 +136,69 @@ fn eager_commit_acks_survive_fetch_dedup() {
     let installs: u64 =
         c.providers().iter().map(|&p| c.provider_ref(p).unwrap().installs_done).sum();
     assert_eq!(installs, 2 * ownership.len() as u64);
+}
+
+/// A provider that notes the size hint of every eager-sync request a
+/// client sends it (`req` 0 is a home host's repair, not a client's).
+struct SyncSpy {
+    inner: StorageProvider,
+    hints: Vec<(SegId, u64)>,
+}
+
+impl Node<Msg> for SyncSpy {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.inner.on_start(ctx)
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        if let Msg::SyncRequest { req, seg, bytes_hint, .. } = &msg {
+            if *req != 0 {
+                self.hints.push((*seg, *bytes_hint));
+            }
+        }
+        self.inner.on_message(from, msg, ctx)
+    }
+
+    fn on_crash(&mut self) {
+        self.inner.on_crash()
+    }
+}
+
+/// An eager push names what the target will fetch: the segment as
+/// committed. The hint sizes the target's fetch timeout, and its fetches
+/// run one at a time, so a 64 MiB hint for a 150 KB file let one lost
+/// `FetchSeg` hold that queue for `4 × rpc_timeout + 64 MiB ÷ 250 KB/s`.
+#[test]
+fn eager_sync_hints_are_the_committed_segment_lengths() {
+    let costs = CostModel::fast_test();
+    let mut sim = Simulation::new(28);
+    let ns = sim.add_node(NamespaceServer::new(costs), NodeConfig::default());
+    let providers: Vec<NodeId> = (0..3u32)
+        .map(|i| {
+            let inner = StorageProvider::new(costs, 2).with_rack(i);
+            sim.add_node(SyncSpy { inner, hints: Vec::new() }, NodeConfig::default().on_machine(i))
+        })
+        .collect();
+    sim.run_for(Dur::secs(5));
+    let options = FileOptions { replication: 2, eager_commit: true, ..FileOptions::default() };
+    let ops = vec![
+        ClientOp::CreateWith { path: "/hinted".into(), options },
+        ClientOp::write_bytes(0, patterned(150_000, 8)),
+        ClientOp::Close,
+    ];
+    let client = SorrentoClient::new(ns, costs, Box::new(ScriptedWorkload::new(ops)));
+    let id = sim.add_node(client, NodeConfig::default());
+    sim.run_for(Dur::secs(10));
+    let stats = &sim.node_ref::<SorrentoClient>(id).unwrap().stats;
+    assert_eq!((stats.completed_ops, stats.failed_ops), (3, 0), "{:?}", stats.last_error);
+
+    let spies: Vec<&SyncSpy> = providers.iter().map(|&p| sim.node_ref(p).unwrap()).collect();
+    let hints: Vec<(SegId, u64)> = spies.iter().flat_map(|s| s.hints.iter().copied()).collect();
+    assert!(!hints.is_empty(), "no eager push was sent");
+    for (seg, hint) in hints {
+        let committed = spies.iter().find_map(|s| s.inner.store.seg_len(seg));
+        assert_eq!(Some(hint), committed, "hint for {seg:?}");
+    }
 }
 
 /// Losing a provider must re-create the lost replicas elsewhere (the
