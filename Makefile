@@ -26,11 +26,15 @@
 #                   provider, and schema-check the flight dump and
 #                   metrics.jsonl it leaves behind, plus the span-trace
 #                   merge tests
-#   make ec-smoke   the erasure-coding drill: seeded-simulator EC tests
-#                   (roundtrip, rewrite, degraded read, shard repair),
-#                   then a loopback EC(4,2) cluster that loses two shard
-#                   holders mid-run — degraded reads must reconstruct and
-#                   the repair scan must restore the shard count on disk
+#   make ec-bytes   regenerate results/BENCH_ec.json into target/ and cmp
+#                   it with the committed file: the seeded simulator's EC
+#                   bytes (parity, placement, repair), in under a second
+#   make ec-smoke   the erasure-coding drill: ec-bytes, then the
+#                   seeded-simulator EC tests (roundtrip, rewrite, refused
+#                   partial rewrite, degraded read, shard repair), then a
+#                   loopback EC(4,2) cluster that loses two shard holders
+#                   mid-run — degraded reads must reconstruct and the
+#                   repair scan must restore the shard count on disk
 #   make ns-smoke   the metadata-plane drill: schema-check the committed
 #                   results/BENCH_ns.json (4-shard speedup >= 2.5x and a
 #                   3-interval failover sweep), run the sharded-namespace
@@ -59,7 +63,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test clippy check-net bench bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs loc
+.PHONY: check build test clippy check-net bench bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
 
 check: build test clippy docs
 
@@ -86,8 +90,12 @@ obs-smoke:
 	$(CARGO) test -p sorrento-tests --test obs_smoke -- --nocapture
 	$(CARGO) test -p sorrento-tests --test observability -- --nocapture
 
-ec-smoke:
-	$(CARGO) test -p sorrento-tests --test ec_mode -- --nocapture
+ec-bytes:
+	$(CARGO) run --release -p sorrento-bench --bin bench-ec -- --out target/BENCH_ec.json
+	cmp target/BENCH_ec.json results/BENCH_ec.json
+
+ec-smoke: ec-bytes
+	$(CARGO) test -p sorrento-tests --test ec_mode --test ec_parity -- --nocapture
 
 # $(call bench-check,ns): the committed results file still validates and
 # the bench that wrote it still runs, at CI size.

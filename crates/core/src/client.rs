@@ -18,7 +18,7 @@ use sorrento_sim::{Ctx, Dur, Node, NodeId, SimTime, SpanId, TelemetryEvent};
 use crate::transport::Transport;
 
 use crate::costs::CostModel;
-use crate::layout::{Extent, IndexSegment, WritePlan};
+use crate::layout::{Extent, IndexSegment, WritePlan, WriteViews};
 use crate::membership::MembershipView;
 use crate::placement::{candidates_from_view, select_provider};
 use crate::proto::{decode_index, encode_index, FileEntry, Msg, ReadReply, ReqId, Tick};
@@ -31,9 +31,6 @@ use crate::types::{Error, FileId, FileOptions, PlacementPolicy, SegId, Version};
 const MAX_ATTEMPTS: u32 = 5;
 /// Maximum commit retries for [`ClientOp::AtomicAppend`].
 const MAX_APPEND_RETRIES: u32 = 16;
-/// `Pending::ShadowWrite::extent` sentinel for a parity-shard write in
-/// the commit flow (`usize::MAX` already marks the index write).
-const PARITY_EXTENT: usize = usize::MAX - 1;
 
 /// One file operation issued by a workload.
 #[derive(Debug, Clone)]
@@ -271,14 +268,14 @@ struct OpenFile {
     attached_buf: Vec<u8>,
     /// Whether file payloads are synthetic.
     synthetic: bool,
-    /// Whole-file contents accumulated across this session's real
-    /// writes of an erasure-coded file: commit encodes parity from it.
-    /// EC files follow a whole-file-write discipline — regions not
-    /// written this session are treated as zeros (see DESIGN.md).
-    ec_buf: Vec<u8>,
-    /// Parity shard bytes computed by the in-progress commit, in
-    /// `index.parity` order (empty for synthetic payloads).
-    parity_bufs: Vec<bytes::Bytes>,
+    /// Views of the payloads this session's real writes of an
+    /// erasure-coded file carried: commit encodes parity from them, with
+    /// every byte they do not cover taken as zero (see DESIGN.md §5.4).
+    ec_views: WriteViews,
+    /// The file's committed size when the session opened it. The data
+    /// shards still hold those bytes, so an erasure-coded commit is
+    /// refused unless the views rewrite all of them.
+    opened_size: u64,
 }
 
 /// What an in-flight request is for.
@@ -291,7 +288,7 @@ enum Pending {
     /// extent `extent` (the whole extent unless the read is chunked).
     DataRead { extent: usize, offset: u64, len: u64 },
     ShadowCreate { seg: SegId, provider: NodeId, target: Version },
-    ShadowWrite { extent: usize },
+    ShadowWrite { to: ShadowTarget },
     DirectWrite,
     Prepare,
     Commit2,
@@ -374,7 +371,7 @@ enum Phase {
         write_len: u64,
         /// Per-extent progress of pipelined chunked shadow writes
         /// (only populated when [`SorrentoClient::write_chunk`] is set).
-        chunked: HashMap<usize, ChunkWrite>,
+        chunked: HashMap<ShadowTarget, ChunkWrite>,
     },
     /// Commit flow.
     Committing(CommitStage),
@@ -418,12 +415,25 @@ struct ExtentRead {
 /// queues per peer before it drops, wherever the segments live.
 const READ_PIECES_MAX: usize = 64;
 
-/// Progress of one extent's pipelined chunked shadow write: the full
-/// extent payload (a shared view, so chunk slices are O(1)) and the
-/// offset of the first byte not yet sent. In-flight chunks are counted
-/// by `Phase::Writing::outstanding` like any other shadow write.
+/// Where a `WriteShadow` of the current op lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ShadowTarget {
+    /// Extent `i` of the write in progress.
+    Extent(usize),
+    /// Parity shard `r` of an erasure-coded commit.
+    Parity(usize),
+    /// The index segment of a commit.
+    Index,
+}
+
+/// Progress of one pipelined chunked shadow write: the full payload (a
+/// shared view, so chunk slices are O(1)) bound for offset `at` of
+/// `seg`'s shadow, and the offset in it of the first byte not yet sent.
+/// In-flight chunks are counted with the stage's other shadow writes.
 #[derive(Debug)]
 struct ChunkWrite {
+    seg: SegId,
+    at: u64,
     data: bytes::Bytes,
     next: u64,
 }
@@ -431,10 +441,16 @@ struct ChunkWrite {
 /// Sub-stages of the commit flow (Figure 6 steps 6–12).
 #[derive(Debug)]
 enum CommitStage {
-    /// Erasure-coded files only: encoding and shipping the m parity
-    /// shards (shadow create + full-content write each) before the
-    /// index shadow. Counts parity shards not yet written.
-    Parity { outstanding: usize },
+    /// Erasure-coded files only: shipping the m parity shards (shadow
+    /// create + full-content write each) before the index shadow.
+    Parity {
+        /// Parity shadows not yet created plus `WriteShadow`s in flight.
+        outstanding: usize,
+        /// The shards' contents, in `index.parity` order.
+        parity: Vec<WritePayload>,
+        /// Pipelined chunked shard writes, as `Phase::Writing::chunked`.
+        chunked: HashMap<ShadowTarget, ChunkWrite>,
+    },
     /// Creating the shadow of the index segment (step 6).
     IndexShadow,
     /// Writing the new index contents into its shadow.
@@ -1192,8 +1208,8 @@ impl SorrentoClient {
                 commit_target: None,
                 attached_buf: Vec::new(),
                 synthetic: false,
-                ec_buf: Vec::new(),
-                parity_bufs: Vec::new(),
+                ec_views: WriteViews::default(),
+                opened_size: 0,
             });
             self.complete_op(ctx, None, 0, None);
             return;
@@ -1212,8 +1228,8 @@ impl SorrentoClient {
             commit_target: None,
             attached_buf: Vec::new(),
             synthetic: false,
-            ec_buf: Vec::new(),
-            parity_bufs: Vec::new(),
+            ec_views: WriteViews::default(),
+            opened_size: 0,
         });
         self.read_index_segment(ctx, entry.file.index_segment(), entry.version);
     }
@@ -1257,6 +1273,7 @@ impl SorrentoClient {
                 if let Some(f) = &mut self.file {
                     f.attached_buf = ix.attached.clone().unwrap_or_default();
                     f.synthetic = ix.is_attached && ix.attached.is_none() && ix.size > 0;
+                    f.opened_size = ix.size;
                     f.index = ix;
                     f.index_owner = Some(from);
                 }
@@ -1983,16 +2000,11 @@ impl SorrentoClient {
         if matches!(payload, WritePayload::Synthetic { .. }) {
             f.synthetic = true;
         }
-        // Erasure-coded files: mirror real payloads into the session's
-        // whole-file buffer so commit can encode parity without reading
-        // the shards back (whole-file-write discipline; see DESIGN.md).
+        // Erasure-coded files: keep a view of the payload (no copy) so
+        // commit can encode parity without reading the shards back.
         if f.entry.options.ec.is_some() {
             if let WritePayload::Real(data) = &payload {
-                let end = offset as usize + data.len();
-                if f.ec_buf.len() < end {
-                    f.ec_buf.resize(end, 0);
-                }
-                f.ec_buf[offset as usize..end].copy_from_slice(data);
+                f.ec_views.put(offset, data.clone());
             }
         }
         // Plan against the layout.
@@ -2358,62 +2370,65 @@ impl SorrentoClient {
         };
         let e = extents[i];
         todo.retain(|&x| x != i);
-        let sref = {
-            let f = self.file.as_ref().expect("write has open file");
-            f.shadows[&e.seg]
-        };
         let payload = self.extent_payload(&e);
-        // Pipelined path: a large real payload is split into chunks and
-        // a bounded window of them kept in flight to the owner, so the
-        // segment transfer overlaps instead of a single huge frame (or,
-        // historically, one-at-a-time round trips).
-        if let (Some(chunk), WritePayload::Real(data)) = (self.write_chunk, &payload) {
-            if chunk > 0 && data.len() as u64 > chunk {
+        self.ship(ctx, ShadowTarget::Extent(i), e.seg, e.seg_offset, payload);
+    }
+
+    /// The current stage's pipelined chunked writes and its count of
+    /// shadow writes in flight: the data extents' while writing, the
+    /// parity shards' while an erasure-coded commit ships them.
+    fn shipping(&mut self) -> Option<(&mut HashMap<ShadowTarget, ChunkWrite>, &mut usize)> {
+        match &mut self.op.as_mut()?.2 {
+            Phase::Writing { chunked, outstanding, .. }
+            | Phase::Committing(CommitStage::Parity { chunked, outstanding, .. }) => {
+                Some((chunked, outstanding))
+            }
+            _ => None,
+        }
+    }
+
+    /// Write `payload` at offset `at` of `seg`'s shadow. Pipelined path:
+    /// a real payload larger than [`SorrentoClient::write_chunk`] is
+    /// split into chunks and a bounded window of them kept in flight to
+    /// the owner, so the transfer overlaps instead of travelling as one
+    /// huge frame (or, historically, one-at-a-time round trips).
+    /// Otherwise it is one `WriteShadow`.
+    fn ship(
+        &mut self,
+        ctx: &mut impl Transport,
+        to: ShadowTarget,
+        seg: SegId,
+        at: u64,
+        payload: WritePayload,
+    ) {
+        let chunk = self.write_chunk.filter(|&c| c > 0);
+        if let (Some(chunk), WritePayload::Real(data)) = (chunk, &payload) {
+            if data.len() as u64 > chunk {
                 let data = data.clone();
-                if let Some((_, _, Phase::Writing { chunked, .. }, _)) = &mut self.op {
-                    chunked.insert(i, ChunkWrite { data, next: 0 });
+                if let Some((chunked, _)) = self.shipping() {
+                    chunked.insert(to, ChunkWrite { seg, at, data, next: 0 });
                 }
                 for _ in 0..self.write_window.max(1) {
-                    if !self.issue_next_chunk(ctx, i) {
+                    if !self.issue_next_chunk(ctx, to) {
                         break;
                     }
                 }
                 return;
             }
         }
-        if let Some((_, _, Phase::Writing { outstanding, .. }, _)) = &mut self.op {
-            *outstanding += 1;
-        }
-        let req = self.fresh_req();
-        self.rpc(
-            ctx,
-            sref.provider,
-            Msg::WriteShadow {
-                req,
-                shadow: sref.shadow,
-                offset: e.seg_offset,
-                payload,
-                truncate: false,
-            },
-            Pending::ShadowWrite { extent: i },
-        );
+        self.send_shadow_write(ctx, to, seg, at, payload);
     }
 
-    /// Put the next chunk of extent `i`'s pipelined shadow write on the
-    /// wire, if any bytes remain unsent. Returns whether a chunk was
-    /// issued. Called `write_window` times up front and then once per
-    /// completed chunk, which holds the in-flight count at the window.
-    fn issue_next_chunk(&mut self, ctx: &mut impl Transport, i: usize) -> bool {
+    /// Put the next chunk of `to`'s pipelined shadow write on the wire,
+    /// if any bytes remain unsent. Returns whether a chunk was issued.
+    /// Called `write_window` times up front and then once per completed
+    /// chunk, which holds the in-flight count at the window.
+    fn issue_next_chunk(&mut self, ctx: &mut impl Transport, to: ShadowTarget) -> bool {
         let Some(chunk_size) = self.write_chunk.filter(|&c| c > 0) else {
             return false;
         };
-        let (e, slice, offset) = {
-            let Some((_, _, Phase::Writing { extents, chunked, outstanding, .. }, _)) =
-                &mut self.op
-            else {
-                return false;
-            };
-            let Some(st) = chunked.get_mut(&i) else {
+        let (seg, offset, slice) = {
+            let Some(st) = self.shipping().and_then(|(chunked, _)| chunked.get_mut(&to)) else {
                 return false;
             };
             if st.next >= st.data.len() as u64 {
@@ -2422,27 +2437,36 @@ impl SorrentoClient {
             let start = st.next;
             let end = (start + chunk_size).min(st.data.len() as u64);
             st.next = end;
+            (st.seg, st.at + start, st.data.slice(start as usize..end as usize))
+        };
+        self.send_shadow_write(ctx, to, seg, offset, WritePayload::Real(slice));
+        true
+    }
+
+    /// One `WriteShadow` into `seg`'s shadow, counted in flight by the
+    /// current stage.
+    fn send_shadow_write(
+        &mut self,
+        ctx: &mut impl Transport,
+        to: ShadowTarget,
+        seg: SegId,
+        offset: u64,
+        payload: WritePayload,
+    ) {
+        if let Some((_, outstanding)) = self.shipping() {
             *outstanding += 1;
-            (extents[i], st.data.slice(start as usize..end as usize), start)
-        };
-        let sref = {
-            let f = self.file.as_ref().expect("write has open file");
-            f.shadows[&e.seg]
-        };
+        }
+        if matches!(to, ShadowTarget::Parity(_)) {
+            ctx.metrics().count("client.ec_parity_writes", 1);
+        }
+        let sref = self.file.as_ref().expect("write has open file").shadows[&seg];
         let req = self.fresh_req();
         self.rpc(
             ctx,
             sref.provider,
-            Msg::WriteShadow {
-                req,
-                shadow: sref.shadow,
-                offset: e.seg_offset + offset,
-                payload: WritePayload::Real(slice),
-                truncate: false,
-            },
-            Pending::ShadowWrite { extent: i },
+            Msg::WriteShadow { req, shadow: sref.shadow, offset, payload, truncate: false },
+            Pending::ShadowWrite { to },
         );
-        true
     }
 
     fn maybe_finish_write(&mut self, ctx: &mut impl Transport) {
@@ -2518,15 +2542,22 @@ impl SorrentoClient {
 
     /// Begin the parity leg of an erasure-coded commit: materialize the
     /// m parity entries in the index, encode their contents from the
-    /// session's whole-file buffer, and open one shadow per parity
-    /// shard on a provider holding no other shard of this file. The
-    /// shadows then ride the same 2PC as the data shards.
+    /// session's write views, and open one shadow per parity shard on a
+    /// provider holding no other shard of this file. The shadows then
+    /// ride the same 2PC as the data shards.
     fn start_parity(&mut self, ctx: &mut impl Transport) {
-        let (k, m) = {
+        let (k, m, rewrites_all) = {
             let f = self.file.as_ref().expect("commit has open file");
             let p = f.entry.options.ec.expect("EC commit has params");
-            (p.k as usize, p.m as usize)
+            (p.k as usize, p.m as usize, f.synthetic || f.ec_views.cover(f.opened_size))
         };
+        if !rewrites_all {
+            // Bytes the session did not rewrite stay in the based data
+            // shadows, but would enter the parity as zeros: a degraded
+            // read would then decode them wrong.
+            self.abort_commit(ctx, Error::InvalidMode);
+            return;
+        }
         // Pre-generate the fresh segment ids ensure_parity may need
         // (fresh_seg borrows self, the index borrows the file).
         let missing = {
@@ -2542,50 +2573,29 @@ impl SorrentoClient {
             for e in &mut f.index.parity {
                 e.len = shard_len;
             }
-            (
-                f.index.parity.clone(),
-                shard_len,
-                f.synthetic,
-                f.entry.options,
-            )
+            (f.index.parity.clone(), shard_len, f.synthetic, f.entry.options)
         };
-        if !synthetic {
-            let (shards, file_bits) = {
-                let f = self.file.as_ref().expect("commit has open file");
-                (
-                    f.index.ec_data_shards(&f.ec_buf),
-                    f.entry.file.index_segment().0,
-                )
-            };
-            let rs = match sorrento_ec::ReedSolomon::new(k, m) {
-                Ok(rs) => rs,
-                Err(_) => {
-                    self.abort_commit(ctx, Error::InvalidMode);
-                    return;
-                }
-            };
-            let parity = match rs.encode(&shards) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.abort_commit(ctx, Error::InvalidMode);
-                    return;
-                }
+        let parity = if synthetic {
+            vec![WritePayload::Synthetic { len: shard_len }; m]
+        } else {
+            let f = self.file.as_ref().expect("commit has open file");
+            let encoded = sorrento_ec::ReedSolomon::new(k, m)
+                .and_then(|rs| f.index.ec_parity(&rs, &f.ec_views));
+            let Ok(encoded) = encoded else {
+                self.abort_commit(ctx, Error::InvalidMode);
+                return;
             };
             ctx.record(TelemetryEvent::EcEncode {
                 span: self.cur_span,
-                file: file_bits,
+                file: f.entry.file.index_segment().0,
                 k: k as u8,
                 m: m as u8,
-                parity_bytes: parity.iter().map(|p| p.len() as u64).sum(),
+                parity_bytes: encoded.iter().map(|p| p.len() as u64).sum(),
             });
-            if let Some(f) = &mut self.file {
-                f.parity_bufs = parity.into_iter().map(bytes::Bytes::from).collect();
-            }
-        } else if let Some(f) = &mut self.file {
-            f.parity_bufs.clear();
-        }
+            encoded.into_iter().map(|p| WritePayload::Real(p.into())).collect()
+        };
         if let Some((_, _, Phase::Committing(stage), _)) = &mut self.op {
-            *stage = CommitStage::Parity { outstanding: m };
+            *stage = CommitStage::Parity { outstanding: m, parity, chunked: HashMap::new() };
         }
         // Parity shadows are always full-content rewrites (base: None):
         // every commit re-derives all parity bytes, so there is nothing
@@ -2629,42 +2639,22 @@ impl SorrentoClient {
         }
     }
 
-    /// A parity shadow exists: ship its full contents (offset 0,
-    /// truncating), tagged with the parity sentinel so completion is
-    /// routed back into the Parity stage.
+    /// A parity shadow exists: ship the shard's full contents into it
+    /// from offset 0 like any data extent, tagged with its parity index
+    /// so completion is routed back into the Parity stage. The shadow is
+    /// fresh, so nothing past the shard needs truncating.
     fn issue_parity_write(&mut self, ctx: &mut impl Transport, seg: SegId) {
-        let (sref, payload) = {
-            let f = self.file.as_ref().expect("commit has open file");
-            let sref = f.shadows[&seg];
-            let len = f.index.ec_shard_len();
-            let payload = if f.synthetic {
-                WritePayload::Synthetic { len }
-            } else {
-                let idx = f
-                    .index
-                    .parity
-                    .iter()
-                    .position(|e| e.seg == seg)
-                    .expect("parity entry exists");
-                WritePayload::Real(f.parity_bufs[idx].clone())
-            };
-            (sref, payload)
+        let f = self.file.as_ref().expect("commit has open file");
+        let r = f.index.parity.iter().position(|e| e.seg == seg).expect("parity entry exists");
+        let Some((_, _, Phase::Committing(CommitStage::Parity { parity, .. }), _)) = &self.op else {
+            return;
         };
-        let req = self.fresh_req();
-        self.rpc(
-            ctx,
-            sref.provider,
-            Msg::WriteShadow {
-                req,
-                shadow: sref.shadow,
-                offset: 0,
-                payload,
-                truncate: true,
-            },
-            Pending::ShadowWrite {
-                extent: PARITY_EXTENT,
-            },
-        );
+        let payload = parity[r].clone();
+        self.ship(ctx, ShadowTarget::Parity(r), seg, 0, payload);
+        // The shard's shadow is created; its writes now count instead.
+        if let Some((_, outstanding)) = self.shipping() {
+            *outstanding -= 1;
+        }
     }
 
     fn issue_index_shadow(&mut self, ctx: &mut impl Transport) {
@@ -2753,7 +2743,7 @@ impl SorrentoClient {
                 payload: WritePayload::Real(bytes.into()),
                 truncate: true,
             },
-            Pending::ShadowWrite { extent: usize::MAX },
+            Pending::ShadowWrite { to: ShadowTarget::Index },
         );
     }
 
@@ -2858,7 +2848,6 @@ impl SorrentoClient {
         if let Some(f) = &mut self.file {
             f.shadows.clear();
             f.commit_target = None;
-            f.parity_bufs.clear();
         }
         // Atomic append: refresh and retry the whole cycle.
         let is_append = matches!(
@@ -3000,7 +2989,6 @@ impl SorrentoClient {
             f.entry.size = f.index.size;
             // Keep the committed index's segment versions as the new base.
             f.shadows.clear();
-            f.parity_bufs.clear();
             f.dirty = false;
             if is_append {
                 bytes = self
@@ -3298,58 +3286,36 @@ impl SorrentoClient {
                     }
                 }
             },
-            (Pending::ShadowWrite { extent }, Msg::WriteShadowR { result, .. }) => {
-                match result {
-                    Ok(()) => {
-                        if extent == usize::MAX {
-                            // Index write inside the commit flow.
-                            self.issue_commit_begin(ctx);
-                        } else if extent == PARITY_EXTENT {
-                            // One parity shard is fully staged; the last
-                            // one advances the commit to the index leg.
-                            let done = if let Some((
-                                _,
-                                _,
-                                Phase::Committing(CommitStage::Parity { outstanding }),
-                                _,
-                            )) = &mut self.op
-                            {
-                                *outstanding -= 1;
-                                *outstanding == 0
-                            } else {
-                                false
-                            };
-                            if done {
-                                if let Some((_, _, Phase::Committing(stage), _)) = &mut self.op
-                                {
-                                    *stage = CommitStage::IndexShadow;
-                                }
-                                self.issue_index_shadow(ctx);
-                            }
-                        } else {
-                            if let Some((_, _, Phase::Writing { outstanding, .. }, _)) =
-                                &mut self.op
-                            {
-                                *outstanding -= 1;
-                            }
-                            // A finished chunk frees a slot in the
-                            // extent's pipeline window; refill it.
-                            self.issue_next_chunk(ctx, extent);
-                            self.maybe_finish_write(ctx);
+            (Pending::ShadowWrite { to }, Msg::WriteShadowR { result, .. }) => match (result, to) {
+                // Index write inside the commit flow.
+                (Ok(()), ShadowTarget::Index) => self.issue_commit_begin(ctx),
+                (Ok(()), _) => {
+                    if let Some((_, outstanding)) = self.shipping() {
+                        *outstanding -= 1;
+                    }
+                    // A finished chunk frees a slot in its pipeline
+                    // window; refill it.
+                    self.issue_next_chunk(ctx, to);
+                    if let Some((_, _, Phase::Committing(stage), _)) = &mut self.op {
+                        if matches!(stage, CommitStage::Parity { outstanding: 0, .. }) {
+                            // Every parity shard is written: on to the index leg.
+                            *stage = CommitStage::IndexShadow;
+                            self.issue_index_shadow(ctx);
                         }
                     }
-                    Err(e) => {
-                        if matches!(
-                            self.op.as_ref().map(|(_, _, p, _)| p),
-                            Some(Phase::Committing(_))
-                        ) {
-                            self.abort_commit(ctx, e);
-                        } else {
-                            self.retry_or_fail(ctx, e);
-                        }
+                    self.maybe_finish_write(ctx);
+                }
+                (Err(e), _) => {
+                    if matches!(
+                        self.op.as_ref().map(|(_, _, p, _)| p),
+                        Some(Phase::Committing(_))
+                    ) {
+                        self.abort_commit(ctx, e);
+                    } else {
+                        self.retry_or_fail(ctx, e);
                     }
                 }
-            }
+            },
 
             // ---- 2PC ----
             (Pending::CommitBegin, Msg::NsCommitBeginR { result, .. }) => match result {

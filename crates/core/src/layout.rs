@@ -8,6 +8,11 @@
 //! [`ATTACH_MAX`] bytes are *attached* inside the index segment so one
 //! transfer serves both metadata and data.
 
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
+use sorrento_ec::{EcError, ReedSolomon};
+
 use crate::types::{EcParams, FileId, FileOptions, Organization, SegId, Version};
 
 /// Maximum attachable file size: "Currently, the maximum attachable file
@@ -139,12 +144,6 @@ impl IndexSegment {
         self.map_range(offset, end, false)
     }
 
-    /// Whether a read of `[offset, offset+len)` is served inline.
-    pub fn read_is_inline(&self, offset: u64, len: u64) -> bool {
-        let _ = (offset, len);
-        self.is_attached
-    }
-
     /// Plan a write of `[offset, offset+len)`. May switch the file from
     /// attached to segmented; in that case the plan also covers spilling
     /// the previously attached bytes.
@@ -250,28 +249,23 @@ impl IndexSegment {
         }
     }
 
-    /// Split whole-file contents into the k data shards, each padded
-    /// with zeros to [`IndexSegment::ec_shard_len`]. `data` shorter than
-    /// the file size is implicitly zero-extended (fresh regions of a
-    /// sparse write are zeros on the providers too).
-    pub fn ec_data_shards(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let Some(p) = self.options.ec else {
-            return Vec::new();
-        };
-        let k = p.k as u64;
-        let pad = self.ec_shard_len() as usize;
-        let mut shards = vec![vec![0u8; pad]; p.k as usize];
-        let mut block = 0u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let take = (STRIPE_UNIT as usize).min(data.len() - pos);
-            let shard = (block % k) as usize;
-            let off = (block / k * STRIPE_UNIT) as usize;
-            shards[shard][off..off + take].copy_from_slice(&data[pos..pos + take]);
-            pos += take;
-            block += 1;
+    /// The `rs.parity_shards()` parity shards of a file whose bytes are
+    /// `views` and zeros everywhere else, each
+    /// [`IndexSegment::ec_shard_len`] long. The code is linear, so every
+    /// view is folded into the parity where the data shards hold it:
+    /// [`IndexSegment::locate`]'s `seg_index` is the shard and
+    /// `seg_offset` the offset in it. No image of the file or of its
+    /// data shards is built.
+    pub fn ec_parity(&self, rs: &ReedSolomon, views: &WriteViews) -> Result<Vec<Vec<u8>>, EcError> {
+        let len = self.ec_shard_len() as usize;
+        let mut parity: Vec<Vec<u8>> = (0..rs.parity_shards()).map(|_| vec![0; len]).collect();
+        for (&at, bytes) in &views.0 {
+            for e in self.locate(at, bytes.len() as u64) {
+                let piece = &bytes[(e.file_offset - at) as usize..][..e.len as usize];
+                rs.encode_acc(e.seg_index, piece, e.seg_offset as usize, &mut parity)?;
+            }
         }
-        shards
+        Ok(parity)
     }
 
     fn ensure_segments(&mut self, end: u64, fresh_seg: &mut impl FnMut() -> SegId) {
@@ -419,6 +413,43 @@ impl IndexSegment {
             });
             pos += take;
         }
+    }
+}
+
+/// The bytes a write session put into a file: views of the callers'
+/// payloads by file offset. Views never overlap — a later write trims
+/// the ones it covers, so the last writer wins — and no byte is copied.
+#[derive(Debug, Clone, Default)]
+pub struct WriteViews(BTreeMap<u64, Bytes>);
+
+impl WriteViews {
+    /// Record `data` written at file offset `at`.
+    pub fn put(&mut self, at: u64, data: Bytes) {
+        if data.is_empty() {
+            return;
+        }
+        let end = at + data.len() as u64;
+        let before = self.0.range(..at).next_back();
+        let first = before.filter(|(&s, v)| s + v.len() as u64 > at).map_or(at, |(&s, _)| s);
+        let hit: Vec<u64> = self.0.range(first..end).map(|(&start, _)| start).collect();
+        // Of a view the write reaches into, what lies outside it stays.
+        for start in hit {
+            let view = self.0.remove(&start).expect("view present");
+            if start < at {
+                self.0.insert(start, view.slice(..(at - start) as usize));
+            }
+            if start + view.len() as u64 > end {
+                self.0.insert(end, view.slice((end - start) as usize..));
+            }
+        }
+        self.0.insert(at, data);
+    }
+
+    /// Whether every byte of `[0, len)` was written.
+    pub fn cover(&self, len: u64) -> bool {
+        let mut views = self.0.range(..len);
+        let end = views.try_fold(0, |end, (&at, v)| (at <= end).then_some(at + v.len() as u64));
+        end.is_some_and(|end| end >= len)
     }
 }
 
@@ -668,33 +699,81 @@ mod tests {
         let _ = Error::NotFound; // silence unused import in cfg(test)
     }
 
+    /// Random writes — overlapping, leaving holes, past the end, off a
+    /// stripe boundary — into both `views` and a flat `image`.
+    fn random_writes(rng: &mut rand::rngs::SmallRng, views: &mut WriteViews, image: &mut Vec<u8>) {
+        use rand::Rng;
+        for _ in 0..rng.gen_range(1..5) {
+            let (at, len) = (
+                rng.gen_range(0..600_000usize),
+                rng.gen_range(0..300_000usize),
+            );
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            if image.len() < at + len {
+                image.resize(at + len, 0);
+            }
+            image[at..at + len].copy_from_slice(&data);
+            views.put(at as u64, data.into());
+        }
+    }
+
+    #[test]
+    fn write_views_keep_the_last_writer_and_know_their_holes() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        for _ in 0..50 {
+            let (mut views, mut image) = (WriteViews::default(), Vec::new());
+            random_writes(&mut rng, &mut views, &mut image);
+            let mut flat = vec![0u8; image.len()];
+            let mut written = vec![false; image.len()];
+            let mut end = 0;
+            for (&at, view) in &views.0 {
+                let at = at as usize;
+                assert!(at >= end, "views overlap");
+                flat[at..at + view.len()].copy_from_slice(view);
+                written[at..at + view.len()].fill(true);
+                end = at + view.len();
+            }
+            assert_eq!(flat, image);
+            let hole = written.iter().position(|&w| !w).unwrap_or(image.len()) as u64;
+            assert!(views.cover(hole) && !views.cover(hole + 1));
+        }
+    }
+
     #[test]
     fn ec_shard_split_matches_striped_mapping() {
-        let opts = FileOptions::erasure_coded(3, 2, 64 * MB);
-        let mut ix = IndexSegment::new(FileId(1), opts);
-        // 5 blocks + 100 bytes → blocks 0..6 round-robin over 3 shards.
-        let size = 5 * STRIPE_UNIT + 100;
-        ix.plan_write(0, size, fresh_gen());
-        ix.apply_write(0, size);
-        ix.ensure_parity(fresh_gen());
-        assert_eq!(ix.parity.len(), 2);
-        assert_eq!(ix.ec_shard_len(), 2 * STRIPE_UNIT);
-        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-        let shards = ix.ec_data_shards(&data);
-        assert_eq!(shards.len(), 3);
-        for s in &shards {
-            assert_eq!(s.len() as u64, 2 * STRIPE_UNIT);
+        // The parity folded from write views equals a flat oracle: the
+        // written image split into k stripes by hand, then encoded.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        for (k, m) in [(2u8, 1u8), (3, 2), (4, 2)] {
+            for _ in 0..8 {
+                let (mut views, mut image) = (WriteViews::default(), Vec::new());
+                random_writes(&mut rng, &mut views, &mut image);
+                let size = image.len() as u64;
+                let mut ix =
+                    IndexSegment::new(FileId(1), FileOptions::erasure_coded(k, m, 64 * MB));
+                ix.plan_write(0, size, fresh_gen());
+                ix.apply_write(0, size);
+                let unit = STRIPE_UNIT as usize;
+                let pad = ix.ec_shard_len() as usize;
+                assert_eq!(pad, image.len().div_ceil(unit).div_ceil(k as usize) * unit);
+                let mut shards = vec![vec![0u8; pad]; k as usize];
+                for (block, bytes) in image.chunks(unit).enumerate() {
+                    let at = block / k as usize * unit;
+                    shards[block % k as usize][at..at + bytes.len()].copy_from_slice(bytes);
+                }
+                // The striped extent mapping puts every byte where the
+                // split does.
+                for e in ix.locate(0, size) {
+                    let got = &shards[e.seg_index][e.seg_offset as usize..][..e.len as usize];
+                    assert_eq!(got, &image[e.file_offset as usize..][..e.len as usize]);
+                }
+                let rs = ReedSolomon::new(k as usize, m as usize).unwrap();
+                let want = rs.encode(&shards).unwrap();
+                assert!(ix.ec_parity(&rs, &views).unwrap() == want, "EC({k},{m}), {size} bytes");
+            }
         }
-        // Cross-check against the striped extent mapping: every byte of
-        // the file appears in its shard at the extent's seg_offset.
-        for e in ix.locate(0, size) {
-            let shard = &shards[e.seg_index];
-            let want = &data[e.file_offset as usize..(e.file_offset + e.len) as usize];
-            let got = &shard[e.seg_offset as usize..(e.seg_offset + e.len) as usize];
-            assert_eq!(got, want, "extent {e:?}");
-        }
-        // Pad region of the last shard is zeros.
-        assert!(shards[2][(STRIPE_UNIT + 100) as usize..].iter().all(|&b| b == 0));
     }
 
     #[test]

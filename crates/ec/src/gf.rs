@@ -76,20 +76,6 @@ pub fn inv(a: u8) -> u8 {
     div(1, a)
 }
 
-/// `x^n` by square-and-multiply.
-pub fn pow(x: u8, mut n: u32) -> u8 {
-    let mut base = x;
-    let mut acc = 1u8;
-    while n > 0 {
-        if n & 1 == 1 {
-            acc = mul(acc, base);
-        }
-        base = mul(base, base);
-        n >>= 1;
-    }
-    acc
-}
-
 /// The 256-entry product table for a fixed coefficient `c`:
 /// `table[x] = c · x`. Bulk kernels index this instead of the log/exp
 /// pair — one gather per byte, no branches.
@@ -193,17 +179,6 @@ mod tests {
             mul_slice_acc(c, &src, &mut dst);
             for (i, &s) in src.iter().enumerate() {
                 assert_eq!(dst[i], 0xAA ^ mul(c, s));
-            }
-        }
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        for x in 0..=255u8 {
-            let mut acc = 1u8;
-            for n in 0..10u32 {
-                assert_eq!(pow(x, n), acc);
-                acc = mul(acc, x);
             }
         }
     }

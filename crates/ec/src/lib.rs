@@ -86,11 +86,6 @@ impl ReedSolomon {
         Ok(ReedSolomon { k, m, matrix })
     }
 
-    /// Data shard count.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
     /// Parity shard count.
     pub fn parity_shards(&self) -> usize {
         self.m
@@ -106,14 +101,41 @@ impl ReedSolomon {
         if data.iter().any(|d| d.as_ref().len() != len) {
             return Err(EcError::LengthMismatch);
         }
-        let mut parity = vec![vec![0u8; len]; self.m];
-        for (r, out) in parity.iter_mut().enumerate() {
-            let row = &self.matrix[self.k + r];
-            for (j, d) in data.iter().enumerate() {
-                mul_slice_acc(row[j], d.as_ref(), out);
-            }
+        let mut parity: Vec<Vec<u8>> = (0..self.m).map(|_| vec![0u8; len]).collect();
+        for (j, d) in data.iter().enumerate() {
+            self.encode_acc(j, d.as_ref(), 0, &mut parity)?;
         }
         Ok(parity)
+    }
+
+    /// Fold `piece`, bytes of data shard `shard` from offset `at`, into
+    /// the `m` parity shards. The code is linear: folding every piece of
+    /// the data shards once, in any order, into zeroed parity gives
+    /// [`ReedSolomon::encode`]'s result, bytes never folded counting as
+    /// zeros. Each block of `piece` is folded into all `m` outputs while
+    /// it is in cache, so `piece` is read once.
+    pub fn encode_acc(
+        &self,
+        shard: usize,
+        piece: &[u8],
+        at: usize,
+        parity: &mut [Vec<u8>],
+    ) -> Result<(), EcError> {
+        /// Source bytes folded into every output before the next ones.
+        const BLOCK: usize = 16 * 1024;
+        if shard >= self.k || parity.len() != self.m {
+            return Err(EcError::BadParams);
+        }
+        if parity.iter().any(|p| p.len() < at.saturating_add(piece.len())) {
+            return Err(EcError::LengthMismatch);
+        }
+        for (i, block) in piece.chunks(BLOCK).enumerate() {
+            let from = at + i * BLOCK;
+            for (row, out) in self.matrix[self.k..].iter().zip(parity.iter_mut()) {
+                mul_slice_acc(row[shard], block, &mut out[from..from + block.len()]);
+            }
+        }
+        Ok(())
     }
 
     /// Reconstruct every missing shard in place. `shards` must hold
@@ -159,16 +181,12 @@ impl ReedSolomon {
             }
         }
         // Lost parity rows re-encode from the (now complete) data rows.
-        for r in 0..self.m {
-            if shards[self.k + r].is_some() {
-                continue;
+        if shards[self.k..].iter().any(Option::is_none) {
+            let data: Vec<&[u8]> = shards[..self.k].iter().flatten().map(Vec::as_slice).collect();
+            let parity = self.encode(&data)?;
+            for (slot, p) in shards[self.k..].iter_mut().zip(parity) {
+                slot.get_or_insert(p);
             }
-            let row = &self.matrix[self.k + r];
-            let mut out = vec![0u8; len];
-            for j in 0..self.k {
-                mul_slice_acc(row[j], shards[j].as_ref().unwrap(), &mut out);
-            }
-            shards[self.k + r] = Some(out);
         }
         Ok(())
     }
@@ -180,12 +198,7 @@ impl ReedSolomon {
             return Err(EcError::BadParams);
         }
         let parity = self.encode(&shards[..self.k])?;
-        for (r, p) in parity.iter().enumerate() {
-            if shards[self.k + r].as_ref() != &p[..] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(parity.iter().zip(&shards[self.k..]).all(|(p, s)| s.as_ref() == &p[..]))
     }
 }
 
@@ -270,6 +283,37 @@ mod tests {
                 assert_eq!(shards[k + i].as_ref().unwrap(), p);
             }
         }
+    }
+
+    #[test]
+    fn folding_pieces_in_any_order_equals_encode() {
+        let (len, rs) = (50_000, ReedSolomon::new(3, 2).unwrap());
+        let data: Vec<Vec<u8>> = (0..3)
+            .map(|i| (0..len).map(|j| ((i * 97 + j * 13) % 256) as u8).collect())
+            .collect();
+        let want = rs.encode(&data).unwrap();
+        let mut parity = vec![vec![0u8; len]; 2];
+        // Uneven pieces, across block boundaries, shards interleaved.
+        let pieces = [
+            (2, 0..len),
+            (0, 30_000..len),
+            (1, 0..1),
+            (0, 0..30_000),
+            (1, 1..len),
+        ];
+        for (shard, range) in pieces {
+            rs.encode_acc(shard, &data[shard][range.clone()], range.start, &mut parity)
+                .unwrap();
+        }
+        assert_eq!(parity, want);
+        assert_eq!(
+            rs.encode_acc(3, &[1], 0, &mut parity),
+            Err(EcError::BadParams)
+        );
+        assert_eq!(
+            rs.encode_acc(0, &[1; 2], len - 1, &mut parity),
+            Err(EcError::LengthMismatch)
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sorrento::api::FsScript;
 use sorrento::client::ClientOp;
 use sorrento::cluster::{Cluster, ClusterBuilder, ScriptedWorkload};
 use sorrento::costs::CostModel;
-use sorrento::types::{FileOptions, SegId};
+use sorrento::types::{Error, FileOptions, SegId};
 use sorrento_json::Json;
 use sorrento_net::chaos::ChaosConfig;
 use sorrento_net::testkit::{payload, read_until, run_until, LoopbackCluster, Snapshot};
@@ -164,6 +164,52 @@ fn ec_degraded_read_survives_m_failures() {
     let st = c.client_stats(reader).unwrap();
     assert_eq!(st.failed_ops, 0, "degraded read failed: {:?}", st.last_error);
     assert_eq!(st.last_read.as_deref(), Some(&data[..]));
+}
+
+/// A session over a committed EC file that leaves some of its bytes
+/// unwritten is refused at close: those bytes stay in the data shards,
+/// so parity encoded from the session's writes alone would decode them
+/// as zeros once the shards holding them are lost. Nothing of the
+/// session is committed, and the previous version reads back, healthy
+/// and degraded.
+#[test]
+fn ec_partial_rewrite_is_refused_and_the_committed_file_survives() {
+    let mut c = cluster(8, 21);
+    let data = patterned(512 * 1024, 4);
+    let writer = c.add_client(ScriptedWorkload::new(vec![
+        ClientOp::CreateWith { path: "/part".into(), options: ec_options(4, 2) },
+        ClientOp::write_bytes(0, data.clone()),
+        ClientOp::Close,
+        ClientOp::Open { path: "/part".into(), write: true },
+        ClientOp::write_bytes(0, vec![0xEE; 100]),
+        ClientOp::Close,
+    ]));
+    c.run_for(Dur::secs(30));
+    let st = c.client_stats(writer).unwrap();
+    assert_eq!(st.failed_ops, 1, "the partial rewrite was committed");
+    assert_eq!(st.last_error, Some(Error::InvalidMode));
+    let read = || {
+        ScriptedWorkload::new(vec![
+            ClientOp::Open { path: "/part".into(), write: false },
+            ClientOp::Read { offset: 0, len: data.len() as u64 },
+            ClientOp::Close,
+        ])
+    };
+    let healthy = c.add_client(read());
+    c.run_for(Dur::secs(30));
+    let st = c.client_stats(healthy).unwrap();
+    assert_eq!(st.failed_ops, 0, "healthy read failed: {:?}", st.last_error);
+    assert!(st.last_read.as_deref() == Some(&data[..]), "healthy read differs");
+    let victims = shard_only_victims(&c, 2);
+    assert_eq!(victims.len(), 2, "shards under-spread");
+    for &v in &victims {
+        c.crash_provider_at(c.now(), v);
+    }
+    let degraded = c.add_client(read());
+    c.run_for(Dur::secs(60));
+    let st = c.client_stats(degraded).unwrap();
+    assert_eq!(st.failed_ops, 0, "degraded read failed: {:?}", st.last_error);
+    assert!(st.last_read.as_deref() == Some(&data[..]), "degraded read differs");
 }
 
 /// After shard loss, the index holder reconstructs the lost shards from
