@@ -4,15 +4,21 @@
 #                   + rustdoc with -D warnings (public-API docs are load-bearing)
 #   make test       test suite only
 #   make check-net  real-process runtime: frame-codec property tests over
-#                   every tag the codec lists plus the committed version-4
-#                   byte fixture (tests/tests/data/wire_v4.txt), the
-#                   allocation budgets of a 32 MiB read and of a pooled
-#                   frame encode (bulk_alloc prints its counts), the
+#                   every tag the codec lists plus the committed version-5
+#                   byte fixture (tests/tests/data/wire_v5.txt), the
+#                   allocation budgets of a 32 MiB read, a 32 MiB EC
+#                   write, an 8 MiB replica fetch and a pooled frame
+#                   encode (bulk_alloc prints its counts), the
 #                   256-session storm (zero hangs, zero dropped ops), the
 #                   loopback kit's own test, chunked reads == unchunked
 #                   reads in the simulator, and the loopback TCP cluster
 #                   drill (sockets, daemons, sorrentoctl)
 #   make bench      regenerate every figure/table into results/
+#   make sim-bytes  regenerate every seeded simulator output in results/
+#                   (fig09–fig15 and ablations with their telemetry_*.json,
+#                   failure_drill's telemetry, BENCH_ec.json) and fail on
+#                   any byte that differs from the committed files: what
+#                   proves a change moved no simulated byte, ≈ 2 min
 #   make bench-check  the committed results/BENCH_{ns,membership}.json
 #                   still validate and both benches still run at CI size
 #
@@ -63,7 +69,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test clippy check-net bench bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
+.PHONY: check build test clippy check-net bench sim-bytes bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
 
 check: build test clippy docs
 
@@ -118,13 +124,24 @@ membership-smoke:
 	$(call bench-check,membership)
 	$(CARGO) test -p sorrento-tests --test membership --test membership_live -- --nocapture
 
+SIM_BINS := fig09_small_file_latency fig10_small_file_throughput \
+            fig11_large_file_bandwidth fig12_trace_replay \
+            fig13_failure_recovery fig14_crawler_placement \
+            fig15_locality_migration ablations
+
 bench:
-	for f in fig09_small_file_latency fig10_small_file_throughput \
-	         fig11_large_file_bandwidth fig12_trace_replay \
-	         fig13_failure_recovery fig14_crawler_placement \
-	         fig15_locality_migration ablations; do \
+	for f in $(SIM_BINS); do \
 	  $(CARGO) run --release -p sorrento-bench --bin $$f | tee results/$$f.txt; \
 	done
+
+sim-bytes:
+	set -e; for f in $(SIM_BINS); do \
+	  $(CARGO) run --release -q -p sorrento-bench --bin $$f > results/$$f.txt; \
+	done
+	$(CARGO) run --release -q -p sorrento-examples --bin failure_drill > /dev/null
+	$(CARGO) run --release -q -p sorrento-bench --bin bench-ec -- --out results/BENCH_ec.json
+	git diff --exit-code --stat -- results/
+	test -z "$$(git status --porcelain -- results/)"
 
 bench-e2e:
 	bash benchmark/run.sh

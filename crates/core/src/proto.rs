@@ -9,7 +9,7 @@ use sorrento_sim::{NodeId, Payload, SpanId};
 
 use crate::layout::IndexSegment;
 use crate::membership::Heartbeat;
-use crate::store::{ReplicaImage, SegMeta, ShadowId, WritePayload};
+use crate::store::{SegMeta, ShadowId, Transfer, WritePayload};
 use crate::types::{Error, FileId, FileOptions, SegId, Version};
 
 /// Request correlation id (unique per issuing node).
@@ -300,8 +300,8 @@ pub enum Msg {
     // ---- replication & migration (provider ↔ provider) ----
     /// Fetch a materialized replica of a segment's latest version.
     FetchSeg { req: ReqId, seg: SegId },
-    /// Replica image (bulk transfer).
-    FetchSegR { req: ReqId, result: Result<ReplicaImageBox, Error> },
+    /// Replica image and its piece table (bulk transfer).
+    FetchSegR { req: ReqId, result: Result<Box<Transfer>, Error> },
     /// Instruct `to` to synchronize/acquire `seg` from `source`
     /// (home-host-driven lazy propagation and degree repair, §3.6; also
     /// the client's eager-commit push). `bytes_hint` sizes the fetch
@@ -322,7 +322,7 @@ pub enum Msg {
     /// a lost shard from `k` survivors; unlike [`Msg::SyncRequest`]
     /// there is no live source holding the bytes, so the image travels
     /// in the message itself (bulk transfer, like [`Msg::FetchSegR`]).
-    EcInstall { req: ReqId, image: ReplicaImageBox },
+    EcInstall { req: ReqId, xfer: Box<Transfer> },
     /// Install ack; carries the shard id so the repairer can update its
     /// location table without correlating through request state.
     EcInstallR { req: ReqId, seg: SegId, result: Result<(), Error> },
@@ -448,9 +448,6 @@ pub enum Msg {
     /// "members":[..]}`).
     MembersR { req: ReqId, json: String },
 }
-
-/// Boxed replica image (large variant kept off the enum's inline size).
-pub type ReplicaImageBox = Box<ReplicaImage>;
 
 /// Short label of a message variant (diagnostics and static metric
 /// labels: every variant maps to a fixed `&'static str`, so counters
@@ -613,14 +610,14 @@ impl Payload for Msg {
             Msg::DeleteSegR { .. } => 16,
             Msg::FetchSeg { .. } => 24,
             Msg::FetchSegR { result, .. } => match result {
-                Ok(img) => 64 + img.len,
+                Ok(xfer) => 64 + xfer.image.len,
                 Err(_) => 16,
             },
             Msg::SyncRequest { .. } => 40,
             Msg::SyncDone { .. } => 32,
             Msg::MigrateTo { .. } => 24,
             Msg::MigrateDone { .. } => 24,
-            Msg::EcInstall { image, .. } => 64 + image.len,
+            Msg::EcInstall { xfer, .. } => 64 + xfer.image.len,
             Msg::EcInstallR { .. } => 32,
             Msg::StatsQuery { .. } => 8,
             Msg::StatsR { json, .. } => 8 + json.len() as u64,

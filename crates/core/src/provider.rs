@@ -955,7 +955,7 @@ impl StorageProvider {
             self.repairs_issued.insert((e.seg, target), now);
             ctx.record(TelemetryEvent::EcRepair { seg: e.seg.0, to: target });
             ctx.metrics().count("provider.ec_repairs", 1);
-            ctx.send(target, Msg::EcInstall { req, image: Box::new(image) });
+            ctx.send(target, Msg::EcInstall { req, xfer: Box::new(image.into()) });
         }
         if pending.is_empty() {
             return;
@@ -1887,11 +1887,11 @@ impl StorageProvider {
 
             // ---------------- replication & migration ----------------
             Msg::FetchSeg { req, seg } => {
-                let result = self.store.export(seg, None).map(Box::new);
+                let result = self.store.export_transfer(seg, None).map(Box::new);
                 let cpu_done = ctx.cpu(self.costs.provider_op_cpu);
                 let done = match &result {
-                    Ok(img) => {
-                        let disk_done = ctx.disk_submit(img.len, DiskAccess::Sequential);
+                    Ok(xfer) => {
+                        let disk_done = ctx.disk_submit(xfer.image.len, DiskAccess::Sequential);
                         cpu_done.max(disk_done)
                     }
                     Err(_) => cpu_done,
@@ -1904,11 +1904,11 @@ impl StorageProvider {
                     return;
                 };
                 let installed = match result {
-                    Ok(img) => {
-                        let version = img.version;
-                        let len = img.len;
+                    Ok(xfer) => {
+                        let version = xfer.image.version;
+                        let len = xfer.image.len;
                         let fits = len <= ctx.disk().available().saturating_add(self.store.stored_bytes(job.seg));
-                        if fits && self.store.install_replica(*img, now).unwrap_or(false) {
+                        if fits && self.store.install_replica(*xfer, now).unwrap_or(false) {
                             self.installs_done += 1;
                             if job.reason == FetchReason::Sync {
                                 ctx.record(TelemetryEvent::RepairDone {
@@ -1992,10 +1992,8 @@ impl StorageProvider {
             Msg::ReadSegR { req, reply } => {
                 self.on_ec_read_reply(ctx, req, reply);
             }
-            Msg::EcInstall { req, image } => {
-                let seg = image.seg;
-                let version = image.version;
-                let len = image.len;
+            Msg::EcInstall { req, xfer } => {
+                let ReplicaImage { seg, version, len, .. } = xfer.image;
                 let fits = len
                     <= ctx
                         .disk()
@@ -2004,7 +2002,7 @@ impl StorageProvider {
                 let result = if !fits {
                     Err(Error::OutOfSpace)
                 } else {
-                    match self.store.install_replica(*image, now) {
+                    match self.store.install_replica(*xfer, now) {
                         // `false` means we already hold this version or
                         // newer — the repair goal is met either way.
                         Ok(installed) => {

@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 
 use bytes::Bytes;
+use sorrento_kvdb::crc32_combine;
 use sorrento_sim::SimTime;
 
 use crate::types::{Error, FileOptions, PlacementPolicy, Result, SegId, Version};
@@ -229,10 +230,18 @@ impl Pieces {
         }
     }
 
-    /// The CRC of `[offset, offset + len)` when that range is exactly one
-    /// piece.
+    /// The CRC of `[offset, offset + len)` when that range is a run of
+    /// whole pieces, back to back: their stored CRCs combined, no byte read.
     fn crc(&self, offset: u64, len: u64) -> Option<u32> {
-        self.0.get(&offset).filter(|&&(l, _)| l == len).map(|&(_, crc)| crc)
+        let (mut pos, mut crc) = (offset, 0);
+        for (&start, &(l, c)) in self.0.range(offset..offset + len) {
+            if start != pos {
+                return None;
+            }
+            crc = crc32_combine(crc, c, l);
+            pos = start + l;
+        }
+        (pos == offset + len).then_some(crc)
     }
 }
 
@@ -302,8 +311,8 @@ pub struct ReadOut {
     pub data: Option<Bytes>,
     /// Version served.
     pub version: Version,
-    /// CRC-32 of `data` as its writer computed it, when the range served
-    /// is exactly one piece written with a known CRC.
+    /// CRC-32 of `data` as its writers computed it, when the range served
+    /// is a run of whole pieces written with a known CRC.
     pub crc: Option<u32>,
 }
 
@@ -320,6 +329,23 @@ pub struct ReplicaImage {
     pub data: Option<Bytes>,
     /// Management metadata.
     pub meta: SegMeta,
+}
+
+/// A replica image in transit, with its version's piece table: what
+/// `FetchSegR` and `EcInstall` carry, so the target keeps the writers' CRCs.
+#[derive(Debug, Clone)]
+pub struct Transfer {
+    /// The image.
+    pub image: ReplicaImage,
+    /// `(start, len, crc)` of each piece with its writer's CRC, ascending.
+    pub pieces: Vec<(u64, u64, u32)>,
+}
+
+impl From<ReplicaImage> for Transfer {
+    /// An image that knows no pieces (a `seg/` image, a rebuilt shard).
+    fn from(image: ReplicaImage) -> Transfer {
+        Transfer { image, pieces: Vec::new() }
+    }
 }
 
 /// The per-provider segment store.
@@ -544,9 +570,11 @@ impl LocalStore {
                     .map(|vd| vd.index.clone())
                     .unwrap_or_else(|| RegionIndex::full(0, None));
                 ix.set_len(sh.len);
+                // A hole stays one: a truncate, then a write past the cut,
+                // leaves zeros where the base had bytes.
                 for (range, src) in sh.index.resolve(0, sh.len) {
-                    if src == Some(ShadowSrc::Fresh) {
-                        ix.overlay(range.start, range.end, Some(target));
+                    if !matches!(src, Some(ShadowSrc::Committed(_))) {
+                        ix.overlay(range.start, range.end, src.map(|_| target));
                     }
                 }
                 ix
@@ -696,6 +724,11 @@ impl LocalStore {
 
     /// Materialize the given (or latest) version for transfer.
     pub fn export(&self, seg: SegId, version: Option<Version>) -> Result<ReplicaImage> {
+        self.export_transfer(seg, version).map(|t| t.image)
+    }
+
+    /// [`LocalStore::export`] with the version's piece table beside it.
+    pub fn export_transfer(&self, seg: SegId, version: Option<Version>) -> Result<Transfer> {
         let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
         let (v, vd) = match version {
             Some(v) => (v, state.versions.get(&v).ok_or(Error::NoSuchSegment)?),
@@ -709,19 +742,16 @@ impl LocalStore {
         } else {
             Some(version_bytes(state, vd, 0, vd.len)?)
         };
-        Ok(ReplicaImage {
-            seg,
-            version: v,
-            len: vd.len,
-            data,
-            meta: state.meta,
-        })
+        let image = ReplicaImage { seg, version: v, len: vd.len, data, meta: state.meta };
+        let pieces = vd.pieces.0.iter().map(|(&start, &(len, crc))| (start, len, crc)).collect();
+        Ok(Transfer { image, pieces })
     }
 
-    /// Install a replica fetched from another owner. Replaces any older
-    /// local versions (they are now stale); ignored if a strictly newer
-    /// version is already held.
-    pub fn install_replica(&mut self, image: ReplicaImage, now: SimTime) -> Result<bool> {
+    /// Install a replica fetched from another owner, keeping the piece
+    /// table it arrived with. Replaces any older local versions (they are
+    /// now stale); ignored if a strictly newer version is already held.
+    pub fn install_replica(&mut self, xfer: Transfer, now: SimTime) -> Result<bool> {
+        let Transfer { image, pieces } = xfer;
         if let Some(state) = self.segments.get(&image.seg) {
             if let Some((&latest, _)) = state.versions.iter().next_back() {
                 if latest >= image.version {
@@ -738,7 +768,7 @@ impl LocalStore {
             len: image.len,
             index: RegionIndex::full(image.len, Some(image.version)),
             delta,
-            pieces: Pieces::default(),
+            pieces: Pieces(pieces.into_iter().map(|(start, len, crc)| (start, (len, crc))).collect()),
             committed_at: now,
         };
         let state = self
@@ -1089,7 +1119,7 @@ fn version_bytes(state: &SegmentState, vd: &VersionData, offset: u64, end: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sorrento_kvdb::crc32;
+    use sorrento_kvdb::{crc32, crc32_pieces};
     use sorrento_sim::Dur;
 
     const TTL: Dur = Dur::nanos(60_000_000_000);
@@ -1231,7 +1261,7 @@ mod tests {
         let s = seg(1);
         commit_fresh(&mut st1, s, b"replicate me");
         let img = st1.export(s, None).unwrap();
-        assert!(st2.install_replica(img, t(3)).unwrap());
+        assert!(st2.install_replica(img.into(), t(3)).unwrap());
         let out = st2.read(s, None, 0, 100).unwrap();
         assert_eq!(out.data.unwrap(), b"replicate me");
         assert_eq!(out.version, Version(1));
@@ -1253,7 +1283,7 @@ mod tests {
             data: Some(b"v1".to_vec().into()),
             meta: real_meta(),
         };
-        assert!(!st.install_replica(stale, t(2)).unwrap());
+        assert!(!st.install_replica(stale.into(), t(2)).unwrap());
         assert_eq!(st.latest(s), Some(Version(2)));
     }
 
@@ -1445,7 +1475,7 @@ mod tests {
         assert_eq!(img.data.as_ref().unwrap().as_ptr(), whole.as_ptr());
         // An installed image is kept as it arrived and served the same way.
         let mut replica = LocalStore::new(2);
-        assert!(replica.install_replica(img, t(1)).unwrap());
+        assert!(replica.install_replica(img.into(), t(1)).unwrap());
         let r = replica.read(s, None, 0, 400).unwrap().data.unwrap();
         assert_eq!(r.as_ptr(), whole.as_ptr());
         assert_eq!(replica.stored_bytes(s), 400);
@@ -1590,6 +1620,15 @@ mod tests {
                         };
                         let mut m = base.clone();
                         for _ in 0..rng.gen_range(1..6u32) {
+                            // Sessions may cut the tail, as index and
+                            // parity rewrites do, and write on past the cut.
+                            if rng.gen_bool(0.2) {
+                                let len = rng.gen_range(0..=m.data.len());
+                                st.truncate_shadow(sh, len as u64).unwrap();
+                                m.data.truncate(len);
+                                m.src.truncate(len);
+                                continue;
+                            }
                             let off = rng.gen_range(0..300usize);
                             let data: Vec<u8> =
                                 (0..rng.gen_range(0..80usize)).map(|_| rng.gen()).collect();
@@ -1606,8 +1645,7 @@ mod tests {
                             m.data[off..end].copy_from_slice(&data);
                             m.src[off..end].fill(Some(next_v));
                         }
-                        // Sessions may end by cutting the tail, as index
-                        // and parity rewrites do.
+                        // Or end with a cut.
                         if rng.gen_bool(0.3) {
                             let len = rng.gen_range(0..=m.data.len());
                             st.truncate_shadow(sh, len as u64).unwrap();
@@ -1646,15 +1684,19 @@ mod tests {
                         m.data[off..end].copy_from_slice(&data);
                         m.src[off..end].fill(Some(v));
                     }
-                    // The latest version travels to a replica, which
-                    // serves it (and exports it again) without a copy.
+                    // The latest version travels to a replica with its
+                    // piece table; the replica serves it (and exports it
+                    // again) without a copy, with its writers' CRCs.
                     8 => {
                         let Some(v) = latest else { continue };
-                        let img = st.export(s, None).unwrap();
+                        let xfer = st.export_transfer(s, None).unwrap();
+                        let img = xfer.image.clone();
                         assert_eq!(img.version, Version(v));
                         assert_eq!(img.data.as_ref().unwrap(), &versions[&v].data);
+                        let data = img.data.as_deref().unwrap();
+                        assert_eq!(crc32_pieces(data, &xfer.pieces), Some(crc32(data)));
                         let fresh = replica.latest(s).is_none_or(|have| have < Version(v));
-                        assert_eq!(replica.install_replica(img.clone(), t(step)).unwrap(), fresh);
+                        assert_eq!(replica.install_replica(xfer, t(step)).unwrap(), fresh);
                         // (A replica that already holds `v` keeps its
                         // copy, which in-place writes may have left behind.)
                         if fresh {
@@ -1666,6 +1708,8 @@ mod tests {
                                 let again = replica.export(s, None).unwrap().data.unwrap();
                                 assert_eq!(again.as_ptr(), got.as_ptr());
                             }
+                            let held = BTreeMap::from([(v, versions[&v].clone())]);
+                            served_with_crc += check_crcs(&replica, s, &held, &checked_ranges);
                         }
                     }
                     // A newer image arrives from elsewhere: it replaces
@@ -1680,7 +1724,7 @@ mod tests {
                             data: Some(data.clone().into()),
                             meta: real_meta(),
                         };
-                        assert!(st.install_replica(img, t(step)).unwrap());
+                        assert!(st.install_replica(img.into(), t(step)).unwrap());
                         versions.clear();
                         let src = vec![Some(next_v); data.len()];
                         versions.insert(next_v, ModelVersion { data, src });
@@ -1727,12 +1771,49 @@ mod tests {
         let second = Some(crc32(b"second"));
         assert_eq!(st.read(s, None, 11, 6).unwrap().crc, second);
         assert_eq!(st.read(s, None, 11, 100).unwrap().crc, second, "clamped to the piece");
-        assert_eq!(st.read(s, None, 0, 17).unwrap().crc, None, "two pieces");
         assert_eq!(st.read(s, None, 1, 10).unwrap().crc, None, "part of one");
-        // An installed copy of the same bytes knows no pieces.
+        // A replica installed with the piece table serves the same CRCs;
+        // one installed from a bare image knows no pieces.
         let mut replica = LocalStore::new(2);
-        replica.install_replica(st.export(s, None).unwrap(), t(1)).unwrap();
-        assert_eq!(replica.read(s, None, 11, 6).unwrap().crc, None);
+        replica.install_replica(st.export_transfer(s, None).unwrap(), t(1)).unwrap();
+        assert_eq!(replica.read(s, None, 11, 6).unwrap().crc, second);
+        let mut bare = LocalStore::new(2);
+        bare.install_replica(st.export(s, None).unwrap().into(), t(1)).unwrap();
+        assert_eq!(bare.read(s, None, 11, 6).unwrap().crc, None);
+    }
+
+    #[test]
+    fn a_read_of_a_run_of_whole_pieces_carries_their_combined_crc() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        let sh = st.open_fresh_shadow(s, real_meta(), t(0), TTL);
+        for (at, piece) in [(0, &b"first "[..]), (6, b"second "), (13, b"third")] {
+            st.write_shadow(sh, at, checked(piece)).unwrap();
+        }
+        st.write_shadow(sh, 30, checked(b"apart")).unwrap();
+        st.commit_shadow(sh, Version(1), t(0)).unwrap();
+        for (off, len) in [(0, 18), (6, 12), (0, 13), (30, 5)] {
+            let out = st.read(s, None, off, len).unwrap();
+            assert_eq!(out.crc, Some(crc32(&out.data.unwrap())), "[{off}, +{len})");
+        }
+        assert_eq!(st.read(s, None, 0, 35).unwrap().crc, None, "a gap between pieces");
+        assert_eq!(st.read(s, None, 0, 17).unwrap().crc, None, "the last piece cut");
+    }
+
+    #[test]
+    fn a_truncated_based_shadow_written_past_the_cut_commits_zeros_in_the_gap() {
+        let mut st = LocalStore::new(2);
+        let s = seg(1);
+        commit_fresh(&mut st, s, &[0x07; 100]);
+        let sh = st.open_shadow(s, Version(1), t(1), TTL).unwrap();
+        st.truncate_shadow(sh, 50).unwrap();
+        st.write_shadow(sh, 80, WritePayload::Real(vec![0x09; 10].into())).unwrap();
+        let mut want = vec![0x07; 50];
+        want.resize(80, 0);
+        want.resize(90, 0x09);
+        assert_eq!(st.read_shadow(sh, 0, 100).unwrap().data.unwrap(), want);
+        st.commit_shadow(sh, Version(2), t(1)).unwrap();
+        assert_eq!(st.read(s, None, 0, 100).unwrap().data.unwrap(), want);
     }
 
     #[test]

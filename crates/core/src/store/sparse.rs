@@ -135,8 +135,17 @@ impl SparseBuffer {
                     .insert(end, chunk[(end - cs) as usize..].to_vec());
             }
         }
-        self.chunks.insert(offset, data.to_vec());
-        self.coalesce_around(offset);
+        // Chunks before `offset` now end at or before it: one ending there takes `data` in place.
+        match self.chunks.range_mut(..offset).next_back() {
+            Some((&cs, prev)) if cs + prev.len() as u64 == offset => {
+                prev.extend_from_slice(data);
+                self.coalesce_around(cs);
+            }
+            _ => {
+                self.chunks.insert(offset, data.to_vec());
+                self.coalesce_around(offset);
+            }
+        }
     }
 
     /// Drop bytes at or beyond `len` (truncate).

@@ -113,6 +113,50 @@ impl Default for Crc32 {
     }
 }
 
+/// `a·b mod P` over GF(2), in the CRC's reflected bit order (bit 31 is
+/// `x^0`): zlib's `multmodp`.
+fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for bit in (0..32).rev() {
+        p ^= b & (a >> bit & 1).wrapping_neg();
+        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+    }
+    p
+}
+
+/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// the bytes (zlib's `crc32_combine`): `crc_a·x^(8·len_b) + crc_b`, the
+/// power by square-and-multiply.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    if crc_a == 0 {
+        return crc_b; // nothing to shift: a run's first piece costs nothing
+    }
+    let (mut shift, mut square, mut n) = (1u32 << 31, 1u32 << 23, len_b); // x^0, x^8
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(square, shift);
+        }
+        square = multmodp(square, square);
+        n >>= 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
+}
+
+/// CRC-32 of `data` given the CRCs of some of its pieces, `(start, len,
+/// crc)` ascending: only the bytes no piece covers are read. `None` when
+/// the pieces are out of order, overlap, or run past `data`.
+pub fn crc32_pieces(data: &[u8], pieces: &[(u64, u64, u32)]) -> Option<u32> {
+    let (mut c, mut pos) = (Crc32::new(), 0);
+    for &(start, len, crc) in pieces {
+        let end = start.checked_add(len).filter(|&e| start >= pos && e <= data.len() as u64)?;
+        c.update(&data[pos as usize..start as usize]);
+        c.state = !crc32_combine(c.finalize(), crc, len);
+        pos = end;
+    }
+    c.update(&data[pos as usize..]);
+    Some(c.finalize())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +255,51 @@ mod tests {
             }
             prop_assert_eq!(c.finalize(), bytewise(&data));
         }
+    }
+
+    proptest! {
+        #[test]
+        fn combined_and_pieced_crcs_equal_the_crc_of_the_bytes(
+            seed in any::<u64>(),
+            len in 0usize..=70_000,
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..=8),
+            known in any::<u8>(),
+        ) {
+            let mut data = vec![0u8; len];
+            SmallRng::seed_from_u64(seed).fill(&mut data);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(len + 1)).collect();
+            cuts.sort_unstable();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([len]).collect();
+            // Consecutive parts, empty ones included: their CRCs combine
+            // to the whole's.
+            let mut crc = 0;
+            for w in bounds.windows(2) {
+                let part = &data[w[0]..w[1]];
+                crc = crc32_combine(crc, crc32(part), part.len() as u64);
+            }
+            prop_assert_eq!(crc, bytewise(&data));
+            // Some parts known by their CRC, the rest gaps to be read.
+            let pieces: Vec<(u64, u64, u32)> = bounds
+                .windows(2)
+                .enumerate()
+                .filter(|(i, _)| known >> (i % 8) & 1 == 1)
+                .map(|(_, w)| (w[0] as u64, (w[1] - w[0]) as u64, crc32(&data[w[0]..w[1]])))
+                .collect();
+            prop_assert_eq!(crc32_pieces(&data, &pieces), Some(bytewise(&data)));
+        }
+    }
+
+    #[test]
+    fn pieces_out_of_order_overlapping_or_past_the_end_are_refused() {
+        let data = seeded(100);
+        let c = |s: usize, l: usize| (s as u64, l as u64, crc32(&data[s..s + l]));
+        assert_eq!(crc32_pieces(&data, &[c(0, 10), c(10, 90)]), Some(crc32(&data)));
+        assert_eq!(crc32_pieces(&data, &[c(10, 5), c(0, 5)]), None, "descending");
+        assert_eq!(crc32_pieces(&data, &[c(0, 10), c(5, 10)]), None, "overlapping");
+        assert_eq!(crc32_pieces(&data, &[(95, 10, 0)]), None, "past the end");
+        assert_eq!(crc32_pieces(&data, &[(u64::MAX, 2, 0)]), None, "overflowing");
+        // A piece whose CRC is not its bytes' makes a different whole.
+        assert_ne!(crc32_pieces(&data, &[(0, 10, 1)]), Some(crc32(&data)));
     }
 
     #[test]

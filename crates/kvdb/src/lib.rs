@@ -40,6 +40,6 @@ mod shared;
 mod wal;
 
 pub use backend::{Backend, FileBackend, MemBackend};
-pub use crc::{crc32, Crc32};
+pub use crc::{crc32, crc32_combine, crc32_pieces, Crc32};
 pub use db::{assemble_shipped, Batch, Db, DbConfig, Op, Shipment};
 pub use shared::SharedDb;

@@ -374,7 +374,7 @@ fn run_loop(
             let installed =
                 frame::decode_image_bytes(value).map_err(|e| e.to_string()).and_then(|image| {
                     let at = (image.seg, image.version);
-                    prov.store.install_replica(image, now).map(|_| at).map_err(|e| e.to_string())
+                    prov.store.install_replica(image.into(), now).map(|_| at).map_err(|e| e.to_string())
                 });
             match installed {
                 Ok((seg, version)) => {

@@ -25,20 +25,22 @@
 //! items.
 //!
 //! **Checked blobs.** The bytes of a real [`WritePayload`] (`WriteShadow`,
-//! `DirectWrite`) and of a `ReadReply::Data` (`ReadSegR`, `ReadShadowR`)
-//! are a checked blob: `u32 len`, `u32 crc`, then the bytes, which their
-//! own CRC-32 covers and the frame's does not. The chunk's writer computes
-//! that CRC once; a provider keeps it with the stored piece and returns it
-//! with a read of exactly that piece, so serving the read costs no pass
-//! over the bytes, and bytes changed at rest fail the reader's check. A
-//! message has at most one checked blob; every other blob (`ReplicaImage`
-//! data, `seg/` images) keeps the plain layout.
+//! `DirectWrite`), of a `ReadReply::Data` (`ReadSegR`, `ReadShadowR`) and
+//! of a [`Transfer`]'s image (`FetchSegR`, `EcInstall`) are a checked
+//! blob: `u32 len`, `u32 crc`, then the bytes, which their own CRC-32
+//! covers and the frame's does not. The chunk's writer computes that CRC
+//! once; a provider keeps it with the stored piece and returns it,
+//! combined, with a read of whole pieces or a transfer (whose piece table
+//! precedes the blob and must combine to its CRC), so serving costs no
+//! pass over the bytes, and bytes changed at rest fail the reader's check.
+//! A message has at most one checked blob; `seg/` images alone keep the
+//! plain layout.
 //!
 //! Each layout is stated once. A private `Wire` trait (`put` into a
 //! `Writer`, `get` from a `Reader`) is implemented directly only for the
 //! primitives and the generic containers (`Box`, `Option`,
-//! `Result<_, Error>`, `Vec`, tuples) and for the two enums that carry a
-//! checked blob. Every other struct and enum above them is one
+//! `Result<_, Error>`, `Vec`, tuples) and for the three types that carry
+//! a checked blob. Every other struct and enum above them is one
 //! `wire_struct!` / `wire_enum!` table: a row is the tag and the
 //! field *names* in wire order, used verbatim as the pattern the encoder
 //! destructures with and as the constructor the decoder fills, so both
@@ -46,7 +48,7 @@
 //! definitions in `sorrento`. The encoder's `match` has no wildcard and
 //! names every field: a new variant or field without a row is a compile
 //! error, not a silent wire gap. The bytes are pinned by
-//! `tests/tests/data/wire_v4.txt`; `MSG_TAGS` hands the row tags to the
+//! `tests/tests/data/wire_v5.txt`; `MSG_TAGS` hands the row tags to the
 //! property suite.
 //!
 //! A new message is five places, each enforced by the compiler or a
@@ -78,12 +80,12 @@
 use bytes::Bytes;
 use sorrento::membership::Heartbeat;
 use sorrento::proto::{FileEntry, Msg, ReadReply};
-use sorrento::store::{ReplicaImage, SegMeta, WritePayload};
+use sorrento::store::{ReplicaImage, SegMeta, Transfer, WritePayload};
 use sorrento::swim::{SwimState, SwimUpdate};
 use sorrento::types::{
     EcParams, Error, FileId, FileOptions, Organization, PlacementPolicy, SegId, Version,
 };
-use sorrento_kvdb::{crc32, Crc32};
+use sorrento_kvdb::{crc32, crc32_pieces, Crc32};
 use sorrento_sim::NodeId;
 
 /// Frame magic: "SRTO".
@@ -94,9 +96,10 @@ pub const MAGIC: [u8; 4] = *b"SRTO";
 /// (`SwimPing`/`SwimAck`/`SwimPingReq`) and the membership pull/query
 /// family (`MembersPull`/`MembersDigest`/`MembersQuery`/`MembersR`); v4
 /// made the bytes of a real write payload and of a read reply a checked
-/// blob (its own CRC beside it, outside the frame CRC). Older peers are
-/// refused at the header.
-pub const VERSION: u8 = 4;
+/// blob (its own CRC beside it, outside the frame CRC); v5 made a replica
+/// transfer (`FetchSegR`, `EcInstall`) a piece table and a checked blob.
+/// Older peers are refused at the header.
+pub const VERSION: u8 = 5;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Largest accepted payload (a full segment plus slack); guards the
@@ -467,7 +470,7 @@ fn splice_in(out: &mut Vec<u8>, (at, blob): (usize, Bytes)) {
     let tail = &mut tail[..out.len() - at];
     tail.copy_from_slice(&out[at..]);
     out.truncate(at);
-    out.reserve_exact(blob.len() + BLOB_TAIL); // as `Writer::bytes` does
+    out.reserve_exact(blob.len() + BLOB_TAIL); // growth would double for the tail
     out.extend_from_slice(&blob);
     out.extend_from_slice(tail);
 }
@@ -543,14 +546,6 @@ impl Writer<'_> {
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
-        // A blob at least as large as the buffer: amortized growth would
-        // allocate exactly what the blob needs and then double on the
-        // first field after it (16 MiB for an 8 MiB extent). Reserve what
-        // the frame needs instead; no message has more than `BLOB_TAIL`
-        // bytes of fields after its blob.
-        if b.len() >= self.out.capacity() {
-            self.out.reserve_exact(b.len() + BLOB_TAIL);
-        }
         self.put(b);
     }
     /// A checked blob: `len`, its CRC (computed here if not carried), and
@@ -898,9 +893,9 @@ wire_enum!("placement", PlacementPolicy {
 });
 wire_enum!("swim state", SwimState { 0 => Alive, 1 => Suspect, 2 => Dead });
 
-// The two enums that carry a checked blob are written out, not tabled:
-// a real payload has one layout whether its CRC is known yet or not, and
-// decodes `Checked`.
+// The types that carry a checked blob are written out, not tabled: a
+// real payload has one layout whether its CRC is known yet or not, and
+// decodes `Checked`; a transfer's table is checked against its blob.
 impl Wire for ReadReply {
     fn put(&self, w: &mut Writer<'_>) {
         match self {
@@ -957,6 +952,31 @@ impl Wire for WritePayload {
             1 => Ok(WritePayload::Synthetic { len: Wire::get(r)? }),
             tag => Err(FrameError::UnknownTag { what: "write_payload", tag }),
         }
+    }
+}
+
+/// The image's fields, its piece table, then its bytes as a checked blob
+/// whose CRC the table names: the sender reads only bytes no piece covers.
+impl Wire for Transfer {
+    fn put(&self, w: &mut Writer<'_>) {
+        let Transfer { image: ReplicaImage { seg, version, len, data, meta }, pieces } = self;
+        (*seg, *version, *len, *meta).put(w);
+        pieces.put(w);
+        w.boolean(data.is_some());
+        if let Some(data) = data {
+            w.checked(data, crc32_pieces(data, pieces));
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let (seg, version, len, meta) = Wire::get(r)?;
+        let pieces: Vec<(u64, u64, u32)> = Wire::get(r)?;
+        let (data, crc) = if r.boolean()? { r.checked().map(|(d, c)| (Some(d), c))? } else { (None, 0) };
+        // `decode_payload` then holds the blob's bytes to `crc`, all that an
+        // empty table (a rebuilt EC shard's) combines to: that is not checked.
+        if !pieces.is_empty() && crc32_pieces(data.as_deref().unwrap_or_default(), &pieces) != Some(crc) {
+            return Err(FrameError::ChecksumMismatch);
+        }
+        Ok(Transfer { image: ReplicaImage { seg, version, len, data, meta }, pieces })
     }
 }
 
@@ -1018,7 +1038,7 @@ wire_enum!("msg", Msg {
     49 => ChaosCtlR { req },
     50 => TraceQuery { req, span },
     51 => TraceR { req, json },
-    52 => EcInstall { req, image },
+    52 => EcInstall { req, xfer },
     53 => EcInstallR { req, seg, result },
     54 => NsRename { req, src, dst },
     55 => NsRenameR { req, result },
@@ -1103,29 +1123,28 @@ mod tests {
                 crc: None,
             },
         });
-        roundtrip(Msg::FetchSegR {
-            req: 4,
-            result: Ok(Box::new(ReplicaImage {
-                seg: SegId(42),
-                version: Version(3),
-                len: 2,
-                data: Some(vec![7, 8].into()),
-                meta: SegMeta {
-                    replication: 2,
-                    alpha: 1.0,
-                    policy: PlacementPolicy::LoadAware,
-                    synthetic: false,
-                    ec: None,
-                },
-            })),
-        });
+        let image = ReplicaImage {
+            seg: SegId(42),
+            version: Version(3),
+            len: 3,
+            data: Some(vec![7, 8, 9].into()),
+            meta: SegMeta {
+                replication: 2,
+                alpha: 1.0,
+                policy: PlacementPolicy::LoadAware,
+                synthetic: false,
+                ec: None,
+            },
+        };
+        let pieces = vec![(1, 2, crc32(&[8, 9]))];
+        roundtrip(Msg::FetchSegR { req: 4, result: Ok(Box::new(Transfer { image, pieces })) });
     }
 
     #[test]
     fn ec_messages_round_trip() {
         roundtrip(Msg::EcInstall {
             req: 21,
-            image: Box::new(ReplicaImage {
+            xfer: Box::new(Transfer::from(ReplicaImage {
                 seg: SegId(77),
                 version: Version(4),
                 len: 5,
@@ -1137,7 +1156,7 @@ mod tests {
                     synthetic: false,
                     ec: Some((4, 2)),
                 },
-            }),
+            })),
         });
         roundtrip(Msg::EcInstallR { req: 21, seg: SegId(77), result: Ok(()) });
         roundtrip(Msg::EcInstallR { req: 22, seg: SegId(78), result: Err(Error::OutOfSpace) });

@@ -19,15 +19,16 @@ use std::sync::{Arc, Mutex};
 /// Most buffers retained by a pool; beyond this, returned buffers are
 /// simply freed.
 const MAX_POOLED: usize = 64;
-/// Largest frame whose buffer is worth keeping: 8 MiB of payload plus
-/// header and fields. A segment-sized frame returning from a bulk
-/// transfer (a replica image in `FetchSegR` or `EcInstall`) is retained;
-/// a pathological one-off giant is freed so one huge message cannot pin
-/// memory forever. Judged by the frame the buffer held, not by its
-/// capacity: a buffer is never larger than twice the largest frame it
-/// has carried, and that frame's own check-in freed it if it was over
-/// the limit.
-const MAX_RETAINED_FRAME: usize = (8 << 20) + (64 << 10);
+/// Largest frame whose buffer is worth keeping: a 1 MiB blob (four
+/// times a 256 KiB chunk) and fields. The mesh splices every bulk byte, so
+/// its buffers hold fields only; a larger flattened encode
+/// ([`crate::frame::encode_msg_into`]: tests, probes, and the traced
+/// replay's router in `benchmark/src/trace.rs`, whose `stream_r3`
+/// transfers are 8 MiB each) is freed, so it is allocated afresh each time.
+/// Judged by the frame the buffer held, not by its capacity: a buffer is
+/// never larger than twice the largest frame it has carried, and that
+/// frame's own check-in freed it if it was over the limit.
+const MAX_RETAINED_FRAME: usize = (1 << 20) + (64 << 10);
 
 /// Shared pool of reusable byte buffers. Cloning shares the pool.
 #[derive(Clone, Default)]
@@ -143,47 +144,39 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
     }
 
-    /// A replica transfer carrying `payload` bytes of segment, encoded
-    /// the way the mesh does it (an image's blob is copied, not spliced).
-    fn bulk_frame(pool: &BufPool, payload: usize) -> PooledBuf {
+    /// An 8 MiB replica transfer, encoded the way the mesh does it: the
+    /// image's bytes are a splice of the stored extent, not a copy, so the
+    /// pooled buffer holds the fields alone and checks back in.
+    #[test]
+    fn a_segment_transfer_is_spliced_and_its_buffer_holds_fields_only() {
         use sorrento::proto::Msg;
         use sorrento::store::{ReplicaImage, SegMeta};
         use sorrento::types::{SegId, Version};
+        let data = bytes::Bytes::from(vec![7u8; 8 << 20]);
         let image = ReplicaImage {
             seg: SegId(1),
             version: Version(1),
-            len: payload as u64,
-            data: Some(vec![7u8; payload].into()),
+            len: data.len() as u64,
+            data: Some(data.clone()),
             meta: SegMeta::default(),
         };
-        let msg = Msg::FetchSegR { req: 1, result: Ok(Box::new(image)) };
+        let msg = Msg::FetchSegR { req: 1, result: Ok(Box::new(image.into())) };
+        let pool = BufPool::new();
         let mut buf = pool.check_out();
         let sender = sorrento_sim::NodeId::from_index(0);
         let splice = crate::frame::encode_msg_spliced(&mut buf, sender, &msg);
-        assert!(splice.is_none(), "a replica image is not a checked blob");
-        buf
-    }
-
-    #[test]
-    fn segment_sized_frames_are_retained_and_reused() {
-        let pool = BufPool::new();
-        let a = bulk_frame(&pool, 8 << 20);
-        assert!(a.len() > 8 << 20, "header and fields ride on top of the payload");
-        assert!(a.capacity() <= MAX_RETAINED_FRAME, "the writer reserves what the frame needs");
-        let ptr = a.as_ptr();
-        drop(a);
-        assert_eq!(pool.idle(), 1, "an 8 MiB-payload frame must check back in");
-        let b = bulk_frame(&pool, 8 << 20);
-        assert_eq!(b.as_ptr(), ptr, "and be reused: same allocation");
-        assert_eq!(pool.idle(), 0);
+        let (at, blob) = splice.expect("a replica image is a checked blob");
+        assert_eq!(blob.as_ptr(), data.as_ptr(), "spliced from the extent, not copied");
+        assert_eq!(at, buf.len(), "no field follows the image's bytes");
+        assert!(buf.len() < 256, "{} bytes of fields", buf.len());
+        drop(buf);
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]
     fn oversized_buffers_are_not_retained() {
         let pool = BufPool::new();
-        drop(bulk_frame(&pool, 64 << 20));
-        assert_eq!(pool.idle(), 0);
-        // The limit is on the frame held, so a frame just over it goes too.
+        // The limit is on the frame held, so a frame just over it goes.
         let mut a = pool.check_out();
         a.resize(MAX_RETAINED_FRAME + 1, 0);
         drop(a);

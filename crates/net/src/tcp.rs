@@ -22,7 +22,7 @@
 //!
 //! Send path: `send` encodes the frame once into a buffer checked out
 //! of a [`BufPool`] — every byte but a checked blob's (a write's payload,
-//! a read reply's bytes: see [`frame`]), which stays where it lies, a
+//! a read reply's, a transfer's: see [`frame`]), which stays where it lies, a
 //! view of the store's extent or of the caller's payload, and is spliced
 //! into the socket write at its position. An `Arc` of the pair goes onto
 //! the peer's bounded queue (a multicast shares one encoded frame across

@@ -10,20 +10,23 @@
 //! same allocator watches one 32 MiB EC(4,2) write session on six
 //! providers from open to close. These are counts, so they repeat
 //! exactly; they fail the day someone re-adds a copy (DESIGN.md §9.5
-//! has the ledger).
+//! has the ledger). Last, a provider serves one 8 MiB replica fetch to a
+//! bare socket, and no node may allocate a copy of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sorrento::api::FsScript;
 use sorrento::proto::Msg;
-use sorrento::store::WritePayload;
-use sorrento::types::FileOptions;
+use sorrento::store::{SegMeta, WritePayload};
+use sorrento::types::{FileOptions, SegId, Version};
 use sorrento_net::ctl;
-use sorrento_net::frame;
+use sorrento_net::frame::{self, Frame, HEADER_LEN};
 use sorrento_net::pool::BufPool;
 use sorrento_net::testkit::{payload, LoopbackCluster};
 use sorrento_sim::NodeId;
@@ -257,8 +260,120 @@ fn a_32_mib_ec_write_allocates_its_parity_and_no_file_copy() {
     // Nothing larger than one parity shard (8 MiB), on any node.
     assert!(largest <= 8.0, "a {largest:.2} MiB allocation during one 32 MiB EC write");
     // The rest is the providers': a landing buffer per frame and the
-    // stored extents their bytes are copied into (DESIGN.md §9.5).
-    assert!(allocated <= 6.75 * 32.0, "{allocated:.1} MiB allocated during one 32 MiB EC write");
+    // stored extents their bytes are appended to (DESIGN.md §9.5).
+    assert!(allocated <= 5.25 * 32.0, "{allocated:.1} MiB allocated during one 32 MiB EC write");
+
+    cluster.shutdown().expect("clean daemon shutdown");
+}
+
+/// A node id no config lists: the bare socket's.
+const STRANGER: usize = 777;
+
+/// A peer that is only a socket: it encodes and decodes outside the
+/// window, and inside it reads into buffers that already exist.
+struct BareSocket {
+    sock: TcpStream,
+    /// Bytes read and not yet consumed; never grows past its capacity.
+    buf: Vec<u8>,
+    chunk: Vec<u8>,
+}
+
+impl BareSocket {
+    fn connect(cluster: &LoopbackCluster, i: usize) -> BareSocket {
+        let mut sock = TcpStream::connect(cluster.addr(i)).expect("connect");
+        let hello = frame::encode_hello(NodeId::from_index(STRANGER), "nowhere");
+        sock.write_all(&hello).expect("hello");
+        BareSocket { sock, buf: Vec::with_capacity(16 << 20), chunk: vec![0; 64 << 10] }
+    }
+
+    fn send(&mut self, msg: &Msg) {
+        let wire = frame::encode_msg(NodeId::from_index(STRANGER), msg);
+        self.sock.write_all(&wire).expect("send");
+    }
+
+    /// Read until a whole frame carrying message `tag` is in `buf`, and
+    /// return its length there (it starts at 0). Frames before it (the
+    /// daemon's multicasts) are dropped. Allocates nothing.
+    fn read_frame(&mut self, tag: u8) -> usize {
+        loop {
+            while self.buf.len() >= HEADER_LEN {
+                let len = u32::from_le_bytes(self.buf[10..14].try_into().unwrap()) as usize;
+                let end = HEADER_LEN + len;
+                if self.buf.len() < end {
+                    break;
+                }
+                if len > 0 && self.buf[HEADER_LEN] == tag {
+                    return end;
+                }
+                self.buf.drain(..end);
+            }
+            let n = self.sock.read(&mut self.chunk).expect("read");
+            assert!(n > 0, "the daemon hung up");
+            assert!(self.buf.len() + n <= self.buf.capacity(), "the read buffer would grow");
+            self.buf.extend_from_slice(&self.chunk[..n]);
+        }
+    }
+
+    /// Send `msg` and return the first reply with message tag `tag`.
+    fn call(&mut self, msg: &Msg, tag: u8) -> Msg {
+        self.send(msg);
+        let end = self.read_frame(tag);
+        let decoded = frame::decode_frame(&self.buf[..end]).expect("the reply decodes");
+        self.buf.drain(..end);
+        match decoded {
+            (_, Frame::Msg(reply)) => reply,
+            (_, other) => panic!("not a message: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn serving_an_8_mib_fetch_allocates_no_copy_of_it() {
+    const SEG_LEN: usize = 8 << 20;
+    const CHUNK: usize = 256 << 10;
+    let _alone = alone();
+    let cluster = LoopbackCluster::builder(1).boot().expect("boot 1 + 1");
+    let mut peer = BareSocket::connect(&cluster, 1);
+
+    // One segment, written in checked chunks and committed, as a
+    // pipelined client leaves it.
+    let seg = SegId(0xFE7C);
+    let create = Msg::CreateShadow { req: 1, span: 0, seg, base: None, meta: SegMeta::default() };
+    let Msg::CreateShadowR { result: Ok(shadow), .. } = peer.call(&create, 25) else {
+        panic!("no shadow");
+    };
+    let data = payload(SEG_LEN);
+    for (i, chunk) in data.chunks(CHUNK).enumerate() {
+        let payload = WritePayload::Real(bytes::Bytes::copy_from_slice(chunk));
+        let (req, offset) = (2 + i as u64, (i * CHUNK) as u64);
+        let write = Msg::WriteShadow { req, shadow, offset, payload, truncate: false };
+        assert!(matches!(peer.call(&write, 27), Msg::WriteShadowR { result: Ok(()), .. }));
+    }
+    let commit = Msg::Commit { req: 100, span: 0, items: vec![(shadow, Version(1))] };
+    assert!(matches!(peer.call(&commit, 34), Msg::CommitR { result: Ok(()), .. }));
+
+    let fetch = frame::encode_msg(NodeId::from_index(STRANGER), &Msg::FetchSeg { req: 101, seg });
+    reset_window(false);
+    peer.sock.write_all(&fetch).expect("send the fetch");
+    let end = peer.read_frame(41);
+    IN_WINDOW.store(false, Ordering::Relaxed);
+    let allocated = ALLOCATED.load(Ordering::Relaxed) as f64 / MIB;
+    let largest = LARGEST.load(Ordering::Relaxed);
+    eprintln!(
+        "8 MiB replica fetch: {allocated:.2} MiB allocated on every node, largest allocation \
+         {largest} B"
+    );
+
+    let (_, Frame::Msg(Msg::FetchSegR { result: Ok(xfer), .. })) =
+        frame::decode_frame(&peer.buf[..end]).expect("the reply decodes")
+    else {
+        panic!("no replica image");
+    };
+    assert!(xfer.image.data.as_deref() == Some(&data[..]), "the image is not what was written");
+    assert_eq!(xfer.pieces.len(), SEG_LEN / CHUNK, "the writer's pieces travel with it");
+    // The source exports a view of its extent and splices it into the
+    // socket write: no buffer of a segment's size, or of a chunk's.
+    assert!(largest <= 64 << 10, "a {largest} B allocation while serving one fetch");
 
     cluster.shutdown().expect("clean daemon shutdown");
 }

@@ -7,7 +7,7 @@
 //! panics — for every truncation and for bit flips anywhere in the
 //! header or payload. Every property draws its tags from the codec's own
 //! table (`MSG_TAGS`). The last section pins the bytes themselves against
-//! the committed `data/wire_v4.txt`.
+//! the committed `data/wire_v5.txt`.
 
 use std::collections::BTreeSet;
 
@@ -16,7 +16,7 @@ use proptest::TestRng;
 use rand::{Rng, SeedableRng};
 use sorrento::membership::Heartbeat;
 use sorrento::proto::{FileEntry, Msg, ReadReply};
-use sorrento::store::{ReplicaImage, SegMeta, WritePayload};
+use sorrento::store::{ReplicaImage, SegMeta, Transfer, WritePayload};
 use sorrento::swim::{SwimState, SwimUpdate};
 use sorrento::types::{
     EcParams, Error, FileId, FileOptions, Organization, PlacementPolicy, SegId, Version,
@@ -187,6 +187,24 @@ fn arb_image(rng: &mut TestRng) -> ReplicaImage {
     }
 }
 
+/// An image and a piece table that describes its bytes: some pieces,
+/// cut at random, with gaps between them.
+fn arb_transfer(rng: &mut TestRng) -> Transfer {
+    let image = arb_image(rng);
+    let mut pieces = Vec::new();
+    if let Some(data) = &image.data {
+        let mut at = 0;
+        while at < data.len() {
+            let len = rng.gen_range(1..=data.len() - at);
+            if rng.gen() {
+                pieces.push((at as u64, len as u64, crc32(&data[at..at + len])));
+            }
+            at += len;
+        }
+    }
+    Transfer { image, pieces }
+}
+
 fn arb_heartbeat(rng: &mut TestRng) -> Heartbeat {
     Heartbeat {
         load: arb_f64(rng),
@@ -348,7 +366,7 @@ fn arb_msg(tag: u8, rng: &mut TestRng) -> Msg {
         40 => Msg::FetchSeg { req: rng.gen(), seg: SegId(arb_u128(rng)) },
         41 => Msg::FetchSegR {
             req: rng.gen(),
-            result: arb_result(rng, |rng| Box::new(arb_image(rng))),
+            result: arb_result(rng, |rng| Box::new(arb_transfer(rng))),
         },
         42 => Msg::SyncRequest {
             req: rng.gen(),
@@ -385,7 +403,7 @@ fn arb_msg(tag: u8, rng: &mut TestRng) -> Msg {
         49 => Msg::ChaosCtlR { req: rng.gen() },
         50 => Msg::TraceQuery { req: rng.gen(), span: rng.gen() },
         51 => Msg::TraceR { req: rng.gen(), json: arb_string(rng) },
-        52 => Msg::EcInstall { req: rng.gen(), image: Box::new(arb_image(rng)) },
+        52 => Msg::EcInstall { req: rng.gen(), xfer: Box::new(arb_transfer(rng)) },
         53 => Msg::EcInstallR {
             req: rng.gen(),
             seg: SegId(arb_u128(rng)),
@@ -587,10 +605,13 @@ proptest! {
     }
 }
 
-/// A write and a read reply, each with a 64-byte checked blob: the first
-/// as a client sends it (CRC computed by the encoder), the second as a
-/// provider does (CRC carried from the store).
-fn frames_with_a_checked_blob() -> [(&'static str, Vec<u8>); 2] {
+/// A write, a read reply and two replica transfers, each with a 64-byte
+/// checked blob: the write as a client sends it (CRC computed by the
+/// encoder), the reply and the fetched replica as a provider does (CRC
+/// carried from the store, or combined from the transfer's piece table),
+/// and a rebuilt EC shard, which has no table, so its blob's CRC is its
+/// only check.
+fn frames_with_a_checked_blob() -> [(&'static str, Vec<u8>); 4] {
     let blob = bytes::Bytes::from((0..64u8).collect::<Vec<u8>>());
     let write = Msg::WriteShadow {
         req: 3,
@@ -602,10 +623,67 @@ fn frames_with_a_checked_blob() -> [(&'static str, Vec<u8>); 2] {
     let crc = Some(crc32(&blob));
     let read = Msg::ReadSegR {
         req: 5,
-        reply: ReadReply::Data { len: 64, data: Some(blob), version: Version(2), crc },
+        reply: ReadReply::Data { len: 64, data: Some(blob.clone()), version: Version(2), crc },
     };
+    let fetched = Msg::FetchSegR { req: 6, result: Ok(Box::new(transfer_of(blob.clone()))) };
+    let shard = Transfer { pieces: Vec::new(), ..transfer_of(blob) };
+    let rebuilt = Msg::EcInstall { req: 7, xfer: Box::new(shard) };
     let sender = NodeId::from_index(1);
-    [("WriteShadow", encode_msg(sender, &write)), ("ReadSegR", encode_msg(sender, &read))]
+    [
+        ("WriteShadow", encode_msg(sender, &write)),
+        ("ReadSegR", encode_msg(sender, &read)),
+        ("FetchSegR", encode_msg(sender, &fetched)),
+        ("EcInstall", encode_msg(sender, &rebuilt)),
+    ]
+}
+
+/// `data` as a replica transfer whose table knows two pieces of it, with
+/// a gap between them and after the second.
+fn transfer_of(data: bytes::Bytes) -> Transfer {
+    let n = data.len() as u64;
+    let piece = |s: u64, l: u64| (s, l, crc32(&data[s as usize..(s + l) as usize]));
+    let pieces = vec![piece(0, n / 4), piece(n / 2, n / 4)];
+    let image =
+        ReplicaImage { seg: SegId(5), version: Version(2), len: n, data: Some(data), meta: SegMeta::default() };
+    Transfer { image, pieces }
+}
+
+/// A transfer whose piece table does not describe its bytes is damage,
+/// refused with a typed error and never a panic: a forged CRC, pieces
+/// out of order, overlapping or past the blob, and a table that does not
+/// combine to the blob's CRC though the blob itself is intact.
+#[test]
+fn a_transfer_whose_piece_table_does_not_describe_its_bytes_is_refused() {
+    let data = bytes::Bytes::from((0..=255u8).collect::<Vec<u8>>());
+    let sender = NodeId::from_index(1);
+    let piece = |s: u64, l: u64| (s, l, crc32(&data[s as usize..(s + l) as usize]));
+    let wire = |pieces: Vec<(u64, u64, u32)>| {
+        let xfer = Transfer { pieces, ..transfer_of(data.clone()) };
+        encode_msg(sender, &Msg::FetchSegR { req: 1, result: Ok(Box::new(xfer)) })
+    };
+    assert!(decode_frame(&wire(vec![piece(0, 100), piece(100, 156)])).is_ok());
+    assert!(decode_frame(&wire(Vec::new())).is_ok(), "no table: the bytes are read");
+    let refused = [
+        ("forged", vec![(0, 100, piece(0, 100).2 ^ 1), piece(100, 156)]),
+        ("descending", vec![piece(100, 156), piece(0, 100)]),
+        ("overlapping", vec![piece(0, 100), piece(50, 100)]),
+        ("past the blob", vec![piece(0, 100), (200, 100, 0)]),
+        ("overflowing", vec![(u64::MAX, 2, 0)]),
+    ];
+    for (what, pieces) in refused {
+        assert_eq!(decode_frame(&wire(pieces)).map(|_| ()), Err(FrameError::ChecksumMismatch), "{what}");
+    }
+    // A table that disagrees with an intact blob: the first piece's CRC
+    // changed on a frame whose own CRC is then made right again, so only
+    // the table check stands between it and a replica serving a wrong CRC.
+    let good = wire(vec![piece(0, 100), piece(100, 156)]);
+    let mut bad = good.clone();
+    let at = (0..bad.len() - 4).find(|&i| bad[i..i + 4] == piece(0, 100).2.to_le_bytes()).unwrap();
+    bad[at] ^= 1;
+    let head_end = bad.len() - data.len();
+    let frame_crc = crc32(&bad[HEADER_LEN..head_end]);
+    bad[14..18].copy_from_slice(&frame_crc.to_le_bytes());
+    assert_eq!(decode_frame(&bad).map(|_| ()), Err(FrameError::ChecksumMismatch));
 }
 
 /// Every single-bit flip of the payload — the fields around the blob, its
@@ -764,12 +842,12 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------ pinned v4 bytes
+// ------------------------------------------------------ pinned v5 bytes
 
-/// Frames and `seg/` images as the version-4 encoder wrote them. The
+/// Frames and `seg/` images as the version-5 encoder wrote them. The
 /// properties above only say the codec agrees with itself; this says it
 /// agrees with every peer and every `data_dir` already out there.
-const FIXTURE: &str = include_str!("data/wire_v4.txt");
+const FIXTURE: &str = include_str!("data/wire_v5.txt");
 /// Seeds per tag (and images) in the fixture.
 const FIXTURE_SEEDS: u64 = 3;
 
@@ -785,7 +863,7 @@ fn unhex(s: &str) -> Vec<u8> {
 /// the lines cover exactly the codec's tag list. Uses no generator and
 /// no rng: what it checks is the file.
 #[test]
-fn committed_v4_bytes_decode_and_reencode_unchanged() {
+fn committed_v5_bytes_decode_and_reencode_unchanged() {
     let mut seen = BTreeSet::new();
     for line in FIXTURE.lines().filter(|l| !l.starts_with('#')) {
         let (what, bytes) = line.split_once(' ').expect("`<tag|image> <hex>`");
@@ -814,8 +892,8 @@ fn committed_v4_bytes_decode_and_reencode_unchanged() {
 /// bytes are meant to change (`cargo test -p sorrento-tests --test
 /// frame_codec -- --ignored`), and then follow the file's header.
 #[test]
-#[ignore = "regenerates tests/tests/data/wire_v4.txt"]
-fn regenerate_the_v4_fixture() {
+#[ignore = "regenerates tests/tests/data/wire_v5.txt"]
+fn regenerate_the_v5_fixture() {
     let mut out: String =
         FIXTURE.lines().filter(|l| l.starts_with('#')).map(|l| format!("{l}\n")).collect();
     for &tag in MSG_TAGS {
@@ -829,6 +907,6 @@ fn regenerate_the_v4_fixture() {
         let image = arb_image(&mut TestRng::seed_from_u64(seed));
         out += &format!("image {}\n", hex(&encode_image_bytes(&image)));
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v4.txt");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v5.txt");
     std::fs::write(path, out).expect("write the fixture");
 }

@@ -4,13 +4,18 @@
 //! simulator tests — but over actual sockets, threads, and wall-clock
 //! timers.
 
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use sorrento::api::FsScript;
 use sorrento::costs::CostModel;
-use sorrento::types::{FileOptions, Organization};
+use sorrento::proto::{decode_index, Msg};
+use sorrento::store::Transfer;
+use sorrento::types::{FileOptions, Organization, SegId};
+use sorrento_kvdb::crc32;
 use sorrento_net::config::CtlConfig;
 use sorrento_net::ctl;
+use sorrento_net::tcp::{Mesh, MeshConfig};
 use sorrento_net::testkit::{payload, LoopbackCluster};
 use sorrento_sim::NodeId;
 
@@ -297,8 +302,74 @@ fn provider_persists_segments_for_restart() {
     for img in images {
         let seg = img.seg;
         let version = img.version;
-        prov.store.install_replica(img, now).expect("image installs");
+        prov.store.install_replica(img.into(), now).expect("image installs");
         let round = prov.store.export(seg, Some(version)).expect("installed segment exports");
         assert_eq!(round.version, version);
     }
+}
+
+/// Send `msg` to node `to` over a bare mesh and return the first reply
+/// `pick` accepts.
+fn ask<T>(mesh: &mut Mesh, to: usize, msg: &Msg, pick: impl Fn(Msg) -> Option<T>) -> T {
+    mesh.send(NodeId::from_index(to), msg);
+    let until = Instant::now() + Duration::from_secs(10);
+    while let Some(left) = until.checked_duration_since(Instant::now()) {
+        if let Some(found) = mesh.recv_timeout(left).and_then(|(_, reply)| pick(reply)) {
+            return found;
+        }
+    }
+    panic!("node {to} never answered {msg:?}");
+}
+
+/// `seg` as provider `p` hands it to a fetching replica.
+fn fetch(mesh: &mut Mesh, p: usize, seg: SegId) -> Transfer {
+    let req = 7 + p as u64;
+    ask(mesh, p, &Msg::FetchSeg { req, seg }, |m| match m {
+        Msg::FetchSegR { req: r, result: Ok(xfer) } if r == req => Some(*xfer),
+        _ => None,
+    })
+}
+
+/// An eagerly committed file's extra sites fetch each segment with its
+/// piece table, and keep it. Every reply carries a CRC on the wire, so
+/// what shows that a replica serves its writer's CRCs is the table it
+/// hands on: each of the three sites, the writer's and the two installed
+/// by sync, names every 256 KiB chunk with the CRC the client computed.
+#[test]
+fn replicas_installed_by_eager_sync_serve_their_writers_crcs() {
+    const CHUNK: u64 = 256 << 10;
+    let (cluster, mut cfg) = boot(3);
+    cfg.write_chunk = Some(CHUNK);
+    let data = payload(4 * CHUNK as usize);
+    let mut fs = FsScript::new();
+    let options = FileOptions { replication: 3, eager_commit: true, ..FileOptions::default() };
+    let h = fs.create_with("/r3", options).unwrap();
+    fs.write(h, 0, data.clone()).unwrap();
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&cfg, fs.into_ops(), 3, DEADLINE).expect("write script");
+    assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
+
+    let peers = cfg.peers.iter().map(|p| (p.id, p.addr.parse().expect("peer address")));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut mesh =
+        Mesh::start(NodeId::from_index(901), listener, peers.collect(), MeshConfig::default())
+            .expect("start a bare mesh");
+    mesh.hello_all();
+    let lookup = Msg::NsLookup { req: 1, path: "/r3".into() };
+    let entry = ask(&mut mesh, 0, &lookup, |m| match m {
+        Msg::NsLookupR { req: 1, result: Ok(entry) } => Some(entry),
+        _ => None,
+    });
+    let index = fetch(&mut mesh, 1, entry.file.index_segment()).image.data.expect("real bytes");
+    let index = decode_index(&index).expect("the index decodes");
+    let [seg] = index.segments[..] else { panic!("{} data segments", index.segments.len()) };
+    let written: Vec<(u64, u64, u32)> = (0..4)
+        .map(|i| (i * CHUNK, CHUNK, crc32(&data[(i * CHUNK) as usize..((i + 1) * CHUNK) as usize])))
+        .collect();
+    for p in cluster.providers() {
+        let xfer = fetch(&mut mesh, p, seg.seg);
+        assert!(xfer.image.data.as_deref() == Some(&data[..]), "provider {p}: the bytes");
+        assert_eq!(xfer.pieces, written, "provider {p}: the writer's pieces");
+    }
+    cluster.shutdown().expect("clean shutdown");
 }
