@@ -65,7 +65,8 @@
 #   make docs       rustdoc for the whole workspace (warnings are errors)
 #   make loc        workspace Rust line count as ROADMAP tracks it per PR
 #                   (benchmark/ and target/ excluded), total then per
-#                   top-level directory
+#                   top-level directory, beside the count at LOC_BASE
+#                   (default HEAD~1) and the difference
 
 CARGO ?= cargo
 
@@ -153,7 +154,17 @@ bench-e2e-smoke:
 docs:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 
+LOC_BASE ?= HEAD~1
+
 loc:
-	@for d in "crates shims tests examples" crates shims tests examples; do \
-	  printf '%-28s %s\n' "$$d" "$$(find $$d -name '*.rs' | xargs cat | wc -l)"; \
+	@base=$$(git rev-parse -q --verify '$(LOC_BASE)^{commit}') || base=; \
+	printf '%-28s %7s %7s %7s\n' '' now '$(LOC_BASE)' delta; \
+	for d in "crates shims tests examples" crates shims tests examples; do \
+	  now=$$(find $$d -name '*.rs' | xargs cat | wc -l); \
+	  if [ -n "$$base" ]; then \
+	    was=$$(git archive $$base $$d | tar -xO --wildcards '*.rs' | wc -l); \
+	    printf '%-28s %7s %7s %+7d\n' "$$d" "$$now" "$$was" "$$((now - was))"; \
+	  else \
+	    printf '%-28s %7s %7s\n' "$$d" "$$now" '?'; \
+	  fi; \
 	done

@@ -6,7 +6,6 @@ use sorrento_sim::{Dur, Metrics, NodeConfig, NodeId, SimTime, Simulation};
 
 use crate::client::{ClientOp, ClientStats, OpResult, SorrentoClient, Workload};
 use crate::costs::CostModel;
-use crate::locator::LocationScheme;
 use crate::namespace::NamespaceServer;
 use crate::nsmap::NsShardMap;
 use crate::proto::Msg;
@@ -28,7 +27,6 @@ pub struct ClusterBuilder {
     ns_standby: bool,
     ns_checkpoint_every: Option<u64>,
     membership: MembershipMode,
-    location: LocationScheme,
     loss: Option<(u32, u64)>,
 }
 
@@ -48,7 +46,6 @@ impl Default for ClusterBuilder {
             ns_standby: false,
             ns_checkpoint_every: None,
             membership: MembershipMode::Heartbeat,
-            location: LocationScheme::Ring,
             loss: None,
         }
     }
@@ -145,12 +142,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// SegID → home-host scheme (default: the paper's hash ring).
-    pub fn location(mut self, scheme: LocationScheme) -> Self {
-        self.location = scheme;
-        self
-    }
-
     /// Drop `permille`/1000 of wire messages at random (seeded
     /// independently of the protocol RNGs). Default: lossless.
     pub fn loss(mut self, permille: u32, seed: u64) -> Self {
@@ -220,9 +211,7 @@ impl ClusterBuilder {
                 None => i as u32, // one rack per provider
             };
             providers.push(sim.add_node(
-                StorageProvider::new(self.costs, self.keep_versions)
-                    .with_rack(rack)
-                    .with_location(self.location),
+                StorageProvider::new(self.costs, self.keep_versions).with_rack(rack),
                 cfg,
             ));
         }
@@ -247,7 +236,6 @@ impl ClusterBuilder {
             replication: self.replication,
             node_config: self.node_config,
             membership: self.membership,
-            location: self.location,
         };
         cluster.run_for(self.warmup);
         cluster
@@ -268,7 +256,6 @@ pub struct Cluster {
     replication: u32,
     node_config: NodeConfig,
     membership: MembershipMode,
-    location: LocationScheme,
 }
 
 impl Cluster {
@@ -336,7 +323,7 @@ impl Cluster {
     }
 
     /// Apply the cluster-wide routing knobs (shard map, membership
-    /// mechanism, location scheme) to a client before it starts.
+    /// mechanism) to a client before it starts.
     fn configure_client(&self, client: &mut SorrentoClient) {
         if let Some(map) = &self.ns_map {
             client.set_ns_shards(map.clone());
@@ -344,7 +331,6 @@ impl Cluster {
         if self.membership == MembershipMode::Swim {
             client.set_membership(MembershipMode::Swim, self.providers.clone());
         }
-        client.set_location(self.location);
     }
 
     /// Add a client co-located with provider `i`, with explicit default
@@ -384,7 +370,7 @@ impl Cluster {
     pub fn add_provider_at(&mut self, at: SimTime, capacity: u64) -> NodeId {
         let machine = 1000 + self.providers.len() as u32;
         let cfg = self.node_config.with_capacity(capacity).on_machine(machine);
-        let mut prov = StorageProvider::new(self.costs, 2).with_location(self.location);
+        let mut prov = StorageProvider::new(self.costs, 2);
         if self.membership == MembershipMode::Swim {
             // The newcomer bootstraps from the existing providers; they
             // learn about it from its own probes' piggybacked self-update.

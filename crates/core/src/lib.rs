@@ -17,8 +17,6 @@
 //!   multicast at 1000+-provider scale (ROADMAP item 4);
 //! * [`ring`] + [`location`] — consistent-hashing home hosts and
 //!   soft-state location tables with age-based garbage purging (§3.4);
-//!   [`locator`] makes the home-host scheme pluggable (ring /
-//!   rendezvous / ASURA-style slot walk);
 //! * [`layout`] — Linear / Striped / Hybrid file organization with the
 //!   paper's exponential segment sizing and small-file attachment (§3.2);
 //! * [`store`] — the per-provider segment store: immutable committed
@@ -75,7 +73,6 @@ pub mod costs;
 pub mod dedup;
 pub mod layout;
 pub mod location;
-pub mod locator;
 pub mod membership;
 pub mod namespace;
 pub mod nsmap;

@@ -179,6 +179,21 @@ mod tests {
         }
     }
 
+    /// 50,000 directory routes, folded into one digest computed by the
+    /// commit that still had a private `mix` and argmax loop here, before
+    /// the partition shared `ring::hrw`.
+    #[test]
+    fn directory_routes_are_pinned() {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for nshards in [2u32, 3, 4, 8, 16] {
+            for i in 0..10_000 {
+                h = fold(h, u64::from(shard_of_dir(&format!("/dir{i}/sub{}", i % 7), nshards)));
+            }
+        }
+        assert_eq!(h, 0x0700_9a64_3ae1_7734, "a directory changed shard");
+    }
+
     #[test]
     fn map_routes_to_rows() {
         let mut map = NsShardMap::new(vec![NodeId::from_index(0), NodeId::from_index(1)]);

@@ -25,22 +25,24 @@ pub struct HashRing {
 
 /// 64-bit mix (splitmix64 finalizer): cheap, well-distributed, and
 /// deterministic across nodes.
-pub(crate) fn mix(mut x: u64) -> u64 {
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-pub(crate) fn hash_segid(seg: SegId) -> u64 {
+/// A SegID's point on the ring.
+pub fn hash_segid(seg: SegId) -> u64 {
     mix(seg.0 as u64 ^ mix((seg.0 >> 64) as u64))
 }
 
 /// Rendezvous (highest-random-weight) choice: every `(salt, candidate)`
 /// scores `mix(key_hash ^ mix(salt))` and the highest score wins. `mix`
-/// is a bijection, so distinct salts never tie. Shared by the namespace
-/// shard partition (`nsmap`) and the rendezvous locator.
-pub(crate) fn hrw<T>(key_hash: u64, candidates: impl IntoIterator<Item = (u64, T)>) -> Option<T> {
+/// is a bijection, so distinct salts never tie. The namespace shard
+/// partition (`nsmap`) routes by it, and `bench-membership` measures it
+/// as a segment-home scheme beside the ring.
+pub fn hrw<T>(key_hash: u64, candidates: impl IntoIterator<Item = (u64, T)>) -> Option<T> {
     candidates
         .into_iter()
         .max_by_key(|(salt, _)| mix(key_hash ^ mix(*salt)))
@@ -100,7 +102,7 @@ impl HashRing {
     }
 
     /// Number of hash points (virtual nodes) on the ring.
-    pub(crate) fn point_count(&self) -> usize {
+    pub fn point_count(&self) -> usize {
         self.points.len()
     }
 }
@@ -200,6 +202,24 @@ mod tests {
                 assert_eq!(a, node(9));
             }
         }
+    }
+
+    /// Every SegID → home route of the ring, folded into one digest:
+    /// 40,000 homes over four provider sets. The digest was computed by
+    /// the commit that still reached the ring through a pluggable
+    /// locator, so dropping that layer moved no home.
+    #[test]
+    fn ring_routes_are_pinned() {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in [1usize, 3, 10, 64] {
+            let ring = HashRing::build((0..n).map(|i| node(i * 3 + 1)));
+            for i in 0..10_000u64 {
+                let seg = SegId::derive(7, i, i ^ 0x5EED);
+                h = fold(h, ring.home(seg).unwrap().index() as u64);
+            }
+        }
+        assert_eq!(h, 0x0fc4_f45e_4a30_afbc, "a segment changed home");
     }
 
     #[test]

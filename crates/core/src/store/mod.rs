@@ -331,8 +331,9 @@ pub struct ReplicaImage {
     pub meta: SegMeta,
 }
 
-/// A replica image in transit, with its version's piece table: what
-/// `FetchSegR` and `EcInstall` carry, so the target keeps the writers' CRCs.
+/// A replica image with its version's piece table: what `FetchSegR` and
+/// `EcInstall` carry and what a provider keeps under `seg/` at rest, so
+/// the target, and the provider after a reboot, keep the writers' CRCs.
 #[derive(Debug, Clone)]
 pub struct Transfer {
     /// The image.
@@ -342,7 +343,7 @@ pub struct Transfer {
 }
 
 impl From<ReplicaImage> for Transfer {
-    /// An image that knows no pieces (a `seg/` image, a rebuilt shard).
+    /// An image that knows no pieces (a rebuilt shard).
     fn from(image: ReplicaImage) -> Transfer {
         Transfer { image, pieces: Vec::new() }
     }

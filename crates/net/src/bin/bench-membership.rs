@@ -10,13 +10,16 @@
 //!   suspicions raised against *live* nodes (loss-induced) and the
 //!   refutations that cancelled them — a run is only acceptance-clean
 //!   when no live node is ever evicted (`false_leaves == 0`).
-//! * **Location ablation** (pure computation): the three
-//!   [`LocationScheme`]s — consistent-hash ring, rendezvous (HRW) and
-//!   ASURA-style random-walk — compared at 100/500/1000 providers on
-//!   placement uniformity (stddev/mean and max/mean of per-node key
-//!   counts), lookup cost (scheme-abstract draws and wall-clock ns),
-//!   and data movement when one provider leaves or joins (fraction of
-//!   keys whose home changes vs the 1/n optimum).
+//! * **Location ablation** (pure computation): three SegID → home-host
+//!   [`Scheme`]s — the paper's consistent-hash ring (§3.4.1, the one the
+//!   system runs), rendezvous (HRW) and an ASURA-style random walk
+//!   (PAPERS.md) — compared at 100/500/1000 providers on placement
+//!   uniformity (stddev/mean and max/mean of per-node key counts),
+//!   lookup cost (scheme-abstract draws and wall-clock ns), and data
+//!   movement when one provider leaves or joins (fraction of keys whose
+//!   home changes vs the 1/n optimum). Rendezvous and ASURA live only
+//!   here: adopting one means swapping it in for `ring::HashRing` in the
+//!   client and the provider, which moves every seeded byte.
 //!
 //! Usage: `bench-membership [--smoke] [--out PATH] [--validate PATH]`
 //!
@@ -30,7 +33,7 @@ use std::time::Instant;
 
 use sorrento::cluster::{Cluster, ClusterBuilder};
 use sorrento::costs::CostModel;
-use sorrento::locator::{LocationScheme, Locator};
+use sorrento::ring::{hash_segid, hrw, mix, HashRing};
 use sorrento::swim::MembershipMode;
 use sorrento::types::SegId;
 use sorrento_json::Json;
@@ -131,8 +134,152 @@ fn run_detect(fanout: usize, k: &DetectKnobs) -> Json {
 // Part 2: location-scheme ablation (pure computation)
 // ---------------------------------------------------------------------
 
-const SCHEMES: &[LocationScheme] =
-    &[LocationScheme::Ring, LocationScheme::Rendezvous, LocationScheme::Asura];
+/// A SegID → home-host scheme under comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scheme {
+    /// The paper's consistent-hash ring with virtual nodes.
+    Ring,
+    /// Highest-random-weight hashing, the family that already shards
+    /// the namespace (`nsmap`): minimal movement, O(n) lookup.
+    Rendezvous,
+    /// A seeded random walk over an evenly claimed slot table: near-exact
+    /// uniformity, O(1) expected lookup.
+    Asura,
+}
+
+const SCHEMES: &[Scheme] = &[Scheme::Ring, Scheme::Rendezvous, Scheme::Asura];
+
+impl Scheme {
+    fn name(self) -> &'static str {
+        match self {
+            Scheme::Ring => "ring",
+            Scheme::Rendezvous => "rendezvous",
+            Scheme::Asura => "asura",
+        }
+    }
+}
+
+/// Slots claimed by each provider in the ASURA table (uniformity is
+/// exact per slot, so a handful per node suffices).
+const ASURA_SLOTS_PER_NODE: usize = 8;
+/// Bounded walk length before falling back to a linear scan; at ≤ 50%
+/// table density the expected walk is ~2 draws, so 128 makes the
+/// fallback astronomically rare.
+const ASURA_MAX_DRAWS: u32 = 128;
+
+/// ASURA-style slot table: every provider claims `ASURA_SLOTS_PER_NODE`
+/// slots in a power-of-two table kept at most half full; a lookup walks
+/// per-key seeded random draws until it hits a claimed slot. Claims are
+/// placed by linear probing from a node-derived hash, so the table is a
+/// pure function of the live set and a membership change disturbs only
+/// the departed or arrived node's own slots plus the rare probe chains
+/// that crossed them.
+#[derive(Debug, Clone, Default)]
+struct AsuraTable {
+    slots: Vec<Option<NodeId>>,
+    nodes: usize,
+}
+
+impl AsuraTable {
+    fn build(mut providers: Vec<NodeId>) -> AsuraTable {
+        providers.sort_unstable();
+        providers.dedup();
+        if providers.is_empty() {
+            return AsuraTable::default();
+        }
+        let cap = (providers.len() * ASURA_SLOTS_PER_NODE * 2).next_power_of_two();
+        let mut slots = vec![None; cap];
+        for &p in &providers {
+            for j in 0..ASURA_SLOTS_PER_NODE {
+                let start = mix((p.index() as u64) << 8 | j as u64) as usize & (cap - 1);
+                let mut i = start;
+                while slots[i].is_some() {
+                    i = (i + 1) & (cap - 1);
+                }
+                slots[i] = Some(p);
+            }
+        }
+        AsuraTable { slots, nodes: providers.len() }
+    }
+
+    /// The walk: draw slot indices from a SegID-seeded sequence until
+    /// one is claimed. Returns the home and the number of draws spent.
+    fn home_cost(&self, seg: SegId) -> (Option<NodeId>, u32) {
+        if self.slots.is_empty() {
+            return (None, 0);
+        }
+        let mask = self.slots.len() as u64 - 1;
+        let mut x = hash_segid(seg);
+        for draw in 1..=ASURA_MAX_DRAWS {
+            if let Some(p) = self.slots[(x & mask) as usize] {
+                return (Some(p), draw);
+            }
+            x = mix(x);
+        }
+        // Unclaimed-walk fallback: scan forward from the last draw.
+        let mut i = (x & mask) as usize;
+        loop {
+            if let Some(p) = self.slots[i] {
+                return (Some(p), ASURA_MAX_DRAWS);
+            }
+            i = (i + 1) & mask as usize;
+        }
+    }
+}
+
+/// One scheme built over a live set: every node with the same set
+/// computes the same homes.
+enum Placement {
+    Ring(HashRing),
+    Rendezvous(Vec<NodeId>),
+    Asura(AsuraTable),
+}
+
+impl Placement {
+    fn build(scheme: Scheme, providers: impl IntoIterator<Item = NodeId>) -> Placement {
+        match scheme {
+            Scheme::Ring => Placement::Ring(HashRing::build(providers)),
+            Scheme::Rendezvous => {
+                let mut nodes: Vec<NodeId> = providers.into_iter().collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                Placement::Rendezvous(nodes)
+            }
+            Scheme::Asura => Placement::Asura(AsuraTable::build(providers.into_iter().collect())),
+        }
+    }
+
+    fn home(&self, seg: SegId) -> Option<NodeId> {
+        self.home_cost(seg).0
+    }
+
+    /// The home plus the scheme's abstract lookup cost: hash-point
+    /// comparisons (ring), candidate hashes (rendezvous), or walk draws
+    /// (ASURA).
+    fn home_cost(&self, seg: SegId) -> (Option<NodeId>, u32) {
+        match self {
+            // A sorted-array ring lookup is one binary search.
+            Placement::Ring(ring) => {
+                (ring.home(seg), usize::BITS - ring.point_count().leading_zeros())
+            }
+            Placement::Rendezvous(nodes) => {
+                // A provider's salt is its complemented index, apart from
+                // the shard indices `nsmap` salts with.
+                let best = hrw(hash_segid(seg), nodes.iter().map(|&n| (!(n.index() as u64), n)));
+                (best, nodes.len() as u32)
+            }
+            Placement::Asura(table) => table.home_cost(seg),
+        }
+    }
+
+    fn provider_count(&self) -> usize {
+        match self {
+            Placement::Ring(ring) => ring.provider_count(),
+            Placement::Rendezvous(nodes) => nodes.len(),
+            Placement::Asura(table) => table.nodes,
+        }
+    }
+}
 
 /// Deterministic key stream: a splitmix-style counter walk gives every
 /// scheme the same well-spread SegIds without pulling in an RNG.
@@ -146,10 +293,10 @@ fn key(i: u64) -> SegId {
 
 /// One ablation cell: uniformity, lookup cost and leave/join movement
 /// for `scheme` over `n` synthetic providers.
-fn run_ablation(scheme: LocationScheme, n: usize, keys: u64) -> Json {
+fn run_ablation(scheme: Scheme, n: usize, keys: u64) -> Json {
     // Provider ids start at 1: node 0 is conventionally the namespace.
     let providers: Vec<NodeId> = (1..=n).map(NodeId::from_index).collect();
-    let loc = Locator::build(scheme, providers.iter().copied());
+    let loc = Placement::build(scheme, providers.iter().copied());
     assert_eq!(loc.provider_count(), n);
 
     let mut counts: Vec<u64> = vec![0; n + 2];
@@ -157,7 +304,7 @@ fn run_ablation(scheme: LocationScheme, n: usize, keys: u64) -> Json {
     let t0 = Instant::now();
     for i in 0..keys {
         let (home, cost) = loc.home_cost(key(i));
-        counts[home.expect("non-empty locator").index()] += 1;
+        counts[home.expect("non-empty placement").index()] += 1;
         draws += u64::from(cost);
     }
     let lookup_ns = t0.elapsed().as_nanos() as f64 / keys as f64;
@@ -177,7 +324,7 @@ fn run_ablation(scheme: LocationScheme, n: usize, keys: u64) -> Json {
     // lived on the departed node — everything else moving is overhead.
     let gone = providers[n / 2];
     let after_leave =
-        Locator::build(scheme, providers.iter().copied().filter(|&p| p != gone));
+        Placement::build(scheme, providers.iter().copied().filter(|&p| p != gone));
     let mut moved_leave = 0u64;
     for i in 0..keys {
         if loc.home(key(i)) != after_leave.home(key(i)) {
@@ -188,7 +335,7 @@ fn run_ablation(scheme: LocationScheme, n: usize, keys: u64) -> Json {
 
     // Join: rebuild over n+1. The optimum is ~keys/(n+1).
     let joiner = NodeId::from_index(n + 1);
-    let after_join = Locator::build(
+    let after_join = Placement::build(
         scheme,
         providers.iter().copied().chain(std::iter::once(joiner)),
     );
@@ -394,4 +541,112 @@ fn main() -> ExitCode {
     std::fs::write(&out_path, doc.encode()).expect("write results json");
     println!("wrote {out_path}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node(i: usize) -> NodeId {
+        NodeId::from_index(i)
+    }
+
+    fn segs(n: u64) -> Vec<SegId> {
+        (0..n).map(|i| SegId::derive(7, i, i ^ 0x5EED)).collect()
+    }
+
+    /// The ablation's ring row measures the ring the system runs.
+    #[test]
+    fn ring_locator_matches_raw_ring() {
+        let raw = HashRing::build((0..8).map(node));
+        let loc = Placement::build(Scheme::Ring, (0..8).map(node));
+        for s in segs(500) {
+            assert_eq!(loc.home(s), raw.home(s));
+        }
+        assert_eq!(loc.provider_count(), 8);
+    }
+
+    #[test]
+    fn every_scheme_is_deterministic_and_order_independent() {
+        for &scheme in SCHEMES {
+            let a = Placement::build(scheme, (0..10).map(node));
+            let b = Placement::build(scheme, (0..10).rev().map(node));
+            for s in segs(300) {
+                assert_eq!(a.home(s), b.home(s), "{scheme:?} disagrees across orders");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_locators_have_no_home() {
+        for &scheme in SCHEMES {
+            let loc = Placement::build(scheme, []);
+            assert_eq!(loc.provider_count(), 0);
+            assert_eq!(loc.home(SegId(1)), None);
+        }
+    }
+
+    #[test]
+    fn rendezvous_removal_moves_only_departed_keys() {
+        let full = Placement::build(Scheme::Rendezvous, (0..10).map(node));
+        let less = Placement::build(Scheme::Rendezvous, (0..9).map(node));
+        for s in segs(3_000) {
+            let before = full.home(s).unwrap();
+            if less.home(s).unwrap() != before {
+                assert_eq!(before, node(9), "a surviving provider's key moved");
+            }
+        }
+    }
+
+    /// Rendezvous segment homes as they were when the scheme was still a
+    /// location knob of the client and the provider (40,000 homes), so
+    /// the committed ablation measures the scheme the system could run.
+    #[test]
+    fn rendezvous_routes_are_pinned() {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in [1usize, 3, 10, 64] {
+            let loc = Placement::build(Scheme::Rendezvous, (0..n).map(|i| node(i * 3 + 1)));
+            for s in segs(10_000) {
+                h = fold(h, loc.home(s).unwrap().index() as u64);
+            }
+        }
+        assert_eq!(h, 0x6b76_9a3f_7720_5d42, "a segment changed home");
+    }
+
+    #[test]
+    fn asura_balances_and_moves_little_on_leave() {
+        let n = 10usize;
+        let full = Placement::build(Scheme::Asura, (0..n).map(node));
+        let less = Placement::build(Scheme::Asura, (0..n - 1).map(node));
+        let total = 10_000u64;
+        let mut counts = vec![0usize; n];
+        let mut moved = 0u64;
+        for s in segs(total) {
+            let before = full.home(s).unwrap();
+            counts[before.index()] += 1;
+            if less.home(s).unwrap() != before {
+                moved += 1;
+            }
+        }
+        let expect = total as f64 / n as f64;
+        for (i, &c) in counts.iter().enumerate() {
+            assert!(
+                (c as f64) > expect * 0.6 && (c as f64) < expect * 1.5,
+                "provider {i} got {c} of {total}"
+            );
+        }
+        // ~1/10 of keys belong to the removed node; claims are
+        // probe-chain stable so little else moves.
+        assert!(moved < total / 5, "leave moved {moved} of {total} keys");
+    }
+
+    #[test]
+    fn asura_lookup_cost_is_constant_expected() {
+        let loc = Placement::build(Scheme::Asura, (0..100).map(node));
+        let total = 5_000u64;
+        let draws: u64 = segs(total).into_iter().map(|s| u64::from(loc.home_cost(s).1)).sum();
+        // Table density is 50%, so the expected walk is 2 draws.
+        assert!(draws < total * 4, "mean draws {}", draws as f64 / total as f64);
+    }
 }

@@ -325,9 +325,8 @@ fn cmd_members(json: &str, node: usize) -> Result<ExitCode, String> {
     };
     let str_of = |j: &Json, k: &str| j.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
     println!(
-        "=== n{node} membership (mode {}, location {}, {} live) ===",
+        "=== n{node} membership (mode {}, {} live) ===",
         str_of(&view, "mode"),
-        str_of(&view, "location"),
         view.get("live").and_then(Json::as_u64).unwrap_or(0),
     );
     println!("{:<6} {:<8} {:>5} {:>6} {:>10} {:>10}", "NODE", "STATE", "INC", "LOAD", "AVAIL", "CAP");

@@ -230,7 +230,6 @@ pub fn run_script(
         // primary (failing over to the standby on timeouts).
         client.set_ns_shards(sorrento::nsmap::NsShardMap::from_rows(cfg.ns_map.clone()));
     }
-    client.set_location(cfg.location);
     if cfg.membership == MembershipMode::Swim {
         // Gossip clusters have no multicast heartbeats; the client keeps
         // its provider view fresh by pulling membership digests instead.

@@ -33,8 +33,8 @@
 //! combined, with a read of whole pieces or a transfer (whose piece table
 //! precedes the blob and must combine to its CRC), so serving costs no
 //! pass over the bytes, and bytes changed at rest fail the reader's check.
-//! A message has at most one checked blob; `seg/` images alone keep the
-//! plain layout.
+//! A message has at most one checked blob. A provider keeps a segment at
+//! rest (`seg/` values) in the same transfer layout, piece table included.
 //!
 //! Each layout is stated once. A private `Wire` trait (`put` into a
 //! `Writer`, `get` from a `Reader`) is implemented directly only for the
@@ -66,7 +66,7 @@
 //!
 //! Copy discipline: encoding is single-pass — the header is reserved
 //! up front, the payload is appended once while a streaming [`Crc32`]
-//! folds in each byte (standalone `seg/` images skip the fold: their
+//! folds in each byte (`seg/` values at rest skip the fold: their
 //! kvdb record is checksummed already), and the length/checksum are
 //! patched into the reserved header afterwards. A checked blob's bytes
 //! are not appended: [`encode_msg_spliced`] hands them back as a splice,
@@ -511,7 +511,7 @@ const BLOB_TAIL: usize = 128;
 /// Append-only payload writer. For a frame, every byte appended also
 /// advances the streaming checksum, so by the time the payload is
 /// written the CRC is already known; a caller that wants no checksum
-/// (a `seg/` image) passes none and pays for none. A checked blob's
+/// (a `seg/` value) passes none and pays for none. A checked blob's
 /// bytes are neither appended nor folded: `blob` records where they go.
 struct Writer<'a> {
     out: &'a mut Vec<u8>,
@@ -862,7 +862,6 @@ wire_struct!(FileOptions {
 });
 wire_struct!(FileEntry { file, version, size, is_dir, created_ns, modified_ns, options });
 wire_struct!(SegMeta { replication, alpha, policy, synthetic, ec });
-wire_struct!(ReplicaImage { seg, version, len, data, meta });
 wire_struct!(Heartbeat { load, available, capacity, machine, rack });
 wire_struct!(SwimUpdate { node, state, incarnation, beat, payload });
 
@@ -1064,26 +1063,46 @@ wire_enum!("msg", Msg {
 #[doc(hidden)]
 pub const MSG_TAGS: &[u8] = Msg::TAGS;
 
-/// Encode a standalone [`ReplicaImage`] (daemon segment persistence:
-/// the value format under `seg/` keys in the node's kvdb). No checksum
-/// is folded: the kvdb WAL record that wraps the value carries its own.
-pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + img.data.as_ref().map_or(0, |d| d.len()));
-    img.put(&mut Writer { out: &mut out, crc: None, blob: None });
+/// Encode a [`Transfer`] at rest: the value under a `seg/` key in a
+/// provider's kvdb, laid out as in `FetchSegR` (the image's fields, its
+/// piece table, its bytes as a checked blob the table combines to), so a
+/// rebooted provider serves its writers' CRCs. No frame checksum is
+/// folded: the kvdb record that wraps the value carries its own.
+pub fn encode_transfer_bytes(xfer: &Transfer) -> Vec<u8> {
+    let data_len = xfer.image.data.as_ref().map_or(0, |d| d.len());
+    let mut out = Vec::with_capacity(64 + 16 * xfer.pieces.len() + data_len);
+    let mut w = Writer { out: &mut out, crc: None, blob: None };
+    xfer.put(&mut w);
+    if let Some(splice) = w.blob {
+        splice_in(&mut out, splice);
+    }
     out
 }
 
-/// Decode a standalone [`ReplicaImage`]. Copies the input into a shared
-/// allocation once (this runs only on daemon recovery, not the data
-/// path) so the image's blob can be a [`Bytes`] view.
-pub fn decode_image_bytes(bytes: &[u8]) -> Result<ReplicaImage, FrameError> {
+/// [`encode_transfer_bytes`] of an image whose piece table is unknown:
+/// its blob's CRC is computed over every byte. The benchmark's
+/// persistence probe (`frame.image_encode_mb_s`) times this.
+pub fn encode_image_bytes(img: &ReplicaImage) -> Vec<u8> {
+    encode_transfer_bytes(&Transfer::from(img.clone()))
+}
+
+/// Decode a [`Transfer`] at rest, holding its bytes to the CRC its piece
+/// table combines to. Copies the input into a shared allocation once
+/// (this runs only on daemon recovery, not the data path) so the
+/// image's blob can be a [`Bytes`] view.
+pub fn decode_transfer_bytes(bytes: &[u8]) -> Result<Transfer, FrameError> {
     let buf = Bytes::copy_from_slice(bytes);
     let mut r = Reader { buf: &buf, pos: 0, blob: None };
-    let img = ReplicaImage::get(&mut r)?;
+    let xfer = Transfer::get(&mut r)?;
     if r.pos != r.buf.len() {
         return Err(FrameError::TrailingBytes);
     }
-    Ok(img)
+    if let Some((start, end, crc)) = r.blob {
+        if crc32(&buf[start..end]) != crc {
+            return Err(FrameError::ChecksumMismatch);
+        }
+    }
+    Ok(xfer)
 }
 
 #[cfg(test)]

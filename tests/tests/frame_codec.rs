@@ -23,7 +23,7 @@ use sorrento::types::{
 };
 use sorrento_kvdb::crc32;
 use sorrento_net::frame::{
-    decode_frame, decode_image_bytes, encode_hello, encode_image_bytes, encode_msg,
+    decode_frame, decode_transfer_bytes, encode_hello, encode_msg, encode_transfer_bytes,
     encode_msg_into, encode_msg_spliced, reference_encode_msg, Frame, FrameError, StreamDecoder,
     HEADER_LEN, MSG_TAGS,
 };
@@ -543,10 +543,18 @@ proptest! {
     #[test]
     fn replica_image_roundtrips_byte_exactly(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
-        let image = arb_image(&mut rng);
-        let bytes = encode_image_bytes(&image);
-        let decoded = decode_image_bytes(&bytes).unwrap();
-        prop_assert_eq!(encode_image_bytes(&decoded), bytes);
+        let xfer = arb_transfer(&mut rng);
+        let bytes = encode_transfer_bytes(&xfer);
+        let decoded = decode_transfer_bytes(&bytes).unwrap();
+        prop_assert_eq!(&decoded.pieces, &xfer.pieces);
+        prop_assert_eq!(&encode_transfer_bytes(&decoded), &bytes);
+        // The bytes come last: one changed at rest is refused, not served
+        // later under its writer's CRC.
+        if xfer.image.data.is_some_and(|d| !d.is_empty()) {
+            let mut rotten = bytes;
+            *rotten.last_mut().unwrap() ^= 1;
+            prop_assert_eq!(decode_transfer_bytes(&rotten).unwrap_err(), FrameError::ChecksumMismatch);
+        }
     }
 
     #[test]
@@ -844,9 +852,9 @@ proptest! {
 
 // ------------------------------------------------------ pinned v5 bytes
 
-/// Frames and `seg/` images as the version-5 encoder wrote them. The
+/// Frames and `seg/` values as the version-5 encoder wrote them. The
 /// properties above only say the codec agrees with itself; this says it
-/// agrees with every peer and every `data_dir` already out there.
+/// agrees with every peer and every `data_dir` written in this format.
 const FIXTURE: &str = include_str!("data/wire_v5.txt");
 /// Seeds per tag (and images) in the fixture.
 const FIXTURE_SEEDS: u64 = 3;
@@ -869,8 +877,8 @@ fn committed_v5_bytes_decode_and_reencode_unchanged() {
         let (what, bytes) = line.split_once(' ').expect("`<tag|image> <hex>`");
         let bytes = unhex(bytes);
         let again = if what == "image" {
-            let image = decode_image_bytes(&bytes).unwrap_or_else(|e| panic!("image: {e}"));
-            encode_image_bytes(&image)
+            let xfer = decode_transfer_bytes(&bytes).unwrap_or_else(|e| panic!("image: {e}"));
+            encode_transfer_bytes(&xfer)
         } else {
             let tag: u8 = what.parse().expect("tag");
             assert_eq!(bytes[HEADER_LEN], tag, "line labelled {tag} carries another tag");
@@ -904,8 +912,8 @@ fn regenerate_the_v5_fixture() {
         }
     }
     for seed in 0..FIXTURE_SEEDS {
-        let image = arb_image(&mut TestRng::seed_from_u64(seed));
-        out += &format!("image {}\n", hex(&encode_image_bytes(&image)));
+        let xfer = arb_transfer(&mut TestRng::seed_from_u64(seed));
+        out += &format!("image {}\n", hex(&encode_transfer_bytes(&xfer)));
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/wire_v5.txt");
     std::fs::write(path, out).expect("write the fixture");

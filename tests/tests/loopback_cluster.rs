@@ -291,7 +291,7 @@ fn provider_persists_segments_for_restart() {
     let images = cluster.disk_images(1).expect("persisted images decode");
     assert!(images.len() >= 2, "expected an index and a data segment, got {}", images.len());
     assert!(
-        images.iter().any(|img| img.data.as_deref() == Some(&data[..])),
+        images.iter().any(|x| x.image.data.as_deref() == Some(&data[..])),
         "no persisted segment carries the written bytes"
     );
 
@@ -299,10 +299,9 @@ fn provider_persists_segments_for_restart() {
     // prove the persisted form is installable, not just decodable.
     let mut prov = sorrento::provider::StorageProvider::new(CostModel::fast_test(), 2);
     let now = sorrento_sim::SimTime::from_nanos(0);
-    for img in images {
-        let seg = img.seg;
-        let version = img.version;
-        prov.store.install_replica(img.into(), now).expect("image installs");
+    for xfer in images {
+        let (seg, version) = (xfer.image.seg, xfer.image.version);
+        prov.store.install_replica(xfer, now).expect("image installs");
         let round = prov.store.export(seg, Some(version)).expect("installed segment exports");
         assert_eq!(round.version, version);
     }
@@ -337,8 +336,39 @@ fn fetch(mesh: &mut Mesh, p: usize, seg: SegId) -> Transfer {
 /// by sync, names every 256 KiB chunk with the CRC the client computed.
 #[test]
 fn replicas_installed_by_eager_sync_serve_their_writers_crcs() {
+    sites_hand_on_the_writers_pieces(boot(3).0, |_| {});
+}
+
+/// The same after every provider is stopped and booted again from its
+/// `data_dir`: a segment at rest keeps its piece table, so a reboot
+/// serves the writers' CRCs, not ones computed over the disk's bytes.
+#[test]
+fn rebooted_replicas_serve_their_writers_crcs() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sorrento-reboot-crcs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster =
+        LoopbackCluster::builder(3).data_root(&dir).boot().expect("boot loopback cluster");
+    sites_hand_on_the_writers_pieces(cluster, |cluster| {
+        // All down before any comes back, so no site can refetch a
+        // segment from a peer that still holds the table in memory.
+        for p in cluster.providers() {
+            cluster.stop(p).expect("clean stop");
+        }
+        for p in cluster.providers() {
+            cluster.restart(p).expect("restart from data_dir");
+        }
+    });
+}
+
+/// Write a 1 MiB file, replication 3 with eager commit, in 256 KiB
+/// chunks; run `between`; then fetch its data segment from every
+/// provider, which must hand on the bytes with the client's pieces.
+fn sites_hand_on_the_writers_pieces(
+    mut cluster: LoopbackCluster,
+    between: impl FnOnce(&mut LoopbackCluster),
+) {
     const CHUNK: u64 = 256 << 10;
-    let (cluster, mut cfg) = boot(3);
+    let mut cfg = cluster.ctl();
     cfg.write_chunk = Some(CHUNK);
     let data = payload(4 * CHUNK as usize);
     let mut fs = FsScript::new();
@@ -348,6 +378,7 @@ fn replicas_installed_by_eager_sync_serve_their_writers_crcs() {
     fs.close(h).unwrap();
     let out = ctl::run_script(&cfg, fs.into_ops(), 3, DEADLINE).expect("write script");
     assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
+    between(&mut cluster);
 
     let peers = cfg.peers.iter().map(|p| (p.id, p.addr.parse().expect("peer address")));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
