@@ -38,6 +38,8 @@ pub struct ProviderInfo {
     pub heartbeat: Heartbeat,
     /// When the latest heartbeat arrived.
     pub last_seen: SimTime,
+    /// When this provider last joined the view.
+    pub since: SimTime,
 }
 
 /// Membership change reported by [`MembershipView::expire`] /
@@ -70,15 +72,16 @@ impl MembershipView {
         hb: Heartbeat,
         now: SimTime,
     ) -> Option<MembershipEvent> {
-        let newly = !self.providers.contains_key(&from);
+        let known = self.providers.get(&from).map(|info| info.since);
         self.providers.insert(
             from,
             ProviderInfo {
                 heartbeat: hb,
                 last_seen: now,
+                since: known.unwrap_or(now),
             },
         );
-        newly.then_some(MembershipEvent::Joined(from))
+        known.is_none().then_some(MembershipEvent::Joined(from))
     }
 
     /// Drop providers whose last heartbeat is older than
@@ -243,6 +246,19 @@ mod tests {
         assert_eq!(view.observe(node(1), hb(0.6, 40), t(1)), None);
         assert_eq!(view.len(), 1);
         assert!((view.info(node(1)).unwrap().heartbeat.load - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn since_is_the_latest_join() {
+        let mut view = MembershipView::new();
+        view.observe(node(1), hb(0.5, 50), t(2));
+        view.observe(node(1), hb(0.5, 50), t(5));
+        let info = view.info(node(1)).unwrap();
+        assert_eq!((info.since, info.last_seen), (t(2), t(5)));
+        // A departure ends the membership; the next heartbeat is a new join.
+        view.remove(node(1));
+        view.observe(node(1), hb(0.5, 50), t(9));
+        assert_eq!(view.info(node(1)).unwrap().since, t(9));
     }
 
     #[test]
