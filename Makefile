@@ -1,8 +1,12 @@
 # Sorrento reproduction — developer entry points.
 #
-#   make check      build (release) + full test suite + clippy with -D warnings
-#                   + rustdoc with -D warnings (public-API docs are load-bearing)
+#   make check      build (release) + full test suite + the benchmark's
+#                   own unit tests + clippy with -D warnings + rustdoc
+#                   with -D warnings (public-API docs are load-bearing)
 #   make test       test suite only
+#   make bench-unit the benchmark's own unit tests (benchmark/ is a
+#                   workspace of its own, compiled against the product's
+#                   public APIs, so an API change shows here first)
 #   make check-net  real-process runtime: frame-codec property tests over
 #                   every tag the codec lists plus the committed version-5
 #                   byte fixture (tests/tests/data/wire_v5.txt), the
@@ -70,15 +74,18 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test clippy check-net bench sim-bytes bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
+.PHONY: check build test bench-unit clippy check-net bench sim-bytes bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
 
-check: build test clippy docs
+check: build test bench-unit clippy docs
 
 build:
 	$(CARGO) build --release
 
 test:
 	$(CARGO) test -q
+
+bench-unit:
+	$(CARGO) test -q --manifest-path benchmark/Cargo.toml
 
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings

@@ -152,7 +152,7 @@ fn join_mesh(cfg: &CtlConfig) -> Result<Driver, CtlError> {
         .filter_map(|p| Some((p.id, p.addr.to_socket_addrs().ok()?.next()?)))
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    let mut mesh = Mesh::start(me, listener, seed_peers, MeshConfig::default())?;
+    let mut mesh = Mesh::start(me, listener, seed_peers, MeshConfig)?;
     // Daemons learn our ephemeral listen address from these Hellos and
     // start including us in their heartbeat fan-out.
     mesh.hello_all();
@@ -160,10 +160,11 @@ fn join_mesh(cfg: &CtlConfig) -> Result<Driver, CtlError> {
 }
 
 /// The schedule a script's ops start on: one per interval. A closed
-/// loop with nothing between its ops runs at whatever six thread
-/// wake-ups per round trip cost that second — on a 2-vCPU host a `stat`
-/// takes 75 or 215 µs depending on where the scheduler put the threads,
-/// and small-op rates swing 3× from run to run. On a schedule the rate
+/// loop with nothing between its ops runs at whatever its round trips
+/// cost that second — when each paid six thread wake-ups (a mesh thread
+/// beside every node's loop), a `stat` on a 2-vCPU host took 75 or
+/// 215 µs depending on where the scheduler put the threads, and
+/// small-op rates swung 3× from run to run. On a schedule the rate
 /// is one op per interval whenever ops finish inside it, and repeats
 /// (DESIGN §9.4 has the numbers and what taking this out needs).
 const OP_INTERVAL: Dur = Dur::nanos(1_500_000);

@@ -323,7 +323,7 @@ fn run_loop(
         .iter()
         .filter_map(|p| Some((p.id, resolve(&p.addr)?)))
         .collect();
-    let mut mesh = Mesh::start(me, listener, seed_peers, MeshConfig::default())?;
+    let mut mesh = Mesh::start(me, listener, seed_peers, MeshConfig)?;
     mesh.set_flight(flight.clone());
     if cfg.chaos.is_active() {
         mesh.set_chaos(Some(cfg.chaos.clone()));

@@ -11,9 +11,10 @@
 //!   for every [`sorrento::proto::Msg`].
 //! * [`pool`] — check-out/check-in encode-buffer pool backing the
 //!   zero-allocation frame path.
-//! * [`tcp`] — a std-only TCP mesh: one listener, thread-per-connection
-//!   readers feeding a bounded inbox, and a per-peer sender thread with
-//!   a bounded outbound queue and vectored coalesced writes.
+//! * [`tcp`] — a std-only TCP mesh driven on its owner's thread: one
+//!   epoll poller over the listener and every connection, per-peer
+//!   bounded outbound queues with vectored coalesced writes, and one
+//!   dialer thread.
 //! * [`chaos`] — deterministic fault injection at the mesh's enqueue
 //!   boundary: seeded per-link drop/duplicate/delay/partition streams,
 //!   installed at boot or flipped at runtime via `Msg::ChaosCtl`.

@@ -8,8 +8,7 @@
 //! so the next frame of similar size reuses the same backing memory.
 //!
 //! [`PooledBuf`] is the RAII handle: checked back in on drop, from
-//! whatever thread drops it (per-peer sender threads in
-//! [`crate::tcp`]). Wrapping one in an `Arc` lets a multicast share a
+//! whatever thread drops it. Wrapping one in an `Arc` lets a multicast share a
 //! single encoded frame across every peer queue; the buffer re-enters
 //! the pool when the last queue finishes with it.
 

@@ -108,9 +108,9 @@ impl RealCtx {
         &self.metrics
     }
 
-    /// The node's flight recorder (cheap clone: shared ring). Threads
-    /// that outlive or run beside the daemon loop — crash hooks, the
-    /// mesh — record and dump through clones of this handle.
+    /// The node's flight recorder (cheap clone: shared ring). What
+    /// outlives or runs beside the daemon loop — crash hooks, the mesh's
+    /// chaos verdicts — records and dumps through clones of this handle.
     pub fn flight(&self) -> FlightRecorder {
         self.flight.clone()
     }
@@ -194,7 +194,8 @@ impl Transport<Msg> for RealCtx {
 pub const IDLE_BACKSTOP: Duration = Duration::from_millis(50);
 
 /// Most queued messages handled before the outbox is flushed and the
-/// timers are looked at again.
+/// timers are looked at again — and the most the mesh decodes ahead of
+/// the node: while a batch waits, sockets are left unread.
 pub const BATCH: usize = 32;
 
 /// What a [`Driver`] feeds. `handle` is the state machine; a node that
@@ -240,15 +241,16 @@ impl Driver {
         Driver { ctx, mesh, flushes: 0 }
     }
 
-    /// One turn: fire due timers; if none were due, block on the inbox
-    /// until the next timer, `wake_at` (the caller's next housekeeping
-    /// deadline) or [`IDLE_BACKSTOP`], whichever is first; then handle
-    /// what is queued — at most [`BATCH`] messages — and flush once. The
-    /// caller does its housekeeping and checks its stop condition
-    /// between turns.
+    /// One turn: fire due timers; if none were due, block in the mesh's
+    /// poller (where the mesh does its own work) until a message, the
+    /// next timer, `wake_at` (the caller's next housekeeping deadline) or
+    /// [`IDLE_BACKSTOP`], whichever is first; then handle what arrived —
+    /// at most [`BATCH`] messages — and flush once, writing every reply
+    /// before the turn returns. The caller does its housekeeping and
+    /// checks its stop condition between turns.
     pub fn turn(&mut self, node: &mut impl Node, wake_at: Option<Instant>) {
         let due = self.ctx.due_timers();
-        // A turn that fired timers only polls the inbox: what they did
+        // A turn that fired timers only polls the mesh: what they did
         // (a finished script, say) is for the caller to see first.
         let mut wait = if due.is_empty() { IDLE_BACKSTOP } else { Duration::ZERO };
         for msg in due {

@@ -1,23 +1,27 @@
 //! A std-only, readiness-driven TCP mesh for Sorrento daemons.
 //!
-//! One event-loop thread per node owns *every* connection — the
-//! listening socket, all inbound connections, and all outbound
-//! connections — multiplexed through the in-repo [`epoll`] shim
-//! (raw `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux). A second,
-//! fixed thread dials outbound connections (blocking
-//! `connect_timeout` must not stall the loop). That is the whole
-//! census: **O(1) threads regardless of peer or connection count**,
-//! which is what lets one node hold tens of thousands of client
-//! sessions where the previous thread-per-connection design ran
-//! 2+ threads per peer.
+//! The mesh runs on its owner's thread. The listener and every
+//! connection are registered in one [`epoll`] poller, and
+//! [`Mesh::recv_timeout`] and [`Mesh::try_recv`] wait in it on the
+//! calling thread (a node's `runtime::Driver` turn, a ctl session, a
+//! test, a probe), accepting, reading, writing what is queued and
+//! firing the mesh's own deadlines (a chaos delay, a redial backoff)
+//! while they wait. One helper thread dials, so a blocking
+//! `connect_timeout` to a dead peer never stalls the node; it hands
+//! each stream back through a channel and an eventfd [`Waker`]. A node
+//! is its own loop thread plus one dialer, however many peers it has.
 //!
-//! Receive path: sockets are nonblocking; on `EPOLLIN` the loop reads
+//! Receive path: sockets are nonblocking; on `EPOLLIN` the poll reads
 //! whatever bytes the kernel has into a per-connection
 //! [`frame::StreamDecoder`], which reassembles frames across arbitrary
 //! read boundaries (zero-copy: payload bytes land in the allocation
-//! that becomes the frame's shared `Bytes`). Complete messages go to a
-//! bounded inbox; `Hello` frames register the sender's listen address,
-//! so a node only needs a seed peer list — everyone it has ever heard
+//! that becomes the frame's shared `Bytes`). Decoded messages wait for
+//! the caller in a list of at most one [`BATCH`]; while that list is
+//! full no socket is read, and level-triggered epoll leaves the rest in
+//! the kernel. An overloaded node therefore shows up as TCP
+//! backpressure — its senders' queues and latency grow — never as a
+//! dropped frame. `Hello` frames register the sender's listen address,
+//! so a node only needs a seed peer list: everyone it has ever heard
 //! from becomes routable.
 //!
 //! Send path: `send` encodes the frame once into a buffer checked out
@@ -26,14 +30,14 @@
 //! view of the store's extent or of the caller's payload, and is spliced
 //! into the socket write at its position. An `Arc` of the pair goes onto
 //! the peer's bounded queue (a multicast shares one encoded frame across
-//! every queue), then the loop is kicked through an eventfd waker. A
-//! queued bulk frame therefore holds a view, not a copy, however far
-//! ahead of the socket its sender runs. The loop drains each queue into
-//! vectored writes of ≤32 frames or ≈1 MiB; when the socket's buffer
-//! fills it subscribes `EPOLLOUT` (counted — the backpressure gauge)
-//! and resumes exactly where the partial write stopped. Replies
-//! prefer the live inbound connection a peer's frames arrived on, so
-//! a client does not need its own listener to be answered.
+//! every queue), and when the peer's connection has nothing ahead of it
+//! the same call writes it. A queued bulk frame therefore holds a view,
+//! not a copy, however far ahead of the socket its sender runs. Queues
+//! drain in vectored writes of ≤32 frames or ≈1 MiB; only a short write
+//! subscribes `EPOLLOUT` (counted — the backpressure gauge), and the
+//! next poll resumes exactly where it stopped. Replies prefer the live
+//! inbound connection a peer's frames arrived on, so a client does not
+//! need its own listener to be answered.
 //!
 //! Delivery semantics deliberately mirror the simulator's lossy
 //! network: a send to a dead or unreachable peer gets one redial after
@@ -46,9 +50,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,11 +64,20 @@ use crate::chaos::{Chaos, ChaosConfig, Fault};
 use crate::flight::FlightRecorder;
 use crate::frame::{self, Frame, FrameError, StreamDecoder};
 use crate::pool::{BufPool, PooledBuf};
+use crate::runtime::BATCH;
+
+/// Outbound connection establishment budget (dialer thread).
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Wait before the single redial attempt after a connect failure.
+const RETRY_BACKOFF: Duration = Duration::from_millis(50);
+/// Per-peer outbound queue depth; frames beyond it are dropped, not
+/// blocked — one slow peer must never apply backpressure to the node.
+const OUTBOUND_QUEUE: usize = 256;
 
 /// Most frames folded into one vectored write.
 const COALESCE_MAX: usize = 32;
-/// Bytes past which a write batch takes no further frame: a socket
-/// accepts a few MiB at most.
+/// Bytes past which a write takes no further frame: a socket accepts a
+/// few MiB at most.
 const COALESCE_BYTES: usize = 1 << 20;
 
 /// Consecutive queue-full drops to one peer before its connection is
@@ -74,15 +86,15 @@ const COALESCE_BYTES: usize = 1 << 20;
 /// traffic so its socket is reclaimed.
 const EVICT_AFTER_FULL: u32 = 64;
 
-/// Reads drained from one connection per readiness event before the
-/// loop moves on — fairness under a firehose from one peer
-/// (level-triggered epoll re-arms anything left).
-const READS_PER_EVENT: usize = 256;
+/// Bytes read ahead of the caller past which no socket is read while a
+/// decoded message waits: a batch of 256 KiB replies would otherwise
+/// hold 8 MiB of landing buffers nobody has looked at yet.
+const READ_AHEAD_BYTES: usize = 1 << 20;
 
-/// Bound on the parting flush at shutdown: frames enqueued just before
+/// Bound on the parting flush at shutdown: frames queued just before
 /// `shutdown()` (a daemon's final replies) get this long to reach the
 /// kernel; whatever a wedged peer still holds after it is dropped, so
-/// the thread join stays bounded.
+/// shutdown stays bounded.
 const FLUSH_ON_SHUTDOWN: Duration = Duration::from_millis(100);
 
 /// Waker token.
@@ -92,52 +104,10 @@ const TOK_LISTENER: Token = 1;
 /// First connection token (= slot index + TOK_CONN0).
 const TOK_CONN0: Token = 2;
 
-/// Transport tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct MeshConfig {
-    /// Outbound connection establishment budget (dialer thread).
-    pub connect_timeout: Duration,
-    /// Upper bound on one event-loop sleep (shutdown responsiveness
-    /// backstop; the waker normally interrupts sleeps immediately).
-    pub read_timeout: Duration,
-    /// Wait before the single redial attempt after a connect failure.
-    pub retry_backoff: Duration,
-    /// Bounded inbox depth; senders beyond it are dropped, not blocked.
-    pub inbox_capacity: usize,
-    /// Per-peer outbound queue depth; frames beyond it are dropped, not
-    /// blocked — one slow peer must never apply backpressure to the
-    /// daemon loop.
-    pub outbound_queue: usize,
-}
-
-impl Default for MeshConfig {
-    fn default() -> MeshConfig {
-        MeshConfig {
-            connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(100),
-            retry_backoff: Duration::from_millis(50),
-            inbox_capacity: 1024,
-            outbound_queue: 256,
-        }
-    }
-}
-
-/// Counters the mesh keeps about itself (drained into the node's
-/// metrics registry by the daemon loop). Atomics, because the event
-/// loop and the daemon thread bump them concurrently.
-#[derive(Debug, Default)]
-struct MeshCounters {
-    sent: AtomicU64,
-    send_failures: AtomicU64,
-    dropped_inbox_full: AtomicU64,
-    decode_errors: AtomicU64,
-    checksum_errors: AtomicU64,
-    chaos_dropped: AtomicU64,
-    chaos_duplicated: AtomicU64,
-    chaos_delayed: AtomicU64,
-    epollout_waits: AtomicU64,
-    conns: AtomicU64,
-}
+/// What [`Mesh::start`] takes. The mesh has no settable values: its
+/// timeouts and bounds are constants of this module.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MeshConfig;
 
 /// A point-in-time copy of the mesh counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -147,20 +117,21 @@ pub struct MeshStats {
     /// Frames dropped: peer unreachable after redial, queue full, or
     /// connection lost mid-write.
     pub send_failures: u64,
-    /// Inbound messages dropped because the inbox was full.
-    pub dropped_inbox_full: u64,
     /// Connections dropped for undecodable bytes.
     pub decode_errors: u64,
+    /// Of those, connections dropped for a frame that failed its
+    /// checksum (damage to a peer's bytes, not a stranger's protocol).
+    pub checksum_errors: u64,
     /// Frames dropped by injected chaos (random loss + partitions).
     pub chaos_dropped: u64,
     /// Frames duplicated by injected chaos.
     pub chaos_duplicated: u64,
     /// Frames delayed by injected chaos.
     pub chaos_delayed: u64,
-    /// Times a socket write filled the kernel buffer and the loop had
+    /// Times a socket write filled the kernel buffer and the mesh had
     /// to wait for `EPOLLOUT` — the write-backpressure gauge.
     pub epollout_waits: u64,
-    /// Live connections (inbound + outbound) owned by the event loop.
+    /// Live connections (inbound + outbound).
     pub conns: u64,
 }
 
@@ -199,137 +170,135 @@ struct QItem {
     deliver_at: Option<Instant>,
 }
 
-/// State the daemon thread and the event loop agree on for one peer's
-/// outbound traffic. `kicked` lives under the queue mutex so the
-/// "queue drained, allow a new kick" / "frame pushed, kick needed"
-/// handoff has no lost-wakeup window.
-struct QueueInner {
-    q: VecDeque<QItem>,
-    kicked: bool,
+/// One live connection.
+struct Conn {
+    stream: TcpStream,
+    decoder: StreamDecoder,
+    /// The node on the other end: the dial target, or the sender of the
+    /// first frame received (inbound connections are anonymous until
+    /// their `Hello` arrives).
+    peer: Option<NodeId>,
+    /// The frame a short write left half-sent, and how much of it went:
+    /// it must finish on this connection, whatever the route says now.
+    partial: Option<(Arc<Encoded>, usize)>,
+    /// `EPOLLOUT` currently subscribed.
+    want_write: bool,
 }
 
-struct PeerQueue {
-    inner: Mutex<QueueInner>,
-    depth: AtomicU64,
-}
-
-impl PeerQueue {
-    fn new() -> PeerQueue {
-        PeerQueue {
-            inner: Mutex::new(QueueInner { q: VecDeque::new(), kicked: false }),
-            depth: AtomicU64::new(0),
-        }
-    }
-}
-
-struct Shared {
-    /// NodeId → listen address, learned from config and `Hello` frames.
-    peers: Mutex<HashMap<NodeId, SocketAddr>>,
-    /// Per-peer bounded outbound queues (created on first send).
-    queues: Mutex<HashMap<NodeId, Arc<PeerQueue>>>,
-    counters: MeshCounters,
-    shutdown: AtomicBool,
-}
-
-/// Daemon-thread → event-loop commands (paired with a waker kick).
-enum Cmd {
-    /// Peer has queued frames to drain.
+/// The mesh's own deadlines.
+#[derive(Clone, Copy, PartialEq)]
+enum Timer {
+    /// A chaos-delayed frame heads the peer's queue.
     Kick(NodeId),
-    /// Connect (and send our `Hello`) if not already connected.
-    Ensure(NodeId),
-    /// Tear down the peer's connection and queued frames (wedged link).
-    Evict(NodeId),
+    /// The peer's one redial after a failed connect.
+    Redial(NodeId),
+}
+
+struct DialReq {
+    peer: NodeId,
+    addr: SocketAddr,
+}
+
+struct DialRes {
+    peer: NodeId,
+    stream: Option<TcpStream>,
+}
+
+/// The dialer thread and its two channels.
+struct Dialer {
+    req: Sender<DialReq>,
+    res: Receiver<DialRes>,
+    thread: JoinHandle<()>,
 }
 
 /// The node's connection fabric.
 pub struct Mesh {
     me: NodeId,
     listen_addr: SocketAddr,
-    cfg: MeshConfig,
-    shared: Arc<Shared>,
-    inbox: Receiver<(NodeId, Msg)>,
-    pool: BufPool,
-    cmd_tx: Sender<Cmd>,
+    listener: TcpListener,
+    poller: Poller,
+    events: Vec<epoll::Event>,
+    /// Rung by the dialer when a connect finishes.
     waker: Arc<Waker>,
+    /// `None` once shut down.
+    dialer: Option<Dialer>,
+    /// NodeId → listen address, learned from config and `Hello` frames.
+    peers: HashMap<NodeId, SocketAddr>,
+    /// Per-peer bounded outbound queues (created on first send).
+    queues: HashMap<NodeId, VecDeque<QItem>>,
+    /// Connection slots; a token is `TOK_CONN0` + slot. A slot freed
+    /// and reused within one poll may get its old socket's event, which
+    /// is harmless: every socket is nonblocking, so a stale readiness
+    /// reads or writes nothing.
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    /// Preferred connection for sending to a peer. Inbound connections
+    /// registered here on their `Hello` let replies flow back without a
+    /// reverse dial — a client does not need a listener of its own.
+    route: HashMap<NodeId, usize>,
+    /// Outstanding dial attempt per peer (1 = first, 2 = redial).
+    dialing: HashMap<NodeId, u32>,
+    timers: Vec<(Instant, Timer)>,
+    /// Decoded messages not yet taken by the caller: at most [`BATCH`].
+    ready: VecDeque<(NodeId, Msg)>,
+    /// Bytes read since `ready` was last empty.
+    read_ahead: usize,
+    stats: MeshStats,
+    pool: BufPool,
     /// Consecutive queue-full drops per peer (eviction trigger).
     full_strikes: HashMap<NodeId, u32>,
     /// Installed fault-injection rules, if any (see [`crate::chaos`]).
     chaos: Option<Chaos>,
-    /// Flight recorder for chaos-injection telemetry (chaos verdicts
-    /// happen here at the enqueue boundary, on the daemon thread).
+    /// Flight recorder for chaos-injection telemetry.
     flight: Option<FlightRecorder>,
-    loop_thread: Option<JoinHandle<()>>,
-    dial_thread: Option<JoinHandle<()>>,
 }
 
 impl Mesh {
     /// Start the mesh on an already-bound listener with a seed peer
-    /// list. The listener is taken over by the event-loop thread.
+    /// list. Only the dialer gets a thread; everything else happens in
+    /// the caller's [`Mesh::recv_timeout`] and [`Mesh::try_recv`].
     pub fn start(
         me: NodeId,
         listener: TcpListener,
         seed_peers: HashMap<NodeId, SocketAddr>,
-        cfg: MeshConfig,
+        _cfg: MeshConfig,
     ) -> std::io::Result<Mesh> {
         let listen_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (inbox_tx, inbox_rx) = mpsc::sync_channel(cfg.inbox_capacity);
-        let (cmd_tx, cmd_rx) = mpsc::channel();
-        let (dial_req_tx, dial_req_rx) = mpsc::channel::<DialReq>();
-        let (dial_res_tx, dial_res_rx) = mpsc::channel::<DialRes>();
         let waker = Arc::new(Waker::new()?);
-        let shared = Arc::new(Shared {
-            peers: Mutex::new(seed_peers),
-            queues: Mutex::new(HashMap::new()),
-            counters: MeshCounters::default(),
-            shutdown: AtomicBool::new(false),
-        });
+        let mut poller = Poller::new()?;
+        poller.add(waker.fd(), TOK_WAKER, Interest::READABLE)?;
+        poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READABLE)?;
 
-        let dial_shared = Arc::clone(&shared);
+        let (req_tx, req_rx) = mpsc::channel::<DialReq>();
+        let (res_tx, res_rx) = mpsc::channel::<DialRes>();
         let dial_waker = Arc::clone(&waker);
-        let dial_thread = std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("sorrento-dial-{}", me.index()))
-            .spawn(move || {
-                dial_loop(dial_req_rx, dial_res_tx, dial_waker, dial_shared, cfg, me, listen_addr)
-            })?;
-
-        let mut el = EventLoop {
-            poller: Poller::new()?,
-            waker: Arc::clone(&waker),
-            listener,
-            shared: Arc::clone(&shared),
-            cfg,
-            inbox: inbox_tx,
-            cmd_rx,
-            dial_req: dial_req_tx,
-            dial_res: dial_res_rx,
-            conns: Vec::new(),
-            free: Vec::new(),
-            free_pending: Vec::new(),
-            route: HashMap::new(),
-            dialing: HashMap::new(),
-            timers: Vec::new(),
-        };
-        el.poller.add(waker.fd(), TOK_WAKER, Interest::READABLE)?;
-        el.poller.add(el.listener.as_raw_fd(), TOK_LISTENER, Interest::READABLE)?;
-        let loop_thread = std::thread::Builder::new()
-            .name(format!("sorrento-net-{}", me.index()))
-            .spawn(move || el.run())?;
+            .spawn(move || dial_loop(req_rx, res_tx, dial_waker, me, listen_addr))?;
 
         Ok(Mesh {
             me,
             listen_addr,
-            cfg,
-            shared,
-            inbox: inbox_rx,
-            pool: BufPool::new(),
-            cmd_tx,
+            listener,
+            poller,
+            events: Vec::new(),
             waker,
+            dialer: Some(Dialer { req: req_tx, res: res_rx, thread }),
+            peers: seed_peers,
+            queues: HashMap::new(),
+            conns: Vec::new(),
+            free: Vec::new(),
+            route: HashMap::new(),
+            dialing: HashMap::new(),
+            timers: Vec::new(),
+            ready: VecDeque::with_capacity(BATCH),
+            read_ahead: 0,
+            stats: MeshStats::default(),
+            pool: BufPool::new(),
             full_strikes: HashMap::new(),
             chaos: None,
             flight: None,
-            loop_thread: Some(loop_thread),
-            dial_thread: Some(dial_thread),
         })
     }
 
@@ -339,30 +308,51 @@ impl Mesh {
     }
 
     /// Register (or update) a peer's listen address.
-    pub fn add_peer(&self, id: NodeId, addr: SocketAddr) {
-        self.shared.peers.lock().unwrap().insert(id, addr);
+    pub fn add_peer(&mut self, id: NodeId, addr: SocketAddr) {
+        self.peers.insert(id, addr);
     }
 
     /// Every peer currently known (never includes this node).
     pub fn known_peers(&self) -> Vec<NodeId> {
-        let peers = self.shared.peers.lock().unwrap();
-        peers.keys().copied().filter(|&p| p != self.me).collect()
+        self.peers.keys().copied().filter(|&p| p != self.me).collect()
     }
 
-    /// Blocking receive with a timeout; `None` on timeout or shutdown.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(NodeId, Msg)> {
-        self.inbox.recv_timeout(timeout).ok()
+    /// Wait up to `timeout` for a message, doing the mesh's work on this
+    /// thread meanwhile; `None` on timeout.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Msg)> {
+        let until = Instant::now() + timeout;
+        loop {
+            if !self.ready.is_empty() {
+                return self.take();
+            }
+            self.poll(until.saturating_duration_since(Instant::now()));
+            if self.ready.is_empty() && Instant::now() >= until {
+                return None;
+            }
+        }
     }
 
-    /// The next message already queued, without blocking.
-    pub fn try_recv(&self) -> Option<(NodeId, Msg)> {
-        self.inbox.try_recv().ok()
+    /// The next message the kernel already holds, without blocking.
+    pub fn try_recv(&mut self) -> Option<(NodeId, Msg)> {
+        if self.ready.is_empty() {
+            self.poll(Duration::ZERO);
+        }
+        self.take()
+    }
+
+    fn take(&mut self) -> Option<(NodeId, Msg)> {
+        let got = self.ready.pop_front();
+        if self.ready.is_empty() {
+            self.read_ahead = 0;
+        }
+        got
     }
 
     /// Send to one peer: best-effort, one redial after backoff, then the
     /// message is dropped (the peer's death shows up as RPC timeouts,
     /// exactly as in the simulator). Never blocks the caller: the frame
-    /// is encoded into a pooled buffer and queued; a full queue drops
+    /// is encoded into a pooled buffer, queued, and written now if the
+    /// peer's connection has nothing ahead of it; a full queue drops
     /// the frame.
     pub fn send(&mut self, to: NodeId, msg: &Msg) {
         let frame = self.encode(msg);
@@ -404,8 +394,8 @@ impl Mesh {
     }
 
     fn enqueue(&mut self, to: NodeId, frame: Arc<Encoded>) {
-        // Chaos verdict first (daemon thread, frame order: the decision
-        // stream is deterministic for a given seed and link).
+        // Chaos verdict first, in send order: the decision stream is
+        // deterministic for a given seed and link.
         let mut delay = None;
         let mut copies = 1u32;
         if let Some(chaos) = &mut self.chaos {
@@ -422,94 +412,73 @@ impl Mesh {
             match fault {
                 Fault::Deliver => {}
                 Fault::Drop | Fault::Partitioned => {
-                    self.shared.counters.chaos_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.stats.chaos_dropped += 1;
                     return;
                 }
                 Fault::Duplicate => {
                     copies = 2;
-                    self.shared.counters.chaos_duplicated.fetch_add(1, Ordering::Relaxed);
+                    self.stats.chaos_duplicated += 1;
                 }
                 Fault::Delay(d) => {
                     delay = Some(Instant::now() + d);
-                    self.shared.counters.chaos_delayed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.chaos_delayed += 1;
                 }
             }
         }
-        let pq = {
-            let mut queues = self.shared.queues.lock().unwrap();
-            Arc::clone(queues.entry(to).or_insert_with(|| Arc::new(PeerQueue::new())))
-        };
+        let queue = self.queues.entry(to).or_default();
         for _ in 0..copies {
-            let need_kick = {
-                let mut g = pq.inner.lock().unwrap();
-                if g.q.len() >= self.cfg.outbound_queue {
-                    drop(g);
-                    self.shared.counters.send_failures.fetch_add(1, Ordering::Relaxed);
-                    // A queue that stays full means the peer's connection
-                    // is wedged (TCP window exhausted by a non-reader, or
-                    // a blackholed route): after enough consecutive
-                    // strikes, evict — the loop closes the socket and
-                    // drops the backlog — so a later send starts over on
-                    // a fresh connection instead of feeding a dead one.
-                    let strikes = self.full_strikes.entry(to).or_insert(0);
-                    *strikes += 1;
-                    if *strikes >= EVICT_AFTER_FULL {
-                        self.full_strikes.remove(&to);
-                        let _ = self.cmd_tx.send(Cmd::Evict(to));
-                        self.waker.wake();
-                    }
-                    continue;
-                }
-                g.q.push_back(QItem { out: Arc::clone(&frame), deliver_at: delay });
+            if queue.len() < OUTBOUND_QUEUE {
+                queue.push_back(QItem { out: Arc::clone(&frame), deliver_at: delay });
                 self.full_strikes.remove(&to);
-                let kick = !g.kicked;
-                g.kicked = true;
-                kick
-            };
-            pq.depth.fetch_add(1, Ordering::Relaxed);
-            if need_kick {
-                let _ = self.cmd_tx.send(Cmd::Kick(to));
-                self.waker.wake();
+                continue;
+            }
+            self.stats.send_failures += 1;
+            // A queue that stays full means the peer's connection is
+            // wedged (TCP window exhausted by a non-reader, or a
+            // blackholed route): after enough consecutive strikes, evict
+            // — close the socket and drop the backlog — so a later send
+            // starts over on a fresh connection instead of feeding a
+            // dead one.
+            let strikes = self.full_strikes.entry(to).or_insert(0);
+            *strikes += 1;
+            if *strikes >= EVICT_AFTER_FULL {
+                self.full_strikes.remove(&to);
+                self.drop_backlog(to);
+                if let Some(&idx) = self.route.get(&to) {
+                    self.close_conn(idx);
+                }
+                return;
             }
         }
+        self.pump_peer(to);
     }
 
     /// Open a connection (which carries our `Hello`) to every known
     /// peer. A joining node calls this so daemons learn its listen
     /// address — and start multicasting to it — before it sends any
     /// protocol traffic. Safe to call repeatedly (a boot-retry loop):
-    /// peers that are already connected are left untouched.
+    /// peers that are already connected or being dialed are left
+    /// untouched.
     pub fn hello_all(&mut self) {
         for peer in self.known_peers() {
-            let _ = self.cmd_tx.send(Cmd::Ensure(peer));
+            if !self.route.contains_key(&peer) && !self.dialing.contains_key(&peer) {
+                self.start_dial(peer, 1);
+            }
         }
-        self.waker.wake();
     }
 
-    /// Per-peer sender-queue depth: frames enqueued but not yet written
+    /// Per-peer sender-queue depth: frames queued but not yet written
     /// to (or dropped from) the peer's connection.
     pub fn queue_depths(&self) -> Vec<(NodeId, u64)> {
-        let queues = self.shared.queues.lock().unwrap();
         let mut depths: Vec<(NodeId, u64)> =
-            queues.iter().map(|(&peer, q)| (peer, q.depth.load(Ordering::Relaxed))).collect();
+            self.queues.iter().map(|(&peer, q)| (peer, q.len() as u64)).collect();
         depths.sort_by_key(|&(peer, _)| peer.index());
         depths
     }
 
     /// A snapshot of the mesh counters.
     pub fn stats(&self) -> MeshStats {
-        let c = &self.shared.counters;
-        MeshStats {
-            sent: c.sent.load(Ordering::Relaxed),
-            send_failures: c.send_failures.load(Ordering::Relaxed),
-            dropped_inbox_full: c.dropped_inbox_full.load(Ordering::Relaxed),
-            decode_errors: c.decode_errors.load(Ordering::Relaxed),
-            chaos_dropped: c.chaos_dropped.load(Ordering::Relaxed),
-            chaos_duplicated: c.chaos_duplicated.load(Ordering::Relaxed),
-            chaos_delayed: c.chaos_delayed.load(Ordering::Relaxed),
-            epollout_waits: c.epollout_waits.load(Ordering::Relaxed),
-            conns: c.conns.load(Ordering::Relaxed),
-        }
+        MeshStats { conns: self.conns.iter().flatten().count() as u64, ..self.stats }
     }
 
     /// Flush mesh counters into labeled metrics, including one
@@ -520,10 +489,8 @@ impl Mesh {
         let s = self.stats();
         metrics.gauge_set("net_sent", s.sent as f64);
         metrics.gauge_set("net_send_failures", s.send_failures as f64);
-        metrics.gauge_set("net_dropped_inbox_full", s.dropped_inbox_full as f64);
         metrics.gauge_set("net_decode_errors", s.decode_errors as f64);
-        let checksum_errors = self.shared.counters.checksum_errors.load(Ordering::Relaxed);
-        metrics.gauge_set("net_checksum_errors", checksum_errors as f64);
+        metrics.gauge_set("net_checksum_errors", s.checksum_errors as f64);
         metrics.gauge_set("net_chaos_dropped", s.chaos_dropped as f64);
         metrics.gauge_set("net_chaos_duplicated", s.chaos_duplicated as f64);
         metrics.gauge_set("net_chaos_delayed", s.chaos_delayed as f64);
@@ -537,311 +504,105 @@ impl Mesh {
         metrics.gauge_set("net_queue_depth_max", max_depth as f64);
     }
 
-    /// Stop and *join* the event-loop and dialer threads. Frames
-    /// already queued to connected peers get one bounded parting
-    /// flush (100 ms) so a reply sent just before the
-    /// stop is not silently stranded; every socket the loop owns is
-    /// nonblocking and the dialer's connect is timeout-bounded, so
-    /// the join is bounded too.
+    /// Close every connection and *join* the dialer. Frames already
+    /// queued to connected peers get one bounded parting flush (100 ms)
+    /// so a reply sent just before the stop is not silently stranded;
+    /// every socket is nonblocking and the dialer's connect is
+    /// timeout-bounded, so shutdown is bounded too. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(t) = self.loop_thread.take() {
-            let _ = t.join();
+        // Without a dialer nothing is redialed on the way out.
+        let Some(dialer) = self.dialer.take() else { return };
+        let _ = self.poller.remove(self.listener.as_raw_fd());
+        let _ = self.poller.remove(self.waker.fd());
+        self.flush_before_close();
+        for idx in 0..self.conns.len() {
+            self.close_conn(idx);
         }
-        if let Some(t) = self.dial_thread.take() {
-            let _ = t.join();
-        }
+        // Dropping both channels ends the dialer after any connect in
+        // flight.
+        let Dialer { req, res, thread } = dialer;
+        drop((req, res));
+        let _ = thread.join();
     }
-}
 
-impl Drop for Mesh {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ------------------------------------------------------------ dial thread
-
-struct DialReq {
-    peer: NodeId,
-    addr: SocketAddr,
-}
-
-struct DialRes {
-    peer: NodeId,
-    stream: Option<TcpStream>,
-}
-
-/// The one fixed dialer thread: blocking (timeout-bounded) connects and
-/// the `Hello` handshake happen here so the event loop never stalls on
-/// a dead address. Established streams are handed to the loop already
-/// nonblocking.
-fn dial_loop(
-    req_rx: Receiver<DialReq>,
-    res_tx: Sender<DialRes>,
-    waker: Arc<Waker>,
-    shared: Arc<Shared>,
-    cfg: MeshConfig,
-    me: NodeId,
-    listen_addr: SocketAddr,
-) {
-    // The loop exiting drops `req_rx`'s sender, ending this thread.
-    while let Ok(req) = req_rx.recv() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+    /// Best-effort parting flush: a frame queued just before
+    /// `shutdown()` — a daemon's final reply — gets one bounded window
+    /// to reach the kernel instead of being silently stranded by
+    /// teardown. Only peers with a live connection are pumped, and a
+    /// blocked socket is waited on only until the deadline, so a wedged
+    /// peer cannot hold shutdown hostage. Whatever is still queued
+    /// afterwards is dropped — lossy semantics unchanged.
+    fn flush_before_close(&mut self) {
+        let deadline = Instant::now() + FLUSH_ON_SHUTDOWN;
+        let routed: Vec<NodeId> = self.route.keys().copied().collect();
+        for peer in routed {
+            self.pump_peer(peer);
         }
-        let stream = connect_hello(req.addr, cfg, me, listen_addr);
-        let lost = res_tx.send(DialRes { peer: req.peer, stream }).is_err();
-        waker.wake();
-        if lost {
-            return;
-        }
-    }
-}
-
-/// Connect, introduce ourselves, and switch to nonblocking. Any failure
-/// yields `None` — the loop decides whether to retry.
-fn connect_hello(
-    addr: SocketAddr,
-    cfg: MeshConfig,
-    me: NodeId,
-    listen_addr: SocketAddr,
-) -> Option<TcpStream> {
-    let mut stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(cfg.connect_timeout));
-    // Introduce ourselves so the peer can route replies and multicasts
-    // back without prior configuration.
-    let hello = frame::encode_hello(me, &listen_addr.to_string());
-    stream.write_all(&hello).ok()?;
-    stream.set_nonblocking(true).ok()?;
-    Some(stream)
-}
-
-// ------------------------------------------------------------ event loop
-
-/// One live connection owned by the event loop.
-struct Conn {
-    stream: TcpStream,
-    decoder: StreamDecoder,
-    /// The node on the other end: the dial target, or the sender of the
-    /// first frame received (inbound connections are anonymous until
-    /// their `Hello` arrives).
-    peer: Option<NodeId>,
-    /// Frames mid-write: front may be partially written (`front_off`).
-    batch: VecDeque<Arc<Encoded>>,
-    front_off: usize,
-    /// `EPOLLOUT` currently subscribed.
-    want_write: bool,
-}
-
-/// Loop-local timers (chaos-delayed frames, redial backoff).
-enum Timer {
-    Kick(NodeId),
-    Redial(NodeId),
-}
-
-struct EventLoop {
-    poller: Poller,
-    waker: Arc<Waker>,
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    cfg: MeshConfig,
-    inbox: SyncSender<(NodeId, Msg)>,
-    cmd_rx: Receiver<Cmd>,
-    dial_req: Sender<DialReq>,
-    dial_res: Receiver<DialRes>,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    /// Slots freed during the current event batch; recycled only after
-    /// the batch so a stale event cannot hit a fresh connection.
-    free_pending: Vec<usize>,
-    /// Preferred connection for sending to a peer. Inbound connections
-    /// registered here on their `Hello` let replies flow back without a
-    /// reverse dial — a client does not need a listener of its own.
-    route: HashMap<NodeId, usize>,
-    /// Outstanding dial attempt count per peer (1 = first, 2 = redial).
-    dialing: HashMap<NodeId, u32>,
-    timers: Vec<(Instant, Timer)>,
-}
-
-impl EventLoop {
-    fn run(&mut self) {
-        let mut events: Vec<epoll::Event> = Vec::new();
-        let mut iter: u32 = 0;
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            self.drain_channels();
-            self.fire_timers();
-            let timeout = self.next_timeout();
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+        while self.conns.iter().flatten().any(|c| c.want_write) {
+            let now = Instant::now();
+            if now >= deadline {
                 break;
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
+            self.poll(deadline - now);
+        }
+    }
+
+    // ------------------------------------------------------------ poll
+
+    /// One `epoll_wait` of at most `wait` (less if a mesh deadline comes
+    /// sooner), then everything it reported, then every due deadline.
+    fn poll(&mut self, wait: Duration) {
+        let now = Instant::now();
+        let wait = self
+            .timers
+            .iter()
+            .map(|(at, _)| at.saturating_duration_since(now))
+            .fold(wait, Duration::min);
+        let mut events = std::mem::take(&mut self.events);
+        if self.poller.wait(&mut events, Some(wait)).is_ok() {
             for ev in &events {
                 match ev.token {
-                    TOK_WAKER => self.waker.drain(),
+                    TOK_WAKER => {
+                        self.waker.drain();
+                        self.dials_finished();
+                    }
                     TOK_LISTENER => self.accept_ready(),
                     tok => {
                         let idx = (tok - TOK_CONN0) as usize;
+                        if ev.writable {
+                            self.pump(idx);
+                        }
                         if ev.readable || ev.error {
                             self.conn_readable(idx);
                         }
-                        if ev.writable {
-                            self.conn_writable(idx);
-                        }
                     }
                 }
             }
-            self.free.append(&mut self.free_pending);
-            // Backstop sweep: any queue left non-empty with no kick in
-            // flight (a race lost at a quiescence edge, a registration
-            // failure) would otherwise wedge forever — its owner skips
-            // further kicks while `kicked` is set. Sweeping on idle
-            // ticks (and periodically under sustained load) bounds any
-            // such stall at roughly one `read_timeout`.
-            iter = iter.wrapping_add(1);
-            if events.is_empty() || iter.is_multiple_of(64) {
-                self.sweep_queues();
-            }
         }
-        // Unregister before dropping so the poll(2) fallback stays tidy.
-        // The listener and waker go first so the parting flush only
-        // sees connection events (no new accepts on the way out).
-        let _ = self.poller.remove(self.listener.as_raw_fd());
-        let _ = self.poller.remove(self.waker.fd());
-        self.flush_before_close(&mut events);
-        for idx in 0..self.conns.len() {
-            if self.conns[idx].is_some() {
-                self.close_conn(idx);
-            }
-        }
-    }
-
-    /// Best-effort parting flush: a frame enqueued just before
-    /// `shutdown()` — a daemon's final reply — gets one bounded window
-    /// to reach the kernel instead of being silently stranded by
-    /// teardown. Only peers with a live connection are pumped (no
-    /// fresh dials on the way out), and a blocked socket is waited on
-    /// only until the deadline, so a wedged peer cannot hold the
-    /// thread join hostage. Whatever is still queued afterwards is
-    /// dropped exactly as before — lossy semantics unchanged.
-    fn flush_before_close(&mut self, events: &mut Vec<epoll::Event>) {
-        let deadline = Instant::now() + FLUSH_ON_SHUTDOWN;
-        loop {
-            let routed: Vec<NodeId> = {
-                let queues = self.shared.queues.lock().unwrap();
-                queues
-                    .iter()
-                    .filter(|(p, q)| {
-                        q.depth.load(Ordering::Relaxed) > 0 && self.route.contains_key(p)
-                    })
-                    .map(|(p, _)| *p)
-                    .collect()
-            };
-            for peer in &routed {
-                self.pump_peer(*peer);
-            }
-            let unflushed = self.conns.iter().flatten().any(|c| !c.batch.is_empty());
-            if !unflushed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline || self.poller.wait(events, Some(deadline - now)).is_err() {
-                break;
-            }
-            for ev in events.iter() {
-                if ev.token >= TOK_CONN0 && ev.writable {
-                    self.conn_writable((ev.token - TOK_CONN0) as usize);
-                }
-            }
-            self.free.append(&mut self.free_pending);
-        }
-    }
-
-    /// Pump every peer whose queue has frames waiting (see `run`).
-    fn sweep_queues(&mut self) {
-        let pending: Vec<NodeId> = {
-            let queues = self.shared.queues.lock().unwrap();
-            queues
-                .iter()
-                .filter(|(_, q)| q.depth.load(Ordering::Relaxed) > 0)
-                .map(|(p, _)| *p)
-                .collect()
-        };
-        for peer in pending {
-            self.pump_peer(peer);
-        }
-    }
-
-    /// Commands from the daemon thread and results from the dialer.
-    fn drain_channels(&mut self) {
-        while let Ok(cmd) = self.cmd_rx.try_recv() {
-            match cmd {
-                Cmd::Kick(peer) => self.pump_peer(peer),
-                Cmd::Ensure(peer) => {
-                    if !self.connected(peer) && !self.dialing.contains_key(&peer) {
-                        self.start_dial(peer, 1);
-                    }
-                }
-                Cmd::Evict(peer) => self.evict(peer),
-            }
-        }
-        while let Ok(res) = self.dial_res.try_recv() {
-            self.dial_finished(res);
-        }
-    }
-
-    fn connected(&self, peer: NodeId) -> bool {
-        self.route.get(&peer).is_some_and(|&i| {
-            self.conns.get(i).is_some_and(|c| {
-                c.as_ref().is_some_and(|c| c.peer == Some(peer))
-            })
-        })
+        self.events = events;
+        self.fire_timers();
     }
 
     fn fire_timers(&mut self) {
         let now = Instant::now();
-        let mut due = Vec::new();
-        self.timers.retain(|(at, t)| {
-            if *at <= now {
-                due.push(match t {
-                    Timer::Kick(p) => Timer::Kick(*p),
-                    Timer::Redial(p) => Timer::Redial(*p),
-                });
-                false
-            } else {
-                true
-            }
-        });
-        for t in due {
+        let due: Vec<_> = self.timers.extract_if(.., |(at, _)| *at <= now).collect();
+        for (_, t) in due {
             match t {
                 Timer::Kick(peer) => self.pump_peer(peer),
                 Timer::Redial(peer) => {
-                    if let Some(addr) = self.addr_of(peer) {
-                        let _ = self.dial_req.send(DialReq { peer, addr });
-                    } else {
-                        self.dialing.remove(&peer);
-                        self.drop_backlog(peer);
-                    }
+                    self.dialing.remove(&peer);
+                    self.start_dial(peer, 2);
                 }
             }
         }
     }
 
-    fn next_timeout(&self) -> Duration {
-        let mut t = self.cfg.read_timeout;
-        let now = Instant::now();
-        for (at, _) in &self.timers {
-            t = t.min(at.saturating_duration_since(now).max(Duration::from_millis(1)));
+    /// Arm `timer` for `at`, or move it earlier if it is armed already.
+    fn arm(&mut self, at: Instant, timer: Timer) {
+        match self.timers.iter_mut().find(|(_, t)| *t == timer) {
+            Some(armed) => armed.0 = armed.0.min(at),
+            None => self.timers.push((at, timer)),
         }
-        t
-    }
-
-    fn addr_of(&self, peer: NodeId) -> Option<SocketAddr> {
-        self.shared.peers.lock().unwrap().get(&peer).copied()
     }
 
     // ---------------------------------------------------------- accept
@@ -850,14 +611,11 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.register_conn(stream, None).is_err() {
-                        continue;
-                    }
+                    let _ = self.register_conn(stream, None);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient (ECONNABORTED etc.): the next readiness
-                // event retries.
+                // WouldBlock, or transient (ECONNABORTED etc.): the next
+                // readiness event retries.
                 Err(_) => break,
             }
         }
@@ -882,47 +640,42 @@ impl EventLoop {
             stream,
             decoder: StreamDecoder::new(),
             peer,
-            batch: VecDeque::new(),
-            front_off: 0,
+            partial: None,
             want_write: false,
         });
         if let Some(p) = peer {
             self.route.insert(p, idx);
         }
-        self.shared.counters.conns.fetch_add(1, Ordering::Relaxed);
         Ok(idx)
     }
 
     fn close_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].take() else { return };
         let _ = self.poller.remove(conn.stream.as_raw_fd());
-        if !conn.batch.is_empty() {
-            self.shared
-                .counters
-                .send_failures
-                .fetch_add(conn.batch.len() as u64, Ordering::Relaxed);
+        if conn.partial.is_some() {
+            self.stats.send_failures += 1;
         }
-        if let Some(p) = conn.peer {
-            if self.route.get(&p) == Some(&idx) {
-                self.route.remove(&p);
-            }
-        }
-        self.free_pending.push(idx);
-        self.shared.counters.conns.fetch_sub(1, Ordering::Relaxed);
+        self.free.push(idx);
         // Frames may still be queued for this peer: redial so they are
         // either delivered on a fresh connection or dropped by the
         // dial-failure path (lossy semantics, bounded retry).
         if let Some(p) = conn.peer {
-            if self.backlog_pending(p) && !self.dialing.contains_key(&p) {
-                self.start_dial(p, 1);
+            if self.route.get(&p) == Some(&idx) {
+                self.route.remove(&p);
             }
+            self.pump_peer(p);
         }
     }
 
     // ------------------------------------------------------------ read
 
     fn conn_readable(&mut self, idx: usize) {
-        for _ in 0..READS_PER_EVENT {
+        loop {
+            // A full batch waits for the caller; the kernel keeps the rest.
+            let full = self.ready.len() >= BATCH || self.read_ahead >= READ_AHEAD_BYTES;
+            if full && !self.ready.is_empty() {
+                return;
+            }
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
             let spare = conn.decoder.spare();
             if spare.is_empty() {
@@ -934,27 +687,32 @@ impl EventLoop {
                     self.close_conn(idx);
                     return;
                 }
-                Ok(n) => match conn.decoder.advance(n) {
-                    Ok(Some((sender, frame))) => self.on_frame(idx, sender, frame),
-                    Ok(None) => {}
-                    Err(why) => {
-                        // The stream is out of sync; there is no resync
-                        // point in a byte stream, so drop the connection.
-                        // A failed checksum is counted apart: it is damage
-                        // to a peer's bytes, not a stranger's protocol.
-                        // (First, so no export shows the total without it.)
-                        let counters = &self.shared.counters;
-                        if why == FrameError::ChecksumMismatch {
-                            counters.checksum_errors.fetch_add(1, Ordering::Relaxed);
+                Ok(n) => {
+                    self.read_ahead += n;
+                    match conn.decoder.advance(n) {
+                        Ok(Some((sender, frame))) => self.on_frame(idx, sender, frame),
+                        Ok(None) => {}
+                        Err(why) => {
+                            // The stream is out of sync; there is no resync
+                            // point in a byte stream, so drop the
+                            // connection. A failed checksum is counted
+                            // apart: it is damage to a peer's bytes, not a
+                            // stranger's protocol.
+                            if why == FrameError::ChecksumMismatch {
+                                self.stats.checksum_errors += 1;
+                            }
+                            self.stats.decode_errors += 1;
+                            let peer = conn.peer.map_or("unidentified".into(), |p| p.to_string());
+                            let addr =
+                                conn.stream.peer_addr().map_or("?".into(), |a| a.to_string());
+                            eprintln!(
+                                "sorrento mesh: closed connection from {peer} at {addr}: {why}"
+                            );
+                            self.close_conn(idx);
+                            return;
                         }
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        let peer = conn.peer.map_or("unidentified".into(), |p| p.to_string());
-                        let addr = conn.stream.peer_addr().map_or("?".into(), |a| a.to_string());
-                        eprintln!("sorrento mesh: closed connection from {peer} at {addr}: {why}");
-                        self.close_conn(idx);
-                        return;
                     }
-                },
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -977,7 +735,7 @@ impl EventLoop {
         match frame {
             Frame::Hello { listen_addr } => {
                 if let Ok(addr) = listen_addr.parse() {
-                    let prev = self.shared.peers.lock().unwrap().insert(sender, addr);
+                    let prev = self.peers.insert(sender, addr);
                     if prev.is_some_and(|p| p != addr) {
                         // The peer's listen address changed: a cached
                         // outbound connection points at a dead
@@ -996,154 +754,128 @@ impl EventLoop {
             }
             Frame::Msg(msg) => {
                 self.route.entry(sender).or_insert(idx);
-                match self.inbox.try_send((sender, msg)) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                        self.shared.counters.dropped_inbox_full.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                self.ready.push_back((sender, msg));
             }
         }
     }
 
     // ----------------------------------------------------------- write
 
-    fn queue_of(&self, peer: NodeId) -> Option<Arc<PeerQueue>> {
-        self.shared.queues.lock().unwrap().get(&peer).cloned()
-    }
-
-    fn backlog_pending(&self, peer: NodeId) -> bool {
-        self.queue_of(peer)
-            .is_some_and(|q| !q.inner.lock().unwrap().q.is_empty())
-    }
-
     /// Drop every queued frame for `peer` (unreachable after redial, or
-    /// evicted), counting them as send failures, and re-arm kicks.
+    /// evicted), counting them as send failures.
     fn drop_backlog(&mut self, peer: NodeId) {
-        let Some(pq) = self.queue_of(peer) else { return };
-        let mut g = pq.inner.lock().unwrap();
-        let n = g.q.len() as u64;
-        g.q.clear();
-        g.kicked = false;
-        drop(g);
-        if n > 0 {
-            pq.depth.fetch_sub(n, Ordering::Relaxed);
-            self.shared.counters.send_failures.fetch_add(n, Ordering::Relaxed);
+        if let Some(q) = self.queues.get_mut(&peer) {
+            self.stats.send_failures += q.len() as u64;
+            q.clear();
         }
     }
 
-    /// Move queued frames for `peer` toward the wire: ensure a
-    /// connection (dialing if needed), refill the write batch, write
-    /// until done or the socket blocks.
+    /// Move queued frames for `peer` toward the wire: dial if it has no
+    /// connection, write now if its connection is not waiting for
+    /// `EPOLLOUT` (that wait's event does the write instead).
     fn pump_peer(&mut self, peer: NodeId) {
-        let Some(&idx) = self.route.get(&peer) else {
-            // No live connection: dial unless one is in progress.
-            if self.backlog_pending(peer) && !self.dialing.contains_key(&peer) {
-                self.start_dial(peer, 1);
+        match self.route.get(&peer) {
+            Some(&idx) => {
+                if self.conns.get(idx).and_then(Option::as_ref).is_some_and(|c| !c.want_write) {
+                    self.pump(idx);
+                }
             }
-            return;
-        };
-        self.pump_conn(idx, peer);
+            None => {
+                let backlog = self.queues.get(&peer).is_some_and(|q| !q.is_empty());
+                if backlog && !self.dialing.contains_key(&peer) {
+                    self.start_dial(peer, 1);
+                }
+            }
+        }
     }
 
-    fn pump_conn(&mut self, idx: usize, peer: NodeId) {
-        let Some(pq) = self.queue_of(peer) else { return };
+    /// Write connection `idx`'s half-sent frame, then — if it is its
+    /// peer's route — the peer's queue, with as few syscalls as
+    /// possible, until everything due is written or the socket is full.
+    /// A chaos-delayed frame holds the link (FIFO order is kept, like
+    /// queueing delay on a real NIC) and arms a kick for its instant.
+    /// Any hard write error closes the connection: a partial frame
+    /// cannot be resumed on another byte stream.
+    fn pump(&mut self, idx: usize) {
         loop {
-            // Refill the batch from the queue (chaos-delayed frames hold
-            // the link — FIFO order is preserved, like queueing delay on
-            // a real NIC).
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
+            let routed = conn.peer.filter(|p| self.route.get(p) == Some(&idx));
+            let mut queue = routed.and_then(|p| self.queues.get_mut(&p));
             let now = Instant::now();
-            let mut bytes: usize = conn.batch.iter().map(|b| b.len()).sum();
-            let mut g = pq.inner.lock().unwrap();
-            loop {
-                match g.q.front() {
-                    None => {
-                        if conn.batch.is_empty() {
-                            // Fully drained: the next enqueue must kick again.
-                            g.kicked = false;
-                        }
-                        break;
-                    }
-                    Some(_) if conn.batch.len() >= COALESCE_MAX || bytes >= COALESCE_BYTES => break,
-                    Some(QItem { deliver_at: Some(at), .. }) if *at > now => {
-                        self.timers.push((*at, Timer::Kick(peer)));
-                        break;
-                    }
-                    Some(_) => {}
-                }
-                let item = g.q.pop_front().expect("front just checked");
-                pq.depth.fetch_sub(1, Ordering::Relaxed);
-                bytes += item.out.len();
-                conn.batch.push_back(item.out);
+            let mut held = None;
+            let mut slices: Vec<IoSlice<'_>> = Vec::new();
+            let mut total = 0;
+            if let Some((frame, off)) = &conn.partial {
+                frame.slices(*off, &mut slices);
+                total += frame.len() - off;
             }
-            drop(g);
-            if conn.batch.is_empty() {
+            for (n, item) in queue.iter().flat_map(|q| q.iter()).enumerate() {
+                if n >= COALESCE_MAX || total >= COALESCE_BYTES {
+                    break;
+                }
+                if let Some(at) = item.deliver_at.filter(|&at| at > now) {
+                    held = Some(at);
+                    break;
+                }
+                item.out.slices(0, &mut slices);
+                total += item.out.len();
+            }
+            if slices.is_empty() {
+                if let (Some(at), Some(peer)) = (held, routed) {
+                    self.arm(at, Timer::Kick(peer));
+                }
                 self.set_want_write(idx, false);
                 return;
             }
-            match self.write_batch(idx) {
-                WriteOutcome::Drained => continue,
-                WriteOutcome::Blocked => {
+            let wrote = conn.stream.write_vectored(&slices);
+            drop(slices);
+            match wrote {
+                Ok(0) => {
+                    self.close_conn(idx);
+                    return;
+                }
+                Ok(n) => {
+                    let mut left = n;
+                    if let Some((frame, off)) = &mut conn.partial {
+                        let rem = frame.len() - *off;
+                        if left < rem {
+                            *off += left;
+                            left = 0;
+                        } else {
+                            left -= rem;
+                            conn.partial = None;
+                            self.stats.sent += 1;
+                        }
+                    }
+                    while left > 0 {
+                        let q = queue.as_mut().expect("bytes past the partial came from the queue");
+                        let item = q.pop_front().expect("written bytes were queued");
+                        let len = item.out.len();
+                        if left < len {
+                            conn.partial = Some((item.out, left));
+                            left = 0;
+                        } else {
+                            left -= len;
+                            self.stats.sent += 1;
+                        }
+                    }
+                    if n < total {
+                        // A short write: the socket buffer is full.
+                        self.set_want_write(idx, true);
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     self.set_want_write(idx, true);
                     return;
                 }
-                WriteOutcome::Closed => {
+                Err(_) => {
                     self.close_conn(idx);
                     return;
                 }
             }
         }
-    }
-
-    fn conn_writable(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-        let Some(peer) = conn.peer else { return };
-        self.pump_conn(idx, peer);
-    }
-
-    /// Write the connection's batch with as few syscalls as possible,
-    /// resuming mid-frame. Any hard write error invalidates the
-    /// connection (a partial frame cannot be resumed on a byte stream —
-    /// the receiver resyncs by dropping the connection).
-    fn write_batch(&mut self, idx: usize) -> WriteOutcome {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return WriteOutcome::Closed;
-        };
-        while !conn.batch.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(3 * conn.batch.len());
-            let mut skip = conn.front_off;
-            for frame in &conn.batch {
-                frame.slices(skip, &mut slices);
-                skip = 0;
-            }
-            match conn.stream.write_vectored(&slices) {
-                Ok(0) => return WriteOutcome::Closed,
-                Ok(mut n) => {
-                    while n > 0 {
-                        let front_len = conn.batch.front().expect("batch nonempty").len();
-                        let rem = front_len - conn.front_off;
-                        if n >= rem {
-                            n -= rem;
-                            conn.batch.pop_front();
-                            conn.front_off = 0;
-                            self.shared.counters.sent.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            conn.front_off += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                {
-                    return WriteOutcome::Blocked;
-                }
-                Err(_) => return WriteOutcome::Closed,
-            }
-        }
-        WriteOutcome::Drained
     }
 
     fn set_want_write(&mut self, idx: usize, want: bool) {
@@ -1157,7 +889,7 @@ impl EventLoop {
             // The write-backpressure counter: each transition into an
             // EPOLLOUT wait is one instance of "the kernel buffer is
             // full and the peer is not draining fast enough".
-            self.shared.counters.epollout_waits.fetch_add(1, Ordering::Relaxed);
+            self.stats.epollout_waits += 1;
         }
         let tok = TOK_CONN0 + idx as Token;
         let _ = self.poller.modify(conn.stream.as_raw_fd(), tok, interest);
@@ -1166,60 +898,121 @@ impl EventLoop {
     // ------------------------------------------------------------ dial
 
     fn start_dial(&mut self, peer: NodeId, attempt: u32) {
-        let Some(addr) = self.addr_of(peer) else {
-            // Unroutable: nothing to dial, nothing will drain the queue.
-            self.drop_backlog(peer);
-            return;
-        };
-        self.dialing.insert(peer, attempt);
-        let _ = self.dial_req.send(DialReq { peer, addr });
+        match (self.peers.get(&peer), &self.dialer) {
+            (Some(&addr), Some(dialer)) => {
+                self.dialing.insert(peer, attempt);
+                let _ = dialer.req.send(DialReq { peer, addr });
+            }
+            // Unroutable, or shut down: nothing will drain the queue.
+            _ => self.drop_backlog(peer),
+        }
     }
 
-    fn dial_finished(&mut self, res: DialRes) {
-        let attempt = self.dialing.remove(&res.peer).unwrap_or(1);
-        match res.stream {
-            Some(stream) => match self.register_conn(stream, Some(res.peer)) {
-                Ok(idx) => self.pump_conn(idx, res.peer),
-                // Registration failure (fd exhaustion): without a
-                // connection nothing will ever drain the backlog.
-                Err(_) => self.drop_backlog(res.peer),
-            },
-            None => {
-                if attempt == 1 {
+    fn dials_finished(&mut self) {
+        let Some(dialer) = &self.dialer else { return };
+        let done: Vec<DialRes> = dialer.res.try_iter().collect();
+        for res in done {
+            let attempt = self.dialing.remove(&res.peer).unwrap_or(1);
+            match res.stream {
+                Some(stream) => match self.register_conn(stream, Some(res.peer)) {
+                    Ok(idx) => self.pump(idx),
+                    // Registration failure (fd exhaustion): without a
+                    // connection nothing will ever drain the backlog.
+                    Err(_) => self.drop_backlog(res.peer),
+                },
+                None if attempt == 1 => {
                     // One redial after a short backoff, then the backlog
                     // is dropped (lossy-network semantics).
                     self.dialing.insert(res.peer, 2);
-                    self.timers
-                        .push((Instant::now() + self.cfg.retry_backoff, Timer::Redial(res.peer)));
-                } else {
-                    self.drop_backlog(res.peer);
+                    self.arm(Instant::now() + RETRY_BACKOFF, Timer::Redial(res.peer));
                 }
+                None => self.drop_backlog(res.peer),
             }
         }
     }
+}
 
-    fn evict(&mut self, peer: NodeId) {
-        if let Some(&idx) = self.route.get(&peer) {
-            self.close_conn(idx);
-        }
-        self.drop_backlog(peer);
+impl Drop for Mesh {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
-enum WriteOutcome {
-    Drained,
-    Blocked,
-    Closed,
+// ------------------------------------------------------------ dial thread
+
+/// The one fixed dialer thread: blocking (timeout-bounded) connects and
+/// the `Hello` handshake happen here so the node's loop never stalls on
+/// a dead address. Established streams are handed back already
+/// nonblocking; the mesh dropping either channel ends the thread.
+fn dial_loop(
+    req_rx: Receiver<DialReq>,
+    res_tx: Sender<DialRes>,
+    waker: Arc<Waker>,
+    me: NodeId,
+    listen_addr: SocketAddr,
+) {
+    while let Ok(req) = req_rx.recv() {
+        let stream = connect_hello(req.addr, me, listen_addr);
+        if res_tx.send(DialRes { peer: req.peer, stream }).is_err() {
+            return;
+        }
+        waker.wake();
+    }
+}
+
+/// Connect, introduce ourselves, and switch to nonblocking. Any failure
+/// yields `None` — the mesh decides whether to retry.
+fn connect_hello(addr: SocketAddr, me: NodeId, listen_addr: SocketAddr) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(CONNECT_TIMEOUT));
+    // Introduce ourselves so the peer can route replies and multicasts
+    // back without prior configuration.
+    let hello = frame::encode_hello(me, &listen_addr.to_string());
+    stream.write_all(&hello).ok()?;
+    stream.set_nonblocking(true).ok()?;
+    Some(stream)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sorrento::store::{SegMeta, WritePayload};
+    use sorrento::types::SegId;
 
-    /// Count live threads owned by `me`'s mesh: the event loop
-    /// (`sorrento-net-<idx>`) and the dialer (`sorrento-dial-<idx>`).
-    /// `/proc` thread names are truncated to 15 bytes, so the census is
-    /// exact as long as tests use distinct single-digit node indices.
+    fn start(i: usize, peers: HashMap<NodeId, SocketAddr>) -> (Mesh, NodeId) {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let id = NodeId::from_index(i);
+        (Mesh::start(id, l, peers, MeshConfig).unwrap(), id)
+    }
+
+    /// Wait up to 5 s for a message at `to` while polling `from`, whose
+    /// dials finish and queued frames move only when its owner polls.
+    fn recv_driving(to: &mut Mesh, from: &mut Mesh) -> Option<(NodeId, Msg)> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            assert!(from.try_recv().is_none(), "the sender got a message");
+            if let Some(got) = to.recv_timeout(Duration::from_millis(1)) {
+                return Some(got);
+            }
+        }
+        None
+    }
+
+    /// Poll `m` until `done` holds (5 s at most).
+    fn drive_until(m: &mut Mesh, what: &str, done: impl Fn(&Mesh) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(m) {
+            assert!(Instant::now() < deadline, "{what}: {:?}", m.stats());
+            assert!(m.recv_timeout(Duration::from_millis(1)).is_none(), "{what}: a message arrived");
+        }
+    }
+
+    /// Count live threads owned by `me`'s mesh: its dialer
+    /// (`sorrento-dial-<idx>`) and any event-loop thread
+    /// (`sorrento-net-<idx>`), of which there must be none. `/proc`
+    /// thread names are truncated to 15 bytes, so the census is exact
+    /// as long as tests use distinct single-digit node indices.
     #[cfg(target_os = "linux")]
     fn mesh_threads_of(me: NodeId) -> usize {
         let prefixes = [format!("sorrento-net-{}", me.index()), format!("sorrento-dial-{}", me.index())];
@@ -1234,60 +1027,41 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_messages() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a0 = l0.local_addr().unwrap();
-        let a1 = l1.local_addr().unwrap();
-        let n0 = NodeId::from_index(0);
         let n1 = NodeId::from_index(1);
-        let mut m0 = Mesh::start(
-            n0,
-            l0,
-            HashMap::from([(n1, a1)]),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        let m1 = Mesh::start(n1, l1, HashMap::from([(n0, a0)]), MeshConfig::default()).unwrap();
+        let (mut m0, n0) = start(0, HashMap::from([(n1, l1.local_addr().unwrap())]));
+        let mut m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig).unwrap();
 
         m0.send(n1, &Msg::StatsQuery { req: 42 });
-        let (from, msg) = m1.recv_timeout(Duration::from_secs(5)).expect("delivery");
+        let (from, msg) = recv_driving(&mut m1, &mut m0).expect("delivery");
         assert_eq!(from, n0);
         assert!(matches!(msg, Msg::StatsQuery { req: 42 }));
     }
 
     #[test]
     fn send_to_dead_peer_drops_silently() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let n0 = NodeId::from_index(0);
         let n1 = NodeId::from_index(1);
-        let mut m0 =
-            Mesh::start(n0, l0, HashMap::from([(n1, dead)]), MeshConfig::default()).unwrap();
+        let (mut m0, _) = start(0, HashMap::from([(n1, dead)]));
         m0.send(n1, &Msg::StatsQuery { req: 1 });
-        // The failure is recorded by the event loop after the dialer's
-        // connect + one retry, so poll for it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while m0.stats().send_failures == 0 {
-            assert!(Instant::now() < deadline, "send failure never counted");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The failure is recorded after the dialer's connect + one retry,
+        // each result taken in by a poll.
+        drive_until(&mut m0, "send failure never counted", |m| m.stats().send_failures > 0);
         assert_eq!(m0.stats().send_failures, 1);
         assert_eq!(m0.stats().sent, 0);
     }
 
     /// One peer that accepts but never reads must not delay delivery to
-    /// a healthy peer: its frames pile into its own queue (and
-    /// eventually drop) while the event loop keeps the healthy peer's
-    /// connection flowing — a blocked socket costs an `EPOLLOUT`
-    /// subscription, never a stalled loop.
+    /// a healthy peer: its frames pile into its own queue (and, past
+    /// the queue's bound, drop) while the healthy peer's connection
+    /// keeps flowing — a blocked socket costs an `EPOLLOUT`
+    /// subscription, never a stalled node.
     ///
     /// The shutdown half pins the thread-join guarantee: dropping the
-    /// mesh joins the event loop and the dialer even while a socket is
-    /// wedged against the never-reading peer, leaving no thread growth
-    /// behind.
+    /// mesh joins the dialer even while a socket is wedged against the
+    /// never-reading peer, leaving no thread behind.
     #[test]
     fn slow_peer_does_not_stall_other_sends() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l_fast = TcpListener::bind("127.0.0.1:0").unwrap();
         let a_fast = l_fast.local_addr().unwrap();
         // The slow peer: a raw listener whose accept loop deliberately
@@ -1304,29 +1078,34 @@ mod tests {
 
         // Node index 9 is unique to this test, so the /proc thread-name
         // census below cannot race other tests' meshes.
-        let n0 = NodeId::from_index(9);
         let n_fast = NodeId::from_index(1);
         let n_slow = NodeId::from_index(2);
-        let cfg = MeshConfig { outbound_queue: 8, ..MeshConfig::default() };
-        let mut m0 = Mesh::start(
-            n0,
-            l0,
-            HashMap::from([(n_fast, a_fast), (n_slow, a_slow)]),
-            cfg,
-        )
-        .unwrap();
-        let m_fast = Mesh::start(n_fast, l_fast, HashMap::new(), MeshConfig::default()).unwrap();
+        let (mut m0, n0) = start(9, HashMap::from([(n_fast, a_fast), (n_slow, a_slow)]));
+        let mut m_fast = Mesh::start(n_fast, l_fast, HashMap::new(), MeshConfig).unwrap();
 
-        // Flood the slow peer with large frames until both the TCP
-        // buffers and its bounded queue are saturated.
-        let big = Msg::StatsR { req: 0, json: "x".repeat(1 << 20) };
-        for _ in 0..64 {
+        // Flood the slow peer with 1 MiB frames (views of one payload)
+        // until its TCP buffers are full, then past its queue's bound.
+        let payload = Bytes::from(vec![0x5a; 1 << 20]);
+        let big = Msg::DirectWrite {
+            req: 0,
+            seg: SegId(1),
+            offset: 0,
+            payload: WritePayload::Real(payload),
+            meta: SegMeta::default(),
+        };
+        for _ in 0..16 {
             m0.send(n_slow, &big);
         }
+        drive_until(&mut m0, "the slow peer's socket never filled", |m| m.stats().epollout_waits > 0);
+        for _ in 0..OUTBOUND_QUEUE + 8 {
+            m0.send(n_slow, &big);
+        }
+        assert_eq!(m0.queue_depths(), vec![(n_slow, OUTBOUND_QUEUE as u64)]);
+        assert!(m0.stats().send_failures >= 8, "{:?}", m0.stats());
         // A send to the healthy peer must still go through promptly.
         let t0 = Instant::now();
         m0.send(n_fast, &Msg::StatsQuery { req: 7 });
-        let (from, msg) = m_fast.recv_timeout(Duration::from_secs(2)).expect("fast peer starved");
+        let (from, msg) = recv_driving(&mut m_fast, &mut m0).expect("fast peer starved");
         assert_eq!(from, n0);
         assert!(matches!(msg, Msg::StatsQuery { req: 7 }));
         assert!(
@@ -1335,12 +1114,12 @@ mod tests {
             t0.elapsed()
         );
         // The whole mesh — two live connections, one of them wedged —
-        // runs on exactly two threads.
+        // owns exactly one thread: its dialer.
         #[cfg(target_os = "linux")]
-        expect_census(n0, 2, "mesh must run O(1) threads");
+        expect_census(n0, 1, "mesh must run O(1) threads");
         drop(m0);
-        // Shutdown joins both threads, so the census is zero right
-        // after the drop.
+        // Shutdown joins the dialer, so the census is zero right after
+        // the drop.
         #[cfg(target_os = "linux")]
         expect_census(n0, 0, "mesh threads leaked past shutdown");
         let _ = slow_guard.join();
@@ -1368,66 +1147,66 @@ mod tests {
     fn bulk_replies_to_a_late_reader_are_spliced_not_copied() {
         use sorrento::proto::ReadReply;
         const FRAMES: u64 = 40;
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (n0, n1) = (NodeId::from_index(0), NodeId::from_index(1));
-        let peers = HashMap::from([(n1, l1.local_addr().unwrap())]);
-        let mut m0 = Mesh::start(n0, l0, peers, MeshConfig::default()).unwrap();
+        let n1 = NodeId::from_index(1);
+        let (mut m0, _) = start(0, HashMap::from([(n1, l1.local_addr().unwrap())]));
         for req in 0..FRAMES {
             let data = Some(vec![req as u8; 256 * 1024].into());
             let reply =
                 ReadReply::Data { len: 256 * 1024, data, version: Default::default(), crc: None };
             m0.send(n1, &Msg::ReadSegR { req, reply });
         }
-        std::thread::sleep(Duration::from_millis(200));
-        let (mut stream, _) = l1.accept().unwrap();
-        let mut decoder = StreamDecoder::new();
-        let mut next = 0;
-        while next < FRAMES {
-            let n = stream.read(decoder.spare()).unwrap();
-            assert!(n > 0, "connection closed after {next} replies");
-            match decoder.advance(n).expect("well-formed frames").map(|(_, frame)| frame) {
-                Some(Frame::Msg(Msg::ReadSegR { req, reply: ReadReply::Data { data, .. } })) => {
-                    assert_eq!(req, next);
-                    assert!(data.unwrap().iter().all(|&b| b == req as u8));
-                    next += 1;
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            let (mut stream, _) = l1.accept().unwrap();
+            let mut decoder = StreamDecoder::new();
+            let mut next = 0;
+            while next < FRAMES {
+                let n = stream.read(decoder.spare()).unwrap();
+                assert!(n > 0, "connection closed after {next} replies");
+                match decoder.advance(n).expect("well-formed frames").map(|(_, frame)| frame) {
+                    Some(Frame::Msg(Msg::ReadSegR { req, reply: ReadReply::Data { data, .. } })) => {
+                        assert_eq!(req, next);
+                        assert!(data.unwrap().iter().all(|&b| b == req as u8));
+                        next += 1;
+                    }
+                    Some(Frame::Hello { .. }) | None => {}
+                    Some(other) => panic!("unexpected {other:?}"),
                 }
-                Some(Frame::Hello { .. }) | None => {}
-                Some(other) => panic!("unexpected {other:?}"),
             }
-        }
+        });
+        drive_until(&mut m0, "replies never all written", |m| m.stats().sent == FRAMES);
+        reader.join().unwrap();
         assert!(m0.pool.idle() >= 1, "the replies' buffers never came back to the pool");
         let largest = m0.pool.largest_idle();
         assert!(largest <= 4096, "a pooled buffer grew to {largest} bytes");
     }
 
     /// The thread census is independent of how many peers the mesh
-    /// talks to: 2 threads with zero peers, 2 threads with three live
-    /// connections (under the old design this was 1 + peers·2).
+    /// talks to: 1 thread with zero peers, 1 thread with three live
+    /// connections (under the thread-per-connection design this was
+    /// 1 + peers·2, under the event-loop-thread design 2).
     #[test]
     fn thread_count_is_constant_in_peer_count() {
-        let hub_id = NodeId::from_index(5);
-        let l_hub = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut hub = Mesh::start(hub_id, l_hub, HashMap::new(), MeshConfig::default()).unwrap();
+        let (mut hub, hub_id) = start(5, HashMap::new());
         #[cfg(target_os = "linux")]
-        expect_census(hub_id, 2, "census with zero peers");
+        expect_census(hub_id, 1, "census with zero peers");
 
-        let peers: Vec<Mesh> = (6..9)
+        let mut peers: Vec<Mesh> = (6..9)
             .map(|i| {
-                let l = TcpListener::bind("127.0.0.1:0").unwrap();
-                let id = NodeId::from_index(i);
-                hub.add_peer(id, l.local_addr().unwrap());
-                Mesh::start(id, l, HashMap::new(), MeshConfig::default()).unwrap()
+                let (peer, id) = start(i, HashMap::new());
+                hub.add_peer(id, peer.listen_addr());
+                peer
             })
             .collect();
-        for (i, peer) in peers.iter().enumerate() {
+        for (i, peer) in peers.iter_mut().enumerate() {
             hub.send(NodeId::from_index(6 + i), &Msg::StatsQuery { req: i as u64 });
-            let (from, _) = peer.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            let (from, _) = recv_driving(peer, &mut hub).expect("delivery");
             assert_eq!(from, hub_id);
         }
         assert!(hub.stats().conns >= 3, "expected 3 live connections");
         #[cfg(target_os = "linux")]
-        expect_census(hub_id, 2, "census must not grow with connections");
+        expect_census(hub_id, 1, "census must not grow with connections");
         drop(hub);
         #[cfg(target_os = "linux")]
         expect_census(hub_id, 0, "mesh threads leaked past shutdown");
@@ -1440,13 +1219,10 @@ mod tests {
     /// dial per session.
     #[test]
     fn replies_flow_over_the_inbound_connection() {
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a1 = l1.local_addr().unwrap();
-        let n1 = NodeId::from_index(8);
+        let (mut m1, n1) = start(8, HashMap::new());
         let client = NodeId::from_index(100);
-        let mut m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig::default()).unwrap();
 
-        let mut c = TcpStream::connect(a1).unwrap();
+        let mut c = TcpStream::connect(m1.listen_addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         c.write_all(&frame::encode_hello(client, "")).unwrap();
         c.write_all(&frame::encode_msg(client, &Msg::StatsQuery { req: 5 })).unwrap();
@@ -1474,14 +1250,10 @@ mod tests {
     /// chaos restores clean delivery.
     #[test]
     fn chaos_rules_apply_at_the_enqueue_boundary() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a1 = l1.local_addr().unwrap();
-        let n0 = NodeId::from_index(3);
         let n1 = NodeId::from_index(4);
-        let mut m0 =
-            Mesh::start(n0, l0, HashMap::from([(n1, a1)]), MeshConfig::default()).unwrap();
-        let m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig::default()).unwrap();
+        let (mut m0, _) = start(3, HashMap::from([(n1, l1.local_addr().unwrap())]));
+        let mut m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig).unwrap();
 
         m0.set_chaos(Some(ChaosConfig {
             seed: 1,
@@ -1489,6 +1261,7 @@ mod tests {
             ..ChaosConfig::default()
         }));
         m0.send(n1, &Msg::StatsQuery { req: 1 });
+        assert!(m0.try_recv().is_none());
         assert!(m1.recv_timeout(Duration::from_millis(300)).is_none(), "dropped frame arrived");
         assert_eq!(m0.stats().chaos_dropped, 1);
 
@@ -1499,15 +1272,16 @@ mod tests {
         }));
         m0.send(n1, &Msg::StatsQuery { req: 2 });
         for _ in 0..2 {
-            let (_, msg) = m1.recv_timeout(Duration::from_secs(5)).expect("duplicate copy");
+            let (_, msg) = recv_driving(&mut m1, &mut m0).expect("duplicate copy");
             assert!(matches!(msg, Msg::StatsQuery { req: 2 }));
         }
         assert_eq!(m0.stats().chaos_duplicated, 1);
 
         m0.set_chaos(None);
         m0.send(n1, &Msg::StatsQuery { req: 3 });
-        let (_, msg) = m1.recv_timeout(Duration::from_secs(5)).expect("clean delivery");
+        let (_, msg) = recv_driving(&mut m1, &mut m0).expect("clean delivery");
         assert!(matches!(msg, Msg::StatsQuery { req: 3 }));
+        assert!(m0.try_recv().is_none());
         assert!(m1.recv_timeout(Duration::from_millis(200)).is_none());
     }
 
@@ -1516,23 +1290,16 @@ mod tests {
     #[test]
     fn multicast_reaches_all_peers() {
         let mk = || TcpListener::bind("127.0.0.1:0").unwrap();
-        let (l0, l1, l2) = (mk(), mk(), mk());
-        let (a1, a2) = (l1.local_addr().unwrap(), l2.local_addr().unwrap());
-        let n0 = NodeId::from_index(0);
+        let (l1, l2) = (mk(), mk());
         let n1 = NodeId::from_index(1);
         let n2 = NodeId::from_index(2);
-        let mut m0 = Mesh::start(
-            n0,
-            l0,
-            HashMap::from([(n1, a1), (n2, a2)]),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        let m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig::default()).unwrap();
-        let m2 = Mesh::start(n2, l2, HashMap::new(), MeshConfig::default()).unwrap();
+        let peers = HashMap::from([(n1, l1.local_addr().unwrap()), (n2, l2.local_addr().unwrap())]);
+        let (mut m0, n0) = start(0, peers);
+        let mut m1 = Mesh::start(n1, l1, HashMap::new(), MeshConfig).unwrap();
+        let mut m2 = Mesh::start(n2, l2, HashMap::new(), MeshConfig).unwrap();
         m0.multicast(&Msg::StatsQuery { req: 9 });
-        for m in [&m1, &m2] {
-            let (from, msg) = m.recv_timeout(Duration::from_secs(5)).expect("delivery");
+        for m in [&mut m1, &mut m2] {
+            let (from, msg) = recv_driving(m, &mut m0).expect("delivery");
             assert_eq!(from, n0);
             assert!(matches!(msg, Msg::StatsQuery { req: 9 }));
         }

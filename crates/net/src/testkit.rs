@@ -333,7 +333,7 @@ impl Scraper {
             NodeId::from_index(SCRAPER_ID),
             TcpListener::bind("127.0.0.1:0")?,
             peers,
-            MeshConfig::default(),
+            MeshConfig,
         )?;
         mesh.hello_all();
         Ok(Scraper { mesh, next_req: 0 })

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sorrento::proto::Msg;
 use sorrento::store::{SegMeta, WritePayload};
@@ -19,7 +19,7 @@ const BULK: usize = 8 << 20;
 
 fn mesh(i: u64) -> Mesh {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    Mesh::start(NodeId::from_index(i as usize), l, HashMap::new(), MeshConfig::default()).unwrap()
+    Mesh::start(NodeId::from_index(i as usize), l, HashMap::new(), MeshConfig).unwrap()
 }
 
 fn bulk_write(req: u64, seg: u128, payload: &bytes::Bytes) -> Msg {
@@ -32,11 +32,23 @@ fn bulk_write(req: u64, seg: u128, payload: &bytes::Bytes) -> Msg {
     }
 }
 
-/// Wait for `n` bulk writes at `at`; `what` names the direction.
-fn expect_bulk(at: &Mesh, n: u64, what: &str) {
-    for got in 0..n {
-        match at.recv_timeout(Duration::from_secs(30)) {
-            Some((_, Msg::DirectWrite { payload, .. })) => assert_eq!(payload.len(), BULK as u64),
+/// Wait for `n` bulk writes at `at`, polling the `senders` meanwhile: a
+/// mesh dials and writes only while its owner polls it. `what` names
+/// the direction.
+fn expect_bulk(at: &mut Mesh, senders: &mut [&mut Mesh], n: u64, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut got = 0;
+    while got < n {
+        assert!(Instant::now() < deadline, "{what}: got {got} of {n}; stats {:?}", at.stats());
+        for s in senders.iter_mut() {
+            assert!(s.try_recv().is_none(), "{what}: a sender got a message");
+        }
+        match at.recv_timeout(Duration::from_millis(1)) {
+            Some((_, Msg::DirectWrite { payload, .. })) => {
+                assert_eq!(payload.len(), BULK as u64);
+                got += 1;
+            }
+            None => {}
             other => panic!("{what}: got {got} of {n}, then {other:?}; stats {:?}", at.stats()),
         }
     }
@@ -51,24 +63,25 @@ fn bulk_one_way() {
     for req in 0..3 {
         b.send(NodeId::from_index(900), &bulk_write(req, 1, &payload));
     }
-    expect_bulk(&a, 3, "one-way");
+    expect_bulk(&mut a, &mut [&mut b], 3, "one-way");
     // Reply direction: a answers over the inbound connection.
     for req in 0..3 {
         a.send(NodeId::from_index(901), &bulk_write(req, 2, &payload));
     }
-    expect_bulk(&b, 3, "reply direction");
+    expect_bulk(&mut b, &mut [&mut a], 3, "reply direction");
 }
 
 #[test]
 fn bulk_fan_in() {
-    let sink = mesh(910);
+    let mut sink = mesh(910);
     let mut senders: Vec<Mesh> = (0..3).map(|i| mesh(911 + i)).collect();
     let payload = bytes::Bytes::from(vec![0xcdu8; BULK]);
     for (i, s) in senders.iter_mut().enumerate() {
         s.add_peer(NodeId::from_index(910), sink.listen_addr());
         s.send(NodeId::from_index(910), &bulk_write(i as u64, 3, &payload));
     }
-    expect_bulk(&sink, 3, "fan-in");
+    let mut senders: Vec<&mut Mesh> = senders.iter_mut().collect();
+    expect_bulk(&mut sink, &mut senders, 3, "fan-in");
 }
 
 #[test]

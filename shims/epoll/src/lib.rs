@@ -1,7 +1,7 @@
 //! Hermetic, dependency-free readiness polling for the Sorrento event
 //! loop. The build environment has no crates.io access, so instead of
 //! `mio` this shim binds the raw `epoll_create1`/`epoll_ctl`/
-//! `epoll_wait` syscalls on Linux (through the libc symbols the Rust
+//! `epoll_pwait2` syscalls on Linux (through the libc symbols the Rust
 //! standard library already links — no `libc` crate) and emulates the
 //! same stateful-interest API over POSIX `poll(2)` on other Unixes.
 //!
@@ -16,8 +16,9 @@
 //!   another thread writes to pull a blocked `wait` out of its sleep.
 //!
 //! Everything is level-triggered and single-consumer by design; the
-//! Sorrento mesh runs exactly one loop thread per node, which is the
-//! entire point of the exercise (see `sorrento-net/src/tcp.rs`).
+//! Sorrento mesh is polled by exactly one thread per node — the node's
+//! own loop — which is the entire point of the exercise (see
+//! `sorrento-net/src/tcp.rs`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -95,7 +96,20 @@ mod sys {
         data: u64,
     }
 
+    /// `epoll_pwait2`'s number in the generic syscall table every
+    /// architecture shares from 5.11 on.
+    const SYS_EPOLL_PWAIT2: i64 = 441;
+    const ENOSYS: i32 = 38;
+
+    /// Kernel `struct __kernel_timespec`.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
     extern "C" {
+        fn syscall(num: i64, ...) -> i64;
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -128,12 +142,15 @@ mod sys {
     pub struct Poller {
         epfd: RawFd,
         buf: Vec<EpollEvent>,
+        /// The kernel refused `epoll_pwait2` once: use `epoll_wait`.
+        pub(crate) no_pwait2: bool,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 256] })
+            let buf = vec![EpollEvent { events: 0, data: 0 }; 256];
+            Ok(Poller { epfd, buf, no_pwait2: false })
         }
 
         fn ctl(&self, op: i32, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
@@ -155,22 +172,47 @@ mod sys {
                 .map(|_| ())
         }
 
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            events.clear();
+        /// One `epoll_pwait2`: the timeout to the nanosecond, so a loop
+        /// that waits for its next deadline wakes at it, not at the next
+        /// whole millisecond. Kernels older than 5.11 lack the call; there
+        /// `epoll_wait` takes the timeout rounded up to milliseconds.
+        fn wait_once(&mut self, timeout: Option<Duration>) -> i32 {
+            let (epfd, buf, len) = (self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32);
+            if !self.no_pwait2 {
+                let ts = timeout.map(|d| Timespec {
+                    tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+                    tv_nsec: i64::from(d.subsec_nanos()),
+                });
+                let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const Timespec);
+                // SAFETY: `buf` holds `len` writable events and outlives
+                // the call; `ts_ptr` is null (wait forever) or points at
+                // `ts`, alive until the call returns; a null sigmask
+                // leaves the signal mask alone, so its size is unread.
+                let r = unsafe {
+                    syscall(SYS_EPOLL_PWAIT2, epfd, buf, len, ts_ptr, std::ptr::null::<u8>(), 8usize)
+                };
+                if r >= 0 || io::Error::last_os_error().raw_os_error() != Some(ENOSYS) {
+                    return r as i32;
+                }
+                self.no_pwait2 = true;
+            }
             let timeout_ms: i32 = match timeout {
                 None => -1,
                 // Round up so a 100µs timeout does not busy-spin at 0ms.
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32
                     + if d.subsec_nanos() % 1_000_000 != 0 { 1 } else { 0 },
             };
+            unsafe { epoll_wait(epfd, buf, len, timeout_ms) }
+        }
+
+        pub fn wait(
+            &mut self,
+            events: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            events.clear();
             let n = loop {
-                let r = unsafe {
-                    epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, timeout_ms)
-                };
+                let r = self.wait_once(timeout);
                 if r >= 0 {
                     break r as usize;
                 }
@@ -434,8 +476,9 @@ impl Poller {
 
     /// Block until at least one registered descriptor is ready or the
     /// timeout elapses (`None` = forever), filling `events`. An empty
-    /// `events` after return means the timeout fired. Sub-millisecond
-    /// timeouts are rounded *up*, so a short timeout never busy-spins.
+    /// `events` after return means the timeout fired. On Linux 5.11+ the
+    /// timeout is kept to the nanosecond (`epoll_pwait2`); elsewhere it
+    /// is rounded *up* to milliseconds, so a short one never busy-spins.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         self.inner.wait(events, timeout)
     }
@@ -502,6 +545,31 @@ mod tests {
         poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert!(events.is_empty());
         t.join().unwrap();
+    }
+
+    /// A timeout is kept to better than a millisecond: a loop waiting
+    /// for a deadline 300 µs away does not sleep to the next whole
+    /// millisecond (every wait would take ≥ 1 ms if it did). Kernels
+    /// without `epoll_pwait2` round up, so the check needs one.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sub_millisecond_timeout_is_kept() {
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let wait = Duration::from_micros(300);
+        let fastest = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                poller.wait(&mut events, Some(wait)).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        if poller.inner.no_pwait2 {
+            return;
+        }
+        assert!(fastest >= wait, "woke early: {fastest:?}");
+        assert!(fastest < Duration::from_millis(1), "a 300 µs wait took {fastest:?}");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Thread census for the event-loop mesh: the whole point of the
-//! readiness-driven rewrite is that a node's thread count is **O(1) in
-//! peers and connections** — one event loop (`sorrento-net-<idx>`) plus
-//! one dialer (`sorrento-dial-<idx>`), no matter how many sockets are
-//! live. The old design spawned a reader thread per inbound connection
-//! and a sender thread per outbound peer, which is exactly what this
-//! test would catch: at 8 peers + 64 raw sockets it would count dozens
-//! of threads instead of two.
+//! Thread census for the mesh: a node is its own loop thread plus one
+//! mesh-owned thread, the dialer (`sorrento-dial-<idx>`), however many
+//! peers and sockets it has. The mesh's poller runs on whatever thread
+//! calls it, so there is no event-loop thread (`sorrento-net-<idx>`) at
+//! all, and this test counts those too: one would double the census. A
+//! thread-per-connection design — a reader per inbound connection, a
+//! sender per outbound peer — is what it would catch hardest: at 8
+//! peers + 64 raw sockets it would count dozens of threads instead of
+//! one.
 //!
 //! The census reads `/proc/self/task/*/comm`, so it is Linux-only (the
 //! whole runtime is; the shims use raw epoll syscalls). Thread names
@@ -22,7 +23,8 @@ use sorrento::proto::Msg;
 use sorrento_net::tcp::{Mesh, MeshConfig};
 use sorrento_sim::NodeId;
 
-/// Count live threads whose name belongs to `me`'s mesh.
+/// Count live threads whose name belongs to `me`'s mesh: its dialer,
+/// and any event-loop thread (of which there must be none).
 fn mesh_threads_of(me: NodeId) -> usize {
     let prefixes =
         [format!("sorrento-net-{}", me.index()), format!("sorrento-dial-{}", me.index())];
@@ -62,45 +64,54 @@ fn expect(expected: usize, what: &str, actual: impl Fn() -> usize) {
 
 fn mesh(i: usize) -> Mesh {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    Mesh::start(NodeId::from_index(i), l, HashMap::new(), MeshConfig::default()).unwrap()
+    Mesh::start(NodeId::from_index(i), l, HashMap::new(), MeshConfig).unwrap()
 }
 
-/// One hub, 8 dialed-in peers, 64 raw accepted sockets: the hub runs
-/// exactly two threads throughout, and every thread is joined on
-/// shutdown.
+/// One hub, 8 dialed-in peers, 64 raw accepted sockets: the hub's mesh
+/// owns exactly one thread throughout, and it is joined on shutdown.
 #[test]
 fn mesh_threads_are_o1_in_connections() {
     let hub_id = NodeId::from_index(5);
-    let hub = mesh(5);
-    expect(2, "fresh mesh must run exactly 2 threads", || mesh_threads_of(hub_id));
+    let mut hub = mesh(5);
+    expect(1, "fresh mesh must own exactly 1 thread", || mesh_threads_of(hub_id));
 
     // 8 peers dial in and prove their connections live by delivering a
-    // frame each. Peer indices 10..18 truncate to distinct names and
+    // frame each; a peer's dial finishes and its frame is written while
+    // it is polled. Peer indices 10..18 truncate to distinct names and
     // never collide with the hub's.
     let mut peers: Vec<Mesh> = (10..18).map(mesh).collect();
     for (i, p) in peers.iter_mut().enumerate() {
         p.add_peer(hub_id, hub.listen_addr());
         p.send(hub_id, &Msg::StatsQuery { req: i as u64 });
     }
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut got = 0;
     while got < peers.len() {
-        match hub.recv_timeout(Duration::from_secs(10)) {
+        assert!(Instant::now() < deadline, "hub starved at {got}/8");
+        for p in peers.iter_mut() {
+            assert!(p.try_recv().is_none(), "a peer got a message");
+        }
+        match hub.recv_timeout(Duration::from_millis(1)) {
             Some((_, Msg::StatsQuery { .. })) => got += 1,
-            other => panic!("hub starved at {got}/8: {other:?}"),
+            None => {}
+            other => panic!("hub got {other:?} at {got}/8"),
         }
     }
 
-    // A crowd of raw sockets — accepted and registered by the event
-    // loop, never speaking the protocol — must not spawn anything
-    // either. (Under the old reader-thread-per-connection design this
-    // alone added 64 threads.)
+    // A crowd of raw sockets — accepted and registered by the hub's
+    // poller, never speaking the protocol — must not spawn anything
+    // either. (Under a reader-thread-per-connection design this alone
+    // would add 64 threads.)
     let raw: Vec<TcpStream> =
         (0..64).map(|_| TcpStream::connect(hub.listen_addr()).unwrap()).collect();
-    // Give the loop a beat to accept them all, then census.
-    std::thread::sleep(Duration::from_millis(100));
-    expect(2, "hub thread count grew with connections", || mesh_threads_of(hub_id));
-    // Process-wide: hub + 8 peers, two threads each.
-    expect(2 * 9, "process-wide mesh thread count", all_mesh_threads);
+    // Let the hub accept them all, then census.
+    while hub.stats().conns < 8 + 64 {
+        assert!(Instant::now() < deadline, "hub accepted {:?}", hub.stats());
+        assert!(hub.recv_timeout(Duration::from_millis(1)).is_none(), "a raw socket spoke");
+    }
+    expect(1, "hub thread count grew with connections", || mesh_threads_of(hub_id));
+    // Process-wide: hub + 8 peers, one thread each.
+    expect(9, "process-wide mesh thread count", all_mesh_threads);
 
     drop(raw);
     drop(peers);
