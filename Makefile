@@ -7,12 +7,14 @@
 #   make bench-unit the benchmark's own unit tests (benchmark/ is a
 #                   workspace of its own, compiled against the product's
 #                   public APIs, so an API change shows here first)
-#   make check-net  real-process runtime: frame-codec property tests over
-#                   every tag the codec lists plus the committed version-5
-#                   byte fixture (tests/tests/data/wire_v5.txt), the
-#                   allocation budgets of a 32 MiB read, a 32 MiB EC
-#                   write, an 8 MiB replica fetch and a pooled frame
-#                   encode (bulk_alloc prints its counts), the
+#   make check-net  real-process runtime: the epoll shim's own tests (its
+#                   poller and the nonblocking connect every dial uses),
+#                   frame-codec property tests over every tag the codec
+#                   lists plus the committed version-5 byte fixture
+#                   (tests/tests/data/wire_v5.txt), the allocation
+#                   budgets of a 32 MiB read, a 32 MiB EC write, an
+#                   8 MiB replica fetch and a pooled frame encode
+#                   (bulk_alloc prints its counts), the
 #                   256-session storm (zero hangs, zero dropped ops), the
 #                   loopback kit's own test, chunked reads == unchunked
 #                   reads in the simulator, and the loopback TCP cluster
@@ -91,6 +93,7 @@ clippy:
 	$(CARGO) clippy --all-targets -- -D warnings
 
 check-net:
+	$(CARGO) test -p epoll
 	$(CARGO) test -p sorrento-net
 	$(CARGO) test -p sorrento-net --test bulk_alloc -- --nocapture
 	$(CARGO) test -p sorrento-tests --test frame_codec

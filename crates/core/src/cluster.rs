@@ -269,17 +269,6 @@ impl Cluster {
         &self.ns_nodes
     }
 
-    /// Every namespace hot standby, in shard order (empty unless the
-    /// cluster was built with [`ClusterBuilder::ns_standby`]).
-    pub fn ns_standby_nodes(&self) -> &[NodeId] {
-        &self.ns_standbys
-    }
-
-    /// The namespace shard map installed at build time, if sharded.
-    pub fn ns_shard_map(&self) -> Option<&NsShardMap> {
-        self.ns_map.as_ref()
-    }
-
     /// The storage providers' node ids.
     pub fn providers(&self) -> &[NodeId] {
         &self.providers
@@ -288,11 +277,6 @@ impl Cluster {
     /// The client node ids added so far.
     pub fn clients(&self) -> &[NodeId] {
         &self.clients
-    }
-
-    /// The default replication degree configured at build time.
-    pub fn default_replication(&self) -> u32 {
-        self.replication
     }
 
     /// The cluster's cost model.

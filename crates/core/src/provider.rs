@@ -223,11 +223,6 @@ impl StorageProvider {
         self.swim_seeds = seeds;
     }
 
-    /// The SWIM detector's current incarnation (gossip mode only).
-    pub fn swim_incarnation(&self) -> Option<u64> {
-        self.swim.as_ref().map(|s| s.incarnation())
-    }
-
     fn fresh_req(&mut self) -> ReqId {
         let r = self.next_req;
         self.next_req += 1;
@@ -239,22 +234,12 @@ impl StorageProvider {
         self.load_ewma.get()
     }
 
-    /// Location-table size (home-host role).
-    pub fn location_entries(&self) -> usize {
-        self.loc.len()
-    }
-
     /// Location-table entries with fewer owners at the latest version
     /// than their replication degree: what repair has yet to restore,
     /// as far as this home host knows (home-host role).
     pub fn under_replicated(&self) -> usize {
         let short = |e: &LocEntry| (e.up_to_date_owners().len() as u32) < e.replication;
         self.loc.iter().filter(|(_, e)| short(e)).count()
-    }
-
-    /// Live providers this node currently sees.
-    pub fn live_view(&self) -> Vec<NodeId> {
-        self.view.live().collect()
     }
 
     /// Reconcile the store's physical bytes with the simulated disk.

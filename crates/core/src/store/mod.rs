@@ -633,11 +633,6 @@ impl LocalStore {
         self.shadows.get(&id).map(|s| s.seg)
     }
 
-    /// Number of open shadows (diagnostics).
-    pub fn open_shadow_count(&self) -> usize {
-        self.shadows.len()
-    }
-
     // ------------------------------------------------------------------
     // Committed reads & direct (versioning-off) writes
     // ------------------------------------------------------------------

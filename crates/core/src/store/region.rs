@@ -164,11 +164,6 @@ impl<S: Copy + Eq + Debug> RegionIndex<S> {
         out
     }
 
-    /// Number of distinct regions (diagnostics).
-    pub fn region_count(&self) -> usize {
-        self.map.len()
-    }
-
     #[cfg(test)]
     fn check_invariants(&self) {
         let mut expect = 0;

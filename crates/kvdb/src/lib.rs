@@ -36,10 +36,8 @@
 mod backend;
 mod crc;
 mod db;
-mod shared;
 mod wal;
 
 pub use backend::{Backend, FileBackend, MemBackend};
 pub use crc::{crc32, crc32_combine, crc32_pieces, Crc32};
 pub use db::{assemble_shipped, Batch, Db, DbConfig, Op, Shipment};
-pub use shared::SharedDb;

@@ -12,9 +12,9 @@
 //! * [`pool`] — check-out/check-in encode-buffer pool backing the
 //!   zero-allocation frame path.
 //! * [`tcp`] — a std-only TCP mesh driven on its owner's thread: one
-//!   epoll poller over the listener and every connection, per-peer
-//!   bounded outbound queues with vectored coalesced writes, and one
-//!   dialer thread.
+//!   epoll poller over the listener, every connection and every dial in
+//!   flight, and per-peer bounded outbound queues with vectored
+//!   coalesced writes.
 //! * [`chaos`] — deterministic fault injection at the mesh's enqueue
 //!   boundary: seeded per-link drop/duplicate/delay/partition streams,
 //!   installed at boot or flipped at runtime via `Msg::ChaosCtl`.

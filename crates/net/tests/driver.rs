@@ -221,7 +221,7 @@ fn a_chaos_delay_fires_inside_an_idle_turn() {
     d.mesh.add_peer(peer, listener.local_addr().unwrap());
     d.mesh.hello_all();
     let (mut raw, _) = listener.accept().unwrap();
-    // The dial's result is taken in by a turn; then the link is up.
+    // The dial's connect finishes in a turn; then the link is up.
     while d.mesh.stats().conns == 0 {
         d.turn(&mut Echo::default(), Some(Instant::now() + Duration::from_millis(5)));
     }

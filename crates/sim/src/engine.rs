@@ -322,19 +322,9 @@ impl<M: Payload> Simulation<M> {
         self.state.slots[id.index()].alive
     }
 
-    /// Number of nodes ever added.
-    pub fn node_count(&self) -> usize {
-        self.state.slots.len()
-    }
-
     /// Run-wide metrics (read-only).
     pub fn metrics(&self) -> &Metrics {
         &self.state.metrics
-    }
-
-    /// Run-wide metrics (mutable, for harness-recorded series).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.state.metrics
     }
 
     /// A node's telemetry event log.
@@ -452,12 +442,6 @@ impl<M: Payload> Simulation<M> {
     pub fn run_for(&mut self, d: Dur) {
         let until = self.state.now + d;
         self.run_until(until);
-    }
-
-    /// Run until the event queue is fully drained (use with care: systems
-    /// with periodic timers never drain).
-    pub fn run_to_quiescence(&mut self) {
-        while self.step() {}
     }
 
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {

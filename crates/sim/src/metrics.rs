@@ -127,11 +127,6 @@ impl Metrics {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Names of all recorded series.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
     /// Export the registry as a JSON object:
     ///
     /// ```json

@@ -32,14 +32,6 @@ impl NetConfig {
             latency: Dur::micros(150),
         }
     }
-
-    /// Gigabit Ethernet (used for the inter-switch links in cluster B).
-    pub fn gigabit_ethernet() -> NetConfig {
-        NetConfig {
-            bandwidth: 125.0e6,
-            latency: Dur::micros(100),
-        }
-    }
 }
 
 impl Default for NetConfig {

@@ -12,18 +12,21 @@
 //!   writable), then [`Poller::wait`] for events. Level-triggered: a
 //!   readiness condition keeps firing until it is drained or the
 //!   interest is removed, so a loop can never lose an edge.
-//! * [`Waker`] — an `eventfd` (Linux) or self-pipe (other Unix) that
-//!   another thread writes to pull a blocked `wait` out of its sleep.
+//! * [`connect`] — a TCP connect that does not wait for the handshake:
+//!   register the socket it returns for writability, and its first
+//!   writable event says whether the connect succeeded
+//!   (`TcpStream::take_error`).
 //!
 //! Everything is level-triggered and single-consumer by design; the
-//! Sorrento mesh is polled by exactly one thread per node — the node's
-//! own loop — which is the entire point of the exercise (see
-//! `sorrento-net/src/tcp.rs`).
+//! Sorrento mesh, its connects included, is polled by exactly one
+//! thread per node — the node's own loop — which is the entire point of
+//! the exercise (see `sorrento-net/src/tcp.rs`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::RawFd;
 use std::time::Duration;
 
@@ -71,7 +74,8 @@ mod sys {
 
     use super::{Event, Interest, Token};
     use std::io;
-    use std::os::fd::RawFd;
+    use std::net::{SocketAddr, TcpStream};
+    use std::os::fd::{FromRawFd, RawFd};
     use std::time::Duration;
 
     const EPOLL_CTL_ADD: i32 = 1;
@@ -83,8 +87,14 @@ mod sys {
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
     const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
+    // Socket numbers of the generic Linux ABI (x86, Arm, RISC-V);
+    // MIPS, SPARC and Alpha number some of them differently.
+    const AF_INET: i32 = 2;
+    const AF_INET6: i32 = 10;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
+    const SOCK_CLOEXEC: i32 = 0o2000000;
+    const EINPROGRESS: i32 = 115;
 
     /// Kernel `struct epoll_event`. Packed on x86-64 (the kernel ABI),
     /// natural alignment elsewhere.
@@ -113,9 +123,9 @@ mod sys {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        #[link_name = "connect"]
+        fn connect_fd(fd: i32, addr: *const u8, len: u32) -> i32;
         fn close(fd: i32) -> i32;
     }
 
@@ -247,43 +257,67 @@ mod sys {
         }
     }
 
-    /// eventfd-backed waker.
-    pub struct Waker {
-        fd: RawFd,
+    /// Kernel `struct sockaddr_in`: port and address in network order.
+    #[repr(C)]
+    struct SockaddrIn {
+        family: u16,
+        port: [u8; 2],
+        addr: [u8; 4],
+        zero: [u8; 8],
     }
 
-    impl Waker {
-        pub fn new() -> io::Result<Waker> {
-            let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-            Ok(Waker { fd })
-        }
-
-        pub fn fd(&self) -> RawFd {
-            self.fd
-        }
-
-        pub fn wake(&self) {
-            let one: u64 = 1;
-            // A full eventfd counter still leaves the fd readable, so a
-            // failed write loses nothing.
-            unsafe {
-                write(self.fd, &one as *const u64 as *const u8, 8);
-            }
-        }
-
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            unsafe {
-                read(self.fd, buf.as_mut_ptr(), 8);
-            }
-        }
+    /// Kernel `struct sockaddr_in6`.
+    #[repr(C)]
+    struct SockaddrIn6 {
+        family: u16,
+        port: [u8; 2],
+        flowinfo: u32,
+        addr: [u8; 16],
+        scope_id: u32,
     }
 
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.fd);
+    pub fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+        let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: `socket` takes no pointer; a negative return is an
+        // error and leaves nothing to close.
+        let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+        // SAFETY: `fd` is a fresh socket nothing else owns; the stream
+        // closes it, on the error path too.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        let port = addr.port().to_be_bytes();
+        let r = match addr {
+            SocketAddr::V4(a) => {
+                let sa = SockaddrIn {
+                    family: AF_INET as u16,
+                    port,
+                    addr: a.ip().octets(),
+                    zero: [0; 8],
+                };
+                let len = std::mem::size_of::<SockaddrIn>() as u32;
+                // SAFETY: `sa` is alive for the call, `len` is its size,
+                // and `fd` is the stream's open socket.
+                unsafe { connect_fd(fd, &sa as *const SockaddrIn as *const u8, len) }
             }
+            SocketAddr::V6(a) => {
+                let sa = SockaddrIn6 {
+                    family: AF_INET6 as u16,
+                    port,
+                    flowinfo: a.flowinfo(),
+                    addr: a.ip().octets(),
+                    scope_id: a.scope_id(),
+                };
+                let len = std::mem::size_of::<SockaddrIn6>() as u32;
+                // SAFETY: as above, for the IPv6 address.
+                unsafe { connect_fd(fd, &sa as *const SockaddrIn6 as *const u8, len) }
+            }
+        };
+        if r == 0 {
+            return Ok(stream);
+        }
+        let err = io::Error::last_os_error();
+        match err.raw_os_error() {
+            Some(EINPROGRESS) => Ok(stream),
+            _ => Err(err),
         }
     }
 }
@@ -291,14 +325,19 @@ mod sys {
 #[cfg(all(unix, not(target_os = "linux")))]
 mod sys {
     //! Portable fallback: the same stateful-interest API emulated over
-    //! POSIX `poll(2)`, with a self-pipe waker. O(n) per wait, which is
-    //! fine for the non-Linux dev loop; production targets are Linux.
+    //! POSIX `poll(2)`. O(n) per wait, and a connect that blocks (see
+    //! [`super::connect`]), which is fine for the non-Linux dev loop;
+    //! production targets are Linux.
 
     use super::{Event, Interest, Token};
     use std::collections::HashMap;
     use std::io;
+    use std::net::{SocketAddr, TcpStream};
     use std::os::fd::RawFd;
     use std::time::Duration;
+
+    /// How long [`connect`] may block the caller.
+    const CONNECT_STALL: Duration = Duration::from_millis(500);
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -315,11 +354,6 @@ mod sys {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
     }
 
     /// poll(2)-backed interest list.
@@ -394,50 +428,10 @@ mod sys {
         }
     }
 
-    /// Self-pipe waker.
-    pub struct Waker {
-        rd: RawFd,
-        wr: RawFd,
-    }
-
-    impl Waker {
-        pub fn new() -> io::Result<Waker> {
-            let mut fds = [0i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // F_SETFL = 4, O_NONBLOCK = 4 on the BSDs/macOS.
-            unsafe {
-                fcntl(fds[0], 4, 4);
-                fcntl(fds[1], 4, 4);
-            }
-            Ok(Waker { rd: fds[0], wr: fds[1] })
-        }
-
-        pub fn fd(&self) -> RawFd {
-            self.rd
-        }
-
-        pub fn wake(&self) {
-            let one = [1u8];
-            unsafe {
-                write(self.wr, one.as_ptr(), 1);
-            }
-        }
-
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            while unsafe { read(self.rd, buf.as_mut_ptr(), buf.len()) } > 0 {}
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.rd);
-                close(self.wr);
-            }
-        }
+    pub fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_STALL)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 }
 
@@ -484,35 +478,20 @@ impl Poller {
     }
 }
 
-/// Wakes a [`Poller::wait`] from another thread: register [`Waker::fd`]
-/// for reads, call [`Waker::wake`] anywhere, and have the loop
-/// [`Waker::drain`] it when its token fires.
-pub struct Waker {
-    inner: sys::Waker,
-}
-
-impl Waker {
-    /// Create a waker (an `eventfd` on Linux, a nonblocking self-pipe
-    /// elsewhere).
-    pub fn new() -> io::Result<Waker> {
-        Ok(Waker { inner: sys::Waker::new()? })
-    }
-
-    /// The readable descriptor to register with the poller.
-    pub fn fd(&self) -> RawFd {
-        self.inner.fd()
-    }
-
-    /// Make the poller's next (or current) `wait` return. Cheap, signal
-    /// safe, and never blocks; coalesces with earlier pending wakes.
-    pub fn wake(&self) {
-        self.inner.wake()
-    }
-
-    /// Consume pending wake signals so the next `wait` can sleep.
-    pub fn drain(&self) {
-        self.inner.drain()
-    }
+/// Open a nonblocking TCP connection to `addr` (IPv4 or IPv6) without
+/// waiting for the handshake. Register the stream for writability: its
+/// first writable (or error) event ends the connect, and
+/// `TcpStream::take_error` then says whether it succeeded. Until then
+/// the socket reads and writes nothing. An error here means the connect
+/// failed before any packet left (no route, no descriptor).
+///
+/// On Linux this is `socket(SOCK_NONBLOCK | SOCK_CLOEXEC)` + `connect`,
+/// which returns at once. The `poll(2)` fallback has no such call in
+/// `std` and blocks in `TcpStream::connect_timeout` for up to 500 ms
+/// instead: there a peer that never answers stalls the caller's loop
+/// for that long.
+pub fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    sys::connect(addr)
 }
 
 #[cfg(test)]
@@ -522,30 +501,6 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Instant;
-
-    #[test]
-    fn waker_wakes_a_blocked_wait() {
-        let mut poller = Poller::new().unwrap();
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        poller.add(waker.fd(), 7, Interest::READABLE).unwrap();
-        let w = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            w.wake();
-        });
-        let mut events = Vec::new();
-        let t0 = Instant::now();
-        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(5), "wait did not wake promptly");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-        waker.drain();
-        // Drained: the next wait times out instead of spinning.
-        poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty());
-        t.join().unwrap();
-    }
 
     /// A timeout is kept to better than a millisecond: a loop waiting
     /// for a deadline 300 µs away does not sleep to the next whole
@@ -605,5 +560,49 @@ mod tests {
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token == 2 && e.readable));
         poller.remove(server.as_raw_fd()).unwrap();
+    }
+
+    /// Wait up to 5 s for `stream`'s connect to end; `take_error` says
+    /// how it ended.
+    fn finish_connect(stream: &TcpStream) -> Option<io::Error> {
+        let mut poller = Poller::new().unwrap();
+        poller.add(stream.as_raw_fd(), 3, Interest::WRITABLE).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && (e.writable || e.error)), "{events:?}");
+        stream.take_error().unwrap()
+    }
+
+    /// A connect returns before the handshake, its first writable event
+    /// reports success, and the stream then carries bytes both ways; on
+    /// IPv6 too, where the host has a loopback for it.
+    #[test]
+    fn connect_finishes_in_the_poller() {
+        for local in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(listener) = TcpListener::bind(local) else { continue };
+            let mut client = connect(listener.local_addr().unwrap()).unwrap();
+            assert!(finish_connect(&client).is_none(), "{local}");
+            let (mut server, _) = listener.accept().unwrap();
+            client.write_all(b"hi").unwrap();
+            let mut buf = [0u8; 2];
+            server.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"hi");
+            server.write_all(b"ok").unwrap();
+            client.set_nonblocking(false).unwrap();
+            client.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"ok");
+        }
+    }
+
+    /// A connect to a port nobody listens on fails at its first event,
+    /// not at the call.
+    #[test]
+    fn a_refused_connect_surfaces_as_an_event() {
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let err = match connect(addr) {
+            Ok(stream) => finish_connect(&stream).expect("a connect to a closed port succeeded"),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 }

@@ -1,17 +1,17 @@
-//! Thread census for the mesh: a node is its own loop thread plus one
-//! mesh-owned thread, the dialer (`sorrento-dial-<idx>`), however many
-//! peers and sockets it has. The mesh's poller runs on whatever thread
-//! calls it, so there is no event-loop thread (`sorrento-net-<idx>`) at
-//! all, and this test counts those too: one would double the census. A
-//! thread-per-connection design — a reader per inbound connection, a
-//! sender per outbound peer — is what it would catch hardest: at 8
-//! peers + 64 raw sockets it would count dozens of threads instead of
-//! one.
+//! Thread census for the mesh: a node is one thread, its own loop, and
+//! the mesh owns none, however many peers and sockets it has. The
+//! mesh's poller runs on whatever thread calls it and its dials are
+//! nonblocking connects in that same poller, so there is no event-loop
+//! thread (`sorrento-net-<idx>`) and no dialer (`sorrento-dial-<idx>`);
+//! the census counts both names, and every thread of the process as
+//! well, named or not. A thread-per-connection design — a reader per
+//! inbound connection, a sender per outbound peer — is what it would
+//! catch hardest: at 8 peers + 64 raw sockets it would count dozens of
+//! threads instead of none.
 //!
-//! The census reads `/proc/self/task/*/comm`, so it is Linux-only (the
-//! whole runtime is; the shims use raw epoll syscalls). Thread names
-//! are truncated to 15 bytes by the kernel — node indices here are
-//! chosen so every truncated name is still unambiguous.
+//! The census reads `/proc/self/task`, so it is Linux-only (the whole
+//! runtime is; the shims use raw epoll syscalls). This binary holds one
+//! test, so no other test's thread can come or go while it counts.
 
 #![cfg(target_os = "linux")]
 
@@ -23,43 +23,21 @@ use sorrento::proto::Msg;
 use sorrento_net::tcp::{Mesh, MeshConfig};
 use sorrento_sim::NodeId;
 
-/// Count live threads whose name belongs to `me`'s mesh: its dialer,
-/// and any event-loop thread (of which there must be none).
-fn mesh_threads_of(me: NodeId) -> usize {
-    let prefixes =
-        [format!("sorrento-net-{}", me.index()), format!("sorrento-dial-{}", me.index())];
-    let prefixes: Vec<&str> = prefixes.iter().map(|p| &p[..p.len().min(15)]).collect();
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
+/// The names of every live thread in the process.
+fn thread_names() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
     tasks
         .flatten()
-        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-        .filter(|comm| prefixes.contains(&comm.trim_end()))
-        .count()
+        .map(|t| std::fs::read_to_string(t.path().join("comm")).unwrap_or_default())
+        .collect()
 }
 
-/// Count every mesh-owned thread in the process, any node.
-fn all_mesh_threads() -> usize {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
-    tasks
-        .flatten()
-        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+/// Count live threads named for any node's mesh.
+fn mesh_threads() -> usize {
+    thread_names()
+        .iter()
         .filter(|c| c.starts_with("sorrento-net-") || c.starts_with("sorrento-dial"))
         .count()
-}
-
-/// Poll until `actual()` reaches `expected` — threads name themselves
-/// shortly after spawn, and shutdown joins are near-instant but not
-/// atomic with the census read.
-fn expect(expected: usize, what: &str, actual: impl Fn() -> usize) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let n = actual();
-        if n == expected {
-            return;
-        }
-        assert!(Instant::now() < deadline, "{what}: census {n}, expected {expected}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 fn mesh(i: usize) -> Mesh {
@@ -67,18 +45,19 @@ fn mesh(i: usize) -> Mesh {
     Mesh::start(NodeId::from_index(i), l, HashMap::new(), MeshConfig).unwrap()
 }
 
-/// One hub, 8 dialed-in peers, 64 raw accepted sockets: the hub's mesh
-/// owns exactly one thread throughout, and it is joined on shutdown.
+/// One hub, 8 dialed-in peers, 64 raw accepted sockets: no mesh owns a
+/// thread at any point, and the process has exactly as many threads
+/// with all of them running as before the first mesh started.
 #[test]
 fn mesh_threads_are_o1_in_connections() {
+    let before = thread_names().len();
     let hub_id = NodeId::from_index(5);
     let mut hub = mesh(5);
-    expect(1, "fresh mesh must own exactly 1 thread", || mesh_threads_of(hub_id));
+    assert_eq!(mesh_threads(), 0, "a fresh mesh owns a thread");
 
     // 8 peers dial in and prove their connections live by delivering a
     // frame each; a peer's dial finishes and its frame is written while
-    // it is polled. Peer indices 10..18 truncate to distinct names and
-    // never collide with the hub's.
+    // it is polled.
     let mut peers: Vec<Mesh> = (10..18).map(mesh).collect();
     for (i, p) in peers.iter_mut().enumerate() {
         p.add_peer(hub_id, hub.listen_addr());
@@ -109,12 +88,12 @@ fn mesh_threads_are_o1_in_connections() {
         assert!(Instant::now() < deadline, "hub accepted {:?}", hub.stats());
         assert!(hub.recv_timeout(Duration::from_millis(1)).is_none(), "a raw socket spoke");
     }
-    expect(1, "hub thread count grew with connections", || mesh_threads_of(hub_id));
-    // Process-wide: hub + 8 peers, one thread each.
-    expect(9, "process-wide mesh thread count", all_mesh_threads);
+    assert_eq!(mesh_threads(), 0, "a mesh thread came with the connections");
+    assert_eq!(thread_names().len(), before, "threads with 9 meshes up: {:?}", thread_names());
 
     drop(raw);
     drop(peers);
     drop(hub);
-    expect(0, "mesh threads leaked past shutdown", all_mesh_threads);
+    assert_eq!(mesh_threads(), 0, "a mesh thread outlived shutdown");
+    assert_eq!(thread_names().len(), before, "threads after shutdown: {:?}", thread_names());
 }
