@@ -22,14 +22,13 @@
 #   make bench      regenerate every figure/table into results/
 #   make sim-bytes  regenerate every seeded simulator output in results/
 #                   (fig09–fig15 and ablations with their telemetry_*.json,
-#                   failure_drill's telemetry, BENCH_ec.json) and fail on
-#                   any byte that differs from the committed files: what
-#                   proves a change moved no simulated byte, ≈ 2 min
-#   make bench-check  the committed results/BENCH_{ns,membership}.json
-#                   still validate and both benches still run at CI size
+#                   and failure_drill's telemetry) and fail on any byte
+#                   that differs from the committed files: what proves a
+#                   change moved no simulated byte, ≈ 2 min
 #
 # The *-smoke targets below are developer entry points: each reruns, with
-# --nocapture, live drills that `make test` already runs quietly.
+# --nocapture, tests that `make test` already runs quietly, so their
+# figures print.
 #   make chaos-smoke  the chaos game-day drill: a real loopback cluster
 #                   under deterministic fault injection, with a provider
 #                   crash + restart, run for three fixed seeds
@@ -38,29 +37,31 @@
 #                   provider, and schema-check the flight dump and
 #                   metrics.jsonl it leaves behind, plus the span-trace
 #                   merge tests
-#   make ec-bytes   regenerate results/BENCH_ec.json into target/ and cmp
-#                   it with the committed file: the seeded simulator's EC
-#                   bytes (parity, placement, repair), in under a second
-#   make ec-smoke   the erasure-coding drill: ec-bytes, then the
-#                   seeded-simulator EC tests (roundtrip, rewrite, refused
-#                   partial rewrite, degraded read, shard repair), then a
-#                   loopback EC(4,2) cluster that loses two shard holders
-#                   mid-run — degraded reads must reconstruct and the
-#                   repair scan must restore the shard count on disk
-#   make ns-smoke   the metadata-plane drill: schema-check the committed
-#                   results/BENCH_ns.json (4-shard speedup >= 2.5x and a
-#                   3-interval failover sweep), run the sharded-namespace
-#                   simulator tests, boot a 2-shard loopback cluster with
-#                   hot standbys, kill a shard primary, and assert the
-#                   standby takes over and serves correct reads
-#   make membership-smoke  the gossip-membership drill: schema-check the
-#                   committed results/BENCH_membership.json (detection
-#                   latency under 10% loss, zero false evictions, plus
-#                   the ring/rendezvous/asura placement ablation), run
-#                   the SWIM simulator suite (false-positive-freedom,
-#                   refutation, 500-provider detection bound, gossip
-#                   convergence), then a live loopback suspect/confirm
-#                   drill with a kill -9'd provider
+#   make ec-smoke   the erasure-coding drill: EC(4,2) against
+#                   replication-3 with every figure pinned (storage
+#                   overhead, read latency healthy and degraded, repair
+#                   bytes, heal time), then the seeded-simulator EC tests
+#                   (roundtrip, rewrite, refused partial rewrite,
+#                   degraded read, shard repair, parity against a flat
+#                   oracle), then a loopback EC(4,2) cluster that loses
+#                   two shard holders mid-run — degraded reads must
+#                   reconstruct and the repair scan must restore the
+#                   shard count on disk
+#   make ns-smoke   the metadata-plane drill: ops/s at 1, 2 and 4
+#                   namespace shards (4 shards >= 2.5x one), the
+#                   standby's replay tail at two checkpoint intervals,
+#                   the rest of the sharded-namespace simulator tests,
+#                   then a 2-shard loopback cluster with hot standbys
+#                   whose shard primary is killed: the standby takes over
+#                   and serves correct reads
+#   make membership-smoke  the gossip-membership drill: the SWIM
+#                   simulator suite (detection under 10% loss at indirect
+#                   fan-out 1, 2 and 4 with zero false evictions,
+#                   false-positive-freedom, refutation, 500-provider
+#                   detection bound, gossip convergence), the
+#                   ring/rendezvous/ASURA placement ablation, then a live
+#                   loopback suspect/confirm drill with a kill -9'd
+#                   provider
 #   make bench-e2e  the repo's one wall-clock benchmark (benchmark/run.sh):
 #                   six workloads on real in-process daemons over loopback
 #                   TCP, four gated end-to-end metrics each, ~10 min
@@ -76,7 +77,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test bench-unit clippy check-net bench sim-bytes bench-check bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-bytes ec-smoke ns-smoke membership-smoke docs loc
+.PHONY: check build test bench-unit clippy check-net bench sim-bytes bench-e2e bench-e2e-smoke chaos-smoke obs-smoke ec-smoke ns-smoke membership-smoke docs loc
 
 check: build test bench-unit clippy docs
 
@@ -107,33 +108,15 @@ obs-smoke:
 	$(CARGO) test -p sorrento-tests --test obs_smoke -- --nocapture
 	$(CARGO) test -p sorrento-tests --test observability -- --nocapture
 
-ec-bytes:
-	$(CARGO) run --release -p sorrento-bench --bin bench-ec -- --out target/BENCH_ec.json
-	cmp target/BENCH_ec.json results/BENCH_ec.json
-
-ec-smoke: ec-bytes
-	$(CARGO) test -p sorrento-tests --test ec_mode --test ec_parity -- --nocapture
-
-# $(call bench-check,ns): the committed results file still validates and
-# the bench that wrote it still runs, at CI size.
-define bench-check
-	$(CARGO) run --release -p sorrento-net --bin bench-$(1) -- \
-	  --validate results/BENCH_$(1).json
-	$(CARGO) run --release -p sorrento-net --bin bench-$(1) -- \
-	  --smoke --out target/BENCH_$(1).smoke.json
-endef
-
-bench-check:
-	$(call bench-check,ns)
-	$(call bench-check,membership)
+ec-smoke:
+	$(CARGO) test -p sorrento-tests --test ec_cost --test ec_mode --test ec_parity -- --nocapture
 
 ns-smoke:
-	$(call bench-check,ns)
 	$(CARGO) test -p sorrento-tests --test ns_shard --test ns_failover -- --nocapture
 
 membership-smoke:
-	$(call bench-check,membership)
-	$(CARGO) test -p sorrento-tests --test membership --test membership_live -- --nocapture
+	$(CARGO) test -p sorrento-tests --test membership --test placement_ablation \
+	  --test membership_live -- --nocapture
 
 SIM_BINS := fig09_small_file_latency fig10_small_file_throughput \
             fig11_large_file_bandwidth fig12_trace_replay \
@@ -150,7 +133,6 @@ sim-bytes:
 	  $(CARGO) run --release -q -p sorrento-bench --bin $$f > results/$$f.txt; \
 	done
 	$(CARGO) run --release -q -p sorrento-examples --bin failure_drill > /dev/null
-	$(CARGO) run --release -q -p sorrento-bench --bin bench-ec -- --out results/BENCH_ec.json
 	git diff --exit-code --stat -- results/
 	test -z "$$(git status --porcelain -- results/)"
 

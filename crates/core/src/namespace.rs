@@ -253,12 +253,12 @@ impl NamespaceServer {
     }
 
     /// Bulk-load one entry straight into the backend — no WAL record, no
-    /// shipping, no checkpoint trigger. Benchmark-harness seeding only:
-    /// it lets a scaling ablation stand up a multi-million-entry tree in
-    /// O(n) harness time instead of replaying n client creates. The
-    /// caller owns routing — insert each path on the shard that owns its
-    /// parent directory, and give a directory a stub copy on the shard
-    /// that owns its children (see the module docs).
+    /// shipping, no checkpoint trigger. Test seeding only: it lets a
+    /// scaling test stand up a large tree in O(n) time instead of
+    /// replaying n client creates. The caller owns routing — insert each
+    /// path on the shard that owns its parent directory, and give a
+    /// directory a stub copy on the shard that owns its children (see the
+    /// module docs).
     pub fn preseed(&mut self, path: &str, file: FileId, is_dir: bool) {
         let entry = FileEntry {
             file,

@@ -40,8 +40,8 @@ pub fn hash_segid(seg: SegId) -> u64 {
 /// Rendezvous (highest-random-weight) choice: every `(salt, candidate)`
 /// scores `mix(key_hash ^ mix(salt))` and the highest score wins. `mix`
 /// is a bijection, so distinct salts never tie. The namespace shard
-/// partition (`nsmap`) routes by it, and `bench-membership` measures it
-/// as a segment-home scheme beside the ring.
+/// partition (`nsmap`) routes by it, and the placement-ablation test
+/// measures it as a segment-home scheme beside the ring.
 pub fn hrw<T>(key_hash: u64, candidates: impl IntoIterator<Item = (u64, T)>) -> Option<T> {
     candidates
         .into_iter()

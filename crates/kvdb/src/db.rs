@@ -248,7 +248,7 @@ impl<B: Backend> Db<B> {
     }
 
     /// Insert a key into memory only — no WAL record, no shipping, no
-    /// checkpoint trigger. Bulk-preseed path for benchmarks: callers must
+    /// checkpoint trigger. Bulk-preseed path for test seeding: callers must
     /// [`Db::checkpoint`] afterwards if they want the data durable.
     pub fn load_unlogged(&mut self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) {
         self.mem

@@ -187,7 +187,7 @@ impl DaemonConfig {
     pub fn parse(text: &str) -> Result<DaemonConfig, ConfigError> {
         let j = Json::parse(text).map_err(|_| ConfigError::BadJson)?;
         known_keys(&j, "", DAEMON_KEYS)?;
-        let node_id = NodeId::from_index(req_u64(&j, "node_id")? as usize);
+        let node_id = req_id(&j, "node_id")?;
         let role = match req_str(&j, "role")? {
             "namespace" => Role::Namespace,
             "standby" => Role::Standby,
@@ -198,13 +198,13 @@ impl DaemonConfig {
         cfg.data_dir = opt_str(&j, "data_dir")?.map(PathBuf::from);
         overwrite(&mut cfg.seed, opt_u64(&j, "seed")?);
         overwrite(&mut cfg.capacity, opt_u64(&j, "capacity")?);
-        overwrite(&mut cfg.machine, opt_u64(&j, "machine")?.map(|v| v as u32));
-        overwrite(&mut cfg.rack, opt_u64(&j, "rack")?.map(|v| v as u32));
+        overwrite(&mut cfg.machine, opt_int(&j, "machine")?);
+        overwrite(&mut cfg.rack, opt_int(&j, "rack")?);
         overwrite(&mut cfg.costs, parse_costs(&j)?);
         overwrite(&mut cfg.chaos, parse_chaos(&j)?);
         cfg.metrics_interval_ms = opt_u64(&j, "metrics_interval_ms")?;
-        overwrite(&mut cfg.shard, opt_u64(&j, "shard")?.map(|v| v as u32));
-        overwrite(&mut cfg.ns_shards, opt_u64(&j, "ns_shards")?.map(|v| v.max(1) as u32));
+        overwrite(&mut cfg.shard, opt_int(&j, "shard")?);
+        overwrite(&mut cfg.ns_shards, opt_int(&j, "ns_shards")?.map(|v: u32| v.max(1)));
         overwrite(&mut cfg.ns_map, parse_ns_map(&j)?);
         cfg.ns_checkpoint_batches = opt_u64(&j, "ns_checkpoint_batches")?;
         overwrite(&mut cfg.membership, parse_membership(&j)?);
@@ -244,9 +244,9 @@ fn parse_peers(j: &Json) -> Result<Option<Vec<PeerSpec>>, ConfigError> {
     for p in arr.as_arr().ok_or(ConfigError::Invalid("peers"))? {
         known_keys(p, "peers[].", PEER_KEYS)?;
         peers.push(PeerSpec {
-            id: NodeId::from_index(req_u64(p, "id")? as usize),
+            id: req_id(p, "id")?,
             addr: req_str(p, "addr")?.to_string(),
-            machine: opt_u64(p, "machine")?.unwrap_or(0) as u32,
+            machine: opt_int(p, "machine")?.unwrap_or(0),
         });
     }
     Ok(Some(peers))
@@ -285,12 +285,10 @@ fn parse_ns_map(j: &Json) -> Result<Option<Vec<ShardInfo>>, ConfigError> {
         known_keys(row, "ns_map[].", NS_MAP_KEYS)?;
         let standby = match row.get("standby") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(NodeId::from_index(
-                v.as_u64().ok_or(ConfigError::Invalid("ns_map.standby"))? as usize,
-            )),
+            Some(v) => Some(id_of(v, "ns_map.standby")?),
         };
         rows.push(ShardInfo {
-            primary: NodeId::from_index(req_u64(row, "primary")? as usize),
+            primary: req_id(row, "primary")?,
             standby,
         });
     }
@@ -316,15 +314,13 @@ fn parse_chaos(j: &Json) -> Result<Option<ChaosConfig>, ConfigError> {
     let mut chaos = ChaosConfig::default();
     if let Some(arr) = c.get("partition") {
         for id in arr.as_arr().ok_or(ConfigError::Invalid("chaos.partition"))? {
-            chaos.partition.push(NodeId::from_index(
-                id.as_u64().ok_or(ConfigError::Invalid("chaos.partition"))? as usize,
-            ));
+            chaos.partition.push(id_of(id, "chaos.partition")?);
         }
     }
     overwrite(&mut chaos.seed, opt_u64(c, "seed")?);
-    overwrite(&mut chaos.drop_permille, opt_u64(c, "drop_permille")?.map(|v| v as u32));
-    overwrite(&mut chaos.dup_permille, opt_u64(c, "dup_permille")?.map(|v| v as u32));
-    overwrite(&mut chaos.delay_permille, opt_u64(c, "delay_permille")?.map(|v| v as u32));
+    overwrite(&mut chaos.drop_permille, opt_int(c, "drop_permille")?);
+    overwrite(&mut chaos.dup_permille, opt_int(c, "dup_permille")?);
+    overwrite(&mut chaos.delay_permille, opt_int(c, "delay_permille")?);
     overwrite(&mut chaos.delay, opt_u64(c, "delay_us")?.map(Duration::from_micros));
     Ok(Some(chaos))
 }
@@ -408,14 +404,14 @@ impl CtlConfig {
         let j = Json::parse(text).map_err(|_| ConfigError::BadJson)?;
         known_keys(&j, "", CTL_KEYS)?;
         let peers = parse_peers(&j)?.ok_or(ConfigError::Missing("peers"))?;
-        let mut cfg = CtlConfig::new(NodeId::from_index(req_u64(&j, "namespace")? as usize), peers);
-        overwrite(&mut cfg.ctl_id, opt_u64(&j, "ctl_id")?.map(|v| NodeId::from_index(v as usize)));
+        let mut cfg = CtlConfig::new(req_id(&j, "namespace")?, peers);
+        overwrite(&mut cfg.ctl_id, j.get("ctl_id").map(|v| id_of(v, "ctl_id")).transpose()?);
         overwrite(&mut cfg.seed, opt_u64(&j, "seed")?);
-        overwrite(&mut cfg.replication, opt_u64(&j, "replication")?.map(|v| v as u32));
+        overwrite(&mut cfg.replication, opt_int(&j, "replication")?);
         overwrite(&mut cfg.costs, parse_costs(&j)?);
         cfg.write_chunk = opt_u64(&j, "write_chunk")?;
-        overwrite(&mut cfg.write_window, opt_u64(&j, "write_window")?.map(|v| v as usize));
-        overwrite(&mut cfg.rpc_resends, opt_u64(&j, "rpc_resends")?.map(|v| v as u32));
+        overwrite(&mut cfg.write_window, opt_int(&j, "write_window")?);
+        overwrite(&mut cfg.rpc_resends, opt_int(&j, "rpc_resends")?);
         cfg.op_deadline_ms = opt_u64(&j, "op_deadline_ms")?;
         overwrite(&mut cfg.ns_map, parse_ns_map(&j)?);
         overwrite(&mut cfg.membership, parse_membership(&j)?);
@@ -438,18 +434,30 @@ fn opt_str<'a>(j: &'a Json, name: &'static str) -> Result<Option<&'a str>, Confi
     }
 }
 
-fn req_u64(j: &Json, name: &'static str) -> Result<u64, ConfigError> {
-    j.get(name)
-        .ok_or(ConfigError::Missing(name))?
-        .as_u64()
-        .ok_or(ConfigError::Invalid(name))
-}
-
 fn opt_u64(j: &Json, name: &'static str) -> Result<Option<u64>, ConfigError> {
     match j.get(name) {
         None => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or(ConfigError::Invalid(name)),
     }
+}
+
+/// An optional integer field narrower than `u64`: a value that does not
+/// fit is refused by name, not wrapped (`4294967298` is no replication
+/// degree of 2).
+fn opt_int<T: TryFrom<u64>>(j: &Json, name: &'static str) -> Result<Option<T>, ConfigError> {
+    opt_u64(j, name)?.map(|v| T::try_from(v).map_err(|_| ConfigError::Invalid(name))).transpose()
+}
+
+/// A required node id.
+fn req_id(j: &Json, name: &'static str) -> Result<NodeId, ConfigError> {
+    id_of(j.get(name).ok_or(ConfigError::Missing(name))?, name)
+}
+
+/// A node id: an integer that fits one, so an out-of-range id is refused
+/// rather than aliasing another node.
+fn id_of(v: &Json, name: &'static str) -> Result<NodeId, ConfigError> {
+    let id = v.as_u64().and_then(|v| u32::try_from(v).ok()).ok_or(ConfigError::Invalid(name))?;
+    Ok(NodeId::from_index(id as usize))
 }
 
 #[cfg(test)]
@@ -562,11 +570,37 @@ mod tests {
             (r#", "seed": "one""#, Invalid("seed")),
             (r#", "chaos": {"partition": ["a"]}"#, Invalid("chaos.partition")),
             (r#", "ns_map": [{"standby": 1}]"#, Missing("primary")),
+            // An integer that does not fit its field is refused, not
+            // wrapped: 2^32 + 1 would alias node 1, 2^32 shard 0.
+            (r#", "machine": 4294967296"#, Invalid("machine")),
+            (r#", "rack": 4294967296"#, Invalid("rack")),
+            (r#", "shard": 4294967296"#, Invalid("shard")),
+            (r#", "ns_shards": 4294967297"#, Invalid("ns_shards")),
+            (r#", "peers": [{"id": 4294967296, "addr": "y"}]"#, Invalid("id")),
+            (r#", "peers": [{"id": 0, "addr": "y", "machine": 4294967296}]"#, Invalid("machine")),
+            (r#", "ns_map": [{"primary": 4294967296}]"#, Invalid("primary")),
+            (r#", "ns_map": [{"primary": 0, "standby": 4294967296}]"#, Invalid("ns_map.standby")),
+            (r#", "chaos": {"partition": [4294967296]}"#, Invalid("chaos.partition")),
+            (r#", "chaos": {"drop_permille": 4294967296}"#, Invalid("drop_permille")),
         ] {
             assert_eq!(daemon("provider", extra).unwrap_err(), want, "{extra}");
         }
+        let doc = r#"{"node_id": 4294967297, "role": "provider", "listen": "x"}"#;
+        assert_eq!(DaemonConfig::parse(doc).unwrap_err(), Invalid("node_id"));
         assert_eq!(CtlConfig::parse(r#"{"namespace": 0}"#).unwrap_err(), Missing("peers"));
-        assert_eq!(ctl(r#", "membership": "smoke""#).unwrap_err(), Invalid("membership"));
+        for (extra, want) in [
+            (r#", "membership": "smoke""#, Invalid("membership")),
+            (r#", "ctl_id": 4294967296"#, Invalid("ctl_id")),
+            (r#", "replication": 4294967298"#, Invalid("replication")),
+            (r#", "rpc_resends": 4294967296"#, Invalid("rpc_resends")),
+        ] {
+            assert_eq!(ctl(extra).unwrap_err(), want, "{extra}");
+        }
+        let doc = r#"{"namespace": 4294967296, "peers": []}"#;
+        assert_eq!(CtlConfig::parse(doc).unwrap_err(), Invalid("namespace"));
+        // The largest id that fits still parses as itself.
+        let cfg = ctl(r#", "ctl_id": 4294967295"#).unwrap();
+        assert_eq!(cfg.ctl_id, NodeId::from_index(u32::MAX as usize));
     }
 
     #[test]

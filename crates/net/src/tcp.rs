@@ -112,9 +112,16 @@ pub struct MeshConfig;
 pub struct MeshStats {
     /// Frames written to a socket successfully.
     pub sent: u64,
-    /// Frames dropped: peer unreachable after redial, queue full, or
-    /// connection lost mid-write.
+    /// Frames dropped, whatever the cause: the sum of the three
+    /// `dropped_*` counters below.
     pub send_failures: u64,
+    /// Frames refused because the peer's outbound queue was full.
+    pub dropped_queue_full: u64,
+    /// Frames lost half-written when their connection closed.
+    pub dropped_mid_write: u64,
+    /// Queued frames dropped unsent: the peer stayed unreachable after
+    /// redial, or its wedged connection was evicted.
+    pub dropped_backlog: u64,
     /// Connections dropped for undecodable bytes.
     pub decode_errors: u64,
     /// Of those, connections dropped for a frame that failed its
@@ -411,7 +418,7 @@ impl Mesh {
                 self.full_strikes.remove(&to);
                 continue;
             }
-            self.stats.send_failures += 1;
+            self.stats.dropped_queue_full += 1;
             // A queue that stays full means the peer's connection is
             // wedged (TCP window exhausted by a non-reader, or a
             // blackholed route): after enough consecutive strikes, evict
@@ -458,7 +465,9 @@ impl Mesh {
     /// A snapshot of the mesh counters.
     pub fn stats(&self) -> MeshStats {
         let conns = self.conns.iter().flatten().filter(|c| !c.connecting).count();
-        MeshStats { conns: conns as u64, ..self.stats }
+        let s = self.stats;
+        let send_failures = s.dropped_queue_full + s.dropped_mid_write + s.dropped_backlog;
+        MeshStats { conns: conns as u64, send_failures, ..s }
     }
 
     /// Flush mesh counters into labeled metrics, including one
@@ -469,6 +478,9 @@ impl Mesh {
         let s = self.stats();
         metrics.gauge_set("net_sent", s.sent as f64);
         metrics.gauge_set("net_send_failures", s.send_failures as f64);
+        metrics.gauge_set("net_dropped_queue_full", s.dropped_queue_full as f64);
+        metrics.gauge_set("net_dropped_mid_write", s.dropped_mid_write as f64);
+        metrics.gauge_set("net_dropped_backlog", s.dropped_backlog as f64);
         metrics.gauge_set("net_decode_errors", s.decode_errors as f64);
         metrics.gauge_set("net_checksum_errors", s.checksum_errors as f64);
         metrics.gauge_set("net_chaos_dropped", s.chaos_dropped as f64);
@@ -650,7 +662,7 @@ impl Mesh {
         let Some(conn) = self.conns[idx].take() else { return };
         let _ = self.poller.remove(conn.stream.as_raw_fd());
         if conn.partial.is_some() && !conn.hello {
-            self.stats.send_failures += 1;
+            self.stats.dropped_mid_write += 1;
         }
         self.free.push(idx);
         if conn.connecting {
@@ -770,7 +782,7 @@ impl Mesh {
     /// evicted), counting them as send failures.
     fn drop_backlog(&mut self, peer: NodeId) {
         if let Some(q) = self.queues.get_mut(&peer) {
-            self.stats.send_failures += q.len() as u64;
+            self.stats.dropped_backlog += q.len() as u64;
             q.clear();
         }
     }
@@ -1048,6 +1060,7 @@ mod tests {
         // carried counts in neither `sent` nor `send_failures`.
         drive_until(&mut m0, "send failure never counted", |m| m.stats().send_failures > 0);
         assert_eq!(m0.stats().send_failures, 1);
+        assert_eq!(m0.stats().dropped_backlog, 1, "{:?}", m0.stats());
         assert_eq!(m0.stats().sent, 0);
     }
 
@@ -1101,6 +1114,7 @@ mod tests {
         }
         assert_eq!(m0.queue_depths(), vec![(n_slow, OUTBOUND_QUEUE as u64)]);
         assert!(m0.stats().send_failures >= 8, "{:?}", m0.stats());
+        assert!(m0.stats().dropped_queue_full >= 8, "{:?}", m0.stats());
         // A send to the healthy peer must still go through promptly.
         let t0 = Instant::now();
         m0.send(n_fast, &Msg::StatsQuery { req: 7 });
@@ -1249,6 +1263,7 @@ mod tests {
         let failed = t0.elapsed();
         assert!(failed >= both_dials, "the black-holed frame failed at {failed:?}");
         assert_eq!(m0.stats().send_failures, 1, "{:?}", m0.stats());
+        assert_eq!(m0.stats().dropped_backlog, 1, "{:?}", m0.stats());
         assert_eq!(m0.queue_depths(), vec![(n_hole, 0), (n_live, 0)]);
     }
 

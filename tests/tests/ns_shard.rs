@@ -4,12 +4,17 @@
 //! The partition function is pure arithmetic, so tests *compute* which
 //! directories land on which shard and then build paths that force
 //! same-shard and cross-shard variants of every metadata operation.
+//! Two tests are also experiments, and print their figures under
+//! `--nocapture`: shard scaling and the standby's replay tail.
 
+use rand::Rng;
 use sorrento::client::ClientOp;
-use sorrento::cluster::{Cluster, ClusterBuilder, ScriptedWorkload};
+use sorrento::cluster::{Cluster, ClusterBuilder, FnWorkload, ScriptedWorkload};
 use sorrento::costs::CostModel;
+use sorrento::namespace::NamespaceServer;
 use sorrento::nsmap::{shard_of_dir, shard_of_path};
-use sorrento_sim::Dur;
+use sorrento::types::FileId;
+use sorrento_sim::{Dur, NodeId};
 
 fn sharded_cluster(seed: u64, shards: u32) -> Cluster {
     ClusterBuilder::new()
@@ -24,6 +29,17 @@ fn run_script(cluster: &mut Cluster, ops: Vec<ClientOp>) -> sorrento::client::Cl
     let id = cluster.add_client(ScriptedWorkload::new(ops));
     cluster.run_for(Dur::secs(300));
     cluster.client_stats(id).unwrap().clone()
+}
+
+/// Let at least one WAL shipment drain to the standby, crash shard
+/// `k`'s primary, and give the standby time to miss its shipment
+/// deadline.
+fn crash_primary(cluster: &mut Cluster, k: usize) {
+    cluster.run_for(Dur::secs(2));
+    let primary = cluster.ns_shard_nodes()[k];
+    let at = cluster.now() + Dur::millis(1);
+    cluster.sim.crash_at(at, primary);
+    cluster.run_for(Dur::secs(5));
 }
 
 /// A root-level directory name whose *own* shard (where its children
@@ -167,56 +183,72 @@ fn single_shard_knob_is_byte_identical_to_default() {
     assert_eq!(ev_a, ev_b);
 }
 
+/// Kill a primary with an uncheckpointed WAL tail and fail over to its
+/// standby, once per checkpoint interval. The standby replays at most
+/// one interval of batches, and a coarser interval leaves a tail at
+/// least as long.
 #[test]
 fn standby_takes_over_after_primary_crash() {
-    let mut cluster = ClusterBuilder::new()
-        .providers(4)
-        .seed(31)
-        .costs(CostModel::fast_test())
-        .ns_shards(1)
-        .ns_standby(true)
-        .ns_checkpoint_every(4)
-        .build();
-    // Seed some namespace state through the primary.
-    let stats = run_script(
-        &mut cluster,
-        vec![
+    // (checkpoint interval, extra files created after the seed script).
+    // The seed script writes five WAL batches and every extra create +
+    // close two more, so each run leaves a tail at the kill: 1 batch of
+    // 4, 21 of 32, and 125 of 256.
+    let mut replayed = Vec::new();
+    for (every, extra) in [(4u64, 0usize), (32, 8), (256, 60)] {
+        let mut cluster = ClusterBuilder::new()
+            .providers(4)
+            .seed(31)
+            .costs(CostModel::fast_test())
+            .ns_shards(1)
+            .ns_standby(true)
+            .ns_checkpoint_every(every)
+            .build();
+        // Seed some namespace state through the primary.
+        let mut ops = vec![
             ClientOp::Mkdir { path: "/live".into() },
             ClientOp::Create { path: "/live/a".into() },
             ClientOp::write_bytes(0, b"survives failover".to_vec()),
             ClientOp::Close,
             ClientOp::Create { path: "/live/b".into() },
             ClientOp::Close,
-        ],
-    );
-    assert_eq!(stats.failed_ops, 0, "seed phase: {:?}", stats.last_error);
-    // Let at least one WAL shipment drain to the standby, then kill the
-    // primary.
-    cluster.run_for(Dur::secs(2));
-    let primary = cluster.ns_shard_nodes()[0];
-    let at = cluster.now() + Dur::millis(1);
-    cluster.sim.crash_at(at, primary);
-    cluster.run_for(Dur::secs(5));
-    // The standby noticed the missed shipment deadline and promoted.
-    let standby = cluster.ns_standby_ref_of(0).unwrap();
-    assert!(!standby.is_standby(), "standby never promoted");
-    assert!(standby.entry_count() >= 4, "promoted with {} entries", standby.entry_count());
-    assert_eq!(cluster.metrics().counter("ns.failovers"), 1);
-    // A fresh client times out against the dead primary, flips its route
-    // to the standby, and reads the pre-crash namespace and data back.
-    let stats = run_script(
-        &mut cluster,
-        vec![
-            ClientOp::Stat { path: "/live/b".into() },
-            ClientOp::Open { path: "/live/a".into(), write: false },
-            ClientOp::Read { offset: 0, len: 17 },
-            ClientOp::Close,
-            ClientOp::Create { path: "/live/c".into() },
-            ClientOp::Close,
-        ],
-    );
-    assert_eq!(stats.failed_ops, 0, "post-failover: {:?}", stats.last_error);
-    assert_eq!(stats.last_read.as_deref(), Some(&b"survives failover"[..]));
+        ];
+        for m in 0..extra {
+            ops.push(ClientOp::Create { path: format!("/live/m{m}") });
+            ops.push(ClientOp::Close);
+        }
+        let stats = run_script(&mut cluster, ops);
+        assert_eq!(stats.failed_ops, 0, "seed phase: {:?}", stats.last_error);
+        crash_primary(&mut cluster, 0);
+        // The standby noticed the missed shipment deadline and promoted.
+        let standby = cluster.ns_standby_ref_of(0).unwrap();
+        assert!(!standby.is_standby(), "standby never promoted");
+        assert!(standby.entry_count() >= 4, "promoted with {} entries", standby.entry_count());
+        assert!(
+            (1..=every).contains(&(standby.failover_replayed as u64)),
+            "checkpoint every {every}: replayed {} batches",
+            standby.failover_replayed
+        );
+        println!("checkpoint every {every}: replayed {} WAL batches", standby.failover_replayed);
+        replayed.push(standby.failover_replayed);
+        assert_eq!(cluster.metrics().counter("ns.failovers"), 1);
+        // A fresh client times out against the dead primary, flips its
+        // route to the standby, and reads the pre-crash namespace and
+        // data back.
+        let stats = run_script(
+            &mut cluster,
+            vec![
+                ClientOp::Stat { path: "/live/b".into() },
+                ClientOp::Open { path: "/live/a".into(), write: false },
+                ClientOp::Read { offset: 0, len: 17 },
+                ClientOp::Close,
+                ClientOp::Create { path: "/live/c".into() },
+                ClientOp::Close,
+            ],
+        );
+        assert_eq!(stats.failed_ops, 0, "post-failover: {:?}", stats.last_error);
+        assert_eq!(stats.last_read.as_deref(), Some(&b"survives failover"[..]));
+    }
+    assert!(replayed.windows(2).all(|w| w[0] <= w[1]), "tail shrank: {replayed:?}");
 }
 
 #[test]
@@ -244,12 +276,7 @@ fn sharded_plane_with_standbys_survives_one_shard_loss() {
         ],
     );
     assert_eq!(stats.failed_ops, 0, "seed phase: {:?}", stats.last_error);
-    cluster.run_for(Dur::secs(2));
-    // Kill shard 0's primary only. Shard 1 is untouched.
-    let victim = cluster.ns_shard_nodes()[0];
-    let at = cluster.now() + Dur::millis(1);
-    cluster.sim.crash_at(at, victim);
-    cluster.run_for(Dur::secs(5));
+    crash_primary(&mut cluster, 0); // shard 1 is untouched
     assert!(!cluster.ns_standby_ref_of(0).unwrap().is_standby());
     let stats = run_script(
         &mut cluster,
@@ -261,4 +288,92 @@ fn sharded_plane_with_standbys_survives_one_shard_loss() {
         ],
     );
     assert_eq!(stats.failed_ops, 0, "post-failover: {:?}", stats.last_error);
+}
+
+fn shard_primary(c: &mut Cluster, k: usize) -> &mut NamespaceServer {
+    let node = c.ns_shard_nodes()[k];
+    c.sim.node_mut::<NamespaceServer>(node).expect("shard primary")
+}
+
+/// Metadata ops/s served by `shards` namespace shards: a preseeded
+/// tree, 48 closed-loop clients on a 7/8 stat : 1/8 mkdir mix, a 1 s
+/// ramp, then a 4 s virtual window. Panics on any failed op.
+fn metadata_ops_per_sec(shards: u32) -> f64 {
+    const DIRS: usize = 256;
+    const FILES_PER_DIR: usize = 16;
+    const CLIENTS: usize = 48;
+    let window = Dur::secs(4);
+    let mut c: Cluster = ClusterBuilder::new()
+        .providers(8)
+        .seed(9100 + u64::from(shards))
+        .costs(CostModel::fast_test())
+        .warmup(Dur::secs(1))
+        .ns_shards(shards)
+        .build();
+    // Bulk-load `/dir{i}/f{j}` straight into the shard backends, each
+    // entry on the shard that owns it. A directory also gets its stub
+    // copy on its children's shard, as a real `mkdir` would install.
+    let root_shard = shard_of_dir("/", shards) as usize;
+    let mut next = 1u128 << 64; // far above any runtime-allocated id
+    for i in 0..DIRS {
+        let dir = format!("/dir{i}");
+        let children = shard_of_dir(&dir, shards) as usize;
+        shard_primary(&mut c, root_shard).preseed(&dir, FileId(next), true);
+        if children != root_shard {
+            shard_primary(&mut c, children).preseed(&dir, FileId(next), true);
+        }
+        let srv = shard_primary(&mut c, children);
+        for j in 0..FILES_PER_DIR {
+            next += 1;
+            srv.preseed(&format!("{dir}/f{j}"), FileId(next), false);
+        }
+        next += 1;
+    }
+
+    // Closed-loop clients, spread over provider machines so no single
+    // NIC serializes the whole offered load. The mkdir is a mutation
+    // that hits the WAL and, cross-shard, the handshake path.
+    let nprov = c.providers().len();
+    let ids: Vec<NodeId> = (0..CLIENTS)
+        .map(|ci| {
+            let mut n = 0u64;
+            let w = FnWorkload(move |_now, rng: &mut rand::rngs::SmallRng| {
+                let i = rng.gen_range(0..DIRS);
+                if rng.gen_range(0..8) == 0 {
+                    n += 1;
+                    Some(ClientOp::Mkdir { path: format!("/dir{i}/c{ci}n{n}") })
+                } else {
+                    let j = rng.gen_range(0..FILES_PER_DIR);
+                    Some(ClientOp::Stat { path: format!("/dir{i}/f{j}") })
+                }
+            });
+            c.add_client_on_provider(w, ci % nprov)
+        })
+        .collect();
+
+    let done = |c: &Cluster| -> (u64, u64) {
+        ids.iter().fold((0, 0), |(ok, bad), &id| {
+            let s = c.client_stats(id).expect("client stats");
+            (ok + s.completed_ops, bad + s.failed_ops)
+        })
+    };
+    c.run_for(Dur::secs(1));
+    let (before, _) = done(&c);
+    c.run_for(window);
+    let (after, failed) = done(&c);
+    assert_eq!(failed, 0, "{shards}-shard run had failed metadata ops");
+    let ops_per_sec = (after - before) as f64 / (window.as_nanos() as f64 / 1e9);
+    println!("{shards} shard(s): {ops_per_sec:.0} metadata ops/s");
+    ops_per_sec
+}
+
+/// Sharding the namespace scales metadata throughput: ops/s rises with
+/// the shard count, and 4 shards serve at least 2.5× one server.
+#[test]
+fn sharding_scales_metadata_throughput() {
+    let rates: Vec<f64> = [1, 2, 4].into_iter().map(metadata_ops_per_sec).collect();
+    let rising = rates[0] > 0.0 && rates.windows(2).all(|w| w[0] < w[1]);
+    assert!(rising, "ops/s by shard count: {rates:?}");
+    let speedup = rates[2] / rates[0];
+    assert!(speedup >= 2.5, "4-shard speedup {speedup:.2} < 2.5x");
 }
