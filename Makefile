@@ -37,10 +37,14 @@
 #                   provider, and schema-check the flight dump and
 #                   metrics.jsonl it leaves behind, plus the span-trace
 #                   merge tests
-#   make ec-smoke   the erasure-coding drill: EC(4,2) against
-#                   replication-3 with every figure pinned (storage
-#                   overhead, read latency healthy and degraded, repair
-#                   bytes, heal time), then the seeded-simulator EC tests
+#   make ec-smoke   the erasure-coding drill: first the byte kernels'
+#                   own tests (the GF(2^8) fold against the log/exp
+#                   multiply, the pinned RS(4,2) parity, the CRC-32
+#                   lanes against zlib and the one-byte definition),
+#                   then EC(4,2) against replication-3 with every
+#                   figure pinned (storage overhead, read latency healthy
+#                   and degraded, repair bytes, heal time), then the
+#                   seeded-simulator EC tests
 #                   (roundtrip, rewrite, refused partial rewrite,
 #                   degraded read, shard repair, parity against a flat
 #                   oracle), then a loopback EC(4,2) cluster that loses
@@ -109,6 +113,8 @@ obs-smoke:
 	$(CARGO) test -p sorrento-tests --test observability -- --nocapture
 
 ec-smoke:
+	$(CARGO) test -p sorrento-ec
+	$(CARGO) test -p sorrento-kvdb crc
 	$(CARGO) test -p sorrento-tests --test ec_cost --test ec_mode --test ec_parity -- --nocapture
 
 ns-smoke:

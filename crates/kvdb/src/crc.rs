@@ -1,5 +1,6 @@
 //! CRC-32 (IEEE 802.3: polynomial `0xEDB88320` reflected, initial value
-//! and final xor `!0` — zlib's), slicing-by-16.
+//! and final xor `!0` — zlib's), slicing-by-16 in three interleaved
+//! lanes.
 //!
 //! Guards every WAL record, so recovery can detect a torn or corrupted
 //! tail, and every frame `sorrento-net` puts on a socket: a bulk byte is
@@ -13,13 +14,21 @@
 //! superscalar core overlaps. Sixteen and not thirty-two because 16 KiB
 //! of tables leave half of a 32 KiB L1 data cache to the bytes being
 //! checksummed, and thirty-two would fill it. The tables are computed at
-//! compile time, so there is no initialisation to guard. Inputs shorter
-//! than a block (every frame header field) and the tail of longer ones
-//! go through the one-byte step.
+//! compile time, so there is no initialisation to guard.
+//!
+//! Sixteen bytes still wait on the sixteen before them. So a whole
+//! [`STRIDE`] is checksummed as three [`LANE`]-byte chains advanced in
+//! one loop, the second and third from a zero state, whose lookups the
+//! core overlaps too. The CRC is linear: the lanes join as
+//! `c₀·x^(8·2·LANE) + c₁·x^(8·LANE) + c₂`, two [`multmodp`] calls by
+//! compile-time powers ([`crc32_combine`]'s shift). Inputs shorter than
+//! a stride, and a stride's tail, take the sixteen-byte step, and what
+//! is left of that the one-byte step.
 //!
 //! The values are part of the on-disk and on-wire formats. The tests pin
-//! them against zlib's at every block boundary and check the kernel
-//! against the one-byte definition at every alignment, length and split.
+//! them against zlib's at every block and stride boundary and check the
+//! kernel against the one-byte definition at every alignment, length and
+//! split.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -51,6 +60,27 @@ const fn tables() -> [[u32; 256]; 16] {
     t
 }
 
+/// Bytes per lane of a stride.
+const LANE: usize = 4_096;
+
+/// Bytes [`Crc32::update`] checksums as three interleaved lanes.
+const STRIDE: usize = 3 * LANE;
+
+/// The state `c` advanced over one 16-byte block.
+#[inline(always)]
+fn step16(c: u32, block: &[u8]) -> u32 {
+    let word = |i: usize| u32::from_le_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+    // Byte j of the block, the state folded into the first four, is
+    // followed by 15 - j more bytes of this block.
+    let lookup = |k: usize, w: u32| {
+        T[k][w as u8 as usize]
+            ^ T[k - 1][(w >> 8) as u8 as usize]
+            ^ T[k - 2][(w >> 16) as u8 as usize]
+            ^ T[k - 3][(w >> 24) as usize]
+    };
+    lookup(15, word(0) ^ c) ^ lookup(11, word(4)) ^ lookup(7, word(8)) ^ lookup(3, word(12))
+}
+
 /// CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
@@ -77,22 +107,22 @@ impl Crc32 {
     /// Absorb more bytes.
     pub fn update(&mut self, data: &[u8]) {
         let mut c = self.state;
-        let mut blocks = data.chunks_exact(16);
+        let mut strides = data.chunks_exact(STRIDE);
+        for stride in &mut strides {
+            let lane = |i: usize| stride[i * LANE..(i + 1) * LANE].chunks_exact(16);
+            let (mut ca, mut cb, mut cz) = (c, 0, 0);
+            for ((a, b), z) in lane(0).zip(lane(1)).zip(lane(2)) {
+                ca = step16(ca, a);
+                cb = step16(cb, b);
+                cz = step16(cz, z);
+            }
+            // Shifted past the lanes after them: two, one and none.
+            let (x_2lane, x_lane) = const { (x8nmodp(2 * LANE as u64), x8nmodp(LANE as u64)) };
+            c = multmodp(x_2lane, ca) ^ multmodp(x_lane, cb) ^ cz;
+        }
+        let mut blocks = strides.remainder().chunks_exact(16);
         for block in &mut blocks {
-            let word =
-                |i: usize| u32::from_le_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
-            // Byte j of the block, the state folded into the first four,
-            // is followed by 15 - j more bytes of this block.
-            let lookup = |k: usize, w: u32| {
-                T[k][w as u8 as usize]
-                    ^ T[k - 1][(w >> 8) as u8 as usize]
-                    ^ T[k - 2][(w >> 16) as u8 as usize]
-                    ^ T[k - 3][(w >> 24) as usize]
-            };
-            c = lookup(15, word(0) ^ c)
-                ^ lookup(11, word(4))
-                ^ lookup(7, word(8))
-                ^ lookup(3, word(12));
+            c = step16(c, block);
         }
         for &b in blocks.remainder() {
             c = T[0][(c as u8 ^ b) as usize] ^ (c >> 8);
@@ -115,23 +145,20 @@ impl Default for Crc32 {
 
 /// `a·b mod P` over GF(2), in the CRC's reflected bit order (bit 31 is
 /// `x^0`): zlib's `multmodp`.
-fn multmodp(a: u32, mut b: u32) -> u32 {
+const fn multmodp(a: u32, mut b: u32) -> u32 {
     let mut p = 0;
-    for bit in (0..32).rev() {
+    let mut bit = 32;
+    while bit > 0 {
+        bit -= 1;
         p ^= b & (a >> bit & 1).wrapping_neg();
         b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
     }
     p
 }
 
-/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
-/// the bytes (zlib's `crc32_combine`): `crc_a·x^(8·len_b) + crc_b`, the
-/// power by square-and-multiply.
-pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    if crc_a == 0 {
-        return crc_b; // nothing to shift: a run's first piece costs nothing
-    }
-    let (mut shift, mut square, mut n) = (1u32 << 31, 1u32 << 23, len_b); // x^0, x^8
+/// `x^(8·n) mod P`, the shift past `n` bytes, by square-and-multiply.
+const fn x8nmodp(mut n: u64) -> u32 {
+    let (mut shift, mut square) = (1u32 << 31, 1u32 << 23); // x^0, x^8
     while n != 0 {
         if n & 1 != 0 {
             shift = multmodp(square, shift);
@@ -139,7 +166,16 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
         square = multmodp(square, square);
         n >>= 1;
     }
-    multmodp(shift, crc_a) ^ crc_b
+    shift
+}
+
+/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// the bytes (zlib's `crc32_combine`): `crc_a·x^(8·len_b) + crc_b`.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    if crc_a == 0 {
+        return crc_b; // nothing to shift: a run's first piece costs nothing
+    }
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
 }
 
 /// CRC-32 of `data` given the CRCs of some of its pieces, `(start, len,
@@ -195,7 +231,7 @@ mod tests {
         // zlib's values, confirmed against the byte-at-a-time kernel
         // this one replaced. A WAL or a frame written by any earlier
         // build must keep verifying, so these never change.
-        const PINNED: [(usize, u32); 12] = [
+        const PINNED: [(usize, u32); 17] = [
             (0, 0x0000_0000),
             (1, 0x4c66_7a2e),
             (15, 0x8f77_fabb),
@@ -208,7 +244,14 @@ mod tests {
             (4_096, 0x5d1c_4ee3),
             (65_537, 0x97a6_5d31),
             (262_181, 0x6667_433f),
+            // Around one, two and three strides of three lanes.
+            (12_287, 0x5b81_0e52),
+            (12_288, 0xf9ed_3411),
+            (12_289, 0x262f_b7e8),
+            (24_591, 0xc92a_0bec),
+            (36_863, 0x533e_5c97),
         ];
+        assert_eq!(STRIDE, 12_288, "the stride pins above are at 12,288");
         for (len, want) in PINNED {
             assert_eq!(crc32(&pattern(len)), want, "len {len}");
         }
@@ -218,7 +261,9 @@ mod tests {
     fn equals_the_bytewise_definition_at_every_alignment_and_length() {
         let buf = seeded(300 << 10);
         for start in 0..16 {
-            for len in (0..=1_100).chain([4_096, 65_537, 262_181]) {
+            let around = |n: usize| n - 33..=n + 33;
+            let lens = (0..=1_100).chain(around(STRIDE)).chain(around(2 * STRIDE));
+            for len in lens.chain([4_096, 65_537, 262_181]) {
                 let data = &buf[start..start + len];
                 assert_eq!(crc32(data), bytewise(data), "start {start} len {len}");
             }
@@ -233,6 +278,25 @@ mod tests {
             c.update(&data[..split]);
             c.update(&data[split..]);
             assert_eq!(c.finalize(), bytewise(&data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn streaming_splits_inside_a_stride_match_one_shot() {
+        let data = seeded(3 * STRIDE + 100);
+        let want = bytewise(&data);
+        // One cut anywhere in the first two strides, a lane's edges
+        // included, then a second cut inside the next stride.
+        let edges = [1, 16, LANE - 1, LANE, LANE + 1, 2 * LANE + 5, STRIDE - 1];
+        let cuts = (0..2 * STRIDE).step_by(97).chain(edges);
+        let cuts = cuts.chain(edges.map(|e| STRIDE + e));
+        for cut in cuts {
+            let second = cut + STRIDE / 2 + 3;
+            let mut c = Crc32::new();
+            c.update(&data[..cut]);
+            c.update(&data[cut..second]);
+            c.update(&data[second..]);
+            assert_eq!(c.finalize(), want, "cuts {cut}, {second}");
         }
     }
 

@@ -244,6 +244,8 @@ pub struct Mesh {
     pool: BufPool,
     /// Consecutive queue-full drops per peer (eviction trigger).
     full_strikes: HashMap<NodeId, u32>,
+    /// `dropped_backlog` per peer: which peers were dialed in vain.
+    backlog_drops: HashMap<NodeId, u64>,
     /// Installed fault-injection rules, if any (see [`crate::chaos`]).
     chaos: Option<Chaos>,
     /// Flight recorder for chaos-injection telemetry.
@@ -283,6 +285,7 @@ impl Mesh {
             stats: MeshStats::default(),
             pool: BufPool::new(),
             full_strikes: HashMap::new(),
+            backlog_drops: HashMap::new(),
             chaos: None,
             flight: None,
         })
@@ -471,7 +474,8 @@ impl Mesh {
     }
 
     /// Flush mesh counters into labeled metrics, including one
-    /// `net_queue_depth_<peer>` gauge per live peer queue, the
+    /// `net_queue_depth_<peer>` gauge per live peer queue, one
+    /// `net_dropped_backlog_<peer>` gauge per peer dialed in vain, the
     /// live-connection gauge (`net_conns` — "mesh.conns" in DESIGN
     /// terms) and the `EPOLLOUT` backpressure counter.
     pub fn export_metrics(&self, metrics: &mut sorrento_sim::Metrics) {
@@ -494,6 +498,9 @@ impl Mesh {
             metrics.gauge_set(&format!("net_queue_depth_{}", peer.index()), depth as f64);
         }
         metrics.gauge_set("net_queue_depth_max", max_depth as f64);
+        for (peer, &n) in &self.backlog_drops {
+            metrics.gauge_set(&format!("net_dropped_backlog_{}", peer.index()), n as f64);
+        }
     }
 
     /// Close every connection. Frames already queued to connected peers,
@@ -781,8 +788,9 @@ impl Mesh {
     /// Drop every queued frame for `peer` (unreachable after redial, or
     /// evicted), counting them as send failures.
     fn drop_backlog(&mut self, peer: NodeId) {
-        if let Some(q) = self.queues.get_mut(&peer) {
+        if let Some(q) = self.queues.get_mut(&peer).filter(|q| !q.is_empty()) {
             self.stats.dropped_backlog += q.len() as u64;
+            *self.backlog_drops.entry(peer).or_default() += q.len() as u64;
             q.clear();
         }
     }
@@ -1062,6 +1070,19 @@ mod tests {
         assert_eq!(m0.stats().send_failures, 1);
         assert_eq!(m0.stats().dropped_backlog, 1, "{:?}", m0.stats());
         assert_eq!(m0.stats().sent, 0);
+    }
+
+    #[test]
+    fn backlog_drops_are_counted_per_peer() {
+        let (mut m0, _) = start(0, HashMap::new());
+        // n7 has no address: its frames are dropped at the dial.
+        m0.send(NodeId::from_index(7), &Msg::StatsQuery { req: 1 });
+        m0.send(NodeId::from_index(7), &Msg::StatsQuery { req: 2 });
+        assert_eq!(m0.stats().dropped_backlog, 2);
+        let mut metrics = sorrento_sim::Metrics::default();
+        m0.export_metrics(&mut metrics);
+        assert_eq!(metrics.gauge("net_dropped_backlog_7"), Some(2.0));
+        assert_eq!(metrics.gauge("net_dropped_backlog_1"), None, "a peer with no drops");
     }
 
     /// One peer that accepts but never reads must not delay delivery to
