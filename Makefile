@@ -76,7 +76,9 @@
 #   make docs       rustdoc for the whole workspace (warnings are errors)
 #   make loc        workspace Rust line count as ROADMAP tracks it per PR
 #                   (benchmark/ and target/ excluded), total then per
-#                   top-level directory, beside the count at LOC_BASE
+#                   top-level directory, then the non-test lines of
+#                   crates/ (outside crates/*/tests/ and every
+#                   #[cfg(test)] item), beside the count at LOC_BASE
 #                   (default HEAD~1) and the difference
 
 CARGO ?= cargo
@@ -154,6 +156,24 @@ docs:
 
 LOC_BASE ?= HEAD~1
 
+# Counts the lines of the .rs files it is given, less each #[cfg(test)]
+# item: an item that opens a brace, to the brace closing it at its own
+# indent; `mod name;`, with the file it names; any other, its one line.
+NONTEST_AWK = 'FNR == 1 { insk = 0; cfg = 0 } \
+  insk { if (substr($$0, 1, length(ind) + 1) == ind "}") insk = 0; next } \
+  cfg { cfg = 0; \
+    if ($$0 ~ /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/) { \
+      name = $$0; sub(/^.*mod /, "", name); sub(/;.*$$/, "", name); \
+      dir = FILENAME; sub(/[^\/]*$$/, "", dir); base = FILENAME; sub(/^.*\//, "", base); \
+      if (base != "mod.rs" && base != "lib.rs" && base != "main.rs") { sub(/\.rs$$/, "", base); dir = dir base "/" } \
+      skip[dir name ".rs"] = 1 \
+    } else if ($$0 ~ /\{[ \t]*$$/) { match($$0, /^[ \t]*/); ind = substr($$0, 1, RLENGTH); insk = 1 } \
+    next } \
+  /^[ \t]*\#\[cfg\(test\)\][ \t]*$$/ { cfg = 1; next } \
+  { n[FILENAME]++ } \
+  END { for (f in n) if (!(f in skip)) t += n[f]; print t + 0 }'
+NONTEST_FILES = find crates -path 'crates/*/tests' -prune -o -name '*.rs' -print
+
 loc:
 	@base=$$(git rev-parse -q --verify '$(LOC_BASE)^{commit}') || base=; \
 	printf '%-28s %7s %7s %7s\n' '' now '$(LOC_BASE)' delta; \
@@ -165,4 +185,12 @@ loc:
 	  else \
 	    printf '%-28s %7s %7s\n' "$$d" "$$now" '?'; \
 	  fi; \
-	done
+	done; \
+	now=$$($(NONTEST_FILES) | xargs awk $(NONTEST_AWK)); \
+	if [ -n "$$base" ]; then \
+	  tmp=$$(mktemp -d) && git archive $$base crates | tar -x -C $$tmp && \
+	  was=$$(cd $$tmp && $(NONTEST_FILES) | xargs awk $(NONTEST_AWK)) && rm -rf $$tmp; \
+	  printf '%-28s %7s %7s %+7d\n' "crates (non-test)" "$$now" "$$was" "$$((now - was))"; \
+	else \
+	  printf '%-28s %7s %7s\n' "crates (non-test)" "$$now" '?'; \
+	fi

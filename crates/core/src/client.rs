@@ -19,11 +19,10 @@ use crate::transport::Transport;
 
 use crate::costs::CostModel;
 use crate::layout::{Extent, IndexSegment, WritePlan, WriteViews};
-use crate::membership::MembershipView;
 use crate::placement::{candidates_from_view, select_provider};
 use crate::proto::{decode_index, encode_index, FileEntry, Msg, ReadReply, ReqId, Tick};
-use crate::ring::HashRing;
-use crate::swim::{MembershipMode, SwimState};
+use crate::provider::membership::Membership;
+use crate::swim::MembershipMode;
 use crate::store::{SegMeta, ShadowId, WritePayload};
 use crate::types::{Error, FileId, FileOptions, PlacementPolicy, SegId, Version};
 
@@ -477,8 +476,9 @@ pub struct SorrentoClient {
     workload: Box<dyn Workload>,
     /// Aggregate statistics.
     pub stats: ClientStats,
-    view: MembershipView,
-    ring: HashRing,
+    /// Provider liveness and the ring, in the membership role's pull
+    /// form: heartbeats heard, or digests pulled from SWIM gossipers.
+    members: Membership,
     file: Option<OpenFile>,
     op: Option<(ClientOp, SimTime, Phase, u32 /* attempts */)>,
     pending: HashMap<ReqId, (NodeId, Pending)>,
@@ -547,14 +547,6 @@ pub struct SorrentoClient {
     /// primary times out, route that shard's traffic to its standby
     /// (and back again on a standby timeout).
     ns_use_standby: Vec<bool>,
-    /// How this client learns provider liveness: heartbeat multicast
-    /// (default) or digest pulls from SWIM gossipers.
-    membership_mode: MembershipMode,
-    /// Providers to pull membership digests from in SWIM mode
-    /// (round-robin via `members_peer`).
-    swim_seeds: Vec<NodeId>,
-    members_peer: usize,
-    members_req: ReqId,
 }
 
 impl SorrentoClient {
@@ -566,8 +558,7 @@ impl SorrentoClient {
             default_options: FileOptions::default(),
             workload,
             stats: ClientStats::default(),
-            view: MembershipView::new(),
-            ring: HashRing::default(),
+            members: Membership::new(costs, MembershipMode::Heartbeat, Vec::new()),
             file: None,
             op: None,
             pending: HashMap::new(),
@@ -589,10 +580,6 @@ impl SorrentoClient {
             ec_read: None,
             ns_shards: crate::nsmap::NsShardMap::default(),
             ns_use_standby: Vec::new(),
-            membership_mode: MembershipMode::Heartbeat,
-            swim_seeds: Vec::new(),
-            members_peer: 0,
-            members_req: 0,
         }
     }
 
@@ -601,12 +588,7 @@ impl SorrentoClient {
     /// it learns liveness by pulling membership digests from `seeds`
     /// (the configured providers) in round-robin.
     pub fn set_membership(&mut self, mode: MembershipMode, seeds: Vec<NodeId>) {
-        self.membership_mode = mode;
-        self.swim_seeds = seeds;
-    }
-
-    fn rebuild_ring(&mut self) {
-        self.ring = HashRing::build(self.view.live());
+        self.members = Membership::new(self.costs, mode, seeds);
     }
 
     /// Install the namespace shard routing table (and reset the sticky
@@ -819,7 +801,7 @@ impl SorrentoClient {
         // Never pick an owner the membership view considers dead.
         let live: Vec<(NodeId, Version)> = owners
             .iter()
-            .filter(|(id, _)| self.view.is_live(*id))
+            .filter(|(id, _)| self.members.view().is_live(*id))
             .copied()
             .collect();
         let owners: &[(NodeId, Version)] = &live;
@@ -838,11 +820,8 @@ impl SorrentoClient {
             return None;
         }
         for &id in &pool {
-            if self
-                .view
-                .info(id)
-                .is_some_and(|i| i.heartbeat.machine == self.my_machine)
-            {
+            let info = self.members.view().info(id);
+            if info.is_some_and(|i| i.heartbeat.machine == self.my_machine) {
                 return Some(id);
             }
         }
@@ -862,9 +841,9 @@ impl SorrentoClient {
         policy: PlacementPolicy,
         exclude: &[NodeId],
     ) -> Option<NodeId> {
-        let cands = candidates_from_view(&self.view);
+        let cands = candidates_from_view(self.members.view());
         let home = if self.costs.home_boost {
-            self.ring.home(seg)
+            self.members.home(seg)
         } else {
             None
         };
@@ -929,7 +908,7 @@ impl SorrentoClient {
     /// runtime uses this to gate workload start on peer discovery (the
     /// simulator instead runs a warmup period).
     pub fn known_providers(&self) -> usize {
-        self.view.len()
+        self.members.view().len()
     }
 
     /// Data-read requests awaiting a reply, counted per extent of the
@@ -950,7 +929,7 @@ impl SorrentoClient {
         }
         // Without a provider view we cannot place or locate anything;
         // wait for heartbeats.
-        if self.view.is_empty() {
+        if self.members.view().is_empty() {
             ctx.set_timer(self.costs.heartbeat_interval, Msg::Tick(Tick::NextOp));
             return;
         }
@@ -1232,7 +1211,7 @@ impl SorrentoClient {
     }
 
     fn read_index_segment(&mut self, ctx: &mut impl Transport, seg: SegId, version: Version) {
-        let Some(home) = self.ring.home(seg) else {
+        let Some(home) = self.members.home(seg) else {
             self.retry_or_fail(ctx, Error::Timeout);
             return;
         };
@@ -1490,7 +1469,7 @@ impl SorrentoClient {
             if inflight.contains(&seg) {
                 continue;
             }
-            let Some(home) = self.ring.home(seg) else {
+            let Some(home) = self.members.home(seg) else {
                 continue;
             };
             let req = self.fresh_req();
@@ -1811,7 +1790,7 @@ impl SorrentoClient {
                 f.owners.remove(&seg);
             }
         }
-        let Some(home) = self.ring.home(seg) else {
+        let Some(home) = self.members.home(seg) else {
             self.ec_shard_failed(ctx, shard);
             return;
         };
@@ -2118,7 +2097,7 @@ impl SorrentoClient {
                 continue;
             }
             queried.push(seg);
-            let Some(home) = self.ring.home(seg) else {
+            let Some(home) = self.members.home(seg) else {
                 continue;
             };
             let req = self.fresh_req();
@@ -2161,7 +2140,7 @@ impl SorrentoClient {
             }
         }
         for seg in need_owner {
-            let Some(home) = self.ring.home(seg) else {
+            let Some(home) = self.members.home(seg) else {
                 continue;
             };
             let req = self.fresh_req();
@@ -2670,8 +2649,8 @@ impl SorrentoClient {
         } else {
             let p = f
                 .index_owner
-                .filter(|&p| self.view.is_live(p))
-                .unwrap_or_else(|| self.ring.home(seg).expect("providers exist"));
+                .filter(|&p| self.members.view().is_live(p))
+                .unwrap_or_else(|| self.members.home(seg).expect("providers exist"));
             (p, Some(f.entry.version))
         };
         // The index segment of an erasure-coded file carries the (k, m)
@@ -2938,7 +2917,7 @@ impl SorrentoClient {
                 // Choose (r-1) extra sites and push synchronously.
                 let mut exclude = vec![source];
                 for _ in 1..replication {
-                    let cands = candidates_from_view(&self.view);
+                    let cands = candidates_from_view(self.members.view());
                     let Some(site) = select_provider(
                         &cands,
                         1,
@@ -3011,7 +2990,7 @@ impl SorrentoClient {
             return;
         };
         if let Some(seg) = to_locate.pop() {
-            let Some(home) = self.ring.home(seg) else {
+            let Some(home) = self.members.home(seg) else {
                 self.continue_unlink(ctx);
                 return;
             };
@@ -3123,7 +3102,7 @@ impl SorrentoClient {
                         *e = Some(entry.clone());
                         to_locate.push(seg);
                     }
-                    let Some(home) = self.ring.home(seg) else {
+                    let Some(home) = self.members.home(seg) else {
                         self.complete_op(ctx, None, 0, None);
                         return;
                     };
@@ -3495,8 +3474,8 @@ impl SorrentoClient {
         // retry reaches the survivor.
         if self.is_ns_node(target) {
             self.flip_ns_route(target);
-        } else if self.view.remove(target) {
-            self.rebuild_ring();
+        } else {
+            self.members.remove(target);
         }
         if let Some(f) = &mut self.file {
             for owners in f.owners.values_mut() {
@@ -3577,7 +3556,7 @@ impl SorrentoClient {
             // byte-identical, so the refresh timer never exists there.
             ctx.set_timer(self.costs.heartbeat_interval, Msg::Tick(Tick::ShardMapRefresh));
         }
-        if self.membership_mode == MembershipMode::Swim {
+        if self.members.mode() == MembershipMode::Swim {
             // Gossip deployments only (same byte-identical rule): no
             // heartbeats will arrive, so pull digests instead.
             ctx.set_timer(self.costs.heartbeat_interval, Msg::Tick(Tick::MembersRefresh));
@@ -3587,49 +3566,10 @@ impl SorrentoClient {
 
     /// Process one delivered message or fired timer.
     pub fn handle_message(&mut self, from: NodeId, msg: Msg, ctx: &mut impl Transport) {
+        if self.members.on_pull(from, &msg, ctx) {
+            return;
+        }
         match msg {
-            Msg::Heartbeat(hb) => {
-                self.view.observe(from, hb, ctx.now());
-                self.rebuild_ring();
-            }
-            Msg::Tick(Tick::Membership) => {
-                let departed = self.view.expire(ctx.now(), self.costs.heartbeat_interval);
-                if !departed.is_empty() {
-                    self.rebuild_ring();
-                }
-                ctx.set_timer(self.costs.heartbeat_interval, Msg::Tick(Tick::Membership));
-            }
-            Msg::Tick(Tick::MembersRefresh) => {
-                // SWIM mode: pull a membership digest from the next
-                // configured provider (skipping none — dead ones simply
-                // don't answer and the next round moves on).
-                if !self.swim_seeds.is_empty() {
-                    let peer = self.swim_seeds[self.members_peer % self.swim_seeds.len()];
-                    self.members_peer += 1;
-                    self.members_req += 1;
-                    ctx.send(peer, Msg::MembersPull { req: self.members_req });
-                }
-                ctx.set_timer(self.costs.heartbeat_interval, Msg::Tick(Tick::MembersRefresh));
-            }
-            Msg::MembersDigest { req: _, updates } => {
-                // Fold the gossiper's table into the local view: alive
-                // members with payloads refresh the view, dead ones are
-                // evicted. Suspects stay (they may yet refute).
-                let now = ctx.now();
-                for u in &updates {
-                    match u.state {
-                        SwimState::Alive | SwimState::Suspect => {
-                            if let Some(hb) = u.payload {
-                                self.view.observe(u.node, hb, now);
-                            }
-                        }
-                        SwimState::Dead => {
-                            self.view.remove(u.node);
-                        }
-                    }
-                }
-                self.rebuild_ring();
-            }
             Msg::Tick(Tick::NextOp) => {
                 // Think finished, or we were waiting for providers.
                 if matches!(

@@ -358,7 +358,7 @@ impl Cluster {
         if self.membership == MembershipMode::Swim {
             // The newcomer bootstraps from the existing providers; they
             // learn about it from its own probes' piggybacked self-update.
-            prov = prov.with_membership(MembershipMode::Swim, self.providers.iter().copied());
+            prov.set_membership(MembershipMode::Swim, self.providers.clone());
         }
         let id = self.sim.add_node_offline(prov, cfg);
         self.sim.start_at(at, id);

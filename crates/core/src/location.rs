@@ -166,11 +166,6 @@ impl LocationTable {
     pub fn iter(&self) -> impl Iterator<Item = (SegId, &LocEntry)> {
         self.entries.iter().map(|(&s, e)| (s, e))
     }
-
-    /// Drop everything (soft state lost on crash/restart).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -253,13 +248,5 @@ mod tests {
         lt.upsert(seg(1), node(1), Version(1), 1, 100, t(0));
         lt.upsert(seg(1), node(1), Version(1), 1, 100, t(100));
         assert_eq!(lt.purge_stale(t(150), Dur::secs(60)), 0);
-    }
-
-    #[test]
-    fn clear_wipes_soft_state() {
-        let mut lt = LocationTable::new();
-        lt.upsert(seg(1), node(1), Version(1), 1, 100, t(0));
-        lt.clear();
-        assert!(lt.is_empty());
     }
 }

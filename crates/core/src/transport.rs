@@ -129,3 +129,119 @@ impl<M: Payload> Transport<M> for Ctx<'_, M> {
         Ctx::record(self, ev)
     }
 }
+
+/// A [`Transport`] that delivers nothing and records everything a state
+/// machine emits, in order: what role unit tests assert on.
+#[cfg(test)]
+pub(crate) mod recording {
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use sorrento_sim::{
+        DiskAccess, DiskConfig, DiskState, Dur, Metrics, NodeId, SimTime, TelemetryEvent, TimerId,
+    };
+
+    use super::Transport;
+    use crate::proto::Msg;
+
+    /// One emission. Tests that compare whole logs read every field
+    /// through `Debug`.
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    pub(crate) enum Out {
+        /// `send` or `send_at` (the instant is not kept: the recorder's
+        /// CPU and disk finish at once).
+        Send(NodeId, Msg),
+        Multicast(Msg),
+        Timer(Dur, Msg),
+        Record(TelemetryEvent),
+    }
+
+    /// The recorder: node `me` at time `now`, every node on its own
+    /// machine, a fixed RNG seed.
+    pub(crate) struct Recorder {
+        me: NodeId,
+        pub(crate) now: SimTime,
+        pub(crate) out: Vec<Out>,
+        disk: DiskState,
+        rng: SmallRng,
+        metrics: Metrics,
+        timers: u64,
+    }
+
+    impl Recorder {
+        pub(crate) fn new(me: NodeId) -> Recorder {
+            Recorder {
+                me,
+                now: SimTime::ZERO,
+                out: Vec::new(),
+                disk: DiskState::new(DiskConfig::scsi_10krpm(1 << 30)),
+                rng: SmallRng::seed_from_u64(7),
+                metrics: Metrics::new(),
+                timers: 0,
+            }
+        }
+
+        /// Take what was emitted so far.
+        pub(crate) fn drain(&mut self) -> Vec<Out> {
+            std::mem::take(&mut self.out)
+        }
+
+        /// The unicasts emitted so far, taken.
+        pub(crate) fn sends(&mut self) -> Vec<(NodeId, Msg)> {
+            let (sends, rest) = self.drain().into_iter().partition(|o| matches!(o, Out::Send(..)));
+            self.out = rest;
+            sends
+                .into_iter()
+                .map(|o| match o {
+                    Out::Send(to, msg) => (to, msg),
+                    _ => unreachable!("partitioned"),
+                })
+                .collect()
+        }
+    }
+
+    impl Transport for Recorder {
+        fn id(&self) -> NodeId {
+            self.me
+        }
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn send(&mut self, dst: NodeId, msg: Msg) {
+            self.out.push(Out::Send(dst, msg));
+        }
+        fn send_at(&mut self, _at: SimTime, dst: NodeId, msg: Msg) {
+            self.out.push(Out::Send(dst, msg));
+        }
+        fn multicast(&mut self, msg: Msg) {
+            self.out.push(Out::Multicast(msg));
+        }
+        fn set_timer(&mut self, delay: Dur, msg: Msg) -> TimerId {
+            self.out.push(Out::Timer(delay, msg));
+            self.timers += 1;
+            TimerId::from_raw(self.timers)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn cpu(&mut self, _service: Dur) -> SimTime {
+            self.now
+        }
+        fn disk_submit(&mut self, _bytes: u64, _access: DiskAccess) -> SimTime {
+            self.now
+        }
+        fn disk(&mut self) -> &mut DiskState {
+            &mut self.disk
+        }
+        fn machine_of(&self, id: NodeId) -> u32 {
+            id.index() as u32
+        }
+        fn rng(&mut self) -> &mut SmallRng {
+            &mut self.rng
+        }
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
+        fn record(&mut self, ev: TelemetryEvent) {
+            self.out.push(Out::Record(ev));
+        }
+    }
+}

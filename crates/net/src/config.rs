@@ -96,13 +96,10 @@ pub struct DaemonConfig {
     /// every this many milliseconds (`None` = off). Benches and chaos
     /// drills get post-hoc time series for free.
     pub metrics_interval_ms: Option<u64>,
-    /// Which namespace shard this node serves (namespace/standby roles;
-    /// below `ns_shards`).
-    pub shard: u32,
-    /// Total namespace shard count (1 = classic unsharded deployment).
-    pub ns_shards: u32,
     /// The namespace shard map: per-shard primary and optional standby
-    /// node ids, in shard order, `ns_shards` rows. Empty means unsharded.
+    /// node ids, in shard order, one row per shard. Empty means
+    /// unsharded. A namespace node serves the shard whose primary it is,
+    /// a standby the shard whose standby it is.
     pub ns_map: Vec<ShardInfo>,
     /// Checkpoint the namespace kvdb every this many applied batches
     /// (bounds the WAL tail a standby replays at failover).
@@ -145,7 +142,7 @@ impl std::error::Error for ConfigError {}
 /// The keys of a daemon document, one per [`DaemonConfig`] field.
 const DAEMON_KEYS: &[&str] = &[
     "node_id", "role", "listen", "data_dir", "seed", "capacity", "machine", "rack", "costs",
-    "chaos", "metrics_interval_ms", "shard", "ns_shards", "ns_map", "ns_checkpoint_batches",
+    "chaos", "metrics_interval_ms", "ns_map", "ns_checkpoint_batches",
     "membership", "peers",
 ];
 /// The keys of a cluster document, one per [`CtlConfig`] field.
@@ -174,8 +171,6 @@ impl DaemonConfig {
             costs: CostModel::default(),
             chaos: ChaosConfig::default(),
             metrics_interval_ms: None,
-            shard: 0,
-            ns_shards: 1,
             ns_map: Vec::new(),
             ns_checkpoint_batches: None,
             membership: MembershipMode::Heartbeat,
@@ -203,21 +198,31 @@ impl DaemonConfig {
         overwrite(&mut cfg.costs, parse_costs(&j)?);
         overwrite(&mut cfg.chaos, parse_chaos(&j)?);
         cfg.metrics_interval_ms = opt_u64(&j, "metrics_interval_ms")?;
-        overwrite(&mut cfg.shard, opt_int(&j, "shard")?);
-        overwrite(&mut cfg.ns_shards, opt_int(&j, "ns_shards")?.map(|v: u32| v.max(1)));
         overwrite(&mut cfg.ns_map, parse_ns_map(&j)?);
         cfg.ns_checkpoint_batches = opt_u64(&j, "ns_checkpoint_batches")?;
         overwrite(&mut cfg.membership, parse_membership(&j)?);
         overwrite(&mut cfg.peers, parse_peers(&j)?);
-        // A shard past the count owns no directory, and a map of another
-        // length routes clients by a partition the servers do not use.
-        if matches!(cfg.role, Role::Namespace | Role::Standby) && cfg.shard >= cfg.ns_shards {
-            return Err(ConfigError::Invalid("shard"));
-        }
-        if !cfg.ns_map.is_empty() && cfg.ns_map.len() != cfg.ns_shards as usize {
+        // A namespace node the map leaves out would serve no shard.
+        if cfg.role != Role::Provider && cfg.shard().is_none() {
             return Err(ConfigError::Invalid("ns_map"));
         }
         Ok(cfg)
+    }
+
+    /// The namespace shard this node serves and the shard count, both
+    /// worked out from `ns_map`: the row whose primary (a namespace
+    /// node) or standby (a standby) this node is. Shard 0 of 1 without a
+    /// map; `None` for any other node the map leaves out.
+    pub(crate) fn shard(&self) -> Option<(u32, u32)> {
+        if self.ns_map.is_empty() {
+            return Some((0, 1));
+        }
+        let row = self.ns_map.iter().position(|r| match self.role {
+            Role::Namespace => r.primary == self.node_id,
+            Role::Standby => r.standby == Some(self.node_id),
+            Role::Provider => false,
+        })?;
+        Some((row as u32, self.ns_map.len() as u32))
     }
 }
 
@@ -273,10 +278,10 @@ fn parse_membership(j: &Json) -> Result<Option<MembershipMode>, ConfigError> {
 }
 
 /// Parse an optional `"ns_map"` array — the namespace shard map, one
-/// row per shard in shard order, so a daemon's map has `ns_shards` rows:
+/// row per shard in shard order:
 ///
 /// ```json
-/// { "ns_shards": 2, "ns_map": [ { "primary": 0, "standby": 5 }, { "primary": 1 } ] }
+/// { "ns_map": [ { "primary": 0, "standby": 5 }, { "primary": 1 } ] }
 /// ```
 fn parse_ns_map(j: &Json) -> Result<Option<Vec<ShardInfo>>, ConfigError> {
     let Some(arr) = j.get("ns_map") else { return Ok(None) };
@@ -513,12 +518,12 @@ mod tests {
     fn parses_metadata_plane_knobs() {
         let cfg = DaemonConfig::parse(
             r#"{"node_id": 5, "role": "standby", "listen": "127.0.0.1:0",
-                "shard": 1, "ns_shards": 2, "ns_checkpoint_batches": 256,
+                "ns_checkpoint_batches": 256,
                 "ns_map": [{"primary": 0, "standby": 4}, {"primary": 1, "standby": 5}]}"#,
         )
         .unwrap();
         assert_eq!(cfg.role, Role::Standby);
-        assert_eq!((cfg.shard, cfg.ns_shards), (1, 2));
+        assert_eq!(cfg.shard(), Some((1, 2)));
         assert_eq!(cfg.ns_checkpoint_batches, Some(256));
         assert_eq!(cfg.ns_map.len(), 2);
         assert_eq!(cfg.ns_map[1].primary, NodeId::from_index(1));
@@ -526,7 +531,7 @@ mod tests {
 
         // Defaults keep the classic unsharded deployment.
         let cfg = daemon("namespace", "").unwrap();
-        assert_eq!((cfg.shard, cfg.ns_shards), (0, 1));
+        assert_eq!(cfg.shard(), Some((0, 1)));
         assert!(cfg.ns_map.is_empty());
         assert_eq!(cfg.ns_checkpoint_batches, None);
 
@@ -537,6 +542,13 @@ mod tests {
 
     #[test]
     fn parses_membership_and_location_knobs() {
+        // A node's shard and the shard count come from `ns_map` alone, so
+        // neither is a knob any more: they are refused by name.
+        for key in ["shard", "ns_shards"] {
+            let extra = format!(r#", "{key}": 1"#);
+            assert_eq!(daemon("namespace", &extra).unwrap_err(), ConfigError::Unknown(key.into()));
+        }
+
         let swim = r#", "membership": "swim""#;
         assert_eq!(daemon("provider", swim).unwrap().membership, MembershipMode::Swim);
         assert_eq!(ctl(swim).unwrap().membership, MembershipMode::Swim);
@@ -574,8 +586,6 @@ mod tests {
             // wrapped: 2^32 + 1 would alias node 1, 2^32 shard 0.
             (r#", "machine": 4294967296"#, Invalid("machine")),
             (r#", "rack": 4294967296"#, Invalid("rack")),
-            (r#", "shard": 4294967296"#, Invalid("shard")),
-            (r#", "ns_shards": 4294967297"#, Invalid("ns_shards")),
             (r#", "peers": [{"id": 4294967296, "addr": "y"}]"#, Invalid("id")),
             (r#", "peers": [{"id": 0, "addr": "y", "machine": 4294967296}]"#, Invalid("machine")),
             (r#", "ns_map": [{"primary": 4294967296}]"#, Invalid("primary")),
@@ -604,28 +614,21 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_outside_ns_shards_is_refused() {
-        for role in ["namespace", "standby"] {
-            for extra in [r#", "shard": 1"#, r#", "shard": 2, "ns_shards": 2"#] {
-                assert_eq!(daemon(role, extra).unwrap_err(), ConfigError::Invalid("shard"), "{role}");
-            }
-            assert_eq!(daemon(role, r#", "shard": 1, "ns_shards": 2"#).unwrap().shard, 1);
+    fn a_namespace_node_serves_its_row_of_ns_map() {
+        let map = r#", "ns_map": [{"primary": 0, "standby": 3}, {"primary": 1, "standby": 4}]"#;
+        let node = |id: u32, role: &str| {
+            let doc = format!(r#"{{"node_id": {id}, "role": "{role}", "listen": "x"{map}}}"#);
+            DaemonConfig::parse(&doc).map(|cfg| cfg.shard())
+        };
+        assert_eq!(node(1, "namespace"), Ok(Some((1, 2))));
+        assert_eq!(node(3, "standby"), Ok(Some((0, 2))));
+        // A node the map leaves out, or names in the other column, would
+        // serve no shard.
+        for (id, role) in [(2, "namespace"), (3, "namespace"), (1, "standby")] {
+            assert_eq!(node(id, role), Err(ConfigError::Invalid("ns_map")), "n{id} {role}");
         }
-        // A provider serves no shard, so its `shard` is never read.
-        assert!(daemon("provider", r#", "shard": 3"#).is_ok());
-    }
-
-    #[test]
-    fn an_ns_map_of_the_wrong_length_is_refused() {
-        let map = r#", "ns_map": [{"primary": 0}, {"primary": 1}]"#;
-        for role in ["namespace", "standby", "provider"] {
-            for shards in ["", r#", "ns_shards": 3"#] {
-                let doc = format!("{map}{shards}");
-                assert_eq!(daemon(role, &doc).unwrap_err(), ConfigError::Invalid("ns_map"), "{role}");
-            }
-            let doc = format!(r#"{map}, "ns_shards": 2"#);
-            assert_eq!(daemon(role, &doc).unwrap().ns_map.len(), 2);
-        }
+        // A provider serves no shard: the map only routes its clients.
+        assert_eq!(node(2, "provider"), Ok(None));
     }
 
     #[test]
@@ -674,7 +677,7 @@ mod tests {
                  data_dir: {dbg_dir}, seed: 902, capacity: 8589934592, machine: 2, rack: 2, \
                  costs: {FAST_TEST}, chaos: ChaosConfig {{ seed: 0, drop_permille: 0, \
                  dup_permille: 0, delay_permille: 0, delay: 0ns, partition: [] }}, \
-                 metrics_interval_ms: None, shard: 0, ns_shards: 1, ns_map: [], \
+                 metrics_interval_ms: None, ns_map: [], \
                  ns_checkpoint_batches: None, membership: Heartbeat, \
                  peers: {PEERS_DBG} }}"
             );
@@ -702,8 +705,8 @@ mod tests {
             "seed": 2, "capacity": 3, "machine": 5, "rack": 6, "costs": "fast_test",
             "chaos": {"seed": 7, "drop_permille": 8, "dup_permille": 9, "delay_permille": 10,
                       "delay_us": 11, "partition": [12, 17]},
-            "metrics_interval_ms": 13, "shard": 1, "ns_shards": 2,
-            "ns_map": [{"primary": 0, "standby": 14}, {"primary": 4, "standby": null}],
+            "metrics_interval_ms": 13,
+            "ns_map": [{"primary": 0, "standby": null}, {"primary": 14, "standby": 4}],
             "ns_checkpoint_batches": 15, "membership": "swim",
             "peers": [{"id": 0, "addr": "h:0", "machine": 16}]}"#;
         let keys = |doc: &str| Json::parse(doc).unwrap().as_obj().unwrap().len();
@@ -719,9 +722,9 @@ mod tests {
         assert_eq!((c.delay, c.partition.clone()), (Duration::from_micros(11), vec![n(12), n(17)]));
         assert!(c.is_active());
         assert_eq!((cfg.metrics_interval_ms, cfg.ns_checkpoint_batches), (Some(13), Some(15)));
-        assert_eq!((cfg.shard, cfg.ns_shards), (1, 2));
-        assert_eq!((cfg.ns_map[0].primary, cfg.ns_map[0].standby), (n(0), Some(n(14))));
-        assert_eq!((cfg.ns_map[1].primary, cfg.ns_map[1].standby), (n(4), None));
+        assert_eq!(cfg.shard(), Some((1, 2)));
+        assert_eq!((cfg.ns_map[0].primary, cfg.ns_map[0].standby), (n(0), None));
+        assert_eq!((cfg.ns_map[1].primary, cfg.ns_map[1].standby), (n(14), Some(n(4))));
         assert_eq!(cfg.membership, MembershipMode::Swim);
         let peer = &cfg.peers[0];
         assert_eq!((peer.id, peer.addr.as_str(), peer.machine), (n(0), "h:0", 16));

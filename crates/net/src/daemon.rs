@@ -306,9 +306,13 @@ fn run_loop(
         Role::Standby => "standby",
         Role::Provider => "provider",
     };
+    // The namespace shard this node serves, of how many.
     let shard = match cfg.role {
-        Role::Namespace | Role::Standby => Some(cfg.shard),
         Role::Provider => None,
+        _ => {
+            let absent = || io::Error::other("a namespace node absent from ns_map");
+            Some(cfg.shard().ok_or_else(absent)?)
+        }
     };
     let flight = ctx.flight();
     flight.set_role(role_str);
@@ -330,9 +334,10 @@ fn run_loop(
     }
 
     let mut machine = match cfg.role {
-        Role::Namespace if cfg.ns_shards > 1 || !cfg.ns_map.is_empty() => {
-            let mut ns = NamespaceServer::new_sharded(cfg.costs, cfg.shard, cfg.ns_shards);
-            install_ns_plane(&mut ns, &cfg);
+        Role::Namespace if !cfg.ns_map.is_empty() => {
+            let (k, n) = shard.expect("checked above: a namespace node has a shard");
+            let mut ns = NamespaceServer::new_sharded(cfg.costs, k, n);
+            install_ns_plane(&mut ns, &cfg, k);
             Machine::Ns(Box::new(ns))
         }
         Role::Namespace => {
@@ -341,8 +346,9 @@ fn run_loop(
             Machine::Ns(Box::new(ns))
         }
         Role::Standby => {
-            let mut ns = NamespaceServer::new_standby(cfg.costs, cfg.shard, cfg.ns_shards);
-            install_ns_plane(&mut ns, &cfg);
+            let (k, n) = shard.expect("checked above: a namespace node has a shard");
+            let mut ns = NamespaceServer::new_standby(cfg.costs, k, n);
+            install_ns_plane(&mut ns, &cfg, k);
             Machine::Ns(Box::new(ns))
         }
         Role::Provider => {
@@ -351,11 +357,9 @@ fn run_loop(
             // standby) passively ack pings without ever gossiping a
             // heartbeat payload, so they never enter the membership view.
             let seeds: Vec<NodeId> = cfg.peers.iter().map(|p| p.id).collect();
-            Machine::Prov(Box::new(
-                StorageProvider::new(cfg.costs, 2)
-                    .with_rack(cfg.rack)
-                    .with_membership(cfg.membership, seeds),
-            ))
+            let mut prov = StorageProvider::new(cfg.costs, 2).with_rack(cfg.rack);
+            prov.set_membership(cfg.membership, seeds);
+            Machine::Prov(Box::new(prov))
         }
     };
 
@@ -393,6 +397,7 @@ fn run_loop(
         }
     }
 
+    let shard = shard.map(|(k, _)| k);
     let mut node = Served { machine, role: role_str, shard, slow: SlowOps::new() };
     let mut driver = Driver::new(ctx, mesh);
     match &mut node.machine {
@@ -452,12 +457,13 @@ fn run_loop(
 }
 
 /// Install the shard map, standby link and checkpoint knob a sharded
-/// (or standby) namespace machine needs before `handle_start` runs.
-fn install_ns_plane(ns: &mut NamespaceServer, cfg: &DaemonConfig) {
+/// (or standby) namespace machine serving `shard` needs before
+/// `handle_start` runs.
+fn install_ns_plane(ns: &mut NamespaceServer, cfg: &DaemonConfig, shard: u32) {
     if !cfg.ns_map.is_empty() {
         ns.set_shard_map(NsShardMap::from_rows(cfg.ns_map.clone()));
         if cfg.role == Role::Namespace {
-            if let Some(standby) = cfg.ns_map.get(cfg.shard as usize).and_then(|r| r.standby) {
+            if let Some(standby) = cfg.ns_map.get(shard as usize).and_then(|r| r.standby) {
                 ns.set_standby(standby);
             }
         }

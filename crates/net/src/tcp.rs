@@ -22,8 +22,10 @@
 //! the kernel. An overloaded node therefore shows up as TCP
 //! backpressure — its senders' queues and latency grow — never as a
 //! dropped frame. `Hello` frames register the sender's listen address,
-//! so a node only needs a seed peer list: everyone it has ever heard
-//! from becomes routable.
+//! so a node only needs a seed peer list: everyone it hears from becomes
+//! routable. A peer known only from its `Hello` stays routable while the
+//! connection it introduced itself on is open, and is taught again by
+//! its next `Hello`.
 //!
 //! Send path: `send` encodes the frame once into a buffer checked out
 //! of a [`BufPool`] — every byte but a checked blob's (a write's payload,
@@ -221,6 +223,9 @@ pub struct Mesh {
     shut: bool,
     /// NodeId → listen address, learned from config and `Hello` frames.
     peers: HashMap<NodeId, SocketAddr>,
+    /// Peers known only from a `Hello`, with the connection that
+    /// carried it: closing that connection forgets the peer.
+    introduced: HashMap<NodeId, usize>,
     /// Per-peer bounded outbound queues (created on first send).
     queues: HashMap<NodeId, VecDeque<QItem>>,
     /// Connection slots; a token is `TOK_CONN0` + slot. A slot freed
@@ -274,6 +279,7 @@ impl Mesh {
             events: Vec::new(),
             shut: false,
             peers: seed_peers,
+            introduced: HashMap::new(),
             queues: HashMap::new(),
             conns: Vec::new(),
             free: Vec::new(),
@@ -299,6 +305,7 @@ impl Mesh {
     /// Register (or update) a peer's listen address.
     pub fn add_peer(&mut self, id: NodeId, addr: SocketAddr) {
         self.peers.insert(id, addr);
+        self.introduced.remove(&id);
     }
 
     /// Every peer currently known (never includes this node).
@@ -683,6 +690,12 @@ impl Mesh {
             if self.route.get(&p) == Some(&idx) {
                 self.route.remove(&p);
             }
+            if self.introduced.get(&p) == Some(&idx) {
+                // A peer that left: without an address, whatever is
+                // still queued for it is dropped at once.
+                self.introduced.remove(&p);
+                self.peers.remove(&p);
+            }
             if conn.connecting {
                 self.dial_failed(p);
             } else {
@@ -760,6 +773,9 @@ impl Mesh {
             Frame::Hello { listen_addr } => {
                 if let Ok(addr) = listen_addr.parse() {
                     let prev = self.peers.insert(sender, addr);
+                    if prev.is_none() || self.introduced.contains_key(&sender) {
+                        self.introduced.insert(sender, idx);
+                    }
                     if prev.is_some_and(|p| p != addr) {
                         // The peer's listen address changed: a cached
                         // outbound connection points at a dead
@@ -1359,6 +1375,33 @@ mod tests {
         assert!(matches!(msg, Msg::StatsQuery { req: 3 }));
         assert!(m0.try_recv().is_none());
         assert!(m1.recv_timeout(Duration::from_millis(200)).is_none());
+    }
+
+    /// A peer known only from its `Hello` (the benchmark's stats scraper,
+    /// a one-shot tool) is forgotten when the connection it introduced
+    /// itself on closes, so later multicasts do not dial it in vain; a
+    /// configured peer is kept.
+    #[test]
+    fn a_peer_known_only_from_its_hello_is_forgotten_when_it_leaves() {
+        let (ghost, seed) = (NodeId::from_index(9), NodeId::from_index(8));
+        let seed_addr = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut hub, _) = start(5, HashMap::from([(seed, seed_addr.local_addr().unwrap())]));
+        let mut raw = TcpStream::connect(hub.listen_addr()).unwrap();
+        raw.write_all(&frame::encode_hello(ghost, "127.0.0.1:1")).unwrap();
+        drive_until(&mut hub, "the ghost never said hello", |m| m.known_peers().contains(&ghost));
+        drop(raw);
+        drive_until(&mut hub, "the ghost's connection never closed", |m| m.stats().conns == 0);
+        assert_eq!(hub.known_peers(), vec![seed]);
+
+        drop(seed_addr); // the multicast's one dial fails at the seed alone
+        hub.multicast(&Msg::StatsQuery { req: 1 });
+        assert_eq!(hub.queue_depths(), vec![(seed, 1)], "the ghost got a queue");
+        drive_until(&mut hub, "the seed's frame never dropped", |m| m.stats().send_failures > 0);
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < deadline {
+            assert!(hub.recv_timeout(Duration::from_millis(5)).is_none());
+        }
+        assert_eq!(hub.stats().send_failures, 1, "{:?}", hub.stats());
     }
 
     /// A multicast encodes the frame once and shares it; every peer

@@ -126,17 +126,15 @@ impl Builder {
 
         let mut configs = Vec::with_capacity(peers.len());
         for (i, me) in peers.iter().enumerate() {
-            let (role, shard) = match i {
-                i if i >= ns_nodes => (Role::Provider, 0),
-                i if i >= self.shards.max(1) => (Role::Standby, i - self.shards),
-                i => (Role::Namespace, i),
+            let role = match i {
+                i if i >= ns_nodes => Role::Provider,
+                i if i >= self.shards.max(1) => Role::Standby,
+                _ => Role::Namespace,
             };
             let mut cfg = DaemonConfig::new(me.id, role, me.addr.clone());
             cfg.seed = 100 + i as u64;
             cfg.capacity = 1 << 30;
             cfg.costs = CostModel::fast_test();
-            cfg.shard = shard as u32;
-            cfg.ns_shards = self.shards.max(1) as u32;
             cfg.ns_map = ns_map.clone();
             cfg.peers = peers.iter().filter(|p| p.id != me.id).cloned().collect();
             if let (Role::Provider, Some(root)) = (role, &self.data_root) {
