@@ -5,20 +5,25 @@
 //!
 //! | role | state | handles |
 //! |---|---|---|
-//! | owner (`owner.rs`) | reply cache, load average, disk accounting | `ReadSeg`, `BackupQuery`, `CreateShadow`, `WriteShadow`, `ReadShadow`, `RenewShadow`, `Prepare`, `Commit`, `Abort`, `DirectWrite`, `DeleteSeg`, `FetchSeg`, `EcInstall` |
+//! | owner (`owner.rs`) | reply cache, load average, disk accounting; writes the access log | `ReadSeg`, `BackupQuery`, `CreateShadow`, `WriteShadow`, `ReadShadow`, `RenewShadow`, `Prepare`, `Commit`, `Abort`, `DirectWrite`, `DeleteSeg`, `FetchSeg`, `EcInstall` |
 //! | home host (`home.rs`) | location table, repair dedupe, the EC repair job and its scan cooldown, pending join refreshes | `LocQuery`, `LocUpsert`, `LocRefresh`, `LocQueryR`, `ReadSegR`, `EcInstallR`; `Tick::LocationRefresh`, `JoinRefresh`, `RepairScan` |
-//! | mover (`mover.rs`) | fetch queue, the fetch in flight, the outgoing migration | `SyncRequest`, `MigrateTo`, `FetchSegR`, `MigrateDone`; `Tick::Migration`, `MigrationContinue` |
+//! | mover (`mover.rs`) | fetch queue, the fetch in flight, the outgoing migration; reads the access log | `SyncRequest`, `MigrateTo`, `FetchSegR`, `MigrateDone`; `Tick::Migration`, `MigrationContinue` |
 //! | membership (`membership.rs`) | live view, ring, mode, SWIM detector, seeds, heartbeat sequence | `Heartbeat`, `SwimPing`, `SwimAck`, `SwimPingReq`, `MembersPull`, `MembersDigest`, `MembersQuery`; `Tick::Heartbeat`, `GaugeExport`, `SwimProbe`, `SwimAckTimeout`, `SwimProbeTimeout`, `SwimSuspectTimeout`, `SwimSync` |
 //!
-//! The router itself keeps what outlives a crash: the store (the disk),
-//! the configuration, the lifetime counters and the request-id
-//! sequence. A crash rebuilds every role empty; `Tick::Gc` and
-//! `Tick::RpcTimeout` reach two roles each.
+//! The router itself keeps what outlives a crash: the store, the access
+//! log (`access.rs`) beside it, the configuration, the lifetime counters
+//! and the request-id sequence. A crash rebuilds every role empty;
+//! `Tick::Gc` and `Tick::RpcTimeout` reach two roles each.
+//!
+//! With a [`SegmentDisk`] attached, the router owns the store's copy at
+//! rest: every start installs what it holds, [`StorageProvider::persist`]
+//! writes what changed since, and a crash loses what was not yet written.
 //!
 //! All behaviour is event-driven: heartbeats, the four location-table
 //! update events, repair scans, and once-a-minute migration decisions are
 //! all timers; everything else reacts to RPCs.
 
+mod access;
 mod home;
 pub(crate) mod membership;
 mod mover;
@@ -26,16 +31,19 @@ mod owner;
 #[cfg(test)]
 mod tests;
 
+use std::io;
+
 use rand::Rng;
 use sorrento_sim::{Ctx, Dur, Node, NodeId};
 
 use crate::costs::CostModel;
 use crate::membership::MembershipEvent;
 use crate::proto::{Msg, ReqId, Tick};
-use crate::store::LocalStore;
+use crate::store::{LocalStore, SegmentDisk};
 use crate::swim::{MembershipMode, SwimEvent};
 use crate::transport::Transport;
 
+pub(crate) use access::AccessLog;
 use home::HomeHost;
 use membership::Membership;
 use mover::Mover;
@@ -51,8 +59,13 @@ fn fresh_req(next: &mut ReqId) -> ReqId {
 /// The storage provider node.
 pub struct StorageProvider {
     costs: CostModel,
-    /// The local segment store ("disk contents": survives crashes).
+    /// The local segment store: survives a crash, or is reloaded from
+    /// the attached disk.
     pub store: LocalStore,
+    /// Who read which locality-driven segment, and how much.
+    access: AccessLog,
+    /// Where the store's committed segments are kept at rest, if anywhere.
+    disk: Option<Box<dyn SegmentDisk>>,
     /// Failure domain announced in heartbeats; repair prefers replica
     /// sites on racks that do not already hold a copy.
     pub rack: u32,
@@ -81,6 +94,8 @@ impl StorageProvider {
         StorageProvider {
             costs,
             store: LocalStore::new(keep_versions),
+            access: AccessLog::default(),
+            disk: None,
             rack: 0,
             migrations_done: 0,
             installs_done: 0,
@@ -104,6 +119,57 @@ impl StorageProvider {
     /// boot (typically every configured provider).
     pub fn set_membership(&mut self, mode: MembershipMode, seeds: Vec<NodeId>) {
         self.members = Membership::new(self.costs, mode, seeds);
+    }
+
+    /// Keep the store's committed segments on `disk`: every start
+    /// installs what it holds, and [`StorageProvider::persist`] writes
+    /// what changed since.
+    pub fn attach_disk(&mut self, disk: Box<dyn SegmentDisk>) {
+        self.store.track_changes();
+        self.disk = Some(disk);
+    }
+
+    /// Write every segment whose committed state changed since the last
+    /// persist (or start) to the attached disk, and drop the deleted
+    /// ones. A no-op without a disk. After an error the disk may lag the
+    /// store until the next start: the daemon stops on one.
+    pub fn persist(&mut self) -> io::Result<()> {
+        let Some(disk) = &mut self.disk else {
+            return Ok(());
+        };
+        let (mut images, mut gone) = (Vec::new(), Vec::new());
+        for seg in self.store.take_changed() {
+            match self.store.export_transfer(seg, None) {
+                Ok(xfer) => images.push(xfer),
+                Err(_) => gone.push(seg),
+            }
+        }
+        disk.write(&images, &gone)
+    }
+
+    /// Compact the attached disk (a clean stop, after its last persist).
+    pub fn checkpoint(&mut self) -> io::Result<()> {
+        self.disk.as_mut().map_or(Ok(()), |disk| disk.checkpoint())
+    }
+
+    /// Install every image the attached disk holds (counted in
+    /// `recovery.images_installed`, or `images_skipped` when one does not
+    /// load). They are on disk already: no persist writes them again.
+    fn reload(&mut self, ctx: &mut impl Transport) {
+        let Some(disk) = &self.disk else {
+            return;
+        };
+        let now = ctx.now();
+        for image in disk.load() {
+            let installed = image
+                .and_then(|xfer| self.store.install_replica(xfer, now).map_err(|e| e.to_string()));
+            let counter = match installed {
+                Ok(_) => "recovery.images_installed",
+                Err(_) => "recovery.images_skipped",
+            };
+            ctx.metrics().count(counter, 1);
+        }
+        self.store.take_changed();
     }
 
     /// Current smoothed I/O-wait load.
@@ -157,9 +223,11 @@ impl StorageProvider {
 /// simulator (via the thin [`Node`] impl below) and in the real-process
 /// runtime (which calls them directly with its own [`Transport`]).
 impl StorageProvider {
-    /// Bring the provider online: reconcile disk accounting, announce
-    /// membership, arm the maintenance timers.
+    /// Bring the provider online: install what the attached disk holds,
+    /// reconcile disk accounting, announce membership, arm the
+    /// maintenance timers.
     pub fn handle_start(&mut self, ctx: &mut impl Transport) {
+        self.reload(ctx);
         self.owner.start(ctx, &self.store);
         let hb = self.owner.heartbeat(ctx, self.rack);
         self.members.start(ctx, hb);
@@ -174,10 +242,16 @@ impl StorageProvider {
     }
 
     /// Crash handling: every role's soft state dies with the process and
-    /// is rebuilt empty; the store ("disk") survives into a later
-    /// [`StorageProvider::handle_start`], less its shadows.
+    /// is rebuilt empty. The store survives into a later
+    /// [`StorageProvider::handle_start`] less its shadows or, with a disk
+    /// attached, is emptied for that start to reload from the disk.
     pub fn handle_crash(&mut self) {
-        self.store.expire_all_shadows();
+        if self.disk.is_some() {
+            self.store = LocalStore::new(self.store.keep_versions);
+            self.store.track_changes();
+        } else {
+            self.store.expire_all_shadows();
+        }
         self.owner = Owner::new(self.costs);
         self.home = HomeHost::new(self.costs);
         self.mover = Mover::new(self.costs);
@@ -276,6 +350,7 @@ impl StorageProvider {
                 }
                 if ok {
                     self.migrations_done += 1;
+                    self.access.forget(seg);
                     self.owner.migrated_away(
                         ctx,
                         &mut self.store,
@@ -288,16 +363,18 @@ impl StorageProvider {
                 self.mover.pace(ctx);
             }
             Msg::Tick(Tick::Migration) => {
-                self.mover.migrate(ctx, &self.store, self.members.view());
+                self.mover.migrate(ctx, &self.store, &self.access, self.members.view());
                 ctx.set_timer(self.costs.migration_interval, Msg::Tick(Tick::Migration));
             }
             Msg::Tick(Tick::MigrationContinue) => {
-                self.mover.migrate(ctx, &self.store, self.members.view())
+                self.mover.migrate(ctx, &self.store, &self.access, self.members.view())
             }
 
             // ---------------- owner ----------------
-            data @ (Msg::ReadSeg { .. }
-            | Msg::BackupQuery { .. }
+            read @ Msg::ReadSeg { .. } => {
+                self.owner.read(from, read, ctx, &mut self.store, &mut self.access, &self.home);
+            }
+            data @ (Msg::BackupQuery { .. }
             | Msg::CreateShadow { .. }
             | Msg::WriteShadow { .. }
             | Msg::ReadShadow { .. }
@@ -309,6 +386,9 @@ impl StorageProvider {
             | Msg::DeleteSeg { .. }
             | Msg::FetchSeg { .. }
             | Msg::EcInstall { .. }) => {
+                if let Msg::DeleteSeg { seg, .. } = data {
+                    self.access.forget(seg);
+                }
                 let installed = self.owner.handle(
                     from,
                     data,

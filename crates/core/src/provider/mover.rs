@@ -7,6 +7,7 @@ use std::collections::VecDeque;
 
 use sorrento_sim::{Dur, NodeId, TelemetryEvent};
 
+use super::access::AccessLog;
 use super::fresh_req;
 use crate::costs::CostModel;
 use crate::membership::{Heartbeat, MembershipView};
@@ -183,12 +184,13 @@ impl Mover {
         &mut self,
         ctx: &mut impl Transport,
         store: &LocalStore,
+        access: &AccessLog,
         view: &MembershipView,
     ) {
         if self.migration_inflight.is_some() || view.len() < 2 {
             return;
         }
-        if !self.try_locality_migration(ctx, store, view) {
+        if !self.try_locality_migration(ctx, store, access, view) {
             self.try_balance_migration(ctx, store, view);
         }
     }
@@ -199,6 +201,7 @@ impl Mover {
         &mut self,
         ctx: &mut impl Transport,
         store: &LocalStore,
+        access: &AccessLog,
         view: &MembershipView,
     ) -> bool {
         let me = ctx.id();
@@ -210,7 +213,7 @@ impl Mover {
             let PlacementPolicy::LocalityDriven { threshold } = meta.policy else {
                 continue;
             };
-            let shares = store.traffic_shares(seg);
+            let shares = access.traffic_shares(seg);
             let Some(&(machine, share)) = shares.first() else {
                 continue;
             };

@@ -1,10 +1,11 @@
 //! The owner role (§3.3, §3.5): serves the segments in this node's
 //! store — reads, shadow copies and their two-phase commit, byte-range
-//! writes, deletes, replica exports and installs — and tells each
-//! segment's home host when its copy here changes.
+//! writes, deletes, replica exports and installs — logs who reads them,
+//! and tells each segment's home host when its copy here changes.
 
 use sorrento_sim::{DiskAccess, Dur, NodeId, SimTime, TelemetryEvent};
 
+use super::access::AccessLog;
 use super::home::HomeHost;
 use super::membership::Membership;
 use crate::costs::CostModel;
@@ -127,7 +128,53 @@ impl Owner {
         Ok(true)
     }
 
-    /// The data path's messages. Returns whether a replica was installed.
+    /// A `ReadSeg`: served from the store, which logs each read served
+    /// (the store for temperature, `access` for locality); or redirected
+    /// via the location table (this node may be the segment's home host);
+    /// or failed.
+    pub(crate) fn read(
+        &self,
+        from: NodeId,
+        msg: Msg,
+        ctx: &mut impl Transport,
+        store: &mut LocalStore,
+        access: &mut AccessLog,
+        home: &HomeHost,
+    ) {
+        let Msg::ReadSeg { req, seg, offset, len, min_version, allow_redirect } = msg else {
+            return;
+        };
+        // Serve the exact requested version when we hold it (the open
+        // pinned it); otherwise our latest, provided it is not older than
+        // requested. Exactness matters: a divergent orphan from a failed
+        // 2PC can share a sequence number with the real commit, and only
+        // the full (entropy-carrying) version identifies the right bytes.
+        let serve_version = match (store.latest(seg), min_version) {
+            (Some(_), Some(min)) if store.has_version(seg, min) => Some(Some(min)),
+            (Some(v), Some(min)) if v >= min => Some(None),
+            (Some(_), None) => Some(None),
+            _ => None,
+        };
+        let reply = match serve_version.map(|v| store.read(seg, v, offset, len)) {
+            Some(Ok(out)) => {
+                store.touch(seg, ctx.now());
+                if let Some(meta) = store.meta(seg) {
+                    access.record(seg, meta.policy, ctx.machine_of(from), out.len);
+                }
+                ReadReply::Data { len: out.len, data: out.data, version: out.version, crc: out.crc }
+            }
+            Some(Err(e)) => ReadReply::Err(e),
+            None => match home.owners(seg) {
+                owners if allow_redirect && !owners.is_empty() => ReadReply::Redirect(owners),
+                _ => ReadReply::Err(Error::NoSuchSegment),
+            },
+        };
+        let done = done_after_read(ctx, self.costs.provider_op_cpu, &reply);
+        ctx.send_at(done, from, Msg::ReadSegR { req, reply });
+    }
+
+    /// The data path's other messages. Returns whether a replica was
+    /// installed.
     pub(crate) fn handle(
         &mut self,
         from: NodeId,
@@ -155,21 +202,6 @@ impl Owner {
         }
         let op_cpu = self.costs.provider_op_cpu;
         match msg {
-            Msg::ReadSeg { req, seg, offset, len, min_version, allow_redirect } => {
-                let reply = serve_read(
-                    ctx,
-                    store,
-                    home,
-                    from,
-                    seg,
-                    offset,
-                    len,
-                    min_version,
-                    allow_redirect,
-                );
-                let done = done_after_read(ctx, op_cpu, &reply);
-                ctx.send_at(done, from, Msg::ReadSegR { req, reply });
-            }
             Msg::BackupQuery { req, seg } => {
                 ctx.metrics().count_labeled("loc.query", "backup", 1);
                 if let Some(version) = store.latest(seg) {
@@ -353,47 +385,5 @@ fn done_after_read(ctx: &mut impl Transport, op_cpu: Dur, reply: &ReadReply) -> 
     match reply {
         ReadReply::Data { len, .. } => cpu_done.max(ctx.disk_submit(*len, DiskAccess::Random)),
         _ => cpu_done,
-    }
-}
-
-/// Serve a read against the local store, or redirect via the location
-/// table (this node may be the segment's home host), or fail.
-#[allow(clippy::too_many_arguments)]
-fn serve_read(
-    ctx: &mut impl Transport,
-    store: &mut LocalStore,
-    home: &HomeHost,
-    from: NodeId,
-    seg: SegId,
-    offset: u64,
-    len: u64,
-    min_version: Option<Version>,
-    allow_redirect: bool,
-) -> ReadReply {
-    // Serve the exact requested version when we hold it (the open
-    // pinned it); otherwise our latest, provided it is not older than
-    // requested. Exactness matters: a divergent orphan from a failed
-    // 2PC can share a sequence number with the real commit, and only
-    // the full (entropy-carrying) version identifies the right bytes.
-    let serve_version = match (store.latest(seg), min_version) {
-        (Some(_), Some(min)) if store.has_version(seg, min) => Some(Some(min)),
-        (Some(v), Some(min)) if v >= min => Some(None),
-        (Some(_), None) => Some(None),
-        _ => None,
-    };
-    if let Some(version_sel) = serve_version {
-        return match store.read(seg, version_sel, offset, len) {
-            Ok(out) => {
-                store.touch(seg, ctx.now(), ctx.machine_of(from), out.len);
-                ReadReply::Data { len: out.len, data: out.data, version: out.version, crc: out.crc }
-            }
-            Err(e) => ReadReply::Err(e),
-        };
-    }
-    let owners = if allow_redirect { home.owners(seg) } else { Vec::new() };
-    if owners.is_empty() {
-        ReadReply::Err(Error::NoSuchSegment)
-    } else {
-        ReadReply::Redirect(owners)
     }
 }

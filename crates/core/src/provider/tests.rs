@@ -2,6 +2,12 @@
 //! transport, with no simulator, and its sends, timers and records are
 //! asserted.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::io;
+use std::rc::Rc;
+
+use sorrento_kvdb::crc32;
 use sorrento_sim::{Dur, NodeId, SimTime, TelemetryEvent};
 
 use super::home::HomeHost;
@@ -10,11 +16,12 @@ use super::mover::Mover;
 use super::StorageProvider;
 use crate::costs::CostModel;
 use crate::membership::{Heartbeat, MembershipEvent};
-use crate::proto::{Msg, Tick};
-use crate::store::{LocalStore, SegMeta, WritePayload};
+use crate::proto::{Msg, ReadReply, Tick};
+use crate::store::{LocalStore, SegMeta, SegmentDisk, Transfer, WritePayload};
 use crate::swim::{MembershipMode, SwimEvent};
 use crate::transport::recording::{Out, Recorder};
-use crate::types::{SegId, Version};
+use crate::transport::Transport;
+use crate::types::{Error, SegId, Version};
 
 fn n(i: usize) -> NodeId {
     NodeId::from_index(i)
@@ -264,4 +271,117 @@ fn a_remembered_reply_is_what_a_restart_forgets() {
         .into_iter()
         .filter(|o| matches!(o, Out::Record(TelemetryEvent::DedupHit { .. })));
     assert_eq!(replays.count(), 1);
+}
+
+/// An in-memory disk the test keeps a handle on: each segment's image,
+/// and how many images were written in all.
+#[derive(Clone, Default)]
+struct FakeDisk(Rc<RefCell<(BTreeMap<SegId, Transfer>, usize)>>);
+
+impl FakeDisk {
+    fn written(&self) -> usize {
+        self.0.borrow().1
+    }
+
+    fn holds(&self, seg: SegId) -> bool {
+        self.0.borrow().0.contains_key(&seg)
+    }
+}
+
+impl SegmentDisk for FakeDisk {
+    fn load(&self) -> Vec<Result<Transfer, String>> {
+        self.0.borrow().0.values().cloned().map(Ok).collect()
+    }
+
+    fn write(&mut self, images: &[Transfer], gone: &[SegId]) -> io::Result<()> {
+        let (held, written) = &mut *self.0.borrow_mut();
+        for xfer in images {
+            held.insert(xfer.image.seg, xfer.clone());
+        }
+        for seg in gone {
+            held.remove(seg);
+        }
+        *written += images.len();
+        Ok(())
+    }
+
+    fn checkpoint(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Commit `pieces`, each written with its CRC, as version 1 of a fresh
+/// `seg` through the owner's two-phase path (requests numbered from
+/// `req`).
+fn commit(p: &mut StorageProvider, ctx: &mut Recorder, seg: SegId, req: u64, pieces: &[&[u8]]) {
+    let meta = SegMeta::default();
+    p.handle_message(n(1), Msg::CreateShadow { req, span: 0, seg, base: None, meta }, ctx);
+    let shadow = ctx.sends().into_iter().find_map(|(_, msg)| match msg {
+        Msg::CreateShadowR { result: Ok(shadow), .. } => Some(shadow),
+        _ => None,
+    });
+    let shadow = shadow.expect("a fresh shadow");
+    let mut offset = 0;
+    for (i, piece) in pieces.iter().enumerate() {
+        let payload = WritePayload::Checked { data: piece.to_vec().into(), crc: crc32(piece) };
+        let req = req + 1 + i as u64;
+        let write = Msg::WriteShadow { req, shadow, offset, payload, truncate: false };
+        p.handle_message(n(1), write, ctx);
+        offset += piece.len() as u64;
+    }
+    let items = vec![(shadow, Version(1))];
+    p.handle_message(n(1), Msg::Commit { req: req + 10, span: 0, items }, ctx);
+    ctx.drain();
+}
+
+/// What a read of `[offset, offset + len)` of `seg` is answered with.
+fn read(p: &mut StorageProvider, ctx: &mut Recorder, seg: SegId, at: u64, len: u64) -> ReadReply {
+    let msg =
+        Msg::ReadSeg { req: 99, seg, offset: at, len, min_version: None, allow_redirect: false };
+    p.handle_message(n(1), msg, ctx);
+    let reply = ctx.sends().into_iter().find_map(|(_, msg)| match msg {
+        Msg::ReadSegR { reply, .. } => Some(reply),
+        _ => None,
+    });
+    reply.expect("a read is answered")
+}
+
+/// With a disk attached, a crash keeps what the last persist wrote and
+/// no more: the segments come back from the disk, pieces and all, and
+/// what they came back with is not written again.
+#[test]
+fn a_crashed_provider_restarts_from_what_it_last_persisted() {
+    let disk = FakeDisk::default();
+    let mut p = StorageProvider::new(costs(), 2);
+    p.attach_disk(Box::new(disk.clone()));
+    let mut ctx = Recorder::new(n(0));
+    p.handle_start(&mut ctx);
+    let (kept, lost) = (SegId(1), SegId(2));
+    commit(&mut p, &mut ctx, kept, 10, &[b"first piece", b"second"]);
+    p.persist().expect("persist");
+    assert_eq!(disk.written(), 1);
+    // Committed after the last persist: inside the write-behind window.
+    commit(&mut p, &mut ctx, lost, 30, &[b"lost"]);
+
+    p.handle_crash();
+    let mut ctx = Recorder::new(n(0));
+    p.handle_start(&mut ctx);
+    assert_eq!(ctx.metrics().counter("recovery.images_installed"), 1);
+    assert_eq!(ctx.metrics().counter("recovery.images_skipped"), 0);
+    let whole = b"first piecesecond";
+    for (offset, want) in [(0, &whole[..]), (11, b"second")] {
+        match read(&mut p, &mut ctx, kept, offset, want.len() as u64) {
+            ReadReply::Data { data, crc, version, .. } => {
+                assert_eq!(data.as_deref(), Some(want));
+                assert_eq!(crc, Some(crc32(want)), "served without its writers' CRC");
+                assert_eq!(version, Version(1));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    assert!(matches!(read(&mut p, &mut ctx, lost, 0, 4), ReadReply::Err(Error::NoSuchSegment)));
+
+    p.persist().expect("persist");
+    assert_eq!(disk.written(), 1, "an image installed at boot was written again");
+    assert!(disk.holds(kept) && !disk.holds(lost));
 }

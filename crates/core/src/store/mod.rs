@@ -21,6 +21,11 @@
 //! Segment payloads are either real bytes (integration tests verify exact
 //! round-trips) or synthetic lengths (multi-GB experiments without the
 //! RAM); the choice is per segment via [`SegMeta::synthetic`].
+//!
+//! At rest, a provider keeps each segment's latest version as one
+//! [`Transfer`] behind a [`SegmentDisk`]. The store knows no disk: once
+//! [`LocalStore::track_changes`] is on, it names the segments whose
+//! committed state changed, and the provider writes those.
 
 mod region;
 mod sparse;
@@ -28,7 +33,8 @@ mod sparse;
 pub use region::RegionIndex;
 pub use sparse::{FrozenBuffer, SparseBuffer};
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::io;
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -261,30 +267,26 @@ struct VersionData {
     index: RegionIndex<Version>,
     delta: Delta,
     pieces: Pieces,
-    committed_at: SimTime,
 }
 
 /// Everything the provider stores for one segment.
 #[derive(Debug)]
 struct SegmentState {
     versions: BTreeMap<Version, VersionData>,
-    /// Milestone versions that consolidation must never drop (§3.5's
-    /// Elephant-style milestones, listed as planned work in the paper).
-    pinned: Vec<Version>,
     meta: SegMeta,
     last_access: SimTime,
-    /// Recent accesses as `(machine, bytes)`, newest at the back; bounded
-    /// to [`ACCESS_HISTORY_CAP`] (§3.7.2: "the latest one thousand
-    /// accesses").
-    access_history: VecDeque<(u32, u64)>,
 }
 
-/// "We also limit the memory consumption by only keeping the latest one
-/// thousand accesses for the most recently accessed one thousand
-/// segments." (§3.7.2)
-pub const ACCESS_HISTORY_CAP: usize = 1000;
-/// Cap on how many segments keep an access history at once.
-pub const TRACKED_SEGMENTS_CAP: usize = 1000;
+impl SegmentState {
+    fn new(meta: SegMeta, now: SimTime) -> SegmentState {
+        SegmentState { versions: BTreeMap::new(), meta, last_access: now }
+    }
+
+    /// Bytes its kept versions' deltas hold.
+    fn stored_bytes(&self) -> u64 {
+        self.versions.values().map(|v| v.delta.stored_bytes()).sum()
+    }
+}
 
 /// An open shadow copy (pre-commit mutable view of a segment).
 #[derive(Debug)]
@@ -349,12 +351,29 @@ impl From<ReplicaImage> for Transfer {
     }
 }
 
+/// A provider's segments at rest (§3.2: each segment "in its entirety on
+/// native file systems"): the latest version of each, as a [`Transfer`].
+/// A provider with one attached reloads from it at every start.
+pub trait SegmentDisk {
+    /// Every image kept; in place of one that does not load (torn,
+    /// foreign, unreadable), what it was kept under and why.
+    fn load(&self) -> Vec<std::result::Result<Transfer, String>>;
+    /// Keep `images`, each replacing what its segment had, and drop what
+    /// the segments in `gone` had.
+    fn write(&mut self, images: &[Transfer], gone: &[SegId]) -> io::Result<()>;
+    /// Compact what was written so far (a clean stop's last step).
+    fn checkpoint(&mut self) -> io::Result<()>;
+}
+
 /// The per-provider segment store.
 #[derive(Debug)]
 pub struct LocalStore {
     segments: HashMap<SegId, SegmentState>,
     shadows: HashMap<ShadowId, Shadow>,
     next_shadow: ShadowId,
+    /// Segments whose committed state changed since the last
+    /// [`LocalStore::take_changed`]; `None` while nothing asks.
+    changed: Option<BTreeSet<SegId>>,
     /// Committed versions retained per segment ("one or a few latest
     /// stable versions", §3.5 — older ones double as backups).
     pub keep_versions: usize,
@@ -374,7 +393,26 @@ impl LocalStore {
             segments: HashMap::new(),
             shadows: HashMap::new(),
             next_shadow: 1,
+            changed: None,
             keep_versions: keep_versions.max(1),
+        }
+    }
+
+    /// Start naming the segments whose committed state changes (a
+    /// commit, an install, a direct write, a delete).
+    pub fn track_changes(&mut self) {
+        self.changed.get_or_insert_with(BTreeSet::new);
+    }
+
+    /// The segments changed since the last call, ascending; none unless
+    /// [`LocalStore::track_changes`] is on.
+    pub fn take_changed(&mut self) -> Vec<SegId> {
+        self.changed.as_mut().map(|c| std::mem::take(c).into_iter().collect()).unwrap_or_default()
+    }
+
+    fn mark_changed(&mut self, seg: SegId) {
+        if let Some(changed) = &mut self.changed {
+            changed.insert(seg);
         }
     }
 
@@ -391,25 +429,9 @@ impl LocalStore {
         now: SimTime,
         ttl: sorrento_sim::Dur,
     ) -> Result<ShadowId> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        let vd = state.versions.get(&base).ok_or(Error::NoSuchSegment)?;
-        let len = vd.len;
-        let meta = state.meta;
-        // "create a blank segment and truncate it to the same size as the
-        // base segment": every byte initially resolves into the base.
-        let index = RegionIndex::full(len, Some(ShadowSrc::Committed(base)));
-        let id = self.alloc_shadow(Shadow {
-            seg,
-            base: Some(base),
-            len,
-            index,
-            delta: Delta::new(meta.synthetic),
-            pieces: Pieces::default(),
-            expires_at: now + ttl,
-            meta,
-            prepared_as: None,
-        });
-        Ok(id)
+        let (state, _, vd) = self.version(seg, Some(base))?;
+        let (len, meta) = (vd.len, state.meta);
+        Ok(self.alloc_shadow(seg, Some((base, len)), meta, now + ttl))
     }
 
     /// Open a shadow for a brand-new segment (no committed base yet).
@@ -420,20 +442,32 @@ impl LocalStore {
         now: SimTime,
         ttl: sorrento_sim::Dur,
     ) -> ShadowId {
-        self.alloc_shadow(Shadow {
-            seg,
-            base: None,
-            len: 0,
-            index: RegionIndex::full(0, None),
-            delta: Delta::new(meta.synthetic),
-            pieces: Pieces::default(),
-            expires_at: now + ttl,
-            meta,
-            prepared_as: None,
-        })
+        self.alloc_shadow(seg, None, meta, now + ttl)
     }
 
-    fn alloc_shadow(&mut self, shadow: Shadow) -> ShadowId {
+    /// Open a shadow over `base`, a version and its length, if any.
+    fn alloc_shadow(
+        &mut self,
+        seg: SegId,
+        base: Option<(Version, u64)>,
+        meta: SegMeta,
+        expires_at: SimTime,
+    ) -> ShadowId {
+        // "create a blank segment and truncate it to the same size as the
+        // base segment": every byte initially resolves into the base.
+        let len = base.map_or(0, |(_, len)| len);
+        let index = RegionIndex::full(len, base.map(|(v, _)| ShadowSrc::Committed(v)));
+        let shadow = Shadow {
+            seg,
+            base: base.map(|(v, _)| v),
+            len,
+            index,
+            delta: Delta::new(meta.synthetic),
+            pieces: Pieces::default(),
+            expires_at,
+            meta,
+            prepared_as: None,
+        };
         let id = self.next_shadow;
         self.next_shadow += 1;
         self.shadows.insert(id, shadow);
@@ -473,23 +507,11 @@ impl LocalStore {
     /// Read through a shadow (read-your-writes before commit).
     pub fn read_shadow(&self, id: ShadowId, offset: u64, len: u64) -> Result<ReadOut> {
         let sh = self.shadows.get(&id).ok_or(Error::ShadowExpired)?;
+        let version = sh.base.unwrap_or(Version::INITIAL);
         let end = (offset + len).min(sh.len);
-        if offset >= end {
-            return Ok(ReadOut {
-                len: 0,
-                data: (!sh.meta.synthetic).then(Bytes::new),
-                version: sh.base.unwrap_or(Version::INITIAL),
-                crc: None,
-            });
-        }
-        let covered = end - offset;
+        let covered = end.saturating_sub(offset);
         if sh.meta.synthetic {
-            return Ok(ReadOut {
-                len: covered,
-                data: None,
-                version: sh.base.unwrap_or(Version::INITIAL),
-                crc: None,
-            });
+            return Ok(ReadOut { len: covered, data: None, version, crc: None });
         }
         let mut out = Vec::with_capacity(covered as usize);
         for (range, src) in sh.index.resolve(offset, end) {
@@ -504,12 +526,7 @@ impl LocalStore {
                 None => out.resize(out.len() + n as usize, 0), // hole: zeros
             }
         }
-        Ok(ReadOut {
-            len: covered,
-            data: Some(out.into()),
-            version: sh.base.unwrap_or(Version::INITIAL),
-            crc: None,
-        })
+        Ok(ReadOut { len: covered, data: Some(out.into()), version, crc: None })
     }
 
     /// Renew a shadow's expiration (the client "must either commit a
@@ -525,30 +542,17 @@ impl LocalStore {
     /// expire. Fails if the target does not advance the latest committed
     /// version.
     pub fn prepare_shadow(&mut self, id: ShadowId, target: Version) -> Result<()> {
-        // Validate against the committed chain before mutating.
-        let (seg, base) = {
-            let sh = self.shadows.get(&id).ok_or(Error::ShadowExpired)?;
-            (sh.seg, sh.base)
-        };
-        if let Some(state) = self.segments.get(&seg) {
-            if let Some((&latest, _)) = state.versions.iter().next_back() {
-                if target <= latest {
-                    return Err(Error::VersionConflict);
-                }
-                // A based shadow must stand on the latest committed
-                // version (stale-base lost-update guard). A fresh shadow
-                // carries the complete replacement content, so existing
-                // history is simply superseded — EC parity rewrites rely
-                // on this: parity is re-derived whole on every commit and
-                // may land on the provider holding the previous version.
-                if let Some(b) = base {
-                    if b != latest {
-                        return Err(Error::VersionConflict);
-                    }
-                }
-            }
+        let sh = self.shadows.get_mut(&id).ok_or(Error::ShadowExpired)?;
+        let latest = self.segments.get(&sh.seg).and_then(|st| st.versions.keys().next_back());
+        // A based shadow must stand on the latest committed version
+        // (stale-base lost-update guard). A fresh shadow carries the
+        // complete replacement content, so existing history is simply
+        // superseded — EC parity rewrites rely on this: parity is
+        // re-derived whole on every commit and may land on the provider
+        // holding the previous version.
+        if latest.is_some_and(|&l| target <= l || sh.base.is_some_and(|b| b != l)) {
+            return Err(Error::VersionConflict);
         }
-        let sh = self.shadows.get_mut(&id).expect("checked above");
         sh.prepared_as = Some(target);
         Ok(())
     }
@@ -590,22 +594,13 @@ impl LocalStore {
             index,
             delta: sh.delta.freeze(),
             pieces: sh.pieces,
-            committed_at: now,
         };
-        let state = self
-            .segments
-            .entry(sh.seg)
-            .or_insert_with(|| SegmentState {
-                versions: BTreeMap::new(),
-                pinned: Vec::new(),
-                meta: sh.meta,
-                last_access: now,
-                access_history: VecDeque::new(),
-            });
+        let state = self.segments.entry(sh.seg).or_insert_with(|| SegmentState::new(sh.meta, now));
         state.versions.insert(target, vd);
         state.last_access = now;
         let seg = sh.seg;
         self.consolidate(seg);
+        self.mark_changed(seg);
         Ok(())
     }
 
@@ -637,6 +632,21 @@ impl LocalStore {
     // Committed reads & direct (versioning-off) writes
     // ------------------------------------------------------------------
 
+    /// Committed `version` (or the latest) of `seg`, with its segment.
+    fn version(
+        &self,
+        seg: SegId,
+        version: Option<Version>,
+    ) -> Result<(&SegmentState, Version, &VersionData)> {
+        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
+        let (&v, vd) = match version {
+            Some(v) => state.versions.get_key_value(&v),
+            None => state.versions.iter().next_back(),
+        }
+        .ok_or(Error::NoSuchSegment)?;
+        Ok((state, v, vd))
+    }
+
     /// Read `len` bytes at `offset` from `version` (or the latest).
     pub fn read(
         &self,
@@ -645,14 +655,7 @@ impl LocalStore {
         offset: u64,
         len: u64,
     ) -> Result<ReadOut> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        let (v, vd) = match version {
-            Some(v) => (v, state.versions.get(&v).ok_or(Error::NoSuchSegment)?),
-            None => {
-                let (&v, vd) = state.versions.iter().next_back().ok_or(Error::NoSuchSegment)?;
-                (v, vd)
-            }
-        };
+        let (state, v, vd) = self.version(seg, version)?;
         let end = offset.saturating_add(len).min(vd.len);
         let covered = end.saturating_sub(offset);
         let data = if state.meta.synthetic {
@@ -681,13 +684,8 @@ impl LocalStore {
     ) -> Result<()> {
         let wlen = payload.len();
         let end = offset + wlen;
-        let state = self.segments.entry(seg).or_insert_with(|| SegmentState {
-            versions: BTreeMap::new(),
-            pinned: Vec::new(),
-            meta,
-            last_access: now,
-            access_history: VecDeque::new(),
-        });
+        self.mark_changed(seg);
+        let state = self.segments.entry(seg).or_insert_with(|| SegmentState::new(meta, now));
         if state.versions.is_empty() {
             state.versions.insert(
                 Version(1),
@@ -696,7 +694,6 @@ impl LocalStore {
                     index: RegionIndex::full(0, None),
                     delta: Delta::new(meta.synthetic),
                     pieces: Pieces::default(),
-                    committed_at: now,
                 },
             );
         }
@@ -725,14 +722,7 @@ impl LocalStore {
 
     /// [`LocalStore::export`] with the version's piece table beside it.
     pub fn export_transfer(&self, seg: SegId, version: Option<Version>) -> Result<Transfer> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        let (v, vd) = match version {
-            Some(v) => (v, state.versions.get(&v).ok_or(Error::NoSuchSegment)?),
-            None => {
-                let (&v, vd) = state.versions.iter().next_back().ok_or(Error::NoSuchSegment)?;
-                (v, vd)
-            }
-        };
+        let (state, v, vd) = self.version(seg, version)?;
         let data = if state.meta.synthetic {
             None
         } else {
@@ -748,12 +738,8 @@ impl LocalStore {
     /// now stale); ignored if a strictly newer version is already held.
     pub fn install_replica(&mut self, xfer: Transfer, now: SimTime) -> Result<bool> {
         let Transfer { image, pieces } = xfer;
-        if let Some(state) = self.segments.get(&image.seg) {
-            if let Some((&latest, _)) = state.versions.iter().next_back() {
-                if latest >= image.version {
-                    return Ok(false);
-                }
-            }
+        if self.latest(image.seg).is_some_and(|latest| latest >= image.version) {
+            return Ok(false);
         }
         let delta = match image.data {
             // The image becomes the version's one extent as it arrived.
@@ -765,29 +751,23 @@ impl LocalStore {
             index: RegionIndex::full(image.len, Some(image.version)),
             delta,
             pieces: Pieces(pieces.into_iter().map(|(start, len, crc)| (start, (len, crc))).collect()),
-            committed_at: now,
         };
-        let state = self
-            .segments
-            .entry(image.seg)
-            .or_insert_with(|| SegmentState {
-                versions: BTreeMap::new(),
-                pinned: Vec::new(),
-                meta: image.meta,
-                last_access: now,
-                access_history: VecDeque::new(),
-            });
-        // Older versions are stale relative to a synced replica — but
-        // pinned milestones survive (they are self-contained).
-        let pinned = state.pinned.clone();
-        state.versions.retain(|v, _| pinned.contains(v));
+        self.mark_changed(image.seg);
+        let state =
+            self.segments.entry(image.seg).or_insert_with(|| SegmentState::new(image.meta, now));
+        // Older versions are stale relative to a synced replica.
+        state.versions.clear();
         state.versions.insert(image.version, vd);
         Ok(true)
     }
 
     /// Remove a segment entirely; returns whether it existed.
     pub fn delete_segment(&mut self, seg: SegId) -> bool {
-        self.segments.remove(&seg).is_some()
+        let existed = self.segments.remove(&seg).is_some();
+        if existed {
+            self.mark_changed(seg);
+        }
+        existed
     }
 
     // ------------------------------------------------------------------
@@ -796,19 +776,12 @@ impl LocalStore {
 
     /// Whether the exact committed version is held locally.
     pub fn has_version(&self, seg: SegId, version: Version) -> bool {
-        self.segments
-            .get(&seg)
-            .is_some_and(|s| s.versions.contains_key(&version))
+        self.version(seg, Some(version)).is_ok()
     }
 
     /// Latest committed version of a segment.
     pub fn latest(&self, seg: SegId) -> Option<Version> {
-        self.segments
-            .get(&seg)?
-            .versions
-            .keys()
-            .next_back()
-            .copied()
+        self.version(seg, None).ok().map(|(_, v, _)| v)
     }
 
     /// Whether the segment has any committed version.
@@ -823,8 +796,7 @@ impl LocalStore {
 
     /// Logical length of a segment's latest version.
     pub fn seg_len(&self, seg: SegId) -> Option<u64> {
-        let state = self.segments.get(&seg)?;
-        state.versions.values().next_back().map(|v| v.len)
+        self.version(seg, None).ok().map(|(_, _, vd)| vd.len)
     }
 
     /// All locally stored segments with their latest versions.
@@ -840,34 +812,20 @@ impl LocalStore {
 
     /// Physically stored bytes for one segment (all kept versions).
     pub fn stored_bytes(&self, seg: SegId) -> u64 {
-        self.segments
-            .get(&seg)
-            .map(|s| s.versions.values().map(|v| v.delta.stored_bytes()).sum())
-            .unwrap_or(0)
+        self.segments.get(&seg).map_or(0, SegmentState::stored_bytes)
     }
 
     /// Physically stored bytes across all segments and shadows.
     pub fn total_stored_bytes(&self) -> u64 {
-        let committed: u64 = self
-            .segments
-            .values()
-            .flat_map(|s| s.versions.values())
-            .map(|v| v.delta.stored_bytes())
-            .sum();
+        let committed: u64 = self.segments.values().map(SegmentState::stored_bytes).sum();
         let shadows: u64 = self.shadows.values().map(|s| s.delta.stored_bytes()).sum();
         committed + shadows
     }
 
-    /// Record an access for temperature (LAT) and locality tracking.
-    pub fn touch(&mut self, seg: SegId, now: SimTime, machine: u32, bytes: u64) {
+    /// Record an access for temperature (LAT), as a file's atime.
+    pub fn touch(&mut self, seg: SegId, now: SimTime) {
         if let Some(state) = self.segments.get_mut(&seg) {
             state.last_access = now;
-            if matches!(state.meta.policy, PlacementPolicy::LocalityDriven { .. }) {
-                state.access_history.push_back((machine, bytes));
-                while state.access_history.len() > ACCESS_HISTORY_CAP {
-                    state.access_history.pop_front();
-                }
-            }
         }
     }
 
@@ -876,127 +834,22 @@ impl LocalStore {
         self.segments.get(&seg).map(|s| s.last_access)
     }
 
-    /// Traffic share per machine over the recorded access history:
-    /// `(machine, fraction_of_bytes)` sorted descending. Used by the
-    /// locality-driven policy.
-    pub fn traffic_shares(&self, seg: SegId) -> Vec<(u32, f64)> {
-        let Some(state) = self.segments.get(&seg) else {
-            return Vec::new();
-        };
-        let total: u64 = state.access_history.iter().map(|(_, b)| *b).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut per: HashMap<u32, u64> = HashMap::new();
-        for &(m, b) in &state.access_history {
-            *per.entry(m).or_default() += b;
-        }
-        let mut out: Vec<(u32, f64)> = per
-            .into_iter()
-            .map(|(m, b)| (m, b as f64 / total as f64))
-            .collect();
-        // Deterministic order: fraction descending, machine id tiebreak.
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite fractions")
-                .then(a.0.cmp(&b.0))
-        });
-        out
-    }
-
     /// Segments sorted by last-access time, oldest (coldest) first.
     pub fn segments_by_temperature(&self) -> Vec<(SegId, SimTime, u64)> {
-        let mut v: Vec<(SegId, SimTime, u64)> = self
-            .segments
-            .iter()
-            .map(|(&s, st)| {
-                let bytes: u64 = st.versions.values().map(|v| v.delta.stored_bytes()).sum();
-                (s, st.last_access, bytes)
-            })
-            .collect();
+        let mut v: Vec<(SegId, SimTime, u64)> =
+            self.segments.iter().map(|(&s, st)| (s, st.last_access, st.stored_bytes())).collect();
         v.sort_by_key(|&(s, t, _)| (t, s));
         v
     }
 
     // ------------------------------------------------------------------
-    // Milestones & consolidation
+    // Consolidation
     // ------------------------------------------------------------------
 
-    /// Pin `version` as a milestone: consolidation will never drop it.
-    /// The version is materialized (made self-contained) so dropping its
-    /// ancestors later stays safe. Fails if the version is not held.
-    pub fn pin_version(&mut self, seg: SegId, version: Version) -> Result<()> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        if !state.versions.contains_key(&version) {
-            return Err(Error::NoSuchSegment);
-        }
-        if let Some(vd) = self.materialized_copy(seg, version)? {
-            let state = self.segments.get_mut(&seg).expect("present");
-            state.versions.insert(version, vd);
-        }
-        let state = self.segments.get_mut(&seg).expect("present");
-        if !state.pinned.contains(&version) {
-            state.pinned.push(version);
-        }
-        Ok(())
-    }
-
-    /// Release a milestone pin; the version becomes eligible for
-    /// consolidation again. Returns whether it was pinned.
-    pub fn unpin_version(&mut self, seg: SegId, version: Version) -> bool {
-        match self.segments.get_mut(&seg) {
-            Some(state) => {
-                let had = state.pinned.contains(&version);
-                state.pinned.retain(|&v| v != version);
-                had
-            }
-            None => false,
-        }
-    }
-
-    /// The pinned milestone versions of a segment.
-    pub fn pinned_versions(&self, seg: SegId) -> Vec<Version> {
-        self.segments
-            .get(&seg)
-            .map(|s| {
-                let mut p = s.pinned.clone();
-                p.sort();
-                p
-            })
-            .unwrap_or_default()
-    }
-
-    /// A self-contained (single-delta, self-referential-index) copy of a
-    /// version, or `None` when it already is self-contained.
-    fn materialized_copy(&self, seg: SegId, version: Version) -> Result<Option<VersionData>> {
-        let state = self.segments.get(&seg).ok_or(Error::NoSuchSegment)?;
-        let vd = state.versions.get(&version).ok_or(Error::NoSuchSegment)?;
-        let needs = vd.index.sources().iter().any(|&v| v != version);
-        if !needs {
-            return Ok(None);
-        }
-        let delta = if state.meta.synthetic {
-            Delta::Synthetic { stored: vd.len }
-        } else {
-            // Always a copy, never a view: the point is to stop
-            // depending on (and pinning) the ancestors' allocations.
-            let mut out = Vec::with_capacity(vd.len as usize);
-            gather(state, &vd.index.resolve(0, vd.len), &mut out)?;
-            Delta::Frozen(FrozenBuffer::whole(out.into()))
-        };
-        Ok(Some(VersionData {
-            len: vd.len,
-            index: RegionIndex::full(vd.len, Some(version)),
-            delta,
-            pieces: vd.pieces.clone(),
-            committed_at: vd.committed_at,
-        }))
-    }
-
     /// Enforce the version retention policy for `seg`: keep the
-    /// `keep_versions` most recent unpinned versions (plus all pinned
-    /// milestones), materializing any survivor whose copy-on-write index
-    /// still references a version about to be dropped.
+    /// `keep_versions` most recent versions, materializing any survivor
+    /// whose copy-on-write index still references a version about to be
+    /// dropped.
     ///
     /// Materialization (rather than reference remapping) is required for
     /// correctness: with entropy-disambiguated versions, a survivor's
@@ -1004,54 +857,46 @@ impl LocalStore {
     /// ancestor, so no retained version can stand in for the dropped
     /// bytes — they must be copied out while the chain is still intact.
     fn consolidate(&mut self, seg: SegId) {
-        let Some(state) = self.segments.get(&seg) else {
+        let Some(state) = self.segments.get_mut(&seg) else {
             return;
         };
-        // Pinned milestones don't count against the retention budget.
-        let unpinned = state
-            .versions
-            .keys()
-            .filter(|v| !state.pinned.contains(v))
-            .count();
-        if unpinned <= self.keep_versions {
+        if state.versions.len() <= self.keep_versions {
             return;
         }
-        let keep_from = *state
-            .versions
-            .keys()
-            .filter(|v| !state.pinned.contains(v))
-            .rev()
-            .nth(self.keep_versions - 1)
-            .expect("unpinned > keep_versions >= 1");
-        let retained: Vec<Version> = state
-            .versions
-            .keys()
-            .filter(|&&v| v >= keep_from || state.pinned.contains(&v))
-            .copied()
+        let retained: Vec<Version> =
+            state.versions.keys().rev().take(self.keep_versions).copied().collect();
+        let dangling = |v: &&Version| {
+            state.versions[*v].index.sources().iter().any(|src| !retained.contains(src))
+        };
+        let copies: Vec<(Version, VersionData)> = retained
+            .iter()
+            .filter(dangling)
+            .filter_map(|&v| Some((v, materialized_copy(state, v).ok()?)))
             .collect();
-        // Materialize every survivor that references a doomed version,
-        // while the full chain is still readable.
-        let mut replacements: Vec<(Version, VersionData)> = Vec::new();
-        for &v in &retained {
-            let state = self.segments.get(&seg).expect("present");
-            let vd = state.versions.get(&v).expect("present");
-            let dangling = vd
-                .index
-                .sources()
-                .iter()
-                .any(|src| !retained.contains(src));
-            if dangling {
-                if let Ok(Some(copy)) = self.materialized_copy(seg, v) {
-                    replacements.push((v, copy));
-                }
-            }
-        }
-        let state = self.segments.get_mut(&seg).expect("present");
-        for (v, vd) in replacements {
-            state.versions.insert(v, vd);
-        }
+        state.versions.extend(copies);
         state.versions.retain(|v, _| retained.contains(v));
     }
+}
+
+/// A self-contained (single-delta, self-referential-index) copy of
+/// `version`, gathered while the chain it references is still intact.
+fn materialized_copy(state: &SegmentState, version: Version) -> Result<VersionData> {
+    let vd = state.versions.get(&version).ok_or(Error::NoSuchSegment)?;
+    let delta = if state.meta.synthetic {
+        Delta::Synthetic { stored: vd.len }
+    } else {
+        // Always a copy, never a view: the point is to stop depending on
+        // (and pinning) the ancestors' allocations.
+        let mut out = Vec::with_capacity(vd.len as usize);
+        gather(state, &vd.index.resolve(0, vd.len), &mut out)?;
+        Delta::Frozen(FrozenBuffer::whole(out.into()))
+    };
+    Ok(VersionData {
+        len: vd.len,
+        index: RegionIndex::full(vd.len, Some(version)),
+        delta,
+        pieces: vd.pieces.clone(),
+    })
 }
 
 /// Bytes of `[start, end)` whose source in `index` satisfies `pred`.
@@ -1115,6 +960,7 @@ fn version_bytes(state: &SegmentState, vd: &VersionData, offset: u64, end: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::AccessLog;
     use sorrento_kvdb::{crc32, crc32_pieces};
     use sorrento_sim::Dur;
 
@@ -1331,36 +1177,23 @@ mod tests {
         st.write_shadow(sh, 0, WritePayload::Real(b"x".to_vec().into()))
             .unwrap();
         st.commit_shadow(sh, Version(1), t(0)).unwrap();
-        st.touch(s, t(5), 7, 100);
-        st.touch(s, t(6), 7, 100);
-        st.touch(s, t(7), 9, 50);
+        commit_fresh(&mut st, seg(2), b"y");
+        // What a provider's owner does on every read served: the store
+        // keeps the temperature, the access log beside it the locality.
+        let mut log = AccessLog::default();
+        for (at, machine, bytes) in [(5, 7, 100), (6, 7, 100), (7, 9, 50)] {
+            st.touch(s, t(at));
+            log.record(s, meta.policy, machine, bytes);
+        }
         assert_eq!(st.last_access(s), Some(t(7)));
-        let shares = st.traffic_shares(s);
+        let shares = log.traffic_shares(s);
         assert_eq!(shares[0].0, 7);
         assert!((shares[0].1 - 0.8).abs() < 1e-9);
         let by_temp = st.segments_by_temperature();
-        assert_eq!(by_temp[0].0, s);
-    }
-
-    #[test]
-    fn access_history_is_bounded() {
-        let mut st = LocalStore::new(2);
-        let s = seg(1);
-        let meta = SegMeta {
-            policy: PlacementPolicy::LocalityDriven { threshold: 0.6 },
-            ..SegMeta::default()
-        };
-        let sh = st.open_fresh_shadow(s, meta, t(0), TTL);
-        st.write_shadow(sh, 0, WritePayload::Real(b"x".to_vec().into()))
-            .unwrap();
-        st.commit_shadow(sh, Version(1), t(0)).unwrap();
-        for i in 0..(ACCESS_HISTORY_CAP as u64 + 500) {
-            st.touch(s, t(0), (i % 3) as u32, 1);
-        }
-        let total: f64 = st.traffic_shares(s).iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        let state = st.segments.get(&s).unwrap();
-        assert_eq!(state.access_history.len(), ACCESS_HISTORY_CAP);
+        assert_eq!(by_temp.iter().map(|e| e.0).collect::<Vec<_>>(), vec![seg(2), s]);
+        // A load-aware segment is read as often and leaves no history.
+        log.record(seg(2), SegMeta::default().policy, 7, 100);
+        assert!(log.traffic_shares(seg(2)).is_empty());
     }
 
     #[test]
@@ -1372,63 +1205,6 @@ mod tests {
         assert!(!st.delete_segment(s));
         assert!(st.read(s, None, 0, 1).is_err());
         assert_eq!(st.total_stored_bytes(), 0);
-    }
-
-    #[test]
-    fn pinned_milestone_survives_consolidation() {
-        let mut st = LocalStore::new(1);
-        let s = seg(1);
-        commit_fresh(&mut st, s, b"milestone!");
-        st.pin_version(s, Version(1)).unwrap();
-        // Advance far past the retention budget.
-        for v in 2..6u64 {
-            let sh = st.open_shadow(s, Version(v - 1), t(v), TTL).unwrap();
-            st.write_shadow(sh, 0, WritePayload::Real(vec![v as u8; 4].into()))
-                .unwrap();
-            st.commit_shadow(sh, Version(v), t(v)).unwrap();
-        }
-        // keep_versions = 1, yet the milestone remains readable.
-        assert_eq!(st.pinned_versions(s), vec![Version(1)]);
-        let old = st.read(s, Some(Version(1)), 0, 100).unwrap();
-        assert_eq!(old.data.unwrap(), b"milestone!");
-        // Intermediate (unpinned) versions were consolidated away.
-        assert!(st.read(s, Some(Version(3)), 0, 1).is_err());
-        // The latest version still reads correctly.
-        let latest = st.read(s, None, 0, 100).unwrap();
-        assert_eq!(&latest.data.unwrap()[..4], &[5, 5, 5, 5]);
-    }
-
-    #[test]
-    fn unpinning_releases_the_milestone() {
-        let mut st = LocalStore::new(1);
-        let s = seg(1);
-        commit_fresh(&mut st, s, b"v1");
-        st.pin_version(s, Version(1)).unwrap();
-        assert!(st.unpin_version(s, Version(1)));
-        assert!(!st.unpin_version(s, Version(1)));
-        for v in 2..4u64 {
-            let sh = st.open_shadow(s, Version(v - 1), t(v), TTL).unwrap();
-            st.write_shadow(sh, 0, WritePayload::Real(vec![v as u8; 2].into()))
-                .unwrap();
-            st.commit_shadow(sh, Version(v), t(v)).unwrap();
-        }
-        // No longer pinned: v1 was consolidated away.
-        assert!(st.read(s, Some(Version(1)), 0, 1).is_err());
-    }
-
-    #[test]
-    fn pin_unknown_version_fails() {
-        let mut st = LocalStore::new(2);
-        let s = seg(1);
-        commit_fresh(&mut st, s, b"x");
-        assert_eq!(
-            st.pin_version(s, Version(9)).unwrap_err(),
-            Error::NoSuchSegment
-        );
-        assert_eq!(
-            st.pin_version(seg(5), Version(1)).unwrap_err(),
-            Error::NoSuchSegment
-        );
     }
 
     #[test]

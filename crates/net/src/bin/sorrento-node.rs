@@ -8,12 +8,12 @@
 //! config's `role`) until stopped. Three ways out:
 //!
 //! * **`quit` on stdin or SIGTERM** — clean shutdown: a provider
-//!   persists every dirty segment and checkpoints its database before
-//!   exiting (segments are also persisted continuously, so even a hard
-//!   kill loses at most the last couple hundred milliseconds of
-//!   writes).
+//!   persists every segment changed since its last persist and
+//!   checkpoints its database before exiting (it also persists every
+//!   200 ms, so even a hard kill loses at most the last couple hundred
+//!   milliseconds of writes).
 //! * **SIGKILL / power loss** — nothing runs; recovery relies entirely
-//!   on the continuous persistence sweeps.
+//!   on what the periodic persists wrote.
 //! * **`--crash-after <secs>`** — test hook for recovery drills: the
 //!   process aborts (no clean shutdown, no final persistence) after the
 //!   given number of seconds, standing in for a SIGKILL that scripts

@@ -11,11 +11,11 @@
 //!   itself with the node's metrics registry as JSON; the state
 //!   machines never see it (and the simulator never sends it), so
 //!   runtime introspection cannot perturb protocol behavior.
-//! * **Segment persistence** — a provider periodically diffs its
-//!   in-memory store against what it last persisted and writes changed
-//!   segments as replica images into a `sorrento-kvdb` file-backed
-//!   database; at boot they are reinstalled before the machine starts,
-//!   so a restarted provider rejoins with its data intact.
+//! * **The persistence deadline** — a provider with a `data_dir` gets
+//!   a [`KvDisk`] attached, which its start reloads from. Every
+//!   `PERSIST_EVERY` the loop asks it to persist what changed, and a
+//!   clean stop persists and checkpoints once more; a kill does
+//!   neither, so the disk keeps what the last deadline wrote.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -30,20 +30,18 @@ use sorrento::namespace::NamespaceServer;
 use sorrento::nsmap::NsShardMap;
 use sorrento::provider::StorageProvider;
 use sorrento::proto::{self, Msg, Tick};
-use sorrento::types::{SegId, Version};
 use sorrento::Transport;
 use sorrento_json::Json;
-use sorrento_kvdb::{Db, DbConfig, FileBackend};
 use sorrento_sim::{NodeId, SpanId, TelemetryEvent};
 
 use crate::chaos::ChaosConfig;
 use crate::config::{DaemonConfig, Role};
+use crate::disk::KvDisk;
 use crate::flight;
-use crate::frame;
 use crate::runtime::{Driver, Node, RealCtx};
 use crate::tcp::{Mesh, MeshConfig};
 
-/// How often a provider persists dirty segments.
+/// How often a provider persists the segments that changed.
 const PERSIST_EVERY: Duration = Duration::from_millis(200);
 
 /// Version of the `Msg::StatsR` snapshot payload (`"v"` key).
@@ -230,8 +228,8 @@ impl DaemonHandle {
     }
 
     /// Kill the daemon as a crash stand-in: the loop exits without the
-    /// final persistence sweep or checkpoint, so on-disk state is
-    /// whatever the last periodic sweep captured — exactly what a
+    /// final persist or checkpoint, so on-disk state is whatever the
+    /// last periodic persist wrote — exactly what a
     /// `SIGKILL`'d process would leave behind. Recovery drills restart
     /// a killed provider on the same `data_dir` and assert the cluster
     /// converges.
@@ -299,7 +297,7 @@ fn run_loop(
     let mut machines: HashMap<NodeId, u32> =
         cfg.peers.iter().map(|p| (p.id, p.machine)).collect();
     machines.insert(me, cfg.machine);
-    let mut ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
+    let ctx = RealCtx::new(me, cfg.seed, cfg.capacity, machines);
 
     let role_str = match cfg.role {
         Role::Namespace => "namespace",
@@ -333,7 +331,7 @@ fn run_loop(
         mesh.set_chaos(Some(cfg.chaos.clone()));
     }
 
-    let mut machine = match cfg.role {
+    let machine = match cfg.role {
         Role::Namespace if !cfg.ns_map.is_empty() => {
             let (k, n) = shard.expect("checked above: a namespace node has a shard");
             let mut ns = NamespaceServer::new_sharded(cfg.costs, k, n);
@@ -359,43 +357,12 @@ fn run_loop(
             let seeds: Vec<NodeId> = cfg.peers.iter().map(|p| p.id).collect();
             let mut prov = StorageProvider::new(cfg.costs, 2).with_rack(cfg.rack);
             prov.set_membership(cfg.membership, seeds);
+            if let Some(dir) = &cfg.data_dir {
+                prov.attach_disk(Box::new(KvDisk::open(dir)?));
+            }
             Machine::Prov(Box::new(prov))
         }
     };
-
-    // Segment persistence (providers with a data dir only).
-    let mut db: Option<Db<FileBackend>> = match (&cfg.role, &cfg.data_dir) {
-        (Role::Provider, Some(dir)) => Some(Db::open(
-            FileBackend::open(dir.clone())?,
-            DbConfig::default(),
-        )?),
-        _ => None,
-    };
-    let mut persisted: HashMap<SegId, Version> = HashMap::new();
-    if let (Some(db), Machine::Prov(prov)) = (&db, &mut machine) {
-        let now = ctx.now();
-        for (key, value) in db.scan_prefix(b"seg/") {
-            // A value that does not decode (torn, foreign) or install is a
-            // segment lost at restart: counted and named, and the node
-            // still boots to serve the rest.
-            let installed =
-                frame::decode_transfer_bytes(value).map_err(|e| e.to_string()).and_then(|xfer| {
-                    let at = (xfer.image.seg, xfer.image.version);
-                    prov.store.install_replica(xfer, now).map(|_| at).map_err(|e| e.to_string())
-                });
-            match installed {
-                Ok((seg, version)) => {
-                    persisted.insert(seg, version);
-                    ctx.metrics().count("recovery.images_installed", 1);
-                }
-                Err(why) => {
-                    let key = String::from_utf8_lossy(key);
-                    eprintln!("sorrento-node {}: skipped `{key}` at recovery: {why}", me.index());
-                    ctx.metrics().count("recovery.images_skipped", 1);
-                }
-            }
-        }
-    }
 
     let shard = shard.map(|(k, _)| k);
     let mut node = Served { machine, role: role_str, shard, slow: SlowOps::new() };
@@ -418,15 +385,16 @@ fn run_loop(
     };
 
     // Housekeeping deadlines bound the loop's wait like timers do.
-    let mut next_persist = db.as_ref().map(|_| Instant::now() + PERSIST_EVERY);
+    let persists = matches!(node.machine, Machine::Prov(_)) && cfg.data_dir.is_some();
+    let mut next_persist = persists.then(|| Instant::now() + PERSIST_EVERY);
     while !shutdown.load(Ordering::SeqCst) {
         let next_metrics = metrics_log.as_ref().map(|(_, _, at)| *at);
         driver.turn(&mut node, [next_persist, next_metrics].into_iter().flatten().min());
         let now = Instant::now();
-        if let (Some(db), Some(at), Machine::Prov(prov)) = (&mut db, next_persist, &node.machine) {
+        if let (Some(at), Machine::Prov(prov)) = (next_persist, &mut node.machine) {
             if now >= at {
                 next_persist = Some(now + PERSIST_EVERY);
-                persist_dirty(db, prov, &mut persisted)?;
+                prov.persist()?;
             }
         }
         if let Some((every, file, at)) = &mut metrics_log {
@@ -438,12 +406,12 @@ fn run_loop(
         }
     }
 
-    // An abrupt (crash-drill) exit skips the final sweep and checkpoint:
-    // on-disk state stays at whatever the last periodic sweep captured.
+    // An abrupt (crash-drill) exit skips the final persist and
+    // checkpoint: on-disk state stays at whatever the last deadline wrote.
     if !abrupt.load(Ordering::SeqCst) {
-        if let (Some(db), Machine::Prov(prov)) = (&mut db, &node.machine) {
-            persist_dirty(db, prov, &mut persisted)?;
-            db.checkpoint()?;
+        if let Machine::Prov(prov) = &mut node.machine {
+            prov.persist()?;
+            prov.checkpoint()?;
         }
     }
     // The flight recorder is the black box: it dumps on both clean and
@@ -469,37 +437,4 @@ fn install_ns_plane(ns: &mut NamespaceServer, cfg: &DaemonConfig, shard: u32) {
         }
     }
     ns.set_checkpoint_every_batches(cfg.ns_checkpoint_batches);
-}
-
-fn key_of(seg: SegId) -> Vec<u8> {
-    format!("seg/{:032x}", seg.0).into_bytes()
-}
-
-/// Write every segment whose latest version moved since the last sweep,
-/// and drop keys for segments the store no longer holds.
-fn persist_dirty(
-    db: &mut Db<FileBackend>,
-    prov: &StorageProvider,
-    persisted: &mut HashMap<SegId, Version>,
-) -> io::Result<()> {
-    let current: HashMap<SegId, Version> = prov.store.list_segments().into_iter().collect();
-    for (&seg, &version) in &current {
-        if persisted.get(&seg) == Some(&version) {
-            continue;
-        }
-        if let Ok(xfer) = prov.store.export_transfer(seg, Some(version)) {
-            db.put(key_of(seg), frame::encode_transfer_bytes(&xfer))?;
-            persisted.insert(seg, version);
-        }
-    }
-    let gone: Vec<SegId> = persisted
-        .keys()
-        .copied()
-        .filter(|s| !current.contains_key(s))
-        .collect();
-    for seg in gone {
-        db.delete(key_of(seg))?;
-        persisted.remove(&seg);
-    }
-    Ok(())
 }

@@ -23,7 +23,9 @@
 //!   clock, timer heap, real metrics registry).
 //! * [`config`] — the small JSON config file a node boots from.
 //! * [`daemon`] — the node daemon: role selection, the poll loop, and
-//!   segment persistence through `sorrento-kvdb`'s file backend.
+//!   the persistence deadline.
+//! * [`disk`] — [`disk::KvDisk`], a provider's segments at rest in a
+//!   `sorrento-kvdb` file-backed database.
 //! * [`ctl`] — the `sorrentoctl` client library: run filesystem ops
 //!   against a live cluster, fetch daemon stats.
 //! * [`testkit`] — [`testkit::LoopbackCluster`]: boot, kill, restart,
@@ -34,6 +36,7 @@ pub mod chaos;
 pub mod config;
 pub mod ctl;
 pub mod daemon;
+pub mod disk;
 pub mod flight;
 pub mod frame;
 pub mod pool;

@@ -5,7 +5,8 @@
 //! every listener *before* any daemon boots (so every peer list carries
 //! real addresses), building each node's peer list, rebinding a stopped
 //! node's address until the kernel lets go of it, the raw-mesh session a
-//! stats scrape rides on, and the format of a provider's `data_dir`.
+//! stats scrape rides on, and where a provider's `data_dir` is (what is
+//! in it, [`crate::disk::KvDisk`] alone knows).
 //!
 //! The builder has methods only for what changes the cluster's *shape*
 //! (how many providers, whether they persist, how the namespace is
@@ -33,17 +34,16 @@ use sorrento::api::FsScript;
 use sorrento::costs::CostModel;
 use sorrento::nsmap::ShardInfo;
 use sorrento::proto::Msg;
-use sorrento::store::Transfer;
+use sorrento::store::{SegmentDisk, Transfer};
 use sorrento::types::Error;
 use sorrento_json::Json;
-use sorrento_kvdb::{Db, DbConfig, FileBackend};
 use sorrento_sim::NodeId;
 
 use crate::chaos::ChaosConfig;
 use crate::config::{CtlConfig, DaemonConfig, PeerSpec, Role};
 use crate::ctl::{self, CtlError, ScriptOutcome};
 use crate::daemon::{self, DaemonHandle};
-use crate::frame;
+use crate::disk::KvDisk;
 use crate::tcp::{Mesh, MeshConfig};
 
 /// Node id the scraping mesh joins as (clear of daemons and of
@@ -217,12 +217,12 @@ impl LoopbackCluster {
         self.handles[i].take().ok_or_else(down)
     }
 
-    /// Crash daemon `i` as `SIGKILL` would: no final persistence sweep.
+    /// Crash daemon `i` as `SIGKILL` would: no final persist.
     pub fn kill(&mut self, i: usize) -> io::Result<()> {
         self.take(i)?.kill()
     }
 
-    /// Stop daemon `i` cleanly (final persistence sweep and checkpoint
+    /// Stop daemon `i` cleanly (final persist and checkpoint
     /// included) and join its threads.
     pub fn stop(&mut self, i: usize) -> io::Result<()> {
         self.take(i)?.stop()
@@ -298,8 +298,8 @@ impl LoopbackCluster {
     }
 
     /// The segment images, each with its piece table, that stopped
-    /// provider `i` left in its `data_dir` — the one place outside the
-    /// daemon that knows how they are kept.
+    /// provider `i` left in its `data_dir`, as its [`KvDisk`] loads them;
+    /// a value that is no image is an `InvalidData` error.
     /// Only a stopped node's directory may be opened: opening replays
     /// and may truncate the log a running daemon is appending to.
     pub fn disk_images(&self, i: usize) -> io::Result<Vec<Transfer>> {
@@ -308,13 +308,8 @@ impl LoopbackCluster {
             return Err(invalid(format!("node {i} is still running")));
         }
         let dir = self.data_dir(i).ok_or_else(|| invalid(format!("node {i} has no data_dir")))?;
-        let db = Db::open(FileBackend::open(dir.to_path_buf())?, DbConfig::default())?;
-        db.scan_prefix(b"seg/")
-            .map(|(_, image)| {
-                frame::decode_transfer_bytes(image)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
-            })
-            .collect()
+        let images = KvDisk::open(dir)?.load().into_iter();
+        images.map(|x| x.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))).collect()
     }
 }
 

@@ -16,7 +16,7 @@ use sorrento_kvdb::crc32;
 use sorrento_net::config::CtlConfig;
 use sorrento_net::ctl;
 use sorrento_net::tcp::{Mesh, MeshConfig};
-use sorrento_net::testkit::{payload, LoopbackCluster};
+use sorrento_net::testkit::{self, payload, LoopbackCluster};
 use sorrento_sim::NodeId;
 
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -303,6 +303,57 @@ fn provider_persists_segments_for_restart() {
         let round = prov.store.export(seg, Some(version)).expect("installed segment exports");
         assert_eq!(round.version, version);
     }
+}
+
+/// A versioning-off write (§3.5) changes a segment in place, at the
+/// version it already had. A rewrite after the first write reached the
+/// disk must reach it too: a clean stop leaves the rewrite there, and the
+/// restarted providers serve it.
+#[test]
+fn a_versioning_off_rewrite_in_place_reaches_the_disk() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sorrento-rewrite-in-place");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cluster =
+        LoopbackCluster::builder(2).data_root(&dir).boot().expect("boot loopback cluster");
+    let cfg = cluster.ctl();
+    // Three persist deadlines of the daemon's 200 ms.
+    let three_sweeps = || std::thread::sleep(Duration::from_millis(3 * 200 + 100));
+    let first = payload(256 << 10);
+    let rewrite: Vec<u8> = first.iter().map(|b| b ^ 0x5a).collect();
+
+    let mut fs = FsScript::new();
+    let options = FileOptions { versioning_off: true, ..FileOptions::default() };
+    let h = fs.create_with("/in-place", options).unwrap();
+    fs.write(h, 0, first.clone()).unwrap();
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&cfg, fs.into_ops(), 2, DEADLINE).expect("write script");
+    assert_eq!(out.stats.failed_ops, 0, "write failed: {:?}", out.stats.last_error);
+    three_sweeps();
+    let mut fs = FsScript::new();
+    let h = fs.open("/in-place", true).unwrap();
+    fs.write(h, 0, rewrite.clone()).unwrap();
+    fs.close(h).unwrap();
+    let out = ctl::run_script(&cfg, fs.into_ops(), 2, DEADLINE).expect("rewrite script");
+    assert_eq!(out.stats.failed_ops, 0, "rewrite failed: {:?}", out.stats.last_error);
+    three_sweeps();
+
+    for p in cluster.providers() {
+        cluster.stop(p).expect("clean stop");
+    }
+    let on_disk = |bytes: &[u8]| {
+        cluster.providers().any(|p| {
+            let images = cluster.disk_images(p).expect("persisted images decode");
+            images.iter().any(|x| x.image.data.as_deref() == Some(bytes))
+        })
+    };
+    assert!(on_disk(&rewrite), "no provider's disk holds the rewrite");
+    assert!(!on_disk(&first), "a provider's disk still holds the first write");
+    for p in cluster.providers() {
+        cluster.restart(p).expect("restart from data_dir");
+    }
+    testkit::read_until(&cfg, "/in-place", &rewrite, 2, DEADLINE, "read after restart").unwrap();
+    cluster.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Send `msg` to node `to` over a bare mesh and return the first reply

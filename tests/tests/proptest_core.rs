@@ -172,89 +172,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Milestone pinning under random commit/pin/unpin churn: a pinned
-    /// version's bytes never change and never disappear, no matter how
-    /// aggressively consolidation runs around it.
-    #[test]
-    fn pinned_versions_are_immortal_and_immutable(
-        keep in 1usize..3,
-        script in prop::collection::vec(
-            prop_oneof![
-                4 => (0u64..2048, 1u64..256).prop_map(|(o, l)| PinOp::Commit(o, l)),
-                1 => Just(PinOp::PinLatest),
-                1 => Just(PinOp::UnpinOldest),
-            ],
-            2..24,
-        ),
-    ) {
-        use sorrento::store::{LocalStore, SegMeta, WritePayload};
-        use sorrento::types::Version;
-        let mut store = LocalStore::new(keep);
-        let seg = SegId::derive(3, 1, 0);
-        let now = SimTime::ZERO;
-        let mut version = Version::INITIAL;
-        let mut snapshots: Vec<(Version, Vec<u8>)> = Vec::new();
-        let mut pinned: Vec<Version> = Vec::new();
-        let mut model: Vec<u8> = Vec::new();
-        for (n, op) in script.iter().enumerate() {
-            match op {
-                PinOp::Commit(off, len) => {
-                    let shadow = if version == Version::INITIAL {
-                        store.open_fresh_shadow(seg, SegMeta::default(), now, Dur::secs(60))
-                    } else {
-                        store.open_shadow(seg, version, now, Dur::secs(60)).unwrap()
-                    };
-                    let fill = (n as u8).wrapping_add(1);
-                    let data = vec![fill; *len as usize];
-                    store.write_shadow(shadow, *off, WritePayload::Real(data.clone().into())).unwrap();
-                    if model.len() < (*off + *len) as usize {
-                        model.resize((*off + *len) as usize, 0);
-                    }
-                    model[*off as usize..(*off + *len) as usize].copy_from_slice(&data);
-                    version = version.next_entropic(n as u16);
-                    store.commit_shadow(shadow, version, now).unwrap();
-                }
-                PinOp::PinLatest => {
-                    if version != Version::INITIAL {
-                        store.pin_version(seg, version).unwrap();
-                        if !pinned.contains(&version) {
-                            pinned.push(version);
-                            snapshots.push((version, model.clone()));
-                        }
-                    }
-                }
-                PinOp::UnpinOldest => {
-                    if let Some(&v) = pinned.first() {
-                        store.unpin_version(seg, v);
-                        pinned.remove(0);
-                        snapshots.retain(|(sv, _)| *sv != v);
-                    }
-                }
-            }
-            // Every still-pinned snapshot reads back byte-exact.
-            for (v, bytes) in &snapshots {
-                let out = store.read(seg, Some(*v), 0, bytes.len() as u64 + 16).unwrap();
-                prop_assert_eq!(out.data.as_deref().unwrap(), &bytes[..], "pinned {:?}", v);
-            }
-            // And the latest always matches the model.
-            if version != Version::INITIAL {
-                let out = store.read(seg, None, 0, model.len() as u64 + 16).unwrap();
-                prop_assert_eq!(out.data.as_deref().unwrap(), &model[..]);
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum PinOp {
-    Commit(u64, u64),
-    PinLatest,
-    UnpinOldest,
-}
-
 // ---------------------------------------------------------------------
 // At-least-once delivery: a resilient client re-sends a mutation until
 // it sees the reply, so servers must treat a replayed `(client,
